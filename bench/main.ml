@@ -36,47 +36,22 @@ let jobs = ref 1
 (* ------------------------------------------------------------------ *)
 (* Machine-readable results (--json FILE)                               *)
 
+module Json = Sedspec_util.Json
+
 let json_path : string option ref = ref None
-let json_out : (string * string) list ref = ref []
+let json_out : (string * Json.t) list ref = ref []
 let json_add key value = json_out := (key, value) :: !json_out
-let json_int key v = json_add key (string_of_int v)
-let json_bool key v = json_add key (string_of_bool v)
+let json_int key v = json_add key (Json.Int v)
+let json_bool key v = json_add key (Json.Bool v)
+let json_str key v = json_add key (Json.Str v)
 
 let json_float key v =
-  json_add key (if Float.is_finite v then Printf.sprintf "%.6g" v else "null")
+  json_add key (if Float.is_finite v then Json.Float v else Json.Null)
 
-(* RFC 8259 escaping via the shared emitter: UTF-8 prose (schema notes
-   with dashes and arrows) passes through byte-clean, unlike OCaml's %S
-   whose decimal escapes are invalid JSON. *)
-let json_str key v =
-  json_add key (Sedspec_util.Json.to_string (Sedspec_util.Json.Str v))
-
-(* Keys are ASCII identifiers, so OCaml's %S escaping is valid JSON.
-   The write is atomic (temp file + rename) and the fd is protected, so
-   an exception mid-dump never leaves a truncated JSON file behind. *)
+(* One flat object in insertion order, written atomically. *)
 let json_write path =
-  let buf = Buffer.create 4096 in
-  let entries = List.rev !json_out in
-  let last = List.length entries - 1 in
-  Buffer.add_string buf "{\n";
-  List.iteri
-    (fun i (k, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %S: %s%s\n" k v (if i < last then "," else "")))
-    entries;
-  Buffer.add_string buf "}\n";
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path) ".tmp" in
-  match
-    let oc = open_out tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> Buffer.output_buffer oc buf)
-  with
-  | () -> Sys.rename tmp path
-  | exception e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+  Sedspec_util.Atomic_file.write path
+    (Json.to_string (Json.Obj (List.rev !json_out)))
 
 let strategies =
   [
@@ -566,13 +541,10 @@ let capture_stream w ~cases ~ops =
 (* Replay the stream through a live checker's interposer (the full
    protection path: pre-execution walk, verdict, shadow commit) and
    measure interactions and ES-CFG nodes walked per second. *)
-let replay_throughput ?(contained = true) ?(minimized = false) w engine reqs =
+let replay_throughput ?(contained = true) w engine reqs =
   let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
   let config = { Sedspec.Checker.default_config with Sedspec.Checker.engine } in
-  let b =
-    if minimized then Metrics.Spec_cache.built_minimized w W.paper_version
-    else Metrics.Spec_cache.built w W.paper_version
-  in
+  let b = Metrics.Spec_cache.built w W.paper_version in
   let m = W.make_machine W.paper_version in
   let checker = Sedspec.Pipeline.protect ~config m ~device:W.device_name b in
   let ip =
@@ -649,77 +621,6 @@ let walk_throughput () =
   Printf.printf
     "(replays one benign request stream through the checker interposer;\n\
     \ speedup = compiled / interpreted interactions per second)\n"
-
-(* Dependence-driven spec minimization: spec size and walk cost before
-   vs after, per device.  The JSON carries the per-device node counts so
-   CI can assert the invariant that minimization never grows a spec
-   (BENCH_7.json thresholds). *)
-let minimize_bench () =
-  section "Ablation: dependence-driven spec minimization (CDG/DDG)";
-  let rows =
-    List.map
-      (fun w ->
-        let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-        let device = W.device_name in
-        let minimized = Metrics.Spec_cache.built_minimized w W.paper_version in
-        let rep =
-          match minimized.Sedspec.Pipeline.minimized with
-          | Some r -> r
-          | None -> assert false
-        in
-        let reqs = capture_stream w ~cases:(if !quick then 2 else 4) ~ops:20 in
-        let ns_per_node nps = if nps > 0.0 then 1.0e9 /. nps else Float.nan in
-        let _, t_nps = replay_throughput w Sedspec.Checker.Compiled reqs in
-        let _, m_nps =
-          replay_throughput ~minimized:true w Sedspec.Checker.Compiled reqs
-        in
-        let pfx = Printf.sprintf "minimize.%s" device in
-        json_int (pfx ^ ".nodes_before") rep.Sedspec.Minimize.nodes_before;
-        json_int (pfx ^ ".nodes_after") rep.Sedspec.Minimize.nodes_after;
-        json_int (pfx ^ ".pruned") rep.Sedspec.Minimize.pruned;
-        json_int (pfx ^ ".branches_folded") rep.Sedspec.Minimize.branches_folded;
-        json_int (pfx ^ ".branches_dominated")
-          rep.Sedspec.Minimize.branches_dominated;
-        json_int (pfx ^ ".chains_merged") rep.Sedspec.Minimize.chains_merged;
-        json_int (pfx ^ ".sync_sites_flow_insensitive")
-          rep.Sedspec.Minimize.sync_sites_flow_insensitive;
-        json_int (pfx ^ ".sync_sites_ddg") rep.Sedspec.Minimize.sync_sites_ddg;
-        json_bool (pfx ^ ".never_larger")
-          (rep.Sedspec.Minimize.nodes_after <= rep.Sedspec.Minimize.nodes_before);
-        json_float (pfx ^ ".trained_ns_per_node") (ns_per_node t_nps);
-        json_float (pfx ^ ".minimized_ns_per_node") (ns_per_node m_nps);
-        [
-          device;
-          string_of_int rep.Sedspec.Minimize.nodes_before;
-          string_of_int rep.Sedspec.Minimize.nodes_after;
-          Printf.sprintf "%d/%d/%d/%d" rep.Sedspec.Minimize.pruned
-            rep.Sedspec.Minimize.branches_folded
-            rep.Sedspec.Minimize.branches_dominated
-            rep.Sedspec.Minimize.chains_merged;
-          Printf.sprintf "%d -> %d"
-            rep.Sedspec.Minimize.sync_sites_flow_insensitive
-            rep.Sedspec.Minimize.sync_sites_ddg;
-          Printf.sprintf "%.1f" (ns_per_node t_nps);
-          Printf.sprintf "%.1f" (ns_per_node m_nps);
-        ])
-      Workload.Samples.all
-  in
-  Table.print
-    ~align:
-      [
-        Table.Left; Table.Right; Table.Right; Table.Center; Table.Center;
-        Table.Right; Table.Right;
-      ]
-    ~header:
-      [
-        "Device"; "nodes"; "minimized"; "pruned/fold/dom/merge";
-        "sync sites (fi -> ddg)"; "walk ns/node"; "min ns/node";
-      ]
-    rows;
-  Printf.printf
-    "(compiled engine; sync sites compare the flow-insensitive classifier\n\
-    \ against the reaching-definitions DDG; ns/node is walk cost per\n\
-    \ ES-CFG node over a benign request stream)\n"
 
 (* The fault-injection PR wrapped every interposer callback in a
    containment handler (Checker.interposer vs interposer_exn).  This row
@@ -1509,7 +1410,6 @@ let () =
       | "ablation" -> ablation ()
       | "baseline" -> baseline ()
       | "micro" -> micro ()
-      | "minimize" -> minimize_bench ()
       | "fleet" -> fleet_bench ()
       | "scale" -> scale_bench ()
       | "fuzz" -> fuzz_smoke ()
@@ -1525,7 +1425,6 @@ let () =
         baseline ();
         ablation ();
         micro ();
-        minimize_bench ();
         fleet_bench ();
         scale_bench ();
         fuzz_smoke ();
@@ -1534,7 +1433,7 @@ let () =
         rollout_bench ()
       | other ->
         Printf.eprintf
-          "unknown command %s (table2|table3|fig3|fig4|fig5|baseline|ablation|micro|minimize|fleet|scale|fuzz|locate|hostile|rollout|all)\n"
+          "unknown command %s (table2|table3|fig3|fig4|fig5|baseline|ablation|micro|fleet|scale|fuzz|locate|hostile|rollout|all)\n"
           other;
         exit 2)
     cmds;

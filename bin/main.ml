@@ -14,6 +14,20 @@ let device_arg =
   let doc = "Device: fdc, ehci, pcnet, sdhci, scsi or virtio." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"DEVICE" ~doc)
 
+(* Flags several subcommands share; each takes its default and doc. *)
+
+let json_arg doc =
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+
+let seed_arg default doc =
+  Arg.(value & opt int64 default & info [ "seed" ] ~docv:"SEED" ~doc)
+
+let device_flag kind default doc =
+  Arg.(value & opt kind default & info [ "device" ] ~docv:"DEVICE" ~doc)
+
+let write_json json body =
+  Option.iter (fun file -> Sedspec_util.Atomic_file.write file body) json
+
 let find_device name =
   try Workload.Samples.find name
   with Not_found ->
@@ -52,28 +66,14 @@ let inspect_cmd =
     let doc = "Write a Graphviz rendering of the ES-CFG to $(docv)." in
     Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE" ~doc)
   in
-  let minimize_arg =
-    let doc = "Also minimize the specification (dependence-driven check \
-               pruning and chain merging) and print the before/after \
-               comparison; saved/rendered outputs then describe the \
-               minimized spec." in
-    Arg.(value & flag & info [ "minimize" ] ~doc)
-  in
-  let run device cases save dot minimize =
+  let run device cases save dot =
     setup_training cases;
     let w = find_device device in
     let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-    let built =
-      if minimize then Metrics.Spec_cache.built_minimized (module W) W.paper_version
-      else Metrics.Spec_cache.built (module W) W.paper_version
-    in
+    let built = Metrics.Spec_cache.built (module W) W.paper_version in
     Format.printf "device %s at QEMU v%s@." W.device_name
       (Devices.Qemu_version.to_string W.paper_version);
     Format.printf "@.%a@." Sedspec.Pipeline.pp_built built;
-    (if minimize then
-       let trained = Metrics.Spec_cache.built (module W) W.paper_version in
-       Format.printf "@.trained spec (before minimization):@.%a@."
-         Sedspec.Es_cfg.pp_stats trained.Sedspec.Pipeline.spec);
     Format.printf "@.device state parameter selection:@.%a@." Sedspec.Selection.pp
       (Sedspec.Es_cfg.selection built.spec);
     Format.printf "content-tracked buffers: %s@."
@@ -101,8 +101,7 @@ let inspect_cmd =
   Cmd.v
     (Cmd.info "inspect"
        ~doc:"Train and print a device's execution specification")
-    Term.(const run $ device_arg $ training_cases_arg $ save_arg $ dot_arg
-          $ minimize_arg)
+    Term.(const run $ device_arg $ training_cases_arg $ save_arg $ dot_arg)
 
 (* --- attack ------------------------------------------------------------- *)
 
@@ -148,10 +147,6 @@ let soak_cmd =
     let doc = "Test cases per simulated hour." in
     Arg.(value & opt int 40 & info [ "cases-per-hour" ] ~docv:"N" ~doc)
   in
-  let seed_arg =
-    let doc = "PRNG seed." in
-    Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
   let run device hours cases_per_hour seed cases =
     setup_training cases;
     let w = find_device device in
@@ -163,8 +158,8 @@ let soak_cmd =
   Cmd.v
     (Cmd.info "soak"
        ~doc:"Run the benign false-positive soak (Tables II/III) on a device")
-    Term.(const run $ device_arg $ hours_arg $ cases_per_hour_arg $ seed_arg
-          $ training_cases_arg)
+    Term.(const run $ device_arg $ hours_arg $ cases_per_hour_arg
+          $ seed_arg 42L "PRNG seed." $ training_cases_arg)
 
 (* --- coverage ------------------------------------------------------------ *)
 
@@ -207,17 +202,9 @@ let dump_device_cmd =
 (* --- fuzz ----------------------------------------------------------------- *)
 
 let fuzz_cmd =
-  let device_opt_arg =
-    let doc = "Device to fuzz (fdc, ehci, pcnet, sdhci, scsi, virtio) or 'all'." in
-    Arg.(value & opt string "fdc" & info [ "device" ] ~docv:"DEVICE" ~doc)
-  in
   let budget_arg =
     let doc = "Mutant evaluations per device." in
     Arg.(value & opt int 1000 & info [ "budget" ] ~docv:"N" ~doc)
-  in
-  let seed_arg =
-    let doc = "Master PRNG seed." in
-    Arg.(value & opt int64 0L & info [ "seed" ] ~docv:"SEED" ~doc)
   in
   let batch_arg =
     let doc = "Candidates derived per generation." in
@@ -226,10 +213,6 @@ let fuzz_cmd =
   let max_steps_arg =
     let doc = "Mutant length cap in interaction steps." in
     Arg.(value & opt int 48 & info [ "max-steps" ] ~docv:"N" ~doc)
-  in
-  let json_arg =
-    let doc = "Write the JSON report to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
   let corpus_out_arg =
     let doc = "Save the final corpus to $(docv) (with 'all', one file per \
@@ -245,19 +228,6 @@ let fuzz_cmd =
                report per-input verdicts instead of fuzzing." in
     Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE" ~doc)
   in
-  let oracle_arg =
-    let doc = "Differential oracle: $(b,default) (compiled vs interpreted), \
-               $(b,minimized) (minimized vs trained spec, same engine) or \
-               $(b,all)." in
-    Arg.(value
-         & opt (enum [ ("default", `Default); ("minimized", `Minimized); ("all", `All) ]) `Default
-         & info [ "oracle" ] ~docv:"ORACLE" ~doc)
-  in
-  let oracle_profiles = function
-    | `Default -> Fuzz.Exec.default_profiles
-    | `Minimized -> Fuzz.Exec.minimized_profiles
-    | `All -> Fuzz.Exec.all_profiles
-  in
   let load_corpus file =
     match Fuzz.Input.load_corpus file with
     | Ok inputs -> inputs
@@ -265,12 +235,12 @@ let fuzz_cmd =
       Printf.eprintf "cannot load corpus %s: %s\n" file msg;
       exit 2
   in
-  let replay_file ~profiles file =
+  let replay_file file =
     let inputs = load_corpus file in
     let failed = ref 0 in
     List.iteri
       (fun i (input : Fuzz.Input.t) ->
-        let o = Fuzz.Exec.evaluate ~profiles input in
+        let o = Fuzz.Exec.evaluate input in
         let verdict =
           match (o.Fuzz.Exec.divergences, o.Fuzz.Exec.crashed) with
           | [], None -> "ok"
@@ -291,7 +261,7 @@ let fuzz_cmd =
       inputs;
     if !failed > 0 then exit 1
   in
-  let fuzz_devices ~profiles device budget seed jobs batch max_steps json
+  let fuzz_devices device budget seed jobs batch max_steps json
       corpus_out corpus_in =
     let devices =
       if device = "all" then
@@ -319,7 +289,6 @@ let fuzz_cmd =
               jobs;
               batch;
               max_steps;
-              profiles;
               extra_seeds =
                 List.filter
                   (fun (i : Fuzz.Input.t) -> i.device = dev)
@@ -349,23 +318,12 @@ let fuzz_cmd =
           r)
         devices
     in
-    (match json with
-    | Some file ->
-      let body =
-        match reports with
-        | [ r ] -> Fuzz.Loop.report_to_string r
-        | rs ->
-          Sedspec_util.Json.to_string
-            (Sedspec_util.Json.List
-               (List.map Fuzz.Loop.report_to_json rs))
-      in
-      let tmp = file ^ ".tmp" in
-      let oc = open_out tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc body);
-      Sys.rename tmp file
-    | None -> ());
+    write_json json
+      (match reports with
+      | [ r ] -> Fuzz.Loop.report_to_string r
+      | rs ->
+        Sedspec_util.Json.to_string
+          (Sedspec_util.Json.List (List.map Fuzz.Loop.report_to_json rs)));
     if
       List.exists
         (fun r -> r.Fuzz.Loop.r_divergent_inputs > 0 || r.r_crashes > 0)
@@ -373,31 +331,27 @@ let fuzz_cmd =
     then exit 1
   in
   let run device budget seed jobs batch max_steps json corpus_out corpus_in
-      replay oracle cases =
+      replay cases =
     setup_training cases;
-    let profiles = oracle_profiles oracle in
     match replay with
-    | Some file -> replay_file ~profiles file
+    | Some file -> replay_file file
     | None ->
-      fuzz_devices ~profiles device budget seed jobs batch max_steps json
-        corpus_out corpus_in
+      fuzz_devices device budget seed jobs batch max_steps json corpus_out
+        corpus_in
   in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:"Coverage-guided differential fuzzing of the ES-Checker")
-    Term.(const run $ device_opt_arg $ budget_arg $ seed_arg $ jobs_arg
-          $ batch_arg $ max_steps_arg $ json_arg $ corpus_out_arg
-          $ corpus_in_arg $ replay_arg $ oracle_arg $ training_cases_arg)
+    Term.(const run
+          $ device_flag Arg.string "fdc"
+              "Device to fuzz (fdc, ehci, pcnet, sdhci, scsi, virtio) or 'all'."
+          $ budget_arg $ seed_arg 0L "Master PRNG seed." $ jobs_arg $ batch_arg
+          $ max_steps_arg $ json_arg "Write the JSON report to $(docv)."
+          $ corpus_out_arg $ corpus_in_arg $ replay_arg $ training_cases_arg)
 
 (* --- locate ---------------------------------------------------------------- *)
 
 let locate_cmd =
-  let device_arg =
-    let doc =
-      "Restrict to one device's CVEs (fdc, ehci, pcnet, sdhci, scsi, virtio)."
-    in
-    Arg.(value & opt (some string) None & info [ "device" ] ~docv:"DEVICE" ~doc)
-  in
   let cve_arg =
     let doc = "Restrict to one CVE id, e.g. CVE-2021-3409." in
     Arg.(value & opt (some string) None & info [ "cve" ] ~docv:"CVE" ~doc)
@@ -406,17 +360,9 @@ let locate_cmd =
     let doc = "Mutant evaluations per CVE." in
     Arg.(value & opt int 128 & info [ "budget" ] ~docv:"N" ~doc)
   in
-  let seed_arg =
-    let doc = "Master PRNG seed." in
-    Arg.(value & opt int64 0L & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
   let max_steps_arg =
     let doc = "Mutant length cap in interaction steps." in
     Arg.(value & opt int 48 & info [ "max-steps" ] ~docv:"N" ~doc)
-  in
-  let json_arg =
-    let doc = "Write the behaviour-delta JSON report to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
   let check_arg =
     let doc =
@@ -444,15 +390,7 @@ let locate_cmd =
     end;
     let report = Fuzz.Locate.run opts in
     Format.printf "%a@." Fuzz.Delta.pp report;
-    (match json with
-    | Some file ->
-      let tmp = file ^ ".tmp" in
-      let oc = open_out tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Fuzz.Delta.to_string report));
-      Sys.rename tmp file
-    | None -> ());
+    write_json json (Fuzz.Delta.to_string report);
     if
       check
       && List.exists
@@ -465,19 +403,18 @@ let locate_cmd =
        ~doc:
          "Locate behaviour deviations across each CVE's vulnerable/patched \
           version pair")
-    Term.(const run $ device_arg $ cve_arg $ budget_arg $ seed_arg $ jobs_arg
-          $ max_steps_arg $ json_arg $ check_arg $ training_cases_arg)
+    Term.(const run
+          $ device_flag Arg.(some string) None
+              "Restrict to one device's CVEs (fdc, ehci, pcnet, sdhci, scsi, \
+               virtio)."
+          $ cve_arg $ budget_arg $ seed_arg 0L "Master PRNG seed." $ jobs_arg
+          $ max_steps_arg
+          $ json_arg "Write the behaviour-delta JSON report to $(docv)."
+          $ check_arg $ training_cases_arg)
 
 (* --- fleet ---------------------------------------------------------------- *)
 
 let fleet_cmd =
-  let devices_arg =
-    let doc =
-      "Comma-separated devices assigned round-robin (fdc, ehci, pcnet, \
-       sdhci, scsi) or 'all'."
-    in
-    Arg.(value & opt string "all" & info [ "device" ] ~docv:"DEVICES" ~doc)
-  in
   let vms_arg =
     let doc = "Fleet size (protected VMs)." in
     Arg.(value & opt int 8 & info [ "vms" ] ~docv:"N" ~doc)
@@ -490,17 +427,9 @@ let fleet_cmd =
     let doc = "Logical workload operations per tick." in
     Arg.(value & opt int 12 & info [ "ops" ] ~docv:"N" ~doc)
   in
-  let seed_arg =
-    let doc = "Fleet seed (per-VM seeds derive from it; jobs-independent)." in
-    Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
   let deadline_arg =
     let doc = "Watchdog step budget per checker walk (0 disables)." in
     Arg.(value & opt int 50_000 & info [ "deadline" ] ~docv:"STEPS" ~doc)
-  in
-  let json_arg =
-    let doc = "Write the health-snapshot JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
   let run device vms ticks ops seed jobs deadline json training =
     setup_training training;
@@ -535,24 +464,22 @@ let fleet_cmd =
     in
     let r = Fleet.Supervisor.run opts in
     Format.printf "%a" Fleet.Supervisor.pp_report r;
-    match json with
-    | Some file ->
-      let body = Fleet.Supervisor.report_to_json r in
-      let tmp = file ^ ".tmp" in
-      let oc = open_out tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc body);
-      Sys.rename tmp file
-    | None -> ()
+    write_json json (Fleet.Supervisor.report_to_json r)
   in
   Cmd.v
     (Cmd.info "fleet"
        ~doc:
          "Serve a fleet of protected VMs under the deadline watchdog, \
           error-budget governor and bulkhead isolation")
-    Term.(const run $ devices_arg $ vms_arg $ ticks_arg $ ops_arg $ seed_arg
-          $ jobs_arg $ deadline_arg $ json_arg $ training_cases_arg)
+    Term.(const run
+          $ device_flag Arg.string "all"
+              "Comma-separated devices assigned round-robin (fdc, ehci, pcnet, \
+               sdhci, scsi) or 'all'."
+          $ vms_arg $ ticks_arg $ ops_arg
+          $ seed_arg 1L "Fleet seed (per-VM seeds derive from it; jobs-independent)."
+          $ jobs_arg $ deadline_arg
+          $ json_arg "Write the health-snapshot JSON to $(docv)."
+          $ training_cases_arg)
 
 (* --- evolve ---------------------------------------------------------------- *)
 
@@ -560,10 +487,9 @@ let evolve_cmd =
   let recipe_arg =
     let doc =
       "Candidate recipe: 'retrained' or 'retrained:N' (retrain on N benign \
-       cases), 'minimized' (dependence-driven minimization), or \
-       'poisoned:CVE-XXXX-YYYY' (a deliberately looser candidate whose \
-       training corpus treats that CVE's attack as benign — the ladder \
-       must reject it)."
+       cases), or 'poisoned:CVE-XXXX-YYYY' (a deliberately looser candidate \
+       whose training corpus treats that CVE's attack as benign — the \
+       ladder must reject it)."
     in
     Arg.(value & opt string "retrained" & info [ "recipe" ] ~docv:"RECIPE" ~doc)
   in
@@ -589,14 +515,6 @@ let evolve_cmd =
   let canary_ticks_arg =
     let doc = "Supervision periods in the canary phase." in
     Arg.(value & opt int 8 & info [ "canary-ticks" ] ~docv:"N" ~doc)
-  in
-  let seed_arg =
-    let doc = "Rollout seed (per-VM seeds derive from it; jobs-independent)." in
-    Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let json_arg =
-    let doc = "Write the rollout outcome JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
   let expect_arg =
     let doc =
@@ -647,7 +565,6 @@ let evolve_cmd =
   in
   let parse_recipe recipe device w =
     match recipe with
-    | "minimized" -> Fleet.Rollout.minimized w
     | "retrained" ->
       Fleet.Rollout.retrained w ~cases:!Metrics.Spec_cache.training_cases
     | _ -> (
@@ -665,11 +582,11 @@ let evolve_cmd =
         | "poisoned" -> poisoned_recipe ~cve:arg ~device
         | _ ->
           Printf.eprintf
-            "unknown recipe %s (retrained[:N]|minimized|poisoned:CVE)\n" recipe;
+            "unknown recipe %s (retrained[:N]|poisoned:CVE)\n" recipe;
           exit 2)
       | None ->
         Printf.eprintf
-          "unknown recipe %s (retrained[:N]|minimized|poisoned:CVE)\n" recipe;
+          "unknown recipe %s (retrained[:N]|poisoned:CVE)\n" recipe;
         exit 2)
   in
   let run device recipe vms canary_vms shadow_vms shadow_ticks canary_ticks
@@ -696,18 +613,8 @@ let evolve_cmd =
     in
     let o = Fleet.Rollout.run cfg rc in
     Format.printf "%a" Fleet.Rollout.pp_outcome o;
-    (match json with
-    | Some file ->
-      let body =
-        Sedspec_util.Json.to_string (Fleet.Rollout.outcome_to_json o)
-      in
-      let tmp = file ^ ".tmp" in
-      let oc = open_out tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc body);
-      Sys.rename tmp file
-    | None -> ());
+    write_json json
+      (Sedspec_util.Json.to_string (Fleet.Rollout.outcome_to_json o));
     match expect with
     | Some want ->
       let got = Fleet.Rollout.rung_to_string o.Fleet.Rollout.o_final in
@@ -724,18 +631,16 @@ let evolve_cmd =
           (shadow -> canary -> promoted) with catalogue-gated automatic \
           rollback")
     Term.(const run $ device_arg $ recipe_arg $ vms_arg $ canary_vms_arg
-          $ shadow_vms_arg $ shadow_ticks_arg $ canary_ticks_arg $ seed_arg
-          $ jobs_arg $ json_arg $ expect_arg $ training_cases_arg)
+          $ shadow_vms_arg $ shadow_ticks_arg $ canary_ticks_arg
+          $ seed_arg 1L
+              "Rollout seed (per-VM seeds derive from it; jobs-independent)."
+          $ jobs_arg
+          $ json_arg "Write the rollout outcome JSON to $(docv)."
+          $ expect_arg $ training_cases_arg)
 
 (* --- faultinj -------------------------------------------------------------- *)
 
 let faultinj_cmd =
-  let devices_arg =
-    let doc =
-      "Comma-separated devices (fdc, ehci, pcnet, sdhci, scsi, virtio) or 'all'."
-    in
-    Arg.(value & opt string "all" & info [ "device" ] ~docv:"DEVICES" ~doc)
-  in
   let plans_arg =
     let doc = "Fault plans per device-mode-engine combination." in
     Arg.(value & opt int 12 & info [ "plans" ] ~docv:"N" ~doc)
@@ -747,14 +652,6 @@ let faultinj_cmd =
   let ops_arg =
     let doc = "Logical operations per soak case." in
     Arg.(value & opt int 6 & info [ "ops" ] ~docv:"N" ~doc)
-  in
-  let seed_arg =
-    let doc = "Master PRNG seed (plans and workloads replay exactly)." in
-    Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let json_arg =
-    let doc = "Write the JSON report to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
   let fleet_vms_arg =
     let doc =
@@ -770,17 +667,6 @@ let faultinj_cmd =
   let fleet_ticks_arg =
     let doc = "Supervision periods per VM (fleet mode)." in
     Arg.(value & opt int 24 & info [ "fleet-ticks" ] ~docv:"N" ~doc)
-  in
-  let write_json json body =
-    match json with
-    | Some file ->
-      let tmp = file ^ ".tmp" in
-      let oc = open_out tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc body);
-      Sys.rename tmp file
-    | None -> ()
   in
   let run device plans cases ops seed jobs json fleet_vms fleet_faulty
       fleet_ticks training =
@@ -839,21 +725,20 @@ let faultinj_cmd =
          "Deterministic fault-injection campaign against the checker's \
           containment (exits 1 on any escaped exception or silent fail-open); \
           --fleet-vms switches to the fleet bulkhead-isolation campaign")
-    Term.(const run $ devices_arg $ plans_arg $ cases_arg $ ops_arg $ seed_arg
-          $ jobs_arg $ json_arg $ fleet_vms_arg $ fleet_faulty_arg
-          $ fleet_ticks_arg $ training_cases_arg)
+    Term.(const run
+          $ device_flag Arg.string "all"
+              "Comma-separated devices (fdc, ehci, pcnet, sdhci, scsi, virtio) \
+               or 'all'."
+          $ plans_arg $ cases_arg $ ops_arg
+          $ seed_arg 1L "Master PRNG seed (plans and workloads replay exactly)."
+          $ jobs_arg $ json_arg "Write the JSON report to $(docv)."
+          $ fleet_vms_arg $ fleet_faulty_arg $ fleet_ticks_arg
+          $ training_cases_arg)
 
 
 (* --- hostile --------------------------------------------------------------- *)
 
 let hostile_cmd =
-  let devices_arg =
-    let doc =
-      "Comma-separated devices under hostile response corruption (fdc, ehci, \
-       pcnet, sdhci, scsi, virtio)."
-    in
-    Arg.(value & opt string "sdhci,virtio" & info [ "device" ] ~docv:"DEVICES" ~doc)
-  in
   let plans_arg =
     let doc = "Hostile fault plans per device-mode-engine combination." in
     Arg.(value & opt int 36 & info [ "plans" ] ~docv:"N" ~doc)
@@ -870,14 +755,6 @@ let hostile_cmd =
     let doc = "Fail unless at least $(docv) corruptions were injected." in
     Arg.(value & opt int 5000 & info [ "min-injected" ] ~docv:"N" ~doc)
   in
-  let seed_arg =
-    let doc = "Master PRNG seed (plans and workloads replay exactly)." in
-    Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let json_arg =
-    let doc = "Write the JSON report to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
   let isolation_vms_arg =
     let doc =
       "Run the hostile fleet-isolation campaign over $(docv) guarded VMs \
@@ -892,17 +769,6 @@ let hostile_cmd =
   let isolation_ticks_arg =
     let doc = "Supervision periods per VM (isolation mode)." in
     Arg.(value & opt int 24 & info [ "isolation-ticks" ] ~docv:"N" ~doc)
-  in
-  let write_json json body =
-    match json with
-    | Some file ->
-      let tmp = file ^ ".tmp" in
-      let oc = open_out tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc body);
-      Sys.rename tmp file
-    | None -> ()
   in
   let run device plans cases ops min_injected seed jobs json isolation_vms
       isolation_faulty isolation_ticks training =
@@ -956,8 +822,13 @@ let hostile_cmd =
           the guest-side validator; exits 1 on any escaped exception, silent \
           fail-open, or too few injections; --isolation-vms switches to the \
           guarded fleet-isolation campaign")
-    Term.(const run $ devices_arg $ plans_arg $ cases_arg $ ops_arg
-          $ min_injected_arg $ seed_arg $ jobs_arg $ json_arg
+    Term.(const run
+          $ device_flag Arg.string "sdhci,virtio"
+              "Comma-separated devices under hostile response corruption (fdc, \
+               ehci, pcnet, sdhci, scsi, virtio)."
+          $ plans_arg $ cases_arg $ ops_arg $ min_injected_arg
+          $ seed_arg 1L "Master PRNG seed (plans and workloads replay exactly)."
+          $ jobs_arg $ json_arg "Write the JSON report to $(docv)."
           $ isolation_vms_arg $ isolation_faulty_arg $ isolation_ticks_arg
           $ training_cases_arg)
 

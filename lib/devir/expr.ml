@@ -79,16 +79,6 @@ let rec subst_local name repl e =
   | Cmp (op, a, b) -> Cmp (op, subst_local name repl a, subst_local name repl b)
   | Not a -> Not (subst_local name repl a)
 
-let is_constant e =
-  fold
-    (fun acc e ->
-      acc
-      &&
-      match e with
-      | Field _ | Buf_byte _ | Param _ | Local _ -> false
-      | Const _ | Buf_len _ | Binop _ | Cmp _ | Not _ -> true)
-    true e
-
 let equal (a : t) b = a = b
 
 let rec pp ppf = function

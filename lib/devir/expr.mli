@@ -65,11 +65,6 @@ val subst_local : string -> t -> t -> t
 (** [subst_local name repl e] replaces every [Local name] in [e] with
     [repl]. *)
 
-val is_constant : t -> bool
-(** The expression reads no device state, request parameter or local: its
-    value is the same in every evaluation context.  [Buf_len] counts as
-    constant — buffer sizes are layout constants, like C's [sizeof]. *)
-
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -60,24 +60,6 @@ let make ~name ~layout ?(code_base = 0x40_0000L) ?(callbacks = []) handlers =
     block_count = !counter;
   }
 
-let map_blocks ?name t f =
-  let name = match name with Some n -> n | None -> t.name in
-  let handlers =
-    List.map
-      (fun h ->
-        {
-          h with
-          blocks =
-            List.map
-              (fun (b : Block.t) ->
-                f { handler = h.hname; label = b.label } b)
-              h.blocks;
-        })
-      t.handlers
-  in
-  make ~name ~layout:t.layout ~code_base:t.code_base ~callbacks:t.callbacks
-    handlers
-
 let name t = t.name
 let layout t = t.layout
 let code_base t = t.code_base

@@ -39,15 +39,6 @@ val make :
 (** Builds a program.  [code_base] defaults to [0x40_0000].  Raises
     [Invalid_argument] on duplicate handler names. *)
 
-val map_blocks : ?name:string -> t -> (bref -> Block.t -> Block.t) -> t
-(** Rebuild the program with every block passed through [f] (layout,
-    code base, callbacks and handler/block order are preserved, so block
-    addresses are unchanged).  [name] defaults to the source program's
-    name.  [f] must keep each block's label: brefs of the derived program
-    are expected to denote the same locations as in the source — this is
-    what lets a minimized specification walk against the original
-    device's events. *)
-
 val name : t -> string
 val layout : t -> Layout.t
 val code_base : t -> int64

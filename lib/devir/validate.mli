@@ -34,8 +34,7 @@ val check_graph :
     [Halt] ends the chase legitimately).  Reports dangling successors,
     off-graph blocks that are not pass-through, decisions reached
     mid-chase, and non-terminating chases.  Used to assert that reduced
-    and minimized execution specifications keep the walker on defined
-    paths. *)
+    execution specifications keep the walker on defined paths. *)
 
 val validate_result : Program.t -> (unit, string) result
 (** [Ok ()] when {!check} finds nothing; otherwise [Error msg] where [msg]

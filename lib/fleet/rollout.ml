@@ -28,12 +28,6 @@ let retrained (module W : Workload.Samples.DEVICE_WORKLOAD) ~cases =
       (fun version -> Metrics.Spec_cache.built_retrained (module W) version ~cases);
   }
 
-let minimized (module W : Workload.Samples.DEVICE_WORKLOAD) =
-  {
-    rc_name = "minimized";
-    rc_build = (fun version -> Metrics.Spec_cache.built_minimized (module W) version);
-  }
-
 type rung = Shadow | Canary | Promoted | Rolled_back
 
 let rung_to_string = function
@@ -290,12 +284,12 @@ let fleet_phase cfg ~rung ~ticks ~canaries fetch =
         {
           cfg.vm_opts with
           Vm.device = cfg.device;
-          spec_source = Vm.Candidate fetch;
+          spec_origin = Vm.Candidate fetch;
           shadow = None;
         }
       in
       let base_opts =
-        { cand_opts with Vm.spec_source = Vm.Trained }
+        { cand_opts with Vm.spec_origin = Vm.Trained }
       in
       ( serve ~seed ~index cand_opts,
         Some (serve ~seed ~index base_opts) )
@@ -304,7 +298,7 @@ let fleet_phase cfg ~rung ~ticks ~canaries fetch =
           {
             cfg.vm_opts with
             Vm.device = cfg.device;
-            spec_source = Vm.Trained;
+            spec_origin = Vm.Trained;
             shadow =
               (if index < canaries + cfg.shadow_vms then Some fetch
                else None);

@@ -1,7 +1,7 @@
 (** Online spec evolution: the candidate rollout ladder.
 
-    A candidate specification (retrained on a newer corpus, minimized, or
-    merged) climbs three rungs before it may replace the enforced base:
+    A candidate specification (retrained on a newer corpus, or merged)
+    climbs three rungs before it may replace the enforced base:
 
     {v Shadow  ->  Canary  ->  Promoted v}
 
@@ -15,7 +15,7 @@
       site and a {!Governor.Budget} window slides over the fleet's
       per-tick looser counts;
     - {b Canary}: a subset of the fleet enforces the candidate
-      ({!Vm.spec_source.Candidate}) while the rest keep shadow-scoring;
+      ({!Vm.spec_origin.Candidate}) while the rest keep shadow-scoring;
       each canary VM is A/B-paired with a same-seed twin enforcing the
       base, and any canary doing worse than its twin (failure, more halt
       ticks, a breaker trip, more parameter anomalies, crashes or
@@ -46,9 +46,6 @@ val retrained :
   (module Workload.Samples.DEVICE_WORKLOAD) -> cases:int -> recipe
 (** The {!Metrics.Spec_cache.built_retrained} candidate. *)
 
-val minimized : (module Workload.Samples.DEVICE_WORKLOAD) -> recipe
-(** The {!Metrics.Spec_cache.built_minimized} candidate. *)
-
 type rung = Shadow | Canary | Promoted | Rolled_back
 
 val rung_to_string : rung -> string
@@ -71,7 +68,7 @@ type config = {
       (** Maximum looser verdicts tolerated in any {!Governor.Budget}
           window; the default 0 demotes on the first missed detection. *)
   budget_window : int;  (** Budget window length in ticks. *)
-  vm_opts : Vm.options;  (** Base VM options ([device]/[spec_source]/
+  vm_opts : Vm.options;  (** Base VM options ([device]/[spec_origin]/
           [shadow] are overridden per phase). *)
 }
 

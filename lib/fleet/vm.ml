@@ -4,7 +4,7 @@ module Backoff = Sedspec_util.Backoff
 module Prng = Sedspec_util.Prng
 module W = Workload.Samples
 
-type spec_source =
+type spec_origin =
   | Trained
   | Persisted of (unit -> string)
   | Candidate of (unit -> Sedspec.Pipeline.built)
@@ -18,7 +18,7 @@ type options = {
   breaker : (int * int) option;
   retry : Backoff.cfg;
   max_attempts : int;
-  spec_source : spec_source;
+  spec_origin : spec_origin;
   guard : bool;
   shadow : (unit -> Sedspec.Pipeline.built) option;
 }
@@ -33,7 +33,7 @@ let default_options ~device =
     breaker = Some (2, 8);
     retry = Backoff.default;
     max_attempts = 3;
-    spec_source = Trained;
+    spec_origin = Trained;
     guard = false;
     shadow = None;
   }
@@ -98,7 +98,7 @@ let acquire ~backoff_seed opts (machine : Vmm.Machine.t)
   let attempts = ref 0 in
   let step ~attempt:_ =
     incr attempts;
-    match opts.spec_source with
+    match opts.spec_origin with
     | Trained -> (
       try Ok (`Built (Metrics.Spec_cache.built w D.paper_version))
       with e -> Error (Printexc.to_string e))
@@ -625,7 +625,7 @@ let report t =
       (if t.build_fallback then None
        else
          match t.core with
-         | Some core when t.opts.spec_source = Trained ->
+         | Some core when t.opts.spec_origin = Trained ->
            Checker.compiled_arena core.checker
          | _ -> None);
     r_stream = List.rev t.stream_rev;

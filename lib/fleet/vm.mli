@@ -15,7 +15,7 @@
     a fresh pipeline rebuild outside the cache — a poisoned source never
     wedges the VM. *)
 
-type spec_source =
+type spec_origin =
   | Trained  (** Build (or fetch) via the single-flight spec cache. *)
   | Persisted of (unit -> string)
       (** Fetch serialised spec text (e.g. from distribution storage);
@@ -40,7 +40,7 @@ type options = {
   breaker : (int * int) option;  (** Remedy circuit breaker. *)
   retry : Sedspec_util.Backoff.cfg;
   max_attempts : int;  (** Spec-acquisition attempts before fallback. *)
-  spec_source : spec_source;
+  spec_origin : spec_origin;
   guard : bool;
       (** Attach the guest-side response validator (trained via
           {!Metrics.Spec_cache.guard_profile}) in front of the checker,

@@ -10,24 +10,18 @@
 
 module C = Sedspec.Checker
 
-type spec_source = Trained | Minimized
-
-let source_key = function Trained -> "trained" | Minimized -> "min"
-
 type profile = {
   pname : string;
   left : C.config;
   right : C.config;
-  left_source : spec_source;
-  right_source : spec_source;
   left_version : Devices.Qemu_version.t option;
       (** Replay the left side at this device version instead of the
           input's own — the cross-version (deviation-locator) seam. *)
   right_version : Devices.Qemu_version.t option;
   lenient : bool;
       (** Mask walk-internal observables (stats, node/edge coverage) that
-          legitimately differ across spec sources; verdict-level fields
-          are always compared. *)
+          legitimately differ across specs; verdict-level fields are
+          always compared. *)
 }
 
 let profile ~mode ~pname =
@@ -35,8 +29,6 @@ let profile ~mode ~pname =
     pname;
     left = { C.default_config with C.mode; engine = C.Compiled };
     right = { C.default_config with C.mode; engine = C.Interpreted };
-    left_source = Trained;
-    right_source = Trained;
     left_version = None;
     right_version = None;
     lenient = false;
@@ -48,37 +40,12 @@ let default_profiles =
     profile ~mode:C.Enhancement ~pname:"enhancement";
   ]
 
-(* Minimized-vs-trained oracles: same engine and mode on both sides, the
-   minimized spec on the left.  A pruned node is crossed as a chain block
-   by the walker, so everything verdict-level — I/O results, anomalies,
-   warnings, halts, shadow state, crashes — must stay bit-identical;
-   only node-walk statistics and coverage may differ (hence [lenient]). *)
-let minimized_profiles =
-  List.concat_map
-    (fun (mode, mname) ->
-      List.map
-        (fun (engine, ename) ->
-          {
-            pname = Printf.sprintf "min-%s-%s" mname ename;
-            left = { C.default_config with C.mode; engine };
-            right = { C.default_config with C.mode; engine };
-            left_source = Minimized;
-            right_source = Trained;
-            left_version = None;
-            right_version = None;
-            lenient = true;
-          })
-        [ (C.Compiled, "compiled"); (C.Interpreted, "interp") ])
-    [ (C.Protection, "protection"); (C.Enhancement, "enhancement") ]
-
-let all_profiles = default_profiles @ minimized_profiles
-
-(* Cross-version oracles: the same engine, mode and spec source on both
-   sides, but the device model (and the spec trained on it) at the CVE's
-   vulnerable version on the left and its first patched version on the
-   right.  A field difference here is not a checker bug — it is a
-   behavioural deviation between adjacent device versions, the raw
-   material of the deviation locator.  Lenient: walk statistics and
+(* Cross-version oracles: the same engine and mode on both sides, but
+   the device model (and the spec trained on it) at the CVE's vulnerable
+   version on the left and its first patched version on the right.  A
+   field difference here is not a checker bug — it is a behavioural
+   deviation between adjacent device versions, the raw material of the
+   deviation locator.  Lenient: walk statistics and
    coverage legitimately differ across versions (the specs are trained on
    different models); verdict-level fields — I/O results, anomalies,
    warnings, halts, shadow bytes, crashes — are always compared. *)
@@ -89,8 +56,6 @@ let cross_version_profiles ~vuln ~patched =
         pname = Printf.sprintf "xver-%s" mname;
         left = { C.default_config with C.mode; engine = C.Compiled };
         right = { C.default_config with C.mode; engine = C.Compiled };
-        left_source = Trained;
-        right_source = Trained;
         left_version = Some vuln;
         right_version = Some patched;
         lenient = true;
@@ -159,13 +124,9 @@ let config_key (c : C.config) =
 let ctx_pool : (string, rctx list ref) Hashtbl.t = Hashtbl.create 16
 let ctx_lock = Mutex.create ()
 
-let make_rctx ~config ~source ~version (input : Input.t) =
+let make_rctx ~config ~version (input : Input.t) =
   let w = Workload.Samples.find input.device in
-  let b =
-    match source with
-    | Trained -> Metrics.Spec_cache.built w version
-    | Minimized -> Metrics.Spec_cache.built_minimized w version
-  in
+  let b = Metrics.Spec_cache.built w version in
   let dev = cached_device ~device:input.device ~version in
   (* 1 MiB of RAM, not the 16 MiB default: every guest address the
      workloads, attacks and mutator touch sits below 0xA0000. *)
@@ -188,11 +149,11 @@ let scrub_rctx ~device rctx =
   C.set_fault_hook rctx.rx_checker None;
   C.reset rctx.rx_checker
 
-let with_rctx ~config ~source ~version (input : Input.t) f =
+let with_rctx ~config ~version (input : Input.t) f =
   let key =
-    Printf.sprintf "%s|%s|%s|%s" input.device
+    Printf.sprintf "%s|%s|%s" input.device
       (Devices.Qemu_version.to_string version)
-      (config_key config) (source_key source)
+      (config_key config)
   in
   let acquire () =
     Mutex.lock ctx_lock;
@@ -208,7 +169,7 @@ let with_rctx ~config ~source ~version (input : Input.t) f =
     | Some rctx ->
       scrub_rctx ~device:input.device rctx;
       rctx
-    | None -> make_rctx ~config ~source ~version input
+    | None -> make_rctx ~config ~version input
   in
   let release rctx =
     Mutex.lock ctx_lock;
@@ -297,9 +258,9 @@ let apply_resp_fault interp resp = function
    halted VM) and at the first host-level exception, which is recorded as
    a crash rather than propagated: a crashing replay is a finding, not a
    fuzzer failure. *)
-let run ~config ?(source = Trained) ?version (input : Input.t) =
+let run ~config ?version (input : Input.t) =
   let version = Option.value version ~default:input.version in
-  with_rctx ~config ~source ~version input
+  with_rctx ~config ~version input
   @@ fun { rx_machine = m; rx_checker = checker } ->
   let cov = C.coverage_create () in
   C.set_coverage checker (Some cov);
@@ -516,13 +477,8 @@ let evaluate ?(profiles = default_profiles) (input : Input.t) =
   let divergences =
     List.concat_map
       (fun p ->
-        let l, lcov =
-          run ~config:p.left ~source:p.left_source ?version:p.left_version input
-        in
-        let r, rcov =
-          run ~config:p.right ~source:p.right_source ?version:p.right_version
-            input
-        in
+        let l, lcov = run ~config:p.left ?version:p.left_version input in
+        let r, rcov = run ~config:p.right ?version:p.right_version input in
         ignore (C.coverage_absorb ~into:coverage lcov);
         ignore (C.coverage_absorb ~into:coverage rcov);
         if !canonical = None then canonical := Some l;

@@ -10,16 +10,10 @@
 
 module C := Sedspec.Checker
 
-type spec_source = Trained | Minimized
-(** Which spec a replay side walks: the trained spec from
-    {!Metrics.Spec_cache.built} or its {!Sedspec.Minimize}d derivation. *)
-
 type profile = {
   pname : string;
   left : C.config;
   right : C.config;
-  left_source : spec_source;
-  right_source : spec_source;
   left_version : Devices.Qemu_version.t option;
       (** Replay the left side at this device version (and the spec
           trained on it) instead of the input's own version — the
@@ -27,8 +21,8 @@ type profile = {
           the input's version. *)
   right_version : Devices.Qemu_version.t option;
   lenient : bool;
-      (** Mask observables that legitimately differ across spec sources
-          (walk statistics, node/edge coverage); verdict-level fields —
+      (** Mask observables that legitimately differ across specs (walk
+          statistics, node/edge coverage); verdict-level fields —
           I/O results, anomalies, warnings, halts, shadow bytes,
           crashes — are always compared. *)
 }
@@ -38,14 +32,6 @@ val profile : mode:C.mode -> pname:string -> profile
 
 val default_profiles : profile list
 (** Compiled vs Interpreted, in protection and enhancement modes. *)
-
-val minimized_profiles : profile list
-(** Minimized vs trained spec under the {e same} engine and mode, for
-    all four engine × mode combinations; lenient.  The oracle that
-    minimization preserves verdict bit-equivalence. *)
-
-val all_profiles : profile list
-(** {!default_profiles} followed by {!minimized_profiles}. *)
 
 val cross_version_profiles :
   vuln:Devices.Qemu_version.t -> patched:Devices.Qemu_version.t -> profile list
@@ -75,15 +61,14 @@ type obs = {
 
 val run :
   config:C.config ->
-  ?source:spec_source ->
   ?version:Devices.Qemu_version.t ->
   Input.t ->
   obs * C.coverage
-(** Replay an input on a fresh protected machine under one configuration
-    and spec source ([source] defaults to [Trained]; [version] overrides
-    the input's device version, defaulting to the input's own).  Stops at
-    the first halt verdict; host-level exceptions out of a step are
-    recorded in [o_crash] rather than propagated. *)
+(** Replay an input on a fresh protected machine under one configuration,
+    checked by the cached trained spec ([version] overrides the input's
+    device version, defaulting to the input's own).  Stops at the first
+    halt verdict; host-level exceptions out of a step are recorded in
+    [o_crash] rather than propagated. *)
 
 val trace :
   ?version:Devices.Qemu_version.t ->

@@ -289,12 +289,7 @@ let corpus_of_string s =
   | Failure msg -> Error msg
 
 let save_corpus file inputs =
-  let tmp = file ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (corpus_to_string inputs));
-  Sys.rename tmp file
+  Sedspec_util.Atomic_file.write file (corpus_to_string inputs)
 
 let load_corpus file =
   let ic = open_in file in

@@ -67,6 +67,7 @@ val to_string : t -> string
 val corpus_to_string : t list -> string
 val corpus_of_string : string -> (t list, string) result
 val save_corpus : string -> t list -> unit
-(** Atomic: writes a temp file, then renames. *)
+(** Atomic ({!Sedspec_util.Atomic_file.write}): a failed write leaves
+    neither a truncated corpus nor a temp file behind. *)
 
 val load_corpus : string -> (t list, string) result

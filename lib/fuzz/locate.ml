@@ -210,12 +210,10 @@ let attribute ~profiles ~ctx (f : Loop.finding) =
       profiles
   in
   let obs_l, cov_l =
-    Exec.run ~config:p.Exec.left ~source:p.Exec.left_source
-      ?version:p.Exec.left_version f.Loop.f_input
+    Exec.run ~config:p.Exec.left ?version:p.Exec.left_version f.Loop.f_input
   in
   let obs_r, cov_r =
-    Exec.run ~config:p.Exec.right ~source:p.Exec.right_source
-      ?version:p.Exec.right_version f.Loop.f_input
+    Exec.run ~config:p.Exec.right ?version:p.Exec.right_version f.Loop.f_input
   in
   let spec_blocks =
     Sedspec.Attrib.divergence_blocks

@@ -25,16 +25,6 @@ val built :
     starts a fresh build instead of observing a poisoned entry.  Only
     the caller whose own build raised sees the exception. *)
 
-val built_minimized :
-  (module Workload.Samples.DEVICE_WORKLOAD) ->
-  Devices.Qemu_version.t ->
-  Sedspec.Pipeline.built
-(** The {!Sedspec.Minimize}d derivation of {!built}, memoised under its
-    own single-flight key ([version ^ "+min"]).  The first call may
-    trigger (or wait on) the base build; each successful derivation also
-    increments {!builds} — a run using minimized specs touches two keys
-    per (device, version). *)
-
 val built_retrained :
   (module Workload.Samples.DEVICE_WORKLOAD) ->
   Devices.Qemu_version.t ->
@@ -43,10 +33,10 @@ val built_retrained :
 (** A candidate specification: a fresh training pass at corpus size
     [cases] (the evolution ladder's retrained-on-recent-traffic
     candidate), memoised under its own single-flight key
-    ([version ^ "+retrain:<cases>"]).  The spec is stamped one revision
-    past the cached base with [Retrained cases] provenance, so rollout
-    can order and pin generations.  Raises [Invalid_argument] when
-    [cases < 1]. *)
+    [(device, version, Retrained cases)].  The spec is stamped one
+    revision past the cached base with [Retrained cases] provenance, so
+    rollout can order and pin generations.  Raises [Invalid_argument]
+    when [cases < 1]. *)
 
 val builds : unit -> int
 (** Successful single-flight builds since process start (each one also
@@ -56,9 +46,9 @@ val builds : unit -> int
 
 val set_build_fault : (string -> unit) option -> unit
 (** Test/fault-injection seam: the hook runs with the device name at the
-    top of every single-flight build and may raise to simulate a
+    top of every single-flight spec build and may raise to simulate a
     transient build failure (exercised by the fleet's retry-with-backoff
-    and the spec-cache eviction test).  [None] removes it. *)
+    and the spec-cache retry test).  [None] removes it. *)
 
 val fresh_protected_machine :
   ?config:Sedspec.Checker.config ->
@@ -97,12 +87,3 @@ val guard_fail_closed : unit -> int
 (** Fail-closed profile substitutions since process start (monotone):
     guard trainings that raised and were replaced by
     {!Guard.Resp.fail_closed}. *)
-
-val evict : device:string -> version:string -> int
-(** Drop the cached spec build {e and} every derived entry (["+min"],
-    ["+retrain:N"], …) plus the guard profile for [(device, version)],
-    returning how many entries were removed.  Derived entries go with
-    the base so a stale derivation can never outlive (and silently
-    shadow) a superseded base build.  In-flight single-flight markers
-    are left untouched — the active builder lands or evicts its own
-    marker. *)

@@ -17,38 +17,6 @@ let join a b =
   | Guest_replay, _ | _, Guest_replay -> Guest_replay
   | Substituted, Substituted -> Substituted
 
-(* The pre-DDG classifier, kept as the comparison baseline for the
-   minimization report (and the regression tests): chase a decision
-   local's definitions across the whole handler, ignoring whether a
-   definition can actually reach the decision. *)
-let classify_site_flow_insensitive program (bref : Program.bref) expr =
-  let handler = Program.find_handler program bref.handler in
-  let deps = Hashtbl.create 8 in
-  let uses_host = ref false and uses_guest = ref false in
-  let rec chase local =
-    if not (Hashtbl.mem deps local) then begin
-      Hashtbl.add deps local ();
-      List.iter
-        (fun (b : Block.t) ->
-          List.iter
-            (fun (stmt : Stmt.t) ->
-              match stmt with
-              | Stmt.Set_local (n, e) when n = local ->
-                List.iter chase (Expr.locals e)
-              | Stmt.Read_guest { local = n; _ } when n = local ->
-                uses_guest := true
-              | Stmt.Host_value { local = n; _ } when n = local ->
-                uses_host := true
-              | _ -> ())
-            b.stmts)
-        handler.blocks
-    end
-  in
-  List.iter chase (Expr.locals expr);
-  if !uses_host then Sync_point
-  else if !uses_guest then Guest_replay
-  else Substituted
-
 (* DDG-backed classification: chase only the definitions that reach the
    decision point (flow-sensitive).  A host-value load that cannot reach
    the branch no longer forces a sync point. *)

@@ -52,9 +52,4 @@ val classify_exprs :
     point as soon as {e any} of its expressions is host-derived, not just
     the head. *)
 
-val classify_site_flow_insensitive :
-  Devir.Program.t -> Devir.Program.bref -> Devir.Expr.t -> classification
-(** The pre-DDG classifier (whole-handler, flow-insensitive chase).
-    Kept as the baseline the minimization report compares against. *)
-
 val pp_report : Format.formatter -> report -> unit

@@ -1,21 +1,14 @@
 open Devir
 
-(* Per-handler control- and data-dependence graphs over the device IR.
+(* Per-handler dominators and reaching definitions over the device IR.
 
-   Handlers are small (tens of blocks), so every analysis here is the
-   simple iterative set-based formulation on dense bool matrices: the
-   whole build is microseconds per handler and runs once per spec
-   construction, never on the walk hot path.
+   Handlers are small (tens of blocks), so both analyses are the simple
+   iterative set-based formulation on dense bool matrices: the whole
+   build is microseconds per handler and runs once per spec construction
+   or locator run, never on the walk hot path.
 
-   - Dominators / post-dominators: classic forward/backward intersection
-     fixpoint.  Post-dominance uses a virtual exit node (id [n]) that
-     every [Halt] block (and every successor-less block) feeds, so
-     handlers with several exits still have a single sink.
-   - CDG: Ferrante–Ottenstein–Warren — for each CFG edge [a -> s] where
-     [a]'s immediate post-dominator does not cover [s], the blocks on the
-     post-dominator chain from [s] up to (excluding) [ipdom a] are
-     control-dependent on [a].
-   - DDG: reaching definitions at per-statement granularity.  Locals and
+   - Dominators: classic forward intersection fixpoint.
+   - Reaching definitions at per-statement granularity.  Locals and
      scalar fields define strongly (a new definition kills previous
      ones); buffer writes define weakly (byte-granular stores never kill
      a whole-buffer definition), which is also the sound reading of the
@@ -27,21 +20,11 @@ type var = Vlocal of string | Vfield of string
 type def_site = { d_label : string; d_index : int; d_stmt : Stmt.t }
 
 type hgraph = {
-  labels : string array;
   index : (string, int) Hashtbl.t;
   blocks : Block.t array;
-  succ : int list array;
-  pred : int list array;
   dom : bool array array;  (** [dom.(b).(a)]: [a] dominates [b]. *)
-  pdom : bool array array;
-      (** [pdom.(b).(a)]: [a] post-dominates [b]; index [n] is the
-          virtual exit. *)
-  ipdom : int array;  (** Immediate post-dominator ([n] = exit, [-1] = none). *)
-  cdg : int list array;  (** [cdg.(a)]: blocks control-dependent on [a]. *)
-  reach : bool array array;  (** [reach.(a).(b)]: [b] reachable from [a]. *)
   defs : def_site array;
   def_var : var array;
-  def_strong : bool array;
   din : bool array array;  (** Reaching definitions at block entry. *)
 }
 
@@ -101,98 +84,23 @@ let build_handler (h : Program.handler) =
       done
     done
   end;
-  (* Post-dominators over n+1 ids; id n is the virtual exit. *)
-  let psucc =
-    Array.init n (fun b -> match succ.(b) with [] -> [ n ] | ss -> ss)
-  in
-  let pdom = Array.init (n + 1) (fun b -> Array.make (n + 1) (b <> n)) in
-  pdom.(n).(n) <- true;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for b = n - 1 downto 0 do
-      let acc = Array.make (n + 1) true in
-      List.iter (fun s -> intersect_into acc pdom.(s)) psucc.(b);
-      acc.(b) <- true;
-      if acc <> pdom.(b) then begin
-        pdom.(b) <- acc;
-        changed := true
-      end
-    done
-  done;
-  let card a = Array.fold_left (fun acc v -> if v then acc + 1 else acc) 0 a in
-  let ipdom =
-    Array.init (n + 1) (fun b ->
-        if b = n then -1
-        else begin
-          (* Closest strict post-dominator = the one with the largest
-             post-dominator set (it sits deepest on the chain to exit). *)
-          let best = ref (-1) and best_card = ref (-1) in
-          for c = 0 to n do
-            if c <> b && pdom.(b).(c) then begin
-              let k = card pdom.(c) in
-              if k > !best_card then begin
-                best := c;
-                best_card := k
-              end
-            end
-          done;
-          !best
-        end)
-  in
-  (* CDG via the post-dominator chain walk per edge. *)
-  let cdg_sets = Array.make n [] in
-  for a = 0 to n - 1 do
-    List.iter
-      (fun s ->
-        let stop = ipdom.(a) in
-        let t = ref s and fuel = ref (n + 2) in
-        while !t <> stop && !t <> n && !t >= 0 && !fuel > 0 do
-          decr fuel;
-          if not (List.mem !t cdg_sets.(a)) then
-            cdg_sets.(a) <- !t :: cdg_sets.(a);
-          t := ipdom.(!t)
-        done)
-      psucc.(a)
-  done;
-  let cdg = Array.map (fun l -> List.sort compare l) cdg_sets in
-  (* Reflexive-transitive reachability. *)
-  let reach = Array.init n (fun a -> Array.init n (fun b -> a = b)) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for a = 0 to n - 1 do
-      for b = 0 to n - 1 do
-        if reach.(a).(b) then
-          List.iter
-            (fun s ->
-              if not reach.(a).(s) then begin
-                reach.(a).(s) <- true;
-                changed := true
-              end)
-            succ.(b)
-      done
-    done
-  done;
   (* Reaching definitions. *)
-  let defs = ref [] and ndefs = ref 0 in
+  let defs = ref [] in
   Array.iteri
     (fun bi (b : Block.t) ->
       List.iteri
         (fun si stmt ->
           List.iter
-            (fun (v, strong) ->
+            (fun (v, _) ->
               defs :=
-                ({ d_label = labels.(bi); d_index = si; d_stmt = stmt }, v, strong)
-                :: !defs;
-              incr ndefs)
+                ({ d_label = labels.(bi); d_index = si; d_stmt = stmt }, v)
+                :: !defs)
             (stmt_defs stmt))
         b.Block.stmts)
     blocks;
   let all = Array.of_list (List.rev !defs) in
-  let defs = Array.map (fun (d, _, _) -> d) all in
-  let def_var = Array.map (fun (_, v, _) -> v) all in
-  let def_strong = Array.map (fun (_, _, s) -> s) all in
+  let defs = Array.map fst all in
+  let def_var = Array.map snd all in
   let nd = Array.length defs in
   let def_ids_at = Hashtbl.create (2 * nd) in
   Array.iteri
@@ -234,22 +142,7 @@ let build_handler (h : Program.handler) =
       end
     done
   done;
-  {
-    labels;
-    index;
-    blocks;
-    succ;
-    pred;
-    dom;
-    pdom;
-    ipdom;
-    cdg;
-    reach;
-    defs;
-    def_var;
-    def_strong;
-    din;
-  }
+  { index; blocks; dom; defs; def_var; din }
 
 let build program =
   let t = Hashtbl.create 8 in
@@ -270,39 +163,6 @@ let dominates t ~handler a b =
   match with_ids t ~handler a b (fun g ia ib -> g.dom.(ib).(ia)) with
   | Some v -> v
   | None -> false
-
-let post_dominates t ~handler a b =
-  match with_ids t ~handler a b (fun g ia ib -> g.pdom.(ib).(ia)) with
-  | Some v -> v
-  | None -> false
-
-let control_deps t ~handler label =
-  match Hashtbl.find_opt t handler with
-  | None -> []
-  | Some g -> (
-    match Hashtbl.find_opt g.index label with
-    | None -> []
-    | Some i -> List.map (fun b -> g.labels.(b)) g.cdg.(i))
-
-let between t ~handler a b =
-  match Hashtbl.find_opt t handler with
-  | None -> []
-  | Some g -> (
-    match (Hashtbl.find_opt g.index a, Hashtbl.find_opt g.index b) with
-    | Some ia, Some ib ->
-      (* Blocks on some a -> ... -> b walk, measured from a's successors
-         so [a] itself appears exactly when it sits on a cycle (its own
-         statements then re-execute between two evaluations at [a]). *)
-      let out = ref [] in
-      for x = Array.length g.labels - 1 downto 0 do
-        if
-          x <> ib
-          && List.exists (fun s -> g.reach.(s).(x)) g.succ.(ia)
-          && g.reach.(x).(ib)
-        then out := g.labels.(x) :: !out
-      done;
-      !out
-    | _ -> [])
 
 let reaching_defs t ~handler ~label ?before var =
   match Hashtbl.find_opt t handler with
@@ -343,22 +203,3 @@ let reaching_defs t ~handler ~label ?before var =
         if set.(d) && g.def_var.(d) = var then out := g.defs.(d) :: !out
       done;
       !out)
-
-let def_count t ~handler =
-  match Hashtbl.find_opt t handler with
-  | None -> 0
-  | Some g -> Array.length g.defs
-
-let pp_stats ppf t =
-  let handlers =
-    List.sort compare (Hashtbl.fold (fun h _ acc -> h :: acc) t [])
-  in
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun h ->
-      let g = Hashtbl.find t h in
-      let cdg_edges = Array.fold_left (fun acc l -> acc + List.length l) 0 g.cdg in
-      Format.fprintf ppf "%s: %d blocks, %d defs, %d cdg edges@," h
-        (Array.length g.labels) (Array.length g.defs) cdg_edges)
-    handlers;
-  Format.fprintf ppf "@]"

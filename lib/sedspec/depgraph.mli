@@ -1,17 +1,11 @@
-(** Per-handler control- and data-dependence graphs over the device IR
-    (ROADMAP item 2, after BAP's [depgraphs.ml]).
+(** Per-handler dominators and reaching definitions over the device IR.
 
-    Built once per specification from the device program — never on the
-    walk hot path — and queried by {!Datadep} (flow-sensitive sync-point
-    classification) and {!Minimize} (dominated-check pruning and
-    chain merging):
+    Built from the device program — never on the walk hot path — and
+    queried by {!Datadep} (flow-sensitive sync-point classification) and
+    {!Attrib} (dominator roots and definition sites of changed blocks):
 
-    - {b dominators / post-dominators} per handler CFG, the latter over a
-      virtual exit that all [Halt] blocks feed;
-    - {b CDG}: control dependence via the Ferrante–Ottenstein–Warren
-      post-dominator chain walk — [b] is control-dependent on [a] iff [a]
-      decides whether [b] executes;
-    - {b DDG}: flow-sensitive reaching definitions at per-statement
+    - {b dominators} per handler CFG;
+    - {b reaching definitions}, flow-sensitive, at per-statement
       granularity.  Locals and scalar fields define strongly; buffer
       writes define weakly (byte stores never kill a whole-buffer
       definition, which also soundly covers the IR's C-struct semantics
@@ -33,30 +27,9 @@ val dominates : t -> handler:string -> string -> string -> bool
 (** [dominates t ~handler a b]: every handler-entry-to-[b] path passes
     through [a] (reflexive).  [false] when either label is unknown. *)
 
-val post_dominates : t -> handler:string -> string -> string -> bool
-(** [post_dominates t ~handler a b]: every [b]-to-exit path passes
-    through [a] (reflexive). *)
-
-val control_deps : t -> handler:string -> string -> string list
-(** Labels of the blocks control-dependent on the given block, in block
-    order. *)
-
-val between : t -> handler:string -> string -> string -> string list
-(** [between t ~handler a b]: labels that can execute strictly between an
-    evaluation at [a]'s terminator and one at [b]'s — every block on some
-    [a] → … → [b] walk, measured from [a]'s successors (so [a] itself is
-    included exactly when it lies on a cycle) and excluding [b].  An
-    over-approximation: paths through blocks the walker would reject are
-    included, which only makes safety checks built on it conservative. *)
-
 val reaching_defs :
   t -> handler:string -> label:string -> ?before:int -> var -> def_site list
 (** Definitions of [var] that reach the given program point: just before
     statement [before] of the block, or the block's terminator when
     [before] is omitted.  Definition sites are returned in program
     order. *)
-
-val def_count : t -> handler:string -> int
-(** Number of definition sites the DDG tracks for a handler. *)
-
-val pp_stats : Format.formatter -> t -> unit

@@ -6,8 +6,6 @@ type interaction = {
 
 type log = interaction list
 
-type t = log list
-
 let observation_points program =
   let points = ref [] in
   Devir.Program.iter_blocks program (fun bref block ->
@@ -34,7 +32,6 @@ module Collector = struct
         (** Handler/params of the in-flight interaction. *)
     mutable current_entries : Interp.Event.observe_entry list;  (* reversed *)
     mutable current_case : interaction list;  (* reversed *)
-    mutable cases : log list;  (* reversed *)
   }
 
   let close_interaction t =
@@ -59,7 +56,6 @@ module Collector = struct
         current = None;
         current_entries = [];
         current_case = [];
-        cases = [];
       }
     in
     Interp.set_observation interp ~points ~state_params;
@@ -85,32 +81,14 @@ module Collector = struct
       };
     t
 
-  let flush_case t =
+  let take_case t =
     close_interaction t;
-    if t.current_case <> [] then begin
-      t.cases <- List.rev t.current_case :: t.cases;
-      t.current_case <- []
-    end
-
-  let begin_case t = flush_case t
-
-  let logs t =
-    close_interaction t;
-    let completed = List.rev t.cases in
-    if t.current_case = [] then completed
-    else completed @ [ List.rev t.current_case ]
+    let log = List.rev t.current_case in
+    t.current_case <- [];
+    log
 
   let detach t =
-    flush_case t;
     Interp.clear_observation t.interp;
     Interp.set_hooks t.interp t.saved_hooks;
     Vmm.Machine.clear_interposer t.machine t.device
 end
-
-let interaction_count t = List.fold_left (fun acc l -> acc + List.length l) 0 t
-
-let entry_count t =
-  List.fold_left
-    (fun acc l ->
-      List.fold_left (fun acc i -> acc + List.length i.entries) acc l)
-    0 t

@@ -4,8 +4,8 @@
     performed, each carrying the observation-point entries the instrumented
     device emitted (block identity and kind, the selected state parameters'
     values after the block, the branch outcome, and — for command decision
-    blocks — the decoded command).  Algorithm 1 consumes a set of such
-    logs. *)
+    blocks — the decoded command).  Algorithm 1 consumes the logs one
+    case at a time. *)
 
 type interaction = {
   handler : string;
@@ -15,13 +15,12 @@ type interaction = {
 
 type log = interaction list
 
-type t = log list
-
 (** Collector: instruments a device with observation points and groups the
     resulting entries per interaction and per test case.  Interaction
     boundaries come from the machine's dispatch (the collector occupies the
     device's interposer slot while attached — training happens before any
-    checker is installed). *)
+    checker is installed).  It keeps only the case in progress: each
+    {!take_case} hands that case's log over and forgets it. *)
 
 module Collector : sig
   type collector
@@ -33,14 +32,14 @@ module Collector : sig
     state_params:string list ->
     collector
 
-  val begin_case : collector -> unit
-  (** Start a new test case (a new log). *)
-
-  val logs : collector -> t
-  (** All logs, oldest first (includes the in-progress case). *)
+  val take_case : collector -> log
+  (** End the current test case and return its log, oldest interaction
+      first ([[]] when the case performed no interaction).  The next
+      interaction starts a new case. *)
 
   val detach : collector -> unit
-  (** Remove observation points, the observe hook and the interposer. *)
+  (** Remove observation points, the observe hook and the interposer.
+      Entries of an untaken case are dropped. *)
 end
 
 val observation_points : Devir.Program.t -> Devir.Program.bref list
@@ -48,6 +47,3 @@ val observation_points : Devir.Program.t -> Devir.Program.bref list
     and command end blocks, plus every block ending in a conditional
     branch, switch or indirect call — the control-flow joints from which
     the full path can be restored statically. *)
-
-val interaction_count : t -> int
-val entry_count : t -> int

@@ -28,7 +28,7 @@ type edge =
 (* Where a spec's learned content came from.  [Trained] is the one-shot
    paper pipeline; the others are evolution derivations — the revision
    counter orders them so the rollout ladder can pin and roll back. *)
-type provenance = Trained | Retrained of int | Minimized | Merged
+type provenance = Trained | Retrained of int | Merged
 
 type t = {
   program : Program.t;
@@ -221,8 +221,6 @@ let add_log t log =
   let ctx = List.fold_left (fun ctx i -> add_interaction t ctx i) Ctx_none log in
   ignore ctx
 
-let add_logs t logs = List.iter (add_log t) logs
-
 let program t = t.program
 let selection t = t.selection
 let revision t = t.revision
@@ -236,13 +234,11 @@ let set_version t ~revision ~provenance =
 let provenance_to_string = function
   | Trained -> "trained"
   | Retrained cases -> Printf.sprintf "retrained:%d" cases
-  | Minimized -> "minimized"
   | Merged -> "merged"
 
 let provenance_of_string s =
   match s with
   | "trained" -> Some Trained
-  | "minimized" -> Some Minimized
   | "merged" -> Some Merged
   | _ -> (
     match String.split_on_char ':' s with

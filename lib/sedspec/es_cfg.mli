@@ -43,18 +43,17 @@ type cmd_key = Devir.Program.bref * int64
 
 (** Where the spec's learned content came from.  [Trained] is the one-shot
     paper pipeline (the default); [Retrained n] a fresh training pass on an
-    [n]-case corpus; [Minimized] a {!Minimize} derivation; [Merged] an
-    {!Evolve.merge} of a base with a candidate's benign evidence. *)
-type provenance = Trained | Retrained of int | Minimized | Merged
+    [n]-case corpus; [Merged] an {!Evolve.merge} of a base with a
+    candidate's benign evidence. *)
+type provenance = Trained | Retrained of int | Merged
 
 type t
 
 val create : program:Devir.Program.t -> selection:Selection.t -> t
 
 val add_log : t -> Ds_log.log -> unit
-(** Fold one benign test case into the specification. *)
-
-val add_logs : t -> Ds_log.t -> unit
+(** Fold one benign test case into the specification.  Cases must be
+    added in training order. *)
 
 val program : t -> Devir.Program.t
 val selection : t -> Selection.t
@@ -72,8 +71,8 @@ val set_version : t -> revision:int -> provenance:provenance -> unit
     revision. *)
 
 val provenance_to_string : provenance -> string
-(** ["trained"], ["retrained:N"], ["minimized"] or ["merged"] — the tag
-    {!Persist} writes. *)
+(** ["trained"], ["retrained:N"] or ["merged"] — the tag {!Persist}
+    writes. *)
 
 val provenance_of_string : string -> provenance option
 
@@ -103,8 +102,8 @@ val sync_points : t -> (Devir.Program.bref * string list) list
 val access_entries : t -> (cmd_key option * Devir.Program.bref) list
 (** The full command access table as (command, member) rows, [None] being
     the no-command set; deterministically ordered.  Inverse of repeated
-    {!import_access} — used to copy access state onto a derived
-    (minimized) spec. *)
+    {!import_access} — used to diff and merge access state across specs
+    ({!Evolve}). *)
 
 val reduce : t -> int
 (** Control flow reduction: delete nodes with no device-state operations
@@ -125,7 +124,7 @@ val validate : t -> Devir.Validate.error list
 (** Graph well-formedness over the program: every node has a source
     block and every successor edge lands on a node, possibly through
     pass-through blocks ({!Devir.Validate.check_graph} with the DSOD
-    lifting rule).  Empty on healthy, reduced and minimized specs. *)
+    lifting rule).  Empty on healthy and reduced specs. *)
 
 val lift_dsod : Devir.Stmt.t list -> Devir.Stmt.t list
 (** The DSOD lifting rule (exposed for tests): keeps state writes, local

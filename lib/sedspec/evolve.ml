@@ -5,8 +5,7 @@ module Table = Sedspec_util.Table
 (* Structural diff and conservative merge of two ES-CFGs (ROADMAP item 4).
 
    The diff is keyed by bref (handler/label strings), so it works across
-   device versions and across derived programs (a minimized spec's
-   "+min" program keeps every surviving block's bref).  The merge is
+   device versions and across independently trained specs.  The merge is
    evidence-conservative: it starts from the base spec and only ever
    *adds* — nodes the candidate visited, transition envelope entries the
    candidate observed, access-table rows the candidate's benign traffic

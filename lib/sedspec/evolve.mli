@@ -2,13 +2,13 @@
     (ROADMAP item 4).
 
     Production traffic contains benign behaviour the trainer never saw,
-    so the specification is a living artifact: candidates are retrained
-    (or minimized), compared against the enforced base, shadow-scored by
-    the fleet and canaried before promotion.  This module supplies the
-    comparison layer:
+    so the specification is a living artifact: candidates are retrained,
+    compared against the enforced base, shadow-scored by the fleet and
+    canaried before promotion.  This module supplies the comparison
+    layer:
 
     - {!diff}: a structural delta of two ES-CFGs keyed by bref, so it
-      works across device versions and derived ("+min") programs —
+      works across device versions and independently trained specs —
       added/removed nodes, re-enveloped transition data (new branch
       directions, switch cases, indirect targets, successor edges),
       command-set, access-table and sync-point deltas, rendered as

@@ -341,29 +341,11 @@ let of_string ~program text =
   | Parse_error msg -> Error msg
   | Failure msg -> Error msg
 
-(* Atomic, leak-free file writes: the text goes to a temp file in the
-   target directory (same filesystem, so the rename is atomic), the fd is
-   released by [Fun.protect] on any exception, and the destination is
-   only ever replaced by a complete file. *)
-let write_atomic path text =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path) ".tmp" in
-  match
-    let oc = open_out tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc text)
-  with
-  | () -> Sys.rename tmp path
-  | exception e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
-
 let save spec path =
   match validate_names spec with
   | Error _ as e -> e
   | Ok () -> (
-    match write_atomic path (to_string spec) with
+    match Sedspec_util.Atomic_file.write path (to_string spec) with
     | () -> Ok ()
     | exception Sys_error msg -> Error msg)
 

@@ -14,11 +14,10 @@ type phase1 = {
 type built = {
   spec : Es_cfg.t;
   p1 : phase1;
-  logs : Ds_log.t;
+  interactions : int;
   datadep : Datadep.report;
   reduced : int;
   arena : Compile.t;
-  minimized : Minimize.report option;
 }
 
 let reset_device machine ~device =
@@ -56,33 +55,25 @@ let collect machine ~device trainer =
   }
 
 (* The paper's trainer feeds the same samples again with the observation
-   points instrumented; a trap during benign training would indicate a
-   broken device model, so it is surfaced loudly. *)
-let minimize_built b =
-  let spec, report = Minimize.run b.spec in
-  {
-    b with
-    spec;
-    datadep = Datadep.analyze spec;
-    arena = Compile.lower spec;
-    minimized = Some report;
-  }
-
-let construct ?(reduce = true) ?(minimize = false) machine ~device p1 trainer =
+   points instrumented.  Each case's log goes into the ES-CFG the moment
+   the case ends and is dropped there: the logs outweigh the spec by four
+   orders of magnitude, and nothing downstream reads them. *)
+let construct ?(reduce = true) machine ~device p1 trainer =
   reset_device machine ~device;
   let program = Interp.program (Vmm.Machine.interp_of machine device) in
+  let spec = Es_cfg.create ~program ~selection:p1.selection in
   let collector =
     Ds_log.Collector.attach machine ~device ~points:p1.observation_points
       ~state_params:p1.selection.Selection.scalars
   in
+  let interactions = ref 0 in
   for case = 0 to trainer.cases - 1 do
-    Ds_log.Collector.begin_case collector;
-    trainer.run_case machine case
+    trainer.run_case machine case;
+    let log = Ds_log.Collector.take_case collector in
+    interactions := !interactions + List.length log;
+    Es_cfg.add_log spec log
   done;
-  let logs = Ds_log.Collector.logs collector in
   Ds_log.Collector.detach collector;
-  let spec = Es_cfg.create ~program ~selection:p1.selection in
-  Es_cfg.add_logs spec logs;
   let reduced = if reduce then Es_cfg.reduce spec else 0 in
   let datadep = Datadep.analyze spec in
   (* Lower eagerly, exactly once, while [built] is still private to the
@@ -90,22 +81,17 @@ let construct ?(reduce = true) ?(minimize = false) machine ~device p1 trainer =
      this one immutable arena (the fleet cache hands the same [built] to
      every VM of a (device, version), across Runner domains). *)
   let arena = Compile.lower spec in
-  let b = { spec; p1; logs; datadep; reduced; arena; minimized = None } in
-  if minimize then minimize_built b else b
+  { spec; p1; interactions = !interactions; datadep; reduced; arena }
 
-let build ?reduce ?minimize machine ~device trainer =
+let build ?reduce machine ~device trainer =
   let p1 = collect machine ~device trainer in
-  construct ?reduce ?minimize machine ~device p1 trainer
+  construct ?reduce machine ~device p1 trainer
 
 let protect ?config machine ~device built =
   reset_device machine ~device;
   Checker.attach ?config ~compiled:built.arena machine ~spec:built.spec device
 
 let pp_built ppf b =
-  Format.fprintf ppf "@[<v>%a@,%a@,trace volume: %d bytes, %d logs, %d interactions@]"
+  Format.fprintf ppf "@[<v>%a@,%a@,trace volume: %d bytes, %d interactions@]"
     Es_cfg.pp_stats b.spec Datadep.pp_report b.datadep b.p1.trace_bytes
-    (List.length b.logs)
-    (Ds_log.interaction_count b.logs);
-  match b.minimized with
-  | None -> ()
-  | Some r -> Format.fprintf ppf "@,%a" Minimize.pp_report r
+    b.interactions

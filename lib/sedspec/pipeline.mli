@@ -6,9 +6,10 @@
     the control-flow joints.
 
     Phase 2 (specification construction): re-run the training cases with
-    observation points active, collect the device state change logs, run
-    Algorithm 1, apply control-flow reduction and analyze data
-    dependencies.
+    observation points active and fold each case's device state change log
+    into the ES-CFG (Algorithm 1) as soon as the case ends, then apply
+    control-flow reduction and analyze data dependencies.  The logs are
+    not kept: a build holds only what enforcement reads.
 
     Phase 3 (runtime protection): attach an ES-Checker built from the
     specification in front of the device. *)
@@ -31,45 +32,23 @@ type phase1 = {
 type built = {
   spec : Es_cfg.t;
   p1 : phase1;
-  logs : Ds_log.t;
+  interactions : int;  (** I/O interactions in the phase-2 logs. *)
   datadep : Datadep.report;
   reduced : int;  (** Nodes removed by control-flow reduction. *)
   arena : Compile.t;
       (** The spec lowered once at construction: immutable, physically
           shared by every checker {!protect} attaches from this value. *)
-  minimized : Minimize.report option;
-      (** Present when the spec went through {!Minimize.run}; [spec],
-          [datadep] and [arena] then describe the minimized spec. *)
 }
 
 val collect : Vmm.Machine.t -> device:string -> trainer -> phase1
 (** Phase 1.  Resets the device control structure first. *)
 
 val construct :
-  ?reduce:bool ->
-  ?minimize:bool ->
-  Vmm.Machine.t ->
-  device:string ->
-  phase1 ->
-  trainer ->
-  built
-(** Phase 2 ([reduce] defaults to [true]; [minimize], defaulting to
-    [false], additionally applies {!minimize_built}). *)
+  ?reduce:bool -> Vmm.Machine.t -> device:string -> phase1 -> trainer -> built
+(** Phase 2 ([reduce] defaults to [true]). *)
 
-val build :
-  ?reduce:bool ->
-  ?minimize:bool ->
-  Vmm.Machine.t ->
-  device:string ->
-  trainer ->
-  built
+val build : ?reduce:bool -> Vmm.Machine.t -> device:string -> trainer -> built
 (** Phases 1 + 2. *)
-
-val minimize_built : built -> built
-(** Apply {!Minimize.run} to an already-built spec: replaces [spec],
-    re-analyzes [datadep], re-lowers [arena] and records the report.
-    Training artifacts ([p1], [logs], [reduced]) are kept from the
-    source build. *)
 
 val protect :
   ?config:Checker.config -> Vmm.Machine.t -> device:string -> built -> Checker.t

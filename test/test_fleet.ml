@@ -223,7 +223,7 @@ let test_vm_spec_retry_and_fallback () =
   let opts =
     {
       (Vm.default_options ~device:"fdc") with
-      Vm.spec_source = Vm.Persisted (fun () -> "corrupt nonsense");
+      Vm.spec_origin = Vm.Persisted (fun () -> "corrupt nonsense");
       max_attempts = 3;
     }
   in
@@ -249,7 +249,7 @@ let test_vm_spec_retry_and_fallback () =
   in
   let vm2 =
     Vm.create ~index:1 ~seed:11L
-      { opts with Vm.spec_source = Vm.Persisted (fun () -> text) }
+      { opts with Vm.spec_origin = Vm.Persisted (fun () -> text) }
   in
   Vm.tick vm2;
   let r2 = Vm.report vm2 in

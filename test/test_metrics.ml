@@ -190,35 +190,18 @@ let test_spec_cache_transient_failure_retries () =
         (again == List.hd builds);
       Alcotest.(check int) "no further builds" 2 (Atomic.get calls))
 
-let test_spec_cache_evict_drops_derived () =
-  (* Eviction regression: derived entries ("+min", "+retrain:N") go with
-     their base, so a stale derivation can never outlive (and silently
-     shadow) a superseded base build. *)
-  let w = Workload.Samples.find "pcnet" in
+(* A cached build keeps only what enforcement reads: the spec, its
+   compiled arena and the phase-1 analyses.  Training logs are folded
+   into the ES-CFG case by case and dropped, so sdhci's build stays far
+   below the hundreds of MB its logs would take. *)
+let test_spec_cache_holds_no_training_data () =
+  let w = Workload.Samples.find "sdhci" in
   let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-  let version = W.paper_version in
-  let vstr = Devices.Qemu_version.to_string version in
-  let base = Metrics.Spec_cache.built (module W) version in
-  let mini = Metrics.Spec_cache.built_minimized (module W) version in
-  let retr = Metrics.Spec_cache.built_retrained (module W) version ~cases:9 in
-  let other = Metrics.Spec_cache.built (module W) Devices.Qemu_version.latest in
-  let before = Metrics.Spec_cache.builds () in
-  let removed = Metrics.Spec_cache.evict ~device:W.device_name ~version:vstr in
-  Alcotest.(check bool) "base + both derived entries evicted" true
-    (removed >= 3);
-  (* Asking for the derivation again rebuilds base AND derivation — two
-     fresh single-flight builds, not a stale "+min" over a gone base. *)
-  let mini' = Metrics.Spec_cache.built_minimized (module W) version in
-  Alcotest.(check int) "re-derive rebuilds base and derivation" (before + 2)
-    (Metrics.Spec_cache.builds ());
-  Alcotest.(check bool) "derivation is fresh" true (mini' != mini);
-  Alcotest.(check bool) "base is fresh" true
-    (Metrics.Spec_cache.built (module W) version != base);
-  Alcotest.(check bool) "retrained candidate was evicted too" true
-    (Metrics.Spec_cache.built_retrained (module W) version ~cases:9 != retr);
-  (* Other versions of the same device are untouched by the key match. *)
-  Alcotest.(check bool) "other-version entry survives" true
-    (Metrics.Spec_cache.built (module W) Devices.Qemu_version.latest == other)
+  let b = Metrics.Spec_cache.built (module W) W.paper_version in
+  let words = Obj.reachable_words (Obj.repr b) in
+  Alcotest.(check bool)
+    (Printf.sprintf "sdhci build holds %d words (< 1M)" words)
+    true (words < 1_000_000)
 
 let test_spec_cache_memoises () =
   let w = Workload.Samples.find "fdc" in
@@ -259,8 +242,8 @@ let () =
             test_spec_cache_single_flight;
           Alcotest.test_case "spec cache transient failure retries" `Quick
             test_spec_cache_transient_failure_retries;
-          Alcotest.test_case "evict drops derived entries with the base" `Quick
-            test_spec_cache_evict_drops_derived;
+          Alcotest.test_case "cached build holds no training data" `Quick
+            test_spec_cache_holds_no_training_data;
         ] );
       ( "parallel",
         [

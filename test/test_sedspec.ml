@@ -117,13 +117,43 @@ let test_selection_static_covers_all_devices () =
 
 (* --- Logs -------------------------------------------------------------- *)
 
+(* Drive the collector the way phase 2 does: one [take_case] per training
+   case, each handing over that case's log and nothing older.  Only the
+   per-case counts are kept — the fdc logs run to hundreds of MB. *)
 let test_log_collection_counts () =
-  let _, built, _ = Lazy.force fdc_built in
-  Alcotest.(check int) "one log per case" training_cases (List.length built.logs);
-  Alcotest.(check bool) "thousands of interactions" true
-    (Sedspec.Ds_log.interaction_count built.logs > 1000);
-  Alcotest.(check bool) "entries recorded" true
-    (Sedspec.Ds_log.entry_count built.logs > 1000)
+  let w = Workload.Samples.find "fdc" in
+  let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
+  let trainer = W.trainer ~cases:training_cases in
+  let p1 =
+    Sedspec.Pipeline.collect (W.make_machine W.paper_version) ~device:"fdc"
+      trainer
+  in
+  let m = W.make_machine W.paper_version in
+  let collector =
+    Sedspec.Ds_log.Collector.attach m ~device:"fdc"
+      ~points:p1.observation_points
+      ~state_params:p1.selection.Sedspec.Selection.scalars
+  in
+  let counts =
+    List.init training_cases (fun case ->
+        trainer.Sedspec.Pipeline.run_case m case;
+        let log = Sedspec.Ds_log.Collector.take_case collector in
+        ( List.length log,
+          List.fold_left
+            (fun n (i : Sedspec.Ds_log.interaction) -> n + List.length i.entries)
+            0 log ))
+  in
+  let empty = Sedspec.Ds_log.Collector.take_case collector in
+  Sedspec.Ds_log.Collector.detach collector;
+  Alcotest.(check int) "one log per case" training_cases (List.length counts);
+  List.iteri
+    (fun i (n, _) ->
+      Alcotest.(check bool) (Printf.sprintf "case %d logged" i) true (n > 0))
+    counts;
+  let sum f = List.fold_left (fun acc c -> acc + f c) 0 counts in
+  Alcotest.(check bool) "thousands of interactions" true (sum fst > 1000);
+  Alcotest.(check bool) "entries recorded" true (sum snd > 1000);
+  Alcotest.(check bool) "an empty case yields an empty log" true (empty = [])
 
 let test_observation_points_are_joints () =
   let p = Devices.Fdc.program ~version:(QV.v 2 3 0) in
@@ -287,9 +317,8 @@ let test_datadep_joins_all_exprs () =
   Alcotest.(check (option cls)) "no exprs, no classification" None (classify [])
 
 (* Flow sensitivity: a host-derived local that is strongly redefined from
-   a constant before the decision no longer forces a sync point — only
-   definitions that actually reach the site count.  The old whole-handler
-   chase (kept as [classify_site_flow_insensitive]) says sync. *)
+   a constant before the decision does not force a sync point — only
+   definitions that actually reach the site count. *)
 let test_datadep_flow_sensitive () =
   let open Devir.Dsl in
   let layout = Layout.make [ Layout.reg ~hw:true "st" Width.W8 ] in
@@ -306,241 +335,9 @@ let test_datadep_flow_sensitive () =
       ]
   in
   let site = { Program.handler = "f"; label = "b" } in
-  Alcotest.(check bool) "flow-insensitive chase still says sync" true
-    (Sedspec.Datadep.classify_site_flow_insensitive p site (lcl "t")
-    = Sedspec.Datadep.Sync_point);
   Alcotest.(check bool) "ddg sees only the reaching constant def" true
     (Sedspec.Datadep.classify_site p site (lcl "t")
     = Sedspec.Datadep.Substituted)
-
-(* --- Minimization ------------------------------------------------------- *)
-
-(* One synthetic handler that exercises all four minimization rewrites:
-   - [e]     Entry, no work, goto            -> pruned
-   - [chk1]  one-sided branch on st == 1     -> kept (the certifier)
-   - [mid]   empty straight-line block       -> pruned
-   - [chk2]  same one-sided branch           -> dominated, rewritten + pruned
-   - [body]  local-only definitions, goto    -> merged into [sink], pruned
-   - [sink]  state write (consumes the local)-> kept
-   - [cfold] branch on a constant            -> folded + pruned
-   - [out]   Exit                            -> pruned *)
-let minimize_syn_spec () =
-  let open Devir.Dsl in
-  let layout =
-    Layout.make
-      [ Layout.reg ~hw:true "st" Width.W8; Layout.reg ~hw:true "cnt" Width.W8 ]
-  in
-  let program =
-    Program.make ~name:"minsyn" ~layout
-      [
-        handler "h" ~params:[ "data" ]
-          [
-            entry "e" [] (goto "chk1");
-            blk "chk1" [] (br (fld "st" ==% c 1) "mid" "dead1");
-            blk "mid" [] (goto "chk2");
-            blk "chk2" [] (br (fld "st" ==% c 1) "body" "dead2");
-            blk "body" [ local "t" (c 3) ] (goto "sink");
-            blk "sink" [ set "st" (lcl "t") ] (goto "cfold");
-            blk "cfold" [] (br (c 1) "out" "dead3");
-            exit_ "out" [];
-            exit_ "dead1" [];
-            exit_ "dead2" [];
-            exit_ "dead3" [];
-          ];
-      ]
-  in
-  let spec = Sedspec.Es_cfg.create ~program ~selection:empty_selection in
-  let b label = { Program.handler = "h"; label } in
-  let node ?(taken = 0) ?(not_taken = 0) label succs =
-    Sedspec.Es_cfg.import_node spec (b label) ~visits:(max 1 (taken + not_taken))
-      ~taken ~not_taken ~cases:[] ~itargets:[]
-      ~succs:(List.map b succs);
-    Sedspec.Es_cfg.import_access spec ~cmd:None (b label)
-  in
-  node "e" [ "chk1" ];
-  node ~taken:5 "chk1" [ "mid" ];
-  node "mid" [ "chk2" ];
-  node ~taken:5 "chk2" [ "body" ];
-  node "body" [ "sink" ];
-  node "sink" [ "cfold" ];
-  node ~taken:5 "cfold" [ "out" ];
-  node "out" [];
-  spec
-
-let test_minimize_all_passes () =
-  let spec = minimize_syn_spec () in
-  let mspec, rep = Sedspec.Minimize.run spec in
-  Alcotest.(check int) "nodes before" 8 rep.Sedspec.Minimize.nodes_before;
-  Alcotest.(check int) "constant branch folded" 1
-    rep.Sedspec.Minimize.branches_folded;
-  Alcotest.(check int) "dominated branch rewritten" 1
-    rep.Sedspec.Minimize.branches_dominated;
-  Alcotest.(check int) "chain merged" 1 rep.Sedspec.Minimize.chains_merged;
-  Alcotest.(check int) "pruned" 6 rep.Sedspec.Minimize.pruned;
-  Alcotest.(check int) "nodes after" 2 rep.Sedspec.Minimize.nodes_after;
-  Alcotest.(check int) "node count matches report"
-    rep.Sedspec.Minimize.nodes_after
-    (Sedspec.Es_cfg.node_count mspec);
-  (* The source spec is untouched. *)
-  Alcotest.(check int) "source spec intact" 8 (Sedspec.Es_cfg.node_count spec);
-  (* Survivors: the certifier branch and the state write.  The certifier's
-     successor edge was re-chased through the pruned chain down to the
-     surviving state-write node. *)
-  let b label = { Program.handler = "h"; label } in
-  (match Sedspec.Es_cfg.node mspec (b "chk1") with
-  | Some n ->
-    Alcotest.(check (list string)) "chk1 chases to sink" [ "sink" ]
-      (List.map (fun (s : Program.bref) -> s.label) n.succs)
-  | None -> Alcotest.fail "certifier chk1 was pruned");
-  (match Sedspec.Es_cfg.node mspec (b "sink") with
-  | Some n ->
-    (* Merge moved body's local definition in front of sink's own DSOD. *)
-    Alcotest.(check bool) "sink dsod starts with the forwarded local" true
-      (match n.dsod with Stmt.Set_local ("t", _) :: _ -> true | _ -> false)
-  | None -> Alcotest.fail "sink was pruned");
-  Alcotest.(check bool) "minimized graph validates" true
-    (Sedspec.Es_cfg.validate mspec = []);
-  (* Derived-spec bookkeeping: the program is a clone with a new name but
-     identical brefs; the prune counter folds into the reduce statistic. *)
-  Alcotest.(check bool) "derived program renamed" true
-    (Program.name (Sedspec.Es_cfg.program mspec) = "minsyn+min");
-  Alcotest.(check int) "reduced counter absorbs prunes"
-    (Sedspec.Es_cfg.reduced_count spec + rep.Sedspec.Minimize.pruned)
-    (Sedspec.Es_cfg.reduced_count mspec)
-
-(* Guard rails: a branch whose condition can be rewritten in between, a
-   two-sided branch, and a node outside the no-command set must all
-   survive. *)
-let test_minimize_guards () =
-  let open Devir.Dsl in
-  let layout = Layout.make [ Layout.reg ~hw:true "st" Width.W8 ] in
-  let program =
-    Program.make ~name:"minguard" ~layout
-      [
-        handler "h" ~params:[]
-          [
-            entry "e" [] (goto "chk1");
-            blk "chk1" [] (br (fld "st" ==% c 1) "mid" "dead1");
-            (* [mid] writes the certified condition's field: chk2 must
-               NOT be treated as dominated. *)
-            blk "mid" [ set "st" (c 1) ] (goto "chk2");
-            blk "chk2" [] (br (fld "st" ==% c 1) "two" "dead2");
-            (* Two-sided in training: never foldable or dominated. *)
-            blk "two" [] (br (fld "st" ==% c 0) "out" "priv");
-            exit_ "out" [];
-            (* Command-gated empty block: without no-command access its
-               access check is load-bearing, so it must not be pruned. *)
-            blk "priv" [] (goto "out2");
-            exit_ "out2" [];
-            exit_ "dead1" [];
-            exit_ "dead2" [];
-          ];
-      ]
-  in
-  let spec = Sedspec.Es_cfg.create ~program ~selection:empty_selection in
-  let b label = { Program.handler = "h"; label } in
-  let node ?(taken = 0) ?(not_taken = 0) ?(no_cmd = true) label succs =
-    Sedspec.Es_cfg.import_node spec (b label) ~visits:(max 1 (taken + not_taken))
-      ~taken ~not_taken ~cases:[] ~itargets:[]
-      ~succs:(List.map b succs);
-    if no_cmd then Sedspec.Es_cfg.import_access spec ~cmd:None (b label)
-  in
-  node "e" [ "chk1" ];
-  node ~taken:5 "chk1" [ "mid" ];
-  node "mid" [ "chk2" ];
-  node ~taken:5 "chk2" [ "two" ];
-  node ~taken:3 ~not_taken:2 "two" [ "out"; "priv" ];
-  node "out" [];
-  node ~no_cmd:false "priv" [ "out2" ];
-  node "out2" [];
-  let mspec, rep = Sedspec.Minimize.run spec in
-  Alcotest.(check int) "no branch folded" 0 rep.Sedspec.Minimize.branches_folded;
-  Alcotest.(check int) "write between checks blocks domination" 0
-    rep.Sedspec.Minimize.branches_dominated;
-  Alcotest.(check bool) "chk2 survives" true
-    (Sedspec.Es_cfg.node mspec (b "chk2") <> None);
-  Alcotest.(check bool) "two-sided branch survives" true
-    (Sedspec.Es_cfg.node mspec (b "two") <> None);
-  Alcotest.(check bool) "command-gated block survives" true
-    (Sedspec.Es_cfg.node mspec (b "priv") <> None);
-  Alcotest.(check bool) "minimized graph validates" true
-    (Sedspec.Es_cfg.validate mspec = [])
-
-(* Minimizing every trained device spec must shrink (or at worst keep)
-   the node count, preserve the command access table verbatim, and yield
-   a graph that validates. *)
-let test_minimize_all_devices () =
-  List.iter
-    (fun w ->
-      let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-      let m = W.make_machine W.paper_version in
-      let built =
-        Sedspec.Pipeline.build m ~device:W.device_name
-          (W.trainer ~cases:training_cases)
-      in
-      let mspec, rep = Sedspec.Minimize.run built.spec in
-      Alcotest.(check bool) (W.device_name ^ ": never larger") true
-        (rep.Sedspec.Minimize.nodes_after <= rep.Sedspec.Minimize.nodes_before);
-      Alcotest.(check bool) (W.device_name ^ ": shrank") true
-        (rep.Sedspec.Minimize.nodes_after < rep.Sedspec.Minimize.nodes_before);
-      Alcotest.(check bool) (W.device_name ^ ": validates") true
-        (Sedspec.Es_cfg.validate mspec = []);
-      Alcotest.(check bool) (W.device_name ^ ": commands preserved") true
-        (Sedspec.Es_cfg.commands mspec = Sedspec.Es_cfg.commands built.spec))
-    Workload.Samples.all
-
-(* Pin exactly which minimization passes fire on each real device spec
-   (trained at the paper version with the suite's fixed case count).
-   Today only the pruning pass finds work on real devices — the trained
-   specs carry two empty pass-through nodes each, while constant
-   folding, dominated-check pruning and chain merging fire exclusively
-   on synthetic handlers ([test_minimize_all_passes]).  If a device
-   model or the trainer changes shape, these counts move and the pin
-   makes that visible; it also documents that pcnet is the only device
-   whose spec contains a host-dependent decision site (link status),
-   and that the flow-sensitive DDG classifier keeps it. *)
-let test_minimize_pass_counts_per_device () =
-  let expect =
-    [
-      (* device,  before, after, pruned, folded, dominated, merged,
-         sync_fi, sync_ddg *)
-      ("fdc", 44, 42, 2, 0, 0, 0, 0, 0);
-      ("ehci", 31, 29, 2, 0, 0, 0, 0, 0);
-      ("pcnet", 43, 41, 2, 0, 0, 0, 1, 1);
-      ("sdhci", 38, 36, 2, 0, 0, 0, 0, 0);
-      ("scsi", 59, 57, 2, 0, 0, 0, 0, 0);
-      ("virtio", 25, 23, 2, 0, 0, 0, 0, 0);
-    ]
-  in
-  List.iter
-    (fun w ->
-      let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-      let m = W.make_machine W.paper_version in
-      let built =
-        Sedspec.Pipeline.build m ~device:W.device_name
-          (W.trainer ~cases:training_cases)
-      in
-      let _, rep = Sedspec.Minimize.run built.spec in
-      let before, after, pruned, folded, dominated, merged, fi, ddg =
-        match
-          List.find_opt (fun (d, _, _, _, _, _, _, _, _) -> d = W.device_name)
-            expect
-        with
-        | Some (_, a, b, c, d, e, f, g, h) -> (a, b, c, d, e, f, g, h)
-        | None -> Alcotest.failf "no expectation for %s" W.device_name
-      in
-      let check what = Alcotest.(check int) (W.device_name ^ ": " ^ what) in
-      check "nodes before" before rep.Sedspec.Minimize.nodes_before;
-      check "nodes after" after rep.Sedspec.Minimize.nodes_after;
-      check "pruned" pruned rep.Sedspec.Minimize.pruned;
-      check "branches folded" folded rep.Sedspec.Minimize.branches_folded;
-      check "branches dominated" dominated
-        rep.Sedspec.Minimize.branches_dominated;
-      check "chains merged" merged rep.Sedspec.Minimize.chains_merged;
-      check "sync sites (flow-insensitive)" fi
-        rep.Sedspec.Minimize.sync_sites_flow_insensitive;
-      check "sync sites (DDG)" ddg rep.Sedspec.Minimize.sync_sites_ddg)
-    Workload.Samples.all
 
 (* --- Deterministic spec surface ----------------------------------------- *)
 
@@ -1166,11 +963,10 @@ let self_diff_empty_prop =
       let d = Sedspec.Evolve.diff ~base:spec ~cand:spec in
       Sedspec.Evolve.is_empty d && Sedspec.Evolve.change_count d = 0)
 
-let test_evolve_diff_trained_vs_minimized () =
-  (* The diff is keyed by bref, so it works across the base program and
-     its "+min" derivation; minimization only ever narrows, so the
-     candidate must not add nodes, commands, access rows or sync
-     points. *)
+let test_evolve_diff_trained_vs_retrained () =
+  (* The diff is keyed by bref, so it compares any two trainings of one
+     program.  Retraining on the same corpus reproduces the spec exactly:
+     only the revision and provenance move. *)
   Metrics.Spec_cache.training_cases := training_cases;
   List.iter
     (fun name ->
@@ -1180,20 +976,18 @@ let test_evolve_diff_trained_vs_minimized () =
         (Metrics.Spec_cache.built (module W) W.paper_version).spec
       in
       let cand =
-        (Metrics.Spec_cache.built_minimized (module W) W.paper_version).spec
+        (Metrics.Spec_cache.built_retrained (module W) W.paper_version
+           ~cases:training_cases)
+          .spec
       in
       let d = Sedspec.Evolve.diff ~base ~cand in
       Alcotest.(check int) (name ^ ": base is revision 0") 0 d.base_revision;
       Alcotest.(check bool) (name ^ ": candidate revision advanced") true
         (d.cand_revision > d.base_revision);
-      Alcotest.(check (list string)) (name ^ ": no added nodes") []
-        (List.map Program.bref_to_string d.added_nodes);
-      Alcotest.(check int) (name ^ ": no added commands") 0
-        (List.length d.added_cmds);
-      Alcotest.(check int) (name ^ ": no added access rows") 0
-        (List.length d.added_access);
-      Alcotest.(check int) (name ^ ": no added sync points") 0
-        (List.length d.added_syncs);
+      Alcotest.(check bool) (name ^ ": retrained provenance") true
+        (d.cand_provenance = Sedspec.Es_cfg.Retrained training_cases);
+      Alcotest.(check bool) (name ^ ": same corpus, same spec") true
+        (Sedspec.Evolve.is_empty d);
       (* Deterministic rendering: two renders of two computations agree. *)
       Alcotest.(check string) (name ^ ": diff JSON is deterministic")
         (Sedspec_util.Json.to_string (Sedspec.Evolve.diff_to_json d))
@@ -1725,16 +1519,6 @@ let () =
           Alcotest.test_case "flow-sensitive reaching defs" `Quick
             test_datadep_flow_sensitive;
         ] );
-      ( "minimize",
-        [
-          Alcotest.test_case "all four passes on a synthetic handler" `Quick
-            test_minimize_all_passes;
-          Alcotest.test_case "soundness guards hold" `Quick test_minimize_guards;
-          Alcotest.test_case "shrinks every device spec" `Slow
-            test_minimize_all_devices;
-          Alcotest.test_case "pass counts pinned per device" `Slow
-            test_minimize_pass_counts_per_device;
-        ] );
       ( "checker-benign",
         [
           Alcotest.test_case "zero FP on training replay (all devices)" `Slow
@@ -1773,8 +1557,8 @@ let () =
       ( "evolve",
         [
           QCheck_alcotest.to_alcotest self_diff_empty_prop;
-          Alcotest.test_case "diff trained vs minimized, all devices" `Slow
-            test_evolve_diff_trained_vs_minimized;
+          Alcotest.test_case "diff trained vs retrained, all devices" `Slow
+            test_evolve_diff_trained_vs_retrained;
           Alcotest.test_case "diff vulnerable vs patched" `Quick
             test_evolve_diff_vulnerable_vs_patched;
           Alcotest.test_case "merge widens, never narrows" `Quick
