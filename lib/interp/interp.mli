@@ -4,7 +4,14 @@
     chaining through function-pointer callbacks) against a live control
     structure and guest memory.  Execution streams {!Event.trace_event}s to
     the PT simulator, fires observation points for SEDSpec's data
-    collection, and reports memory-corruption ground truth. *)
+    collection, and reports memory-corruption ground truth.
+
+    {!create} lowers the program once: blocks become an array with
+    successor indices and precomputed trace packets, fields become
+    width-specialised loads and stores at fixed arena offsets, buffers
+    become [(offset, size)] pairs, and locals and parameters become
+    program-wide slots ({!Lower}).  A run does no name lookup except for
+    the request's handler and its parameters. *)
 
 type guest = {
   read_byte : int64 -> int;
@@ -69,6 +76,10 @@ val create :
   guest:guest ->
   unit ->
   t
+(** Lower [program] against [arena]'s layout.  Raises [Invalid_argument]
+    naming the block when a field, buffer or block label the program uses
+    does not resolve, or naming the callback when it runs an unknown
+    handler ({!Devir.Validate} rejects such programs). *)
 
 val set_hooks : t -> hooks -> unit
 val hooks : t -> hooks
@@ -80,7 +91,9 @@ val set_observation :
 (** Install observation points: on leaving any block in [points], emit an
     {!Event.observe_entry} carrying the current values of [state_params]
     (scalar fields only — buffers are tracked through their index/length
-    parameters, per the paper's data-volume rule). *)
+    parameters, per the paper's data-volume rule).  Replaces any earlier
+    points; a bref that names no block is ignored.  Raises
+    [Invalid_argument] if a state parameter is not a scalar field. *)
 
 val clear_observation : t -> unit
 
@@ -107,14 +120,19 @@ val set_sync_points :
   on_sync:(Devir.Program.bref -> (string * int64) list -> unit) ->
   unit
 (** Install sync points: after the statements of a listed block run, the
-    current values of the listed handler locals are reported to [on_sync].
-    This is the paper's data-dependency fallback — when a branch variable
-    cannot be recomputed from device state, the ES-Checker synchronises it
-    from the real device execution. *)
+    current values of the listed handler locals are reported to [on_sync]
+    (locals not set in this run are left out).  Replaces any earlier sync
+    points; a bref that names no block is ignored.  This is the paper's
+    data-dependency fallback — when a branch variable cannot be recomputed
+    from device state, the ES-Checker synchronises it from the real device
+    execution. *)
 
 val run :
   t -> handler:string -> params:(string * int64) list -> Event.outcome
-(** Execute one I/O interaction. *)
+(** Execute one I/O interaction.  Raises [Invalid_argument] if [handler]
+    is unknown or has no blocks.  Hooks, the icall guard, host values and
+    response faults are read when they are used.  A hook must not call
+    [run] on the same interpreter: runs share its local slots. *)
 
 val null_guest : guest
 (** Guest memory that reads zero and ignores writes (for unit tests). *)
@@ -127,3 +145,5 @@ val bytes_guest : bytes -> guest
 
 module Event : module type of Event
 module Eval : module type of Eval
+module Lower : module type of Lower
+(** The expression lowering shared with the ES-Checker's compiled walk. *)

@@ -1,0 +1,102 @@
+(** One-time lowering of device-IR expressions into closures over
+    resolved arena offsets and dense local/parameter slots.
+
+    Both executors of the IR lower through this module: the device
+    interpreter ({!Interp.create}) and the ES-Checker's compiled walk
+    ([Sedspec.Compile.lower]).  A {!ctx} resolves names once — fields to
+    width-specialised loads at fixed offsets, buffers to
+    [(offset, size)] pairs, locals and parameters to program-wide slots —
+    and the resulting closures read and write an {!env} that the caller
+    owns.  Evaluation order, wrap detection and exceptions are exactly
+    those of {!Eval.eval}, which stays as the reference evaluator.
+
+    The one behavioural difference between the two callers is carried in
+    the env: the device fires its [on_oob] hook when a [Buf_byte] read
+    leaves its buffer; the checker passes a no-op. *)
+
+open Devir
+
+type env = {
+  work : Arena.t;  (** The control structure expressions read. *)
+  locals : int64 array;
+  ldef : bool array;  (** Local slot is defined in this run. *)
+  params : int64 array;
+  pdef : bool array;  (** Parameter slot is bound in this run. *)
+  mutable record_overflow : Eval.overflow -> unit;
+      (** Called on every arithmetic wrap. *)
+  mutable oob_read : Program.bref -> string -> int -> unit;
+      (** [oob_read at buf index]: a [Buf_byte] read at block [at] left
+          [buf]'s declared extent (it may still land inside the arena). *)
+  mutable pnames : string array;
+  mutable pslots : int array;
+      (** {!bind_params}' memo: the parameter name last seen at each
+          position of a request and its slot. *)
+}
+
+type ctx
+(** Name resolution shared by every expression of one program (or spec):
+    the layout plus the local and parameter slot allocators.  Locals are
+    keyed purely by name across all handlers, so chained handlers share
+    them, exactly like the reference interpreter's single table. *)
+
+val create : Layout.t -> ctx
+(** A fresh context over a control-structure layout, with no slots. *)
+
+val arena_size : ctx -> int
+(** Byte size of the layout's control structure. *)
+
+val local_slot : ctx -> string -> int
+(** Slot of a local, allocated on first mention. *)
+
+val find_local : ctx -> string -> int option
+(** Slot of a local some lowered code mentions, without allocating. *)
+
+val n_locals : ctx -> int
+(** Local slots allocated so far. *)
+
+val unresolved : at:Program.bref -> ('a, unit, string, 'b) format4 -> 'a
+(** Fail closed: raise [Invalid_argument] naming the block [at]. *)
+
+val scalar : ctx -> at:Program.bref -> string -> int * Width.t
+(** Offset and width of a scalar field ([Fn_ptr] is [W64]).  Raises
+    [Invalid_argument] naming [at] for unknown fields and buffers. *)
+
+val reader : Width.t -> Arena.t -> int -> int64
+(** Width-specialised load at an absolute offset, as {!Devir.Arena.get}. *)
+
+val writer : Width.t -> Arena.t -> int -> int64 -> unit
+(** Width-specialised store at an absolute offset; truncates like
+    {!Devir.Arena.set}. *)
+
+type buf = { name : string; base : int; size : int }
+(** A buffer resolved to its arena offset and declared size. *)
+
+val buffer : ctx -> at:Program.bref -> string -> buf
+(** Raises [Invalid_argument] naming [at] for unknown fields and
+    non-buffers. *)
+
+val expr : ctx -> at:Program.bref -> Expr.t -> env -> int64
+(** Lower one expression of block [at].  The closure may raise
+    {!Eval.Div_by_zero}, {!Eval.Undefined_param}, {!Eval.Undefined_local}
+    or {!Devir.Arena.Out_of_arena}, exactly where {!Eval.eval} would. *)
+
+val make_env : ctx -> work:Arena.t -> env
+(** Storage for every slot [ctx] has allocated so far (lower all code
+    first); hooks start as no-ops. *)
+
+val reset : env -> unit
+(** Forget all locals and parameters (no allocation). *)
+
+val bind_params : ctx -> env -> (string * int64) list -> unit
+(** Bind request parameters; the first binding of a name wins and names
+    no lowered code reads are ignored. *)
+
+(** {1 Switch tables} *)
+
+val sorted_cases : (int64 * 'a) list -> int64 array * 'a array
+(** A switch's cases with duplicate values dropped (the first binding
+    wins, as in [List.assoc]) and sorted by value for {!case_index}. *)
+
+val case_index : int64 array -> int64 -> int
+(** Binary search over sorted case values; [-1] means "take the default".
+    Allocation-free. *)

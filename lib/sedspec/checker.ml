@@ -803,7 +803,7 @@ and center t (c : Compile.t) (cur : Compile.cursor) (n : Compile.cnode) =
     cpop t c cur
   | Compile.C_branch { cond; taken0; not_taken0; if_taken; if_not } ->
     cur.Compile.overflow <- None;
-    let taken = Interp.Eval.truthy (cond cur) in
+    let taken = Interp.Eval.truthy (cond cur.Compile.env) in
     if t.en_cond then
       if (taken && taken0) || ((not taken) && not_taken0) then
         anomaly Conditional_jump_check (Some n.Compile.bref)
@@ -813,8 +813,8 @@ and center t (c : Compile.t) (cur : Compile.cursor) (n : Compile.cnode) =
     cgoto t c cur (if taken then if_taken else if_not)
   | Compile.C_switch sw ->
     cur.Compile.overflow <- None;
-    let v = sw.Compile.scrutinee cur in
-    let idx = Compile.find_case_idx sw v in
+    let v = sw.Compile.scrutinee cur.Compile.env in
+    let idx = Interp.Lower.case_index sw.Compile.case_vals v in
     (match sw.Compile.cmd_of with
     | Some tbl -> (
       match Hashtbl.find tbl v with
@@ -838,7 +838,7 @@ and center t (c : Compile.t) (cur : Compile.cursor) (n : Compile.cnode) =
       (if idx < 0 then sw.Compile.default else sw.Compile.case_dests.(idx))
   | Compile.C_icall ic -> (
     cur.Compile.overflow <- None;
-    let v = ic.Compile.fnptr cur in
+    let v = ic.Compile.fnptr cur.Compile.env in
     if t.en_indirect && not (ic.Compile.legit v) then
       anomaly Indirect_jump_check (Some n.Compile.bref)
         (Printf.sprintf "indirect call to illegitimate target 0x%Lx" v);

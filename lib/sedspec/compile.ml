@@ -1,4 +1,5 @@
 open Devir
+module L = Interp.Lower
 
 type fault =
   | Overflow of {
@@ -30,14 +31,9 @@ type dest = { chain : Program.bref array; target : target }
    immutable after [lower] and physically shared by every VM protecting
    the same (device, version); each checker owns exactly one cursor. *)
 type cursor = {
-  mutable work : Arena.t;
-  locals : int64 array;
-  ldef : bool array;
+  env : L.env;
   llink : bool array;
-  params : int64 array;
-  pdef : bool array;
   mutable overflow : Interp.Eval.overflow option;
-  mutable record_overflow : Interp.Eval.overflow -> unit;
   mutable guest_read : int64 -> int;
   mutable sync : bool;
   mutable en_param : bool;
@@ -53,7 +49,7 @@ type cursor = {
 }
 
 type switch = {
-  scrutinee : cursor -> int64;
+  scrutinee : L.env -> int64;
   case_vals : int64 array;
   case_dests : dest array;
   case_labels : string array;
@@ -66,7 +62,7 @@ type switch = {
 type icall_action = A_chain of dest | A_plain | A_empty
 
 type icall = {
-  fnptr : cursor -> int64;
+  fnptr : L.env -> int64;
   legit : int64 -> bool;
   actions : (int64, icall_action) Hashtbl.t;
   next : dest;
@@ -76,7 +72,7 @@ type cterm =
   | C_goto of dest
   | C_halt
   | C_branch of {
-      cond : cursor -> int64;
+      cond : L.env -> int64;
       taken0 : bool;
       not_taken0 : bool;
       if_taken : dest;
@@ -98,9 +94,7 @@ type t = {
   layout : Layout.t;
   nodes : cnode array;
   entries : (string, dest) Hashtbl.t;
-  param_slots : (string, int) Hashtbl.t;
-  n_locals : int;
-  n_params : int;
+  slots : L.ctx;
   no_cmd_bits : Bytes.t;
   cmd_bits : Bytes.t array;
   cmd_keys : Es_cfg.cmd_key array;
@@ -114,30 +108,6 @@ let set_bit b i =
   Bytes.set b (i lsr 3)
     (Char.chr (Char.code (Bytes.get b (i lsr 3)) lor (1 lsl (i land 7))))
 
-(* Binary search over the static cases; [-1] means "take the default".
-   Returning an index (not a tuple) keeps the hot switch dispatch
-   allocation-free. *)
-let find_case_idx sw v =
-  let vals = sw.case_vals in
-  let lo = ref 0 and hi = ref (Array.length vals - 1) in
-  let found = ref (-1) in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let c = Int64.compare vals.(mid) v in
-    if c = 0 then begin
-      found := mid;
-      lo := !hi + 1
-    end
-    else if c < 0 then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !found
-
-let find_case sw v =
-  match find_case_idx sw v with
-  | -1 -> (sw.default, sw.default_label)
-  | i -> (sw.case_dests.(i), sw.case_labels.(i))
-
 let case_observed sw v label =
   (* [Hashtbl.find] + [Not_found] instead of [find_opt]: no [Some] box on
      the per-switch hot path. *)
@@ -145,92 +115,18 @@ let case_observed sw v label =
   | labels -> List.mem label labels
   | exception Not_found -> false
 
-(* Name -> dense slot allocation, shared across the whole spec: locals
-   persist across chained handlers within one walk and are keyed purely by
-   name, exactly like the reference's single hashtable. *)
-type slots = { tbl : (string, int) Hashtbl.t; mutable next : int }
-
-let fresh_slots () = { tbl = Hashtbl.create 16; next = 0 }
-
-let slot_of s name =
-  match Hashtbl.find_opt s.tbl name with
-  | Some i -> i
-  | None ->
-    let i = s.next in
-    s.next <- i + 1;
-    Hashtbl.add s.tbl name i;
-    i
-
+(* Expressions lower through {!Interp.Lower}, the device interpreter's
+   own expression lowering, into closures over the cursor's env.  Local
+   and parameter slots are allocated across the whole spec: locals persist
+   across chained handlers within one walk and are keyed purely by name,
+   exactly like the reference's single hashtable. *)
 type cctx = {
   spec : Es_cfg.t;
   program : Program.t;
-  layout : Layout.t;
-  asize : int;
-  locals : slots;
-  cparams : slots;
+  slots : L.ctx;
   tracked : (string, unit) Hashtbl.t;
   ids : (Program.bref, int) Hashtbl.t;
 }
-
-(* --- Expressions ----------------------------------------------------- *)
-
-(* Subexpression evaluation order must match the reference interpreter:
-   OCaml evaluates [binop ~record op w (eval a) (eval b)] right-to-left,
-   so [b] runs first — overflow recording and exception ordering depend
-   on it. *)
-let rec compile_expr c (e : Expr.t) : cursor -> int64 =
-  match e with
-  | Expr.Const (v, w) ->
-    let k = Width.truncate w v in
-    fun _ -> k
-  | Expr.Field n -> (
-    let off = Layout.offset c.layout n in
-    match (Layout.find c.layout n).Layout.kind with
-    | Layout.Reg Width.W8 -> fun env -> Arena.read_u8 env.work off
-    | Layout.Reg Width.W16 -> fun env -> Arena.read_u16 env.work off
-    | Layout.Reg Width.W32 -> fun env -> Arena.read_u32 env.work off
-    | Layout.Reg Width.W64 | Layout.Fn_ptr ->
-      fun env -> Arena.read_u64 env.work off
-    | Layout.Buf _ ->
-      invalid_arg (Printf.sprintf "Arena.get: %s is a buffer" n))
-  | Expr.Buf_byte (b, idx) ->
-    let base = Layout.offset c.layout b in
-    let fidx = compile_expr c idx in
-    let asize = c.asize in
-    fun env ->
-      let i = Int64.to_int (fidx env) in
-      let abs = base + i in
-      if abs < 0 || abs >= asize then
-        raise (Arena.Out_of_arena { field = b; index = i });
-      Int64.of_int (Arena.get_byte_at env.work abs)
-  | Expr.Buf_len b ->
-    let k = Int64.of_int (Layout.buf_size c.layout b) in
-    fun _ -> k
-  | Expr.Param n ->
-    let s = slot_of c.cparams n in
-    fun env ->
-      if env.pdef.(s) then env.params.(s)
-      else raise (Interp.Eval.Undefined_param n)
-  | Expr.Local n ->
-    let s = slot_of c.locals n in
-    fun env ->
-      if env.ldef.(s) then env.locals.(s)
-      else raise (Interp.Eval.Undefined_local n)
-  | Expr.Binop (op, w, a, b) ->
-    let fa = compile_expr c a and fb = compile_expr c b in
-    fun env ->
-      let vb = fb env in
-      let va = fa env in
-      Interp.Eval.binop ~record:env.record_overflow op w va vb
-  | Expr.Cmp (op, a, b) ->
-    let fa = compile_expr c a and fb = compile_expr c b in
-    fun env ->
-      let vb = fb env in
-      let va = fa env in
-      Interp.Eval.cmp op va vb
-  | Expr.Not a ->
-    let fa = compile_expr c a in
-    fun env -> if Interp.Eval.truthy (fa env) then 0L else 1L
 
 (* Linkage (taint toward device/request state), constant-folded: only
    [Local] leaves are dynamic, everything else is statically linked or
@@ -241,7 +137,7 @@ let lnk_or a b =
   match (a, b) with
   | Lconst true, _ | _, Lconst true -> Lconst true
   | Lconst false, x | x, Lconst false -> x
-  | Ldyn fa, Ldyn fb -> Ldyn (fun env -> fa env || fb env)
+  | Ldyn fa, Ldyn fb -> Ldyn (fun cur -> fa cur || fb cur)
 
 let rec compile_linked c (e : Expr.t) : lnk =
   match e with
@@ -249,8 +145,8 @@ let rec compile_linked c (e : Expr.t) : lnk =
   | Expr.Field _ | Expr.Buf_len _ | Expr.Buf_byte _ -> Lconst true
   | Expr.Param _ -> Lconst true
   | Expr.Local n ->
-    let s = slot_of c.locals n in
-    Ldyn (fun env -> env.llink.(s))
+    let s = L.local_slot c.slots n in
+    Ldyn (fun cur -> cur.llink.(s))
   | Expr.Binop (_, _, a, b) | Expr.Cmp (_, a, b) ->
     lnk_or (compile_linked c a) (compile_linked c b)
   | Expr.Not a -> compile_linked c a
@@ -263,200 +159,174 @@ let compile_buf_check ~at ~buf ~bsize l : cursor -> int -> int -> unit =
   match l with
   | Lconst false -> fun _ _ _ -> ()
   | Lconst true ->
-    fun env off len ->
-      if env.en_param && (off < 0 || off + len > bsize) then
+    fun cur off len ->
+      if cur.en_param && (off < 0 || off + len > bsize) then
         raise (Fault (Buf_bounds { at; buf; off; len; size = bsize }))
   | Ldyn fl ->
-    fun env off len ->
-      if env.en_param && fl env && (off < 0 || off + len > bsize) then
+    fun cur off len ->
+      if cur.en_param && fl cur && (off < 0 || off + len > bsize) then
         raise (Fault (Buf_bounds { at; buf; off; len; size = bsize }))
 
 let compile_stmt c ~(at : Program.bref) (stmt : Stmt.t) : cursor -> unit =
-  let asize = c.asize in
+  let expr = L.expr c.slots ~at in
+  let asize = L.arena_size c.slots in
   match stmt with
-  | Stmt.Set_field (f, e) -> (
-    let fe = compile_expr c e in
-    let off = Layout.offset c.layout f in
-    let check_overflow env =
-      match env.overflow with
-      | Some ov when env.en_param -> raise (Fault (Overflow { at; field = f; ov }))
-      | _ -> ()
-    in
-    match (Layout.find c.layout f).Layout.kind with
-    | Layout.Reg Width.W8 ->
-      fun env ->
-        env.overflow <- None;
-        let v = fe env in
-        check_overflow env;
-        Arena.write_u8 env.work off v
-    | Layout.Reg Width.W16 ->
-      fun env ->
-        env.overflow <- None;
-        let v = fe env in
-        check_overflow env;
-        Arena.write_u16 env.work off v
-    | Layout.Reg Width.W32 ->
-      fun env ->
-        env.overflow <- None;
-        let v = fe env in
-        check_overflow env;
-        Arena.write_u32 env.work off v
-    | Layout.Reg Width.W64 | Layout.Fn_ptr ->
-      fun env ->
-        env.overflow <- None;
-        let v = fe env in
-        check_overflow env;
-        Arena.write_u64 env.work off v
-    | Layout.Buf _ ->
-      invalid_arg (Printf.sprintf "Arena.set: %s is a buffer" f))
+  | Stmt.Set_field (f, e) ->
+    let fe = expr e in
+    let off, w = L.scalar c.slots ~at f in
+    let write = L.writer w in
+    fun cur ->
+      cur.overflow <- None;
+      let v = fe cur.env in
+      (match cur.overflow with
+      | Some ov when cur.en_param -> raise (Fault (Overflow { at; field = f; ov }))
+      | _ -> ());
+      write cur.env.work off v
   | Stmt.Set_local (n, e) -> (
-    let fe = compile_expr c e in
-    let s = slot_of c.locals n in
+    let fe = expr e in
+    let s = L.local_slot c.slots n in
     match compile_linked c e with
     | Lconst l ->
-      fun env ->
-        env.overflow <- None;
-        let v = fe env in
-        env.locals.(s) <- v;
-        env.ldef.(s) <- true;
-        env.llink.(s) <- l
+      fun cur ->
+        cur.overflow <- None;
+        let v = fe cur.env in
+        cur.env.locals.(s) <- v;
+        cur.env.ldef.(s) <- true;
+        cur.llink.(s) <- l
     | Ldyn fl ->
-      fun env ->
-        env.overflow <- None;
-        let v = fe env in
-        let l = fl env in
-        env.locals.(s) <- v;
-        env.ldef.(s) <- true;
-        env.llink.(s) <- l)
+      fun cur ->
+        cur.overflow <- None;
+        let v = fe cur.env in
+        let l = fl cur in
+        cur.env.locals.(s) <- v;
+        cur.env.ldef.(s) <- true;
+        cur.llink.(s) <- l)
   | Stmt.Set_buf (b, idx, v) ->
-    let base = Layout.offset c.layout b in
-    let bsize = Layout.buf_size c.layout b in
-    let fidx = compile_expr c idx in
+    let { L.base; size = bsize; _ } = L.buffer c.slots ~at b in
+    let fidx = expr idx in
     let check = compile_buf_check ~at ~buf:b ~bsize (compile_linked c idx) in
-    let fv = compile_expr c v in
+    let fv = expr v in
     if Hashtbl.mem c.tracked b then
-      fun env ->
-        env.overflow <- None;
-        let iv = Int64.to_int (fidx env) in
-        check env iv 1;
-        env.overflow <- None;
-        let vv = Int64.to_int (fv env) land 0xFF in
+      fun cur ->
+        cur.overflow <- None;
+        let iv = Int64.to_int (fidx cur.env) in
+        check cur iv 1;
+        cur.overflow <- None;
+        let vv = Int64.to_int (fv cur.env) land 0xFF in
         let abs = base + iv in
         if abs < 0 || abs >= asize then
           raise (Arena.Out_of_arena { field = b; index = iv });
-        Arena.set_byte_at env.work abs vv
+        Arena.set_byte_at cur.env.work abs vv
     else
-      fun env ->
-        env.overflow <- None;
-        let iv = Int64.to_int (fidx env) in
-        check env iv 1
+      fun cur ->
+        cur.overflow <- None;
+        let iv = Int64.to_int (fidx cur.env) in
+        check cur iv 1
   | Stmt.Buf_fill (b, off, len, v) ->
-    let base = Layout.offset c.layout b in
-    let bsize = Layout.buf_size c.layout b in
-    let foff = compile_expr c off and flen = compile_expr c len in
+    let { L.base; size = bsize; _ } = L.buffer c.slots ~at b in
+    let foff = expr off and flen = expr len in
     let check =
       compile_buf_check ~at ~buf:b ~bsize
         (lnk_or (compile_linked c off) (compile_linked c len))
     in
-    let fv = compile_expr c v in
+    let fv = expr v in
     if Hashtbl.mem c.tracked b then
-      fun env ->
-        env.overflow <- None;
-        let offv = Int64.to_int (foff env) in
-        env.overflow <- None;
-        let lenv = Int64.to_int (flen env) in
-        check env offv lenv;
-        env.overflow <- None;
-        let vv = Int64.to_int (fv env) land 0xFF in
+      fun cur ->
+        cur.overflow <- None;
+        let offv = Int64.to_int (foff cur.env) in
+        cur.overflow <- None;
+        let lenv = Int64.to_int (flen cur.env) in
+        check cur offv lenv;
+        cur.overflow <- None;
+        let vv = Int64.to_int (fv cur.env) land 0xFF in
         for i = offv to offv + lenv - 1 do
           let abs = base + i in
           if abs < 0 || abs >= asize then
             raise (Arena.Out_of_arena { field = b; index = i });
-          Arena.set_byte_at env.work abs vv
+          Arena.set_byte_at cur.env.work abs vv
         done
     else
-      fun env ->
-        env.overflow <- None;
-        let offv = Int64.to_int (foff env) in
-        env.overflow <- None;
-        let lenv = Int64.to_int (flen env) in
-        check env offv lenv
+      fun cur ->
+        cur.overflow <- None;
+        let offv = Int64.to_int (foff cur.env) in
+        cur.overflow <- None;
+        let lenv = Int64.to_int (flen cur.env) in
+        check cur offv lenv
   | Stmt.Copy_from_guest { buf; buf_off; addr; len } ->
-    let base = Layout.offset c.layout buf in
-    let bsize = Layout.buf_size c.layout buf in
-    let foff = compile_expr c buf_off and flen = compile_expr c len in
+    let { L.base; size = bsize; _ } = L.buffer c.slots ~at buf in
+    let foff = expr buf_off and flen = expr len in
     let check =
       compile_buf_check ~at ~buf ~bsize
         (lnk_or (compile_linked c buf_off) (compile_linked c len))
     in
-    let faddr = compile_expr c addr in
+    let faddr = expr addr in
     if Hashtbl.mem c.tracked buf then
-      fun env ->
-        env.overflow <- None;
-        let offv = Int64.to_int (foff env) in
-        env.overflow <- None;
-        let lenv = Int64.to_int (flen env) in
-        check env offv lenv;
-        env.overflow <- None;
-        let addrv = faddr env in
+      fun cur ->
+        cur.overflow <- None;
+        let offv = Int64.to_int (foff cur.env) in
+        cur.overflow <- None;
+        let lenv = Int64.to_int (flen cur.env) in
+        check cur offv lenv;
+        cur.overflow <- None;
+        let addrv = faddr cur.env in
         for i = 0 to lenv - 1 do
-          let byte = env.guest_read (Int64.add addrv (Int64.of_int i)) in
+          let byte = cur.guest_read (Int64.add addrv (Int64.of_int i)) in
           let idx = offv + i in
           let abs = base + idx in
           if abs < 0 || abs >= asize then
             raise (Arena.Out_of_arena { field = buf; index = idx });
-          Arena.set_byte_at env.work abs byte
+          Arena.set_byte_at cur.env.work abs byte
         done
     else
-      fun env ->
-        env.overflow <- None;
-        let offv = Int64.to_int (foff env) in
-        env.overflow <- None;
-        let lenv = Int64.to_int (flen env) in
-        check env offv lenv
+      fun cur ->
+        cur.overflow <- None;
+        let offv = Int64.to_int (foff cur.env) in
+        cur.overflow <- None;
+        let lenv = Int64.to_int (flen cur.env) in
+        check cur offv lenv
   | Stmt.Copy_to_guest { buf; buf_off; len; _ } ->
     (* Guest memory is never written during simulation; only the device
        buffer bounds are validated. *)
-    let bsize = Layout.buf_size c.layout buf in
-    let foff = compile_expr c buf_off and flen = compile_expr c len in
+    let bsize = (L.buffer c.slots ~at buf).size in
+    let foff = expr buf_off and flen = expr len in
     let check =
       compile_buf_check ~at ~buf ~bsize
         (lnk_or (compile_linked c buf_off) (compile_linked c len))
     in
-    fun env ->
-      env.overflow <- None;
-      let offv = Int64.to_int (foff env) in
-      env.overflow <- None;
-      let lenv = Int64.to_int (flen env) in
-      check env offv lenv
+    fun cur ->
+      cur.overflow <- None;
+      let offv = Int64.to_int (foff cur.env) in
+      cur.overflow <- None;
+      let lenv = Int64.to_int (flen cur.env) in
+      check cur offv lenv
   | Stmt.Read_guest { local; addr; width } ->
-    let faddr = compile_expr c addr in
-    let s = slot_of c.locals local in
+    let faddr = expr addr in
+    let s = L.local_slot c.slots local in
     let n = Width.bytes width in
-    fun env ->
-      env.overflow <- None;
-      let addrv = faddr env in
+    fun cur ->
+      cur.overflow <- None;
+      let addrv = faddr cur.env in
       let rec go i acc =
         if i < 0 then acc
         else
           go (i - 1)
             (Int64.logor (Int64.shift_left acc 8)
-               (Int64.of_int (env.guest_read (Int64.add addrv (Int64.of_int i)))))
+               (Int64.of_int (cur.guest_read (Int64.add addrv (Int64.of_int i)))))
       in
       let v = go (n - 1) 0L in
-      env.locals.(s) <- v;
-      env.ldef.(s) <- true;
-      env.llink.(s) <- false
+      cur.env.locals.(s) <- v;
+      cur.env.ldef.(s) <- true;
+      cur.llink.(s) <- false
   | Stmt.Host_value { local; key = _ } ->
-    let s = slot_of c.locals local in
-    fun env ->
-      if not env.sync then raise Defer
+    let s = L.local_slot c.slots local in
+    fun cur ->
+      if not cur.sync then raise Defer
       else begin
-        match env.sync_pop at local with
+        match cur.sync_pop at local with
         | Some v ->
-          env.locals.(s) <- v;
-          env.ldef.(s) <- true;
-          env.llink.(s) <- false
+          cur.env.locals.(s) <- v;
+          cur.env.ldef.(s) <- true;
+          cur.llink.(s) <- false
         | None -> raise (Bail "missing sync value")
       end
   | Stmt.Respond _ | Stmt.Write_guest _ | Stmt.Note _ -> fun _ -> ()
@@ -501,38 +371,22 @@ let resolve_label c (bref : Program.bref) label =
 (* --- Terminators ----------------------------------------------------- *)
 
 let compile_term c (n : Es_cfg.node) cmd_keys : cterm =
+  let expr = L.expr c.slots ~at:n.bref in
   match n.Es_cfg.term with
   | Term.Goto l -> C_goto (resolve_label c n.bref l)
   | Term.Halt -> C_halt
   | Term.Branch (cond, if_taken, if_not) ->
     C_branch
       {
-        cond = compile_expr c cond;
+        cond = expr cond;
         taken0 = n.taken = 0;
         not_taken0 = n.not_taken = 0;
         if_taken = resolve_label c n.bref if_taken;
         if_not = resolve_label c n.bref if_not;
       }
   | Term.Switch (scrutinee, cases, default) ->
-    let fscrut = compile_expr c scrutinee in
-    (* Dedup keeping the first binding ([List.assoc] semantics), then
-       sort for binary search. *)
-    let seen = Hashtbl.create 16 in
-    let uniq =
-      List.filter
-        (fun (v, _) ->
-          if Hashtbl.mem seen v then false
-          else begin
-            Hashtbl.add seen v ();
-            true
-          end)
-        cases
-    in
-    let sorted =
-      List.sort (fun (a, _) (b, _) -> Int64.compare a b) uniq
-    in
-    let case_vals = Array.of_list (List.map fst sorted) in
-    let case_labels = Array.of_list (List.map snd sorted) in
+    let fscrut = expr scrutinee in
+    let case_vals, case_labels = L.sorted_cases cases in
     let case_dests =
       Array.map (fun l -> resolve_label c n.bref l) case_labels
     in
@@ -567,7 +421,7 @@ let compile_term c (n : Es_cfg.node) cmd_keys : cterm =
         cmd_of;
       }
   | Term.Icall (fnptr, next) ->
-    let f = compile_expr c fnptr in
+    let f = expr fnptr in
     let targets = Array.of_list n.itargets in
     let legit =
       match Array.length targets with
@@ -616,18 +470,7 @@ let lower spec : t =
   let node_list = Es_cfg.nodes spec in
   let ids = Hashtbl.create (List.length node_list * 2) in
   List.iteri (fun i (n : Es_cfg.node) -> Hashtbl.add ids n.bref i) node_list;
-  let c =
-    {
-      spec;
-      program;
-      layout;
-      asize = Layout.size layout;
-      locals = fresh_slots ();
-      cparams = fresh_slots ();
-      tracked;
-      ids;
-    }
-  in
+  let c = { spec; program; slots = L.create layout; tracked; ids } in
   let cmd_keys = Array.of_list (Es_cfg.commands spec) in
   let cmd_ids = Hashtbl.create (Array.length cmd_keys * 2) in
   Array.iteri (fun i key -> Hashtbl.replace cmd_ids key i) cmd_keys;
@@ -684,9 +527,7 @@ let lower spec : t =
     layout;
     nodes;
     entries;
-    param_slots = c.cparams.tbl;
-    n_locals = c.locals.next;
-    n_params = c.cparams.next;
+    slots = c.slots;
     no_cmd_bits;
     cmd_bits;
     cmd_keys;
@@ -699,16 +540,12 @@ let lower spec : t =
 let dummy_dest = { chain = [||]; target = T_pop }
 
 let make_cursor ?work (t : t) =
+  let work = match work with Some w -> w | None -> Arena.create t.layout in
   let cur =
     {
-      work = (match work with Some w -> w | None -> Arena.create t.layout);
-      locals = Array.make (max t.n_locals 1) 0L;
-      ldef = Array.make (max t.n_locals 1) false;
-      llink = Array.make (max t.n_locals 1) false;
-      params = Array.make (max t.n_params 1) 0L;
-      pdef = Array.make (max t.n_params 1) false;
+      env = L.make_env t.slots ~work;
+      llink = Array.make (max (L.n_locals t.slots) 1) false;
       overflow = None;
-      record_overflow = ignore;
       guest_read = (fun _ -> 0);
       sync = false;
       en_param = true;
@@ -722,16 +559,15 @@ let make_cursor ?work (t : t) =
       deadline = max_int;
     }
   in
-  cur.record_overflow <-
+  cur.env.record_overflow <-
     (fun o -> if cur.overflow = None then cur.overflow <- Some o);
   cur
 
 (* Reset the per-walk portions of a cursor.  Everything here is a field
    write or an [Array.fill] over preallocated storage: no allocation. *)
 let cursor_start cur ~sync ~en_param ~limit ~deadline =
-  Array.fill cur.ldef 0 (Array.length cur.ldef) false;
+  L.reset cur.env;
   Array.fill cur.llink 0 (Array.length cur.llink) false;
-  Array.fill cur.pdef 0 (Array.length cur.pdef) false;
   cur.overflow <- None;
   cur.sync <- sync;
   cur.en_param <- en_param;
@@ -751,14 +587,4 @@ let push_dest cur d =
   cur.stack.(cur.depth) <- d;
   cur.depth <- cur.depth + 1
 
-let rec bind_params (t : t) cur = function
-  | [] -> ()
-  | (name, v) :: rest ->
-    (match Hashtbl.find t.param_slots name with
-    | s ->
-      if not cur.pdef.(s) then begin
-        cur.params.(s) <- v;
-        cur.pdef.(s) <- true
-      end
-    | exception Not_found -> ());
-    bind_params t cur rest
+let bind_params (t : t) cur params = L.bind_params t.slots cur.env params

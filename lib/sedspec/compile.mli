@@ -16,7 +16,9 @@
       non-node blocks ({!T_spin}) so walk-limit accounting stays exact.
     - DSOD statements and terminator expressions become OCaml closures
       over a {!cursor} of pre-resolved arena byte offsets, widths and
-      local/parameter array slots.
+      local/parameter array slots.  Expressions lower through
+      {!Interp.Lower}, the same lowering the device interpreter runs on,
+      into closures over the cursor's {!Interp.Lower.env}.
     - Switch cases become sorted arrays (binary search replaces
       [List.assoc]), observed-transition sets and indirect-call target
       sets become int64 hashtables, and per-command access sets become
@@ -26,8 +28,8 @@
     walk state whatsoever, so one value can be physically shared by every
     VM protecting the same (device, version) — across Runner domains
     too, since the OCaml 5 major heap is shared.  All mutable walk state
-    lives in a per-VM {!cursor} ({!make_cursor}); compiled closures
-    receive the cursor as an argument.
+    lives in a per-VM {!cursor} ({!make_cursor}); compiled statements
+    receive the cursor as an argument, compiled expressions its env.
 
     Lowering never changes verdicts: the compiled walk must be
     bit-for-bit equivalent to the reference walk — same anomalies at the
@@ -82,21 +84,19 @@ type dest = {
 
 (** All mutable walk state: per-VM, single-owner, allocated once by
     {!make_cursor}.  The compiled spec {!t} never refers to a cursor;
-    closures receive it as an argument, so any number of cursors can
+    closures receive it (or its env) as an argument, so any number of cursors can
     walk one shared spec concurrently (from different domains) without
     interference. *)
 type cursor = {
-  mutable work : Arena.t;  (** Scratch shadow the walk mutates. *)
-  locals : int64 array;
-  ldef : bool array;  (** Local slot is defined this walk. *)
+  env : Interp.Lower.env;
+      (** What expressions read: the scratch shadow the walk mutates
+          ([env.work]) and the local and parameter slots.  Its [oob_read]
+          stays a no-op: the checker has no out-of-buffer hook. *)
   llink : bool array;
       (** Local slot is linked to device/request state (the parameter
           check's taint bit). *)
-  params : int64 array;
-  pdef : bool array;
   mutable overflow : Interp.Eval.overflow option;
       (** First overflow recorded since the last top-level reset. *)
-  mutable record_overflow : Interp.Eval.overflow -> unit;
   mutable guest_read : int64 -> int;
   mutable sync : bool;  (** Sync values available (post-run walk). *)
   mutable en_param : bool;  (** Parameter check enabled. *)
@@ -113,7 +113,7 @@ type cursor = {
 }
 
 type switch = {
-  scrutinee : cursor -> int64;
+  scrutinee : Interp.Lower.env -> int64;
   case_vals : int64 array;  (** Static case values, sorted, deduped. *)
   case_dests : dest array;  (** Parallel to [case_vals]. *)
   case_labels : string array;  (** Parallel to [case_vals]. *)
@@ -131,7 +131,7 @@ type icall_action =
   | A_empty  (** Chained handler with no blocks (bail). *)
 
 type icall = {
-  fnptr : cursor -> int64;
+  fnptr : Interp.Lower.env -> int64;
   legit : int64 -> bool;  (** Observed-target membership. *)
   actions : (int64, icall_action) Hashtbl.t;
   next : dest;
@@ -141,7 +141,7 @@ type cterm =
   | C_goto of dest
   | C_halt
   | C_branch of {
-      cond : cursor -> int64;
+      cond : Interp.Lower.env -> int64;
       taken0 : bool;  (** Taken direction never observed in training. *)
       not_taken0 : bool;
       if_taken : dest;
@@ -165,12 +165,10 @@ type t = {
   layout : Layout.t;
   nodes : cnode array;  (** Indexed by dense id. *)
   entries : (string, dest) Hashtbl.t;  (** Handler name -> entry edge. *)
-  param_slots : (string, int) Hashtbl.t;
-      (** Request parameter name -> slot in [cursor.params]; global
-          across handlers because chained handlers share the caller's
-          request. *)
-  n_locals : int;  (** Local slots a cursor must provide. *)
-  n_params : int;  (** Parameter slots a cursor must provide. *)
+  slots : Interp.Lower.ctx;
+      (** Local and request-parameter slots of every lowered expression;
+          global across handlers because chained handlers share the
+          caller's request and locals.  Only read after {!lower}. *)
   no_cmd_bits : Bytes.t;  (** Bitset over node ids: no-command access. *)
   cmd_bits : Bytes.t array;  (** Per-command-id bitsets over node ids. *)
   cmd_keys : Es_cfg.cmd_key array;  (** Command id -> key. *)
@@ -182,9 +180,6 @@ type t = {
 
 val lower : Es_cfg.t -> t
 (** Lower a frozen spec into an immutable, shareable compiled form. *)
-
-val dummy_dest : dest
-(** Placeholder dest used to fill cursor stack slots. *)
 
 val make_cursor : ?work:Arena.t -> t -> cursor
 (** Allocate the per-VM mutable walk state for [t].  [work] defaults to
@@ -209,11 +204,6 @@ val bind_params : t -> cursor -> (string * int64) list -> unit
 val bit : Bytes.t -> int -> bool
 (** Bitset probe ([i]th bit, little-endian within bytes). *)
 
-val find_case_idx : switch -> int64 -> int
-(** Binary search over the static cases; [-1] means the default. *)
-
-val find_case : switch -> int64 -> dest * string
-(** Binary search over the static cases; falls back to the default. *)
 
 val case_observed : switch -> int64 -> string -> bool
 (** Was (value -> label) observed in training? *)

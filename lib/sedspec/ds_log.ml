@@ -4,8 +4,6 @@ type interaction = {
   entries : Interp.Event.observe_entry list;
 }
 
-type log = interaction list
-
 let observation_points program =
   let points = ref [] in
   Devir.Program.iter_blocks program (fun bref block ->
@@ -28,23 +26,22 @@ module Collector = struct
     device : string;
     interp : Interp.t;
     saved_hooks : Interp.hooks;
+    on_interaction : interaction -> unit;
     mutable current : (string * (string * int64) list) option;
         (** Handler/params of the in-flight interaction. *)
     mutable current_entries : Interp.Event.observe_entry list;  (* reversed *)
-    mutable current_case : interaction list;  (* reversed *)
   }
 
-  let close_interaction t =
+  let flush t =
     match t.current with
     | None -> ()
     | Some (handler, params) ->
-      t.current_case <-
-        { handler; params; entries = List.rev t.current_entries }
-        :: t.current_case;
+      let entries = List.rev t.current_entries in
       t.current <- None;
-      t.current_entries <- []
+      t.current_entries <- [];
+      t.on_interaction { handler; params; entries }
 
-  let attach machine ~device ~points ~state_params =
+  let attach machine ~device ~points ~state_params ~on_interaction =
     let interp = Vmm.Machine.interp_of machine device in
     let saved_hooks = Interp.hooks interp in
     let t =
@@ -53,9 +50,9 @@ module Collector = struct
         device;
         interp;
         saved_hooks;
+        on_interaction;
         current = None;
         current_entries = [];
-        current_case = [];
       }
     in
     Interp.set_observation interp ~points ~state_params;
@@ -71,21 +68,15 @@ module Collector = struct
       {
         Vmm.Machine.before =
           (fun req ->
-            close_interaction t;
+            flush t;
             t.current <- Some (req.Vmm.Machine.handler, req.Vmm.Machine.params);
             Vmm.Machine.Allow);
         after =
           (fun _ _ ->
-            close_interaction t;
+            flush t;
             Vmm.Machine.Allow);
       };
     t
-
-  let take_case t =
-    close_interaction t;
-    let log = List.rev t.current_case in
-    t.current_case <- [];
-    log
 
   let detach t =
     Interp.clear_observation t.interp;

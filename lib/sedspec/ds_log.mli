@@ -1,11 +1,11 @@
 (** Device state change logs (paper §IV, phase 1 output).
 
-    A log records one benign test case: the sequence of I/O interactions it
-    performed, each carrying the observation-point entries the instrumented
-    device emitted (block identity and kind, the selected state parameters'
-    values after the block, the branch outcome, and — for command decision
-    blocks — the decoded command).  Algorithm 1 consumes the logs one
-    case at a time. *)
+    A benign test case logs a sequence of I/O interactions, each carrying
+    the observation-point entries the instrumented device emitted (block
+    identity and kind, the selected state parameters' values after the
+    block, the branch outcome, and — for command decision blocks — the
+    decoded command).  Algorithm 1 consumes the interactions one at a
+    time, as each one closes, so no log outlives its interaction. *)
 
 type interaction = {
   handler : string;
@@ -13,14 +13,11 @@ type interaction = {
   entries : Interp.Event.observe_entry list;
 }
 
-type log = interaction list
-
 (** Collector: instruments a device with observation points and groups the
-    resulting entries per interaction and per test case.  Interaction
-    boundaries come from the machine's dispatch (the collector occupies the
-    device's interposer slot while attached — training happens before any
-    checker is installed).  It keeps only the case in progress: each
-    {!take_case} hands that case's log over and forgets it. *)
+    resulting entries per interaction.  Interaction boundaries come from
+    the machine's dispatch (the collector occupies the device's interposer
+    slot while attached — training happens before any checker is
+    installed).  It keeps only the interaction in flight. *)
 
 module Collector : sig
   type collector
@@ -30,16 +27,19 @@ module Collector : sig
     device:string ->
     points:Devir.Program.bref list ->
     state_params:string list ->
+    on_interaction:(interaction -> unit) ->
     collector
+  (** [on_interaction] receives each interaction as it closes, in
+      dispatch order. *)
 
-  val take_case : collector -> log
-  (** End the current test case and return its log, oldest interaction
-      first ([[]] when the case performed no interaction).  The next
-      interaction starts a new case. *)
+  val flush : collector -> unit
+  (** Close the interaction in flight, if any (one whose dispatch ended
+      without reaching the interposer's [after]).  Call it at a test-case
+      boundary so no interaction crosses into the next case. *)
 
   val detach : collector -> unit
   (** Remove observation points, the observe hook and the interposer.
-      Entries of an untaken case are dropped. *)
+      An interaction still in flight is dropped. *)
 end
 
 val observation_points : Devir.Program.t -> Devir.Program.bref list

@@ -217,9 +217,7 @@ let add_interaction t ctx (i : Ds_log.interaction) =
   walk entry_bref [] 1_000_000;
   !ctx
 
-let add_log t log =
-  let ctx = List.fold_left (fun ctx i -> add_interaction t ctx i) Ctx_none log in
-  ignore ctx
+let case_start = Ctx_none
 
 let program t = t.program
 let selection t = t.selection
@@ -336,7 +334,7 @@ let reduce t =
       t.nodes []
   in
   List.iter (Hashtbl.remove t.nodes) removable;
-  (* Drop membership entries sourced at removed nodes so a later add_log
+  (* Drop membership entries sourced at removed nodes so a later fold
      that recreates one starts from its (empty) lists consistently. *)
   if removable <> [] then begin
     let gone = Hashtbl.create 16 in

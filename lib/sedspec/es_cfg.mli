@@ -51,9 +51,18 @@ type t
 
 val create : program:Devir.Program.t -> selection:Selection.t -> t
 
-val add_log : t -> Ds_log.log -> unit
-(** Fold one benign test case into the specification.  Cases must be
-    added in training order. *)
+type ctx
+(** The command context of Algorithm 1: which device command, if any, the
+    interactions folded so far left in progress. *)
+
+val case_start : ctx
+(** The context at the start of a test case: no command in progress. *)
+
+val add_interaction : t -> ctx -> Ds_log.interaction -> ctx
+(** Fold one benign interaction into the specification, starting from
+    the context the previous interaction of its test case left (or
+    {!case_start}), and return the context it leaves.  Interactions must
+    be added in training order. *)
 
 val program : t -> Devir.Program.t
 val selection : t -> Selection.t

@@ -55,23 +55,26 @@ let collect machine ~device trainer =
   }
 
 (* The paper's trainer feeds the same samples again with the observation
-   points instrumented.  Each case's log goes into the ES-CFG the moment
-   the case ends and is dropped there: the logs outweigh the spec by four
-   orders of magnitude, and nothing downstream reads them. *)
+   points instrumented.  Each interaction goes into the ES-CFG the moment
+   it closes and is dropped there, so its entries die young: the logs
+   outweigh the spec by four orders of magnitude, and nothing downstream
+   reads them.  The command context carries across the interactions of a
+   case and resets at each case boundary. *)
 let construct ?(reduce = true) machine ~device p1 trainer =
   reset_device machine ~device;
   let program = Interp.program (Vmm.Machine.interp_of machine device) in
   let spec = Es_cfg.create ~program ~selection:p1.selection in
+  let ctx = ref Es_cfg.case_start and interactions = ref 0 in
   let collector =
     Ds_log.Collector.attach machine ~device ~points:p1.observation_points
-      ~state_params:p1.selection.Selection.scalars
+      ~state_params:p1.selection.Selection.scalars ~on_interaction:(fun i ->
+        incr interactions;
+        ctx := Es_cfg.add_interaction spec !ctx i)
   in
-  let interactions = ref 0 in
   for case = 0 to trainer.cases - 1 do
     trainer.run_case machine case;
-    let log = Ds_log.Collector.take_case collector in
-    interactions := !interactions + List.length log;
-    Es_cfg.add_log spec log
+    Ds_log.Collector.flush collector;
+    ctx := Es_cfg.case_start
   done;
   Ds_log.Collector.detach collector;
   let reduced = if reduce then Es_cfg.reduce spec else 0 in

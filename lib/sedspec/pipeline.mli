@@ -6,10 +6,10 @@
     the control-flow joints.
 
     Phase 2 (specification construction): re-run the training cases with
-    observation points active and fold each case's device state change log
-    into the ES-CFG (Algorithm 1) as soon as the case ends, then apply
-    control-flow reduction and analyze data dependencies.  The logs are
-    not kept: a build holds only what enforcement reads.
+    observation points active and fold each interaction of the device
+    state change log into the ES-CFG (Algorithm 1) as soon as it closes,
+    then apply control-flow reduction and analyze data dependencies.  The
+    logs are not kept: a build holds only what enforcement reads.
 
     Phase 3 (runtime protection): attach an ES-Checker built from the
     specification in front of the device. *)
@@ -32,7 +32,7 @@ type phase1 = {
 type built = {
   spec : Es_cfg.t;
   p1 : phase1;
-  interactions : int;  (** I/O interactions in the phase-2 logs. *)
+  interactions : int;  (** I/O interactions folded in phase 2. *)
   datadep : Datadep.report;
   reduced : int;  (** Nodes removed by control-flow reduction. *)
   arena : Compile.t;

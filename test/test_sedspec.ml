@@ -117,9 +117,10 @@ let test_selection_static_covers_all_devices () =
 
 (* --- Logs -------------------------------------------------------------- *)
 
-(* Drive the collector the way phase 2 does: one [take_case] per training
-   case, each handing over that case's log and nothing older.  Only the
-   per-case counts are kept — the fdc logs run to hundreds of MB. *)
+(* Drive the collector the way phase 2 does: each interaction arrives
+   through [on_interaction] as it closes, and a [flush] marks each case
+   boundary.  Only per-case counts are kept — the fdc logs run to hundreds
+   of MB. *)
 let test_log_collection_counts () =
   let w = Workload.Samples.find "fdc" in
   let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
@@ -129,23 +130,35 @@ let test_log_collection_counts () =
       trainer
   in
   let m = W.make_machine W.paper_version in
+  let interactions = ref 0 and entries = ref 0 in
   let collector =
     Sedspec.Ds_log.Collector.attach m ~device:"fdc"
       ~points:p1.observation_points
       ~state_params:p1.selection.Sedspec.Selection.scalars
+      ~on_interaction:(fun (i : Sedspec.Ds_log.interaction) ->
+        incr interactions;
+        entries := !entries + List.length i.entries)
+  in
+  let take () =
+    Sedspec.Ds_log.Collector.flush collector;
+    let counts = (!interactions, !entries) in
+    interactions := 0;
+    entries := 0;
+    counts
   in
   let counts =
     List.init training_cases (fun case ->
         trainer.Sedspec.Pipeline.run_case m case;
-        let log = Sedspec.Ds_log.Collector.take_case collector in
-        ( List.length log,
-          List.fold_left
-            (fun n (i : Sedspec.Ds_log.interaction) -> n + List.length i.entries)
-            0 log ))
+        (* Each interaction closed at its own dispatch: nothing waits for
+           the case boundary. *)
+        let closed = !interactions in
+        let n, e = take () in
+        Alcotest.(check int) (Printf.sprintf "case %d closed as it ran" case) closed n;
+        (n, e))
   in
-  let empty = Sedspec.Ds_log.Collector.take_case collector in
+  let empty = take () in
   Sedspec.Ds_log.Collector.detach collector;
-  Alcotest.(check int) "one log per case" training_cases (List.length counts);
+  Alcotest.(check int) "one count per case" training_cases (List.length counts);
   List.iteri
     (fun i (n, _) ->
       Alcotest.(check bool) (Printf.sprintf "case %d logged" i) true (n > 0))
@@ -153,7 +166,7 @@ let test_log_collection_counts () =
   let sum f = List.fold_left (fun acc c -> acc + f c) 0 counts in
   Alcotest.(check bool) "thousands of interactions" true (sum fst > 1000);
   Alcotest.(check bool) "entries recorded" true (sum snd > 1000);
-  Alcotest.(check bool) "an empty case yields an empty log" true (empty = [])
+  Alcotest.(check (pair int int)) "an empty case delivers nothing" (0, 0) empty
 
 let test_observation_points_are_joints () =
   let p = Devices.Fdc.program ~version:(QV.v 2 3 0) in
