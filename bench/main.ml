@@ -7,12 +7,13 @@
      fig4      Normalized storage latency       (paper Figure 4)
      fig5      PCNet bandwidth and ping latency (paper Figure 5)
      ablation  Design-choice ablations (DESIGN.md §5)
-     micro     Walk-engine throughput + Bechamel micro-benchmarks
+     baseline  Nioh (manual state machines) vs SEDSpec   (paper §VII-B2)
      scale     Fleet scale: shared arenas + per-VM cursors at 10/1k/10k VMs
-     fuzz      Coverage-guided differential fuzz smoke (lib/fuzz)
-     locate    Cross-version deviation locator over the attack catalogue
-     hostile   Adversarial response faults vs the guest-side validator
+     rollout   Shadow-walk overhead budget + one candidate rollout ladder
      all       Everything above (default)
+
+   Per-layer costs are measured by perfbench/; the fuzz, locate, fleet
+   and hostile reports come from the sedspec CLI's --json output.
 
    Flags: --quick (shorter soaks), --seed N, --json FILE (dump every
    reported number as a flat JSON object keyed "section.detail"),
@@ -519,370 +520,6 @@ let baseline () =
     \ at the cost of hand-writing every model, which SEDSpec automates)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Walk-engine throughput: compiled vs interpreted                      *)
-
-(* Record one benign request stream off an unprotected machine; the
-   interposer sees exactly what the checker would. *)
-let capture_stream w ~cases ~ops =
-  let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-  let m = Metrics.Spec_cache.fresh_machine w W.paper_version in
-  let reqs = ref [] in
-  Vmm.Machine.set_interposer m W.device_name
-    {
-      before = (fun r -> reqs := r :: !reqs; Vmm.Machine.Allow);
-      after = (fun _ _ -> Vmm.Machine.Allow);
-    };
-  let rng = Sedspec_util.Prng.create !seed in
-  for _ = 1 to cases do
-    W.soak_case ~mode:Workload.Samples.Sequential ~rng ~rare_prob:0.0 ~ops m
-  done;
-  Array.of_list (List.rev !reqs)
-
-(* Replay the stream through a live checker's interposer (the full
-   protection path: pre-execution walk, verdict, shadow commit) and
-   measure interactions and ES-CFG nodes walked per second. *)
-let replay_throughput ?(contained = true) w engine reqs =
-  let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-  let config = { Sedspec.Checker.default_config with Sedspec.Checker.engine } in
-  let b = Metrics.Spec_cache.built w W.paper_version in
-  let m = W.make_machine W.paper_version in
-  let checker = Sedspec.Pipeline.protect ~config m ~device:W.device_name b in
-  let ip =
-    if contained then Sedspec.Checker.interposer checker
-    else Sedspec.Checker.interposer_exn checker
-  in
-  let done_ = Interp.Event.Done { response = None } in
-  let replay () =
-    Array.iter
-      (fun (r : Vmm.Machine.request) ->
-        ignore (ip.Vmm.Machine.before r);
-        ignore (ip.Vmm.Machine.after r done_))
-      reqs;
-    ignore (Sedspec.Checker.drain_anomalies checker)
-  in
-  (* Warm pass: lazy lowering under the compiled engine, caches under
-     both. *)
-  replay ();
-  let stats = Sedspec.Checker.stats checker in
-  let n0 = stats.Sedspec.Checker.nodes_walked in
-  let budget = if !quick then 0.2 else 0.6 in
-  let t0 = Unix.gettimeofday () in
-  let passes = ref 0 in
-  while Unix.gettimeofday () -. t0 < budget do
-    replay ();
-    incr passes
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  let interactions = !passes * Array.length reqs in
-  let nodes = stats.Sedspec.Checker.nodes_walked - n0 in
-  (float_of_int interactions /. dt, float_of_int nodes /. dt)
-
-let fmt_rate r =
-  if r >= 1.0e6 then Printf.sprintf "%.2fM" (r /. 1.0e6)
-  else if r >= 1.0e3 then Printf.sprintf "%.1fk" (r /. 1.0e3)
-  else Printf.sprintf "%.0f" r
-
-let walk_throughput () =
-  section "Micro: ES-Checker walk throughput (compiled vs interpreted)";
-  let rows =
-    List.concat_map
-      (fun device ->
-        let w = Workload.Samples.find device in
-        let reqs =
-          capture_stream w ~cases:(if !quick then 2 else 4) ~ops:20
-        in
-        let i_ips, i_nps =
-          replay_throughput w Sedspec.Checker.Interpreted reqs
-        in
-        let c_ips, c_nps = replay_throughput w Sedspec.Checker.Compiled reqs in
-        let speedup = c_ips /. i_ips in
-        json_float (Printf.sprintf "micro.walk.%s.interpreted_ips" device) i_ips;
-        json_float (Printf.sprintf "micro.walk.%s.compiled_ips" device) c_ips;
-        json_float
-          (Printf.sprintf "micro.walk.%s.interpreted_nodes_per_s" device)
-          i_nps;
-        json_float
-          (Printf.sprintf "micro.walk.%s.compiled_nodes_per_s" device)
-          c_nps;
-        json_float (Printf.sprintf "micro.walk.%s.speedup" device) speedup;
-        [
-          [ device; "interpreted"; fmt_rate i_ips; fmt_rate i_nps; "" ];
-          [
-            device; "compiled"; fmt_rate c_ips; fmt_rate c_nps;
-            Printf.sprintf "%.2fx" speedup;
-          ];
-        ])
-      [ "fdc"; "pcnet"; "scsi" ]
-  in
-  Table.print
-    ~align:[ Table.Left; Table.Left; Table.Right; Table.Right; Table.Right ]
-    ~header:[ "Device"; "Engine"; "interactions/s"; "nodes/s"; "speedup" ]
-    rows;
-  Printf.printf
-    "(replays one benign request stream through the checker interposer;\n\
-    \ speedup = compiled / interpreted interactions per second)\n"
-
-(* The fault-injection PR wrapped every interposer callback in a
-   containment handler (Checker.interposer vs interposer_exn).  This row
-   proves the wrapper is free on the no-fault hot path: same stream,
-   same engine, with and without the try/with. *)
-let containment_overhead () =
-  section "Micro: containment wrapper overhead (no-fault hot path)";
-  let rows =
-    List.map
-      (fun device ->
-        let w = Workload.Samples.find device in
-        let reqs = capture_stream w ~cases:(if !quick then 2 else 4) ~ops:20 in
-        (* Interleaved best-of-3 per side so scheduler drift hits both. *)
-        let best f =
-          let r = ref 0.0 in
-          for _ = 1 to 3 do
-            r := max !r (fst (f ()))
-          done;
-          !r
-        in
-        let raw_ips =
-          best (fun () ->
-              replay_throughput ~contained:false w Sedspec.Checker.Compiled reqs)
-        in
-        let con_ips =
-          best (fun () ->
-              replay_throughput ~contained:true w Sedspec.Checker.Compiled reqs)
-        in
-        let overhead = 100.0 *. (1.0 -. (con_ips /. raw_ips)) in
-        json_float (Printf.sprintf "micro.containment.%s.raw_ips" device) raw_ips;
-        json_float
-          (Printf.sprintf "micro.containment.%s.contained_ips" device)
-          con_ips;
-        json_float
-          (Printf.sprintf "micro.containment.%s.overhead_pct" device)
-          overhead;
-        [
-          device;
-          fmt_rate raw_ips;
-          fmt_rate con_ips;
-          Printf.sprintf "%.1f%%" overhead;
-        ])
-      [ "fdc"; "scsi" ]
-  in
-  Table.print
-    ~align:[ Table.Left; Table.Right; Table.Right; Table.Right ]
-    ~header:
-      [ "Device"; "raw interposer/s"; "contained/s"; "overhead" ]
-    rows;
-  Printf.printf
-    "(the containment try/with should cost ~0%%: it allocates nothing and\n\
-    \ only runs exception code when a fault actually fires)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                            *)
-
-let micro () =
-  walk_throughput ();
-  containment_overhead ();
-  section "Bechamel micro-benchmarks (one per table/figure)";
-  let open Bechamel in
-  let fdc_w = Workload.Samples.find "fdc" in
-  let module FW = (val fdc_w : Workload.Samples.DEVICE_WORKLOAD) in
-  let m_t2, checker_t2 =
-    Metrics.Spec_cache.fresh_protected_machine fdc_w FW.paper_version
-  in
-  let rng = Sedspec_util.Prng.create 99L in
-  let t2 =
-    Test.make ~name:"table2.soak-case(fdc)"
-      (Staged.stage (fun () ->
-           FW.soak_case ~mode:Workload.Samples.Random ~rng ~rare_prob:0.0 ~ops:1
-             m_t2;
-           ignore (Sedspec.Checker.drain_anomalies checker_t2)))
-  in
-  let t3 =
-    Test.make ~name:"table3.venom-stream"
-      (Staged.stage (fun () ->
-           let attack = Attacks.Attack.find "CVE-2015-3456" in
-           let m = Metrics.Spec_cache.fresh_machine fdc_w attack.qemu_version in
-           attack.setup m;
-           try attack.run m with Exit -> ()))
-  in
-  let m_f3, _ = Metrics.Spec_cache.fresh_protected_machine fdc_w FW.paper_version in
-  let d_f3 = Workload.Fdc_driver.create m_f3 in
-  ignore (Workload.Fdc_driver.reset d_f3);
-  ignore (Workload.Fdc_driver.recalibrate d_f3 ~drive:0);
-  ignore (Workload.Fdc_driver.sense_interrupt d_f3);
-  let f34 =
-    Test.make ~name:"fig3-4.protected-sector-read(fdc)"
-      (Staged.stage (fun () ->
-           ignore
-             (Workload.Fdc_driver.read_sector d_f3 ~drive:0 ~head:0 ~track:1
-                ~sect:1)))
-  in
-  let pcnet_w = Workload.Samples.find "pcnet" in
-  let module PW = (val pcnet_w : Workload.Samples.DEVICE_WORKLOAD) in
-  let m_f5, _ = Metrics.Spec_cache.fresh_protected_machine pcnet_w PW.paper_version in
-  let d_f5 = Workload.Pcnet_driver.create m_f5 in
-  ignore (Workload.Pcnet_driver.reset d_f5);
-  ignore (Workload.Pcnet_driver.init d_f5 ~mode:0 ());
-  ignore (Workload.Pcnet_driver.start d_f5);
-  let payload = Bytes.make 1460 'p' in
-  let f5 =
-    Test.make ~name:"fig5.protected-frame-tx(pcnet)"
-      (Staged.stage (fun () -> ignore (Workload.Pcnet_driver.transmit d_f5 [ payload ])))
-  in
-  let tests = [ t2; t3; f34; f5 ] in
-  let benchmark test =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ()
-    in
-    let raw = Benchmark.all cfg instances test in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ t ] -> Printf.printf "%-40s %10.1f ns/run\n" name t
-          | _ -> Printf.printf "%-40s (no estimate)\n" name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* Fuzz smoke: a short coverage-guided differential fuzzing run per     *)
-(* device.  Divergences are checker bugs, so any non-zero count is an   *)
-(* immediate red flag in the bench output and the JSON dump.            *)
-
-(* Replay a captured stream with the deadline watchdog disarmed vs armed
-   at a budget no walk reaches: the difference is the watchdog's no-fault
-   cost (one integer compare per walked node).  Both sides run in
-   alternating timed rounds so scheduler/GC drift cannot masquerade as
-   overhead, and each side keeps its best round. *)
-let watchdog_pair w reqs =
-  let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-  let side deadline =
-    let _m, checker =
-      Metrics.Spec_cache.fresh_protected_machine w W.paper_version
-    in
-    Sedspec.Checker.set_deadline checker deadline;
-    let ip = Sedspec.Checker.interposer checker in
-    let done_ = Interp.Event.Done { response = None } in
-    fun () ->
-      Array.iter
-        (fun (r : Vmm.Machine.request) ->
-          ignore (ip.Vmm.Machine.before r);
-          ignore (ip.Vmm.Machine.after r done_))
-        reqs;
-      ignore (Sedspec.Checker.drain_anomalies checker)
-  in
-  let off = side None and on_ = side (Some 1_000_000) in
-  off ();
-  on_ ();
-  let round replay =
-    let budget = if !quick then 0.1 else 0.25 in
-    let t0 = Unix.gettimeofday () in
-    let passes = ref 0 in
-    while Unix.gettimeofday () -. t0 < budget do
-      replay ();
-      incr passes
-    done;
-    float_of_int (!passes * Array.length reqs)
-    /. (Unix.gettimeofday () -. t0)
-  in
-  let off_best = ref 0.0 and on_best = ref 0.0 in
-  for _ = 1 to 5 do
-    off_best := max !off_best (round off);
-    on_best := max !on_best (round on_)
-  done;
-  (!off_best, !on_best)
-
-let fleet_bench () =
-  section "Fleet: multi-VM serving throughput and watchdog overhead";
-  let vms = if !quick then 5 else 10 in
-  let ticks = if !quick then 6 else 16 in
-  let opts jobs =
-    {
-      (Fleet.Supervisor.default_options ()) with
-      Fleet.Supervisor.vms;
-      ticks;
-      seed = !seed;
-      jobs;
-    }
-  in
-  (* Warm the spec cache so the timed runs measure serving, not training. *)
-  ignore (Fleet.Supervisor.run (opts 1) : Fleet.Supervisor.report);
-  let timed jobs =
-    let t0 = Unix.gettimeofday () in
-    let r = Fleet.Supervisor.run (opts jobs) in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let jobs_list =
-    List.sort_uniq compare (1 :: (if !jobs > 1 then [ !jobs ] else []))
-  in
-  let runs = List.map (fun j -> (j, timed j)) jobs_list in
-  let _, (r1, dt1) = List.hd runs in
-  let base_json = Fleet.Supervisor.report_to_json r1 in
-  let deterministic =
-    List.for_all
-      (fun (_, (r, _)) -> Fleet.Supervisor.report_to_json r = base_json)
-      runs
-  in
-  let rows =
-    List.map
-      (fun (j, ((r : Fleet.Supervisor.report), dt)) ->
-        let ips = float_of_int r.Fleet.Supervisor.f_interactions /. dt in
-        json_float (Printf.sprintf "fleet.jobs%d.ips" j) ips;
-        json_float (Printf.sprintf "fleet.jobs%d.wall_s" j) dt;
-        [
-          string_of_int j;
-          string_of_int r.Fleet.Supervisor.f_interactions;
-          Printf.sprintf "%.2fs" dt;
-          fmt_rate ips;
-          Printf.sprintf "%.2fx" (dt1 /. dt);
-        ])
-      runs
-  in
-  json_bool "fleet.deterministic" deterministic;
-  json_int "fleet.vms" vms;
-  json_int "fleet.ticks" ticks;
-  Table.print
-    ~align:[ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
-    ~header:[ "jobs"; "interactions"; "wall"; "interactions/s"; "speedup" ]
-    rows;
-  Printf.printf
-    "(%d VMs x %d ticks, mixed devices; reports %s across jobs)\n" vms ticks
-    (if deterministic then "bit-identical" else "DIVERGED");
-  let wd_rows =
-    List.map
-      (fun device ->
-        let w = Workload.Samples.find device in
-        let reqs = capture_stream w ~cases:(if !quick then 2 else 4) ~ops:20 in
-        let off_ips, on_ips = watchdog_pair w reqs in
-        let overhead = 100.0 *. (1.0 -. (on_ips /. off_ips)) in
-        json_float (Printf.sprintf "fleet.watchdog.%s.off_ips" device) off_ips;
-        json_float (Printf.sprintf "fleet.watchdog.%s.on_ips" device) on_ips;
-        json_float
-          (Printf.sprintf "fleet.watchdog.%s.overhead_pct" device)
-          overhead;
-        [
-          device;
-          fmt_rate off_ips;
-          fmt_rate on_ips;
-          Printf.sprintf "%.1f%%" overhead;
-        ])
-      [ "fdc"; "scsi" ]
-  in
-  Table.print
-    ~align:[ Table.Left; Table.Right; Table.Right; Table.Right ]
-    ~header:[ "Device"; "watchdog off/s"; "watchdog on/s"; "overhead" ]
-    wd_rows;
-  Printf.printf
-    "(deadline armed at a budget no benign walk reaches: the no-fault\n\
-    \ cost is one integer compare per walked node, so ~0%%)\n"
-
-(* ------------------------------------------------------------------ *)
 (* Fleet scale: the arena/cursor split measured at 10 / 1k / 10k VMs.   *)
 
 (* Fixed regression budgets, dumped next to the measurements so CI can
@@ -906,6 +543,11 @@ let scale_schema =
    every cell's compiled arena is physically (==) its device's one.  \
    scale.threshold.*: fixed budgets; CI fails if any configuration's \
    minor_words_per_walk or bytes_per_vm exceeds them."
+
+let fmt_rate r =
+  if r >= 1.0e6 then Printf.sprintf "%.2fM" (r /. 1.0e6)
+  else if r >= 1.0e3 then Printf.sprintf "%.1fk" (r /. 1.0e3)
+  else Printf.sprintf "%.0f" r
 
 let scale_bench () =
   section "Fleet scale: shared arenas + per-VM cursors";
@@ -990,202 +632,6 @@ let scale_bench () =
     "(one compiled arena per (device, version) shared by every cell;\n\
     \ each VM adds only a cursor + shadow/work state — bytes/VM is the\n\
     \ marginal cost, mw/walk the steady-state allocation per check)\n"
-
-let fuzz_smoke () =
-  section "Fuzz smoke: differential fuzzing of the ES-Checker";
-  let budget = if !quick then 100 else 500 in
-  (* The loop parallelises internally; devices run serially so their
-     reports land in a stable order. *)
-  let rows =
-    List.map
-      (fun w ->
-        let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-        let device = W.device_name in
-        let opts =
-          {
-            (Fuzz.Loop.default_options ~device) with
-            Fuzz.Loop.budget;
-            seed = !seed;
-            jobs = !jobs;
-          }
-        in
-        let r = Fuzz.Loop.run opts in
-        let pfx = Printf.sprintf "fuzz.%s" device in
-        json_int (pfx ^ ".executed") r.Fuzz.Loop.r_executed;
-        json_int (pfx ^ ".corpus") (List.length r.Fuzz.Loop.r_corpus);
-        json_int (pfx ^ ".nodes") r.Fuzz.Loop.r_nodes;
-        json_int (pfx ^ ".edges") r.Fuzz.Loop.r_edges;
-        json_int (pfx ^ ".new_nodes")
-          (r.Fuzz.Loop.r_nodes - r.Fuzz.Loop.r_seed_nodes);
-        json_int (pfx ^ ".new_edges")
-          (r.Fuzz.Loop.r_edges - r.Fuzz.Loop.r_seed_edges);
-        json_int (pfx ^ ".divergences") r.Fuzz.Loop.r_divergent_inputs;
-        json_int (pfx ^ ".crashes") r.Fuzz.Loop.r_crashes;
-        [
-          String.uppercase_ascii device;
-          string_of_int r.Fuzz.Loop.r_executed;
-          string_of_int (List.length r.Fuzz.Loop.r_corpus);
-          Printf.sprintf "%d (+%d)" r.Fuzz.Loop.r_nodes
-            (r.Fuzz.Loop.r_nodes - r.Fuzz.Loop.r_seed_nodes);
-          Printf.sprintf "%d (+%d)" r.Fuzz.Loop.r_edges
-            (r.Fuzz.Loop.r_edges - r.Fuzz.Loop.r_seed_edges);
-          string_of_int r.Fuzz.Loop.r_divergent_inputs;
-          string_of_int r.Fuzz.Loop.r_crashes;
-        ])
-      Workload.Samples.all
-  in
-  Table.print
-    ~align:
-      [
-        Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
-        Table.Right; Table.Right;
-      ]
-    ~header:
-      [ "Device"; "Execs"; "Corpus"; "Nodes"; "Edges"; "Diverg."; "Crashes" ]
-    rows;
-  Printf.printf "(any divergence or crash is a walk-engine bug)\n"
-
-(* The cross-version deviation locator over the attack catalogue:
-   vulnerable vs patched device model per CVE, minimized witnesses,
-   localized block sets (DESIGN.md §4i).  Quick mode covers the scsi
-   catalogue (three CVEs, three version pairs, one device build); the
-   full run covers all nine. *)
-let locate_bench () =
-  section "Locate: cross-version behaviour deltas over the attack catalogue";
-  let opts =
-    {
-      Fuzz.Locate.default_options with
-      Fuzz.Locate.device = (if !quick then Some "scsi" else None);
-      budget = 8;
-      seed = !seed;
-      jobs = !jobs;
-    }
-  in
-  let r = Fuzz.Locate.run opts in
-  let rows =
-    List.map
-      (fun (d : Fuzz.Delta.cve_delta) ->
-        let best_ratio =
-          List.fold_left
-            (fun acc (w : Fuzz.Delta.witness) ->
-              min acc
-                (float_of_int (Array.length w.Fuzz.Delta.w_input.Fuzz.Input.steps)
-                /. float_of_int (max 1 w.Fuzz.Delta.w_original_len)))
-            1.0 d.Fuzz.Delta.cd_witnesses
-        in
-        let pfx = Printf.sprintf "locate.%s" d.Fuzz.Delta.cd_cve in
-        json_int (pfx ^ ".witnesses") (List.length d.Fuzz.Delta.cd_witnesses);
-        json_int (pfx ^ ".changed_blocks") (List.length d.Fuzz.Delta.cd_changed);
-        json_int (pfx ^ ".roots") (List.length d.Fuzz.Delta.cd_roots);
-        json_int (pfx ^ ".static_blocks") (List.length d.Fuzz.Delta.cd_static);
-        json_float (pfx ^ ".best_shrink_ratio") best_ratio;
-        json_bool (pfx ^ ".localized") d.Fuzz.Delta.cd_localized;
-        [
-          d.Fuzz.Delta.cd_cve;
-          d.Fuzz.Delta.cd_device;
-          Printf.sprintf "%s->%s"
-            (Devices.Qemu_version.to_string d.Fuzz.Delta.cd_vulnerable)
-            (Devices.Qemu_version.to_string d.Fuzz.Delta.cd_patched);
-          string_of_int (List.length d.Fuzz.Delta.cd_witnesses);
-          string_of_int (List.length d.Fuzz.Delta.cd_changed);
-          string_of_int (List.length d.Fuzz.Delta.cd_roots);
-          Printf.sprintf "%.2f" best_ratio;
-          (if d.Fuzz.Delta.cd_localized then "yes" else "NO");
-        ])
-      r.Fuzz.Delta.deltas
-  in
-  Table.print
-    ~align:
-      [
-        Table.Left; Table.Left; Table.Center; Table.Right; Table.Right;
-        Table.Right; Table.Right; Table.Center;
-      ]
-    ~header:
-      [
-        "CVE"; "device"; "pair"; "witnesses"; "changed"; "roots";
-        "best shrink"; "localized";
-      ]
-    rows;
-  Printf.printf
-    "(localized = statically patched blocks contained in the dynamically\n\
-    \ localized set; best shrink = smallest minimized/original witness ratio)\n"
-
-(* ------------------------------------------------------------------ *)
-
-(* Hostile-device hardening (DESIGN.md §4j): the guest-side validator's
-   overhead on benign traffic, then the adversarial campaign's
-   containment pressure.  Quick mode shrinks the plan grid; the verdict
-   line is the same zero-escape / zero-fail-open bar CI enforces. *)
-let hostile_bench () =
-  section "Hostile: adversarial response faults vs the guest-side validator";
-  (* Validator overhead on benign traffic: delta between a guarded and
-     an unguarded protected soak over the virtio ring. *)
-  let w = Workload.Samples.find "virtio" in
-  let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-  let ops = if !quick then 40 else 200 in
-  let soak ~guarded =
-    let m, _checker =
-      Metrics.Spec_cache.fresh_protected_machine ~vmexit_cost:0 w
-        W.paper_version
-    in
-    let v =
-      if guarded then
-        Some
-          (Guard.Validator.attach m ~device:W.device_name
-             ~profile:(Metrics.Spec_cache.guard_profile w W.paper_version))
-      else None
-    in
-    let rng = Sedspec_util.Prng.create !seed in
-    let t0 = Unix.gettimeofday () in
-    W.soak_case ~mode:Workload.Samples.Sequential ~rng ~rare_prob:0.0 ~ops m;
-    let dt = Unix.gettimeofday () -. t0 in
-    Option.iter Guard.Validator.detach v;
-    dt
-  in
-  ignore (soak ~guarded:false);
-  (* warmed: spec + guard profile now come from the single-flight cache *)
-  let base = soak ~guarded:false in
-  let guarded = soak ~guarded:true in
-  let overhead = (guarded -. base) /. base *. 100. in
-  Printf.printf
-    "benign soak (%d ops, virtio): unguarded %.2f ms, guarded %.2f ms (%+.1f%%)\n"
-    ops (base *. 1000.) (guarded *. 1000.) overhead;
-  json_float "hostile.guard_overhead_pct" overhead;
-  let opts =
-    {
-      Faultinj.Campaign.default_hostile_options with
-      h_plans_per_combo = (if !quick then 6 else 18);
-      h_cases_per_plan = (if !quick then 2 else 4);
-      h_ops_per_case = (if !quick then 4 else 8);
-      h_min_injected = 1;
-      h_seed = !seed;
-      h_jobs = !jobs;
-    }
-  in
-  let t0 = Unix.gettimeofday () in
-  let r = Faultinj.Campaign.run_hostile opts in
-  let dt = Unix.gettimeofday () -. t0 in
-  let t = Faultinj.Campaign.hostile_totals r in
-  Printf.printf
-    "campaign (sdhci+virtio, both modes x both engines): %d injected, %d \
-     contained, %d escaped, %d fail-open in %.1fs\n"
-    t.Faultinj.Campaign.hc_injected t.Faultinj.Campaign.hc_contained
-    t.Faultinj.Campaign.hc_escaped t.Faultinj.Campaign.hc_fail_open dt;
-  Printf.printf
-    "  guard anomalies %d, halts %d, warns %d, rollbacks %d, breaker trips \
-     %d, heals %d\n"
-    t.Faultinj.Campaign.hc_guard_anoms t.Faultinj.Campaign.hc_halts
-    t.Faultinj.Campaign.hc_warns t.Faultinj.Campaign.hc_rollbacks
-    t.Faultinj.Campaign.hc_breaker_trips t.Faultinj.Campaign.hc_heals;
-  json_int "hostile.injected" t.Faultinj.Campaign.hc_injected;
-  json_int "hostile.contained" t.Faultinj.Campaign.hc_contained;
-  json_int "hostile.escaped" t.Faultinj.Campaign.hc_escaped;
-  json_int "hostile.fail_open" t.Faultinj.Campaign.hc_fail_open;
-  json_int "hostile.guard_anomalies" t.Faultinj.Campaign.hc_guard_anoms;
-  json_int "hostile.rollbacks" t.Faultinj.Campaign.hc_rollbacks;
-  json_bool "hostile.passed" (Faultinj.Campaign.hostile_passed r);
-  Printf.printf "verdict: %s (escapes and silent fail-opens must be zero)\n"
-    (if Faultinj.Campaign.hostile_passed r then "PASS" else "FAIL")
 
 (* ------------------------------------------------------------------ *)
 (* Rollout: shadow-walk overhead + the candidate ladder.                *)
@@ -1409,12 +855,7 @@ let () =
       | "fig5" -> fig5 ()
       | "ablation" -> ablation ()
       | "baseline" -> baseline ()
-      | "micro" -> micro ()
-      | "fleet" -> fleet_bench ()
       | "scale" -> scale_bench ()
-      | "fuzz" -> fuzz_smoke ()
-      | "locate" -> locate_bench ()
-      | "hostile" -> hostile_bench ()
       | "rollout" -> rollout_bench ()
       | "all" ->
         table2 ();
@@ -1424,16 +865,11 @@ let () =
         fig5 ();
         baseline ();
         ablation ();
-        micro ();
-        fleet_bench ();
         scale_bench ();
-        fuzz_smoke ();
-        locate_bench ();
-        hostile_bench ();
         rollout_bench ()
       | other ->
         Printf.eprintf
-          "unknown command %s (table2|table3|fig3|fig4|fig5|baseline|ablation|micro|fleet|scale|fuzz|locate|hostile|rollout|all)\n"
+          "unknown command %s (table2|table3|fig3|fig4|fig5|baseline|ablation|scale|rollout|all)\n"
           other;
         exit 2)
     cmds;

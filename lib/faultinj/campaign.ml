@@ -12,16 +12,6 @@ type options = {
   jobs : int;
 }
 
-let default_options =
-  {
-    devices = [ "fdc"; "ehci"; "pcnet"; "sdhci"; "scsi" ];
-    plans_per_combo = 12;
-    cases_per_plan = 3;
-    ops_per_case = 6;
-    seed = 1L;
-    jobs = 1;
-  }
-
 type combo_report = {
   device : string;
   mode : C.mode;
@@ -291,16 +281,6 @@ type fleet_options = {
   fl_devices : string list;
 }
 
-let default_fleet_options =
-  {
-    fl_vms = 8;
-    fl_faulty = 3;
-    fl_ticks = 24;
-    fl_seed = 1L;
-    fl_jobs = 1;
-    fl_devices = [ "fdc"; "ehci"; "pcnet"; "sdhci"; "scsi" ];
-  }
-
 type fleet_report = {
   fl_options : fleet_options;
   fl_faulty_set : int list;
@@ -327,18 +307,23 @@ let machine_site rng =
   | 2 -> Plan.Walk_raise { at_walk = Prng.int rng 6 }
   | _ -> Plan.Walk_delay { at_walk = Prng.int rng 6; spin = Prng.pick rng Plan.spins }
 
-let fleet_isolation opts =
+(* One isolation driver for both campaigns: [site_gen] draws the fault
+   armed on each faulty VM, [guard] attaches the guest-side validator to
+   every VM. *)
+let isolation_run ~site_gen ~guard opts =
   if opts.fl_faulty < 1 || opts.fl_faulty > opts.fl_vms then
     invalid_arg "Campaign.fleet_isolation: need 1 <= faulty <= vms";
   let faulty = faulty_set ~vms:opts.fl_vms ~faulty:opts.fl_faulty in
   let sup_opts jobs =
     {
-      (Fleet.Supervisor.default_options ()) with
       Fleet.Supervisor.vms = opts.fl_vms;
       ticks = opts.fl_ticks;
       seed = opts.fl_seed;
       jobs;
       devices = opts.fl_devices;
+      vm_opts =
+        (fun device ->
+          { (Fleet.Vm.default_options ~device) with Fleet.Vm.guard });
     }
   in
   (* Plan sites are drawn per faulty VM from a stream keyed only by the
@@ -347,7 +332,7 @@ let fleet_isolation opts =
   List.iter
     (fun vm ->
       let rng = Prng.create (Int64.add opts.fl_seed (Int64.of_int (vm + 1))) in
-      Hashtbl.replace site_of vm (machine_site (Prng.split rng)))
+      Hashtbl.replace site_of vm (site_gen (Prng.split rng)))
     faulty;
   let fired = Atomic.make 0 in
   let arm ~vm machine checker =
@@ -387,13 +372,18 @@ let fleet_isolation opts =
     fl_options = opts;
     fl_faulty_set = faulty;
     fl_sites =
-      List.map (fun vm -> (vm, Plan.site_to_string (Hashtbl.find site_of vm))) faulty;
+      List.map
+        (fun vm -> (vm, Plan.site_to_string (Hashtbl.find site_of vm)))
+        faulty;
     fl_fired = Atomic.get fired;
     fl_clean_divergent = clean_divergent;
     fl_jobs_divergence = jobs_divergence;
     fl_baseline = baseline;
     fl_faulted = faulted;
   }
+
+let fleet_isolation opts =
+  isolation_run ~site_gen:machine_site ~guard:false opts
 
 let fleet_passed r =
   r.fl_fired > 0 && r.fl_clean_divergent = [] && not r.fl_jobs_divergence
@@ -478,17 +468,6 @@ type hostile_options = {
   h_seed : int64;
   h_jobs : int;
 }
-
-let default_hostile_options =
-  {
-    h_devices = [ "sdhci"; "virtio" ];
-    h_plans_per_combo = 36;
-    h_cases_per_plan = 6;
-    h_ops_per_case = 10;
-    h_min_injected = 5000;
-    h_seed = 1L;
-    h_jobs = 1;
-  }
 
 type hostile_combo_report = {
   hc_device : string;
@@ -732,72 +711,6 @@ let hostile_machine_site rng =
   | 1 -> Plan.Resp_dma_len { delta = Prng.pick rng Plan.resp_deltas }
   | 2 -> Plan.Resp_store_corrupt { mask = Prng.pick rng Plan.masks }
   | _ -> Plan.Resp_irq_storm { burst = Prng.pick rng Plan.bursts }
-
-let isolation_run ~site_gen ~guard opts =
-  if opts.fl_faulty < 1 || opts.fl_faulty > opts.fl_vms then
-    invalid_arg "Campaign.fleet_isolation: need 1 <= faulty <= vms";
-  let faulty = faulty_set ~vms:opts.fl_vms ~faulty:opts.fl_faulty in
-  let sup_opts jobs =
-    {
-      Fleet.Supervisor.vms = opts.fl_vms;
-      ticks = opts.fl_ticks;
-      seed = opts.fl_seed;
-      jobs;
-      devices = opts.fl_devices;
-      vm_opts =
-        (fun device ->
-          { (Fleet.Vm.default_options ~device) with Fleet.Vm.guard });
-    }
-  in
-  let site_of = Hashtbl.create 8 in
-  List.iter
-    (fun vm ->
-      let rng = Prng.create (Int64.add opts.fl_seed (Int64.of_int (vm + 1))) in
-      Hashtbl.replace site_of vm (site_gen (Prng.split rng)))
-    faulty;
-  let fired = Atomic.make 0 in
-  let arm ~vm machine checker =
-    match Hashtbl.find_opt site_of vm with
-    | None -> None
-    | Some site ->
-      let plan = { Plan.id = vm; site; policy = C.Fail_closed } in
-      let armed = Inject.arm plan machine checker in
-      Some
-        (fun () ->
-          Inject.disarm armed;
-          ignore (Atomic.fetch_and_add fired (Inject.fired armed) : int))
-  in
-  let baseline = Fleet.Supervisor.run (sup_opts opts.fl_jobs) in
-  let faulted = Fleet.Supervisor.run ~arm (sup_opts opts.fl_jobs) in
-  let jobs_divergence =
-    if opts.fl_jobs = 1 then false
-    else
-      let serial = Fleet.Supervisor.run ~arm (sup_opts 1) in
-      Fleet.Supervisor.report_to_json serial
-      <> Fleet.Supervisor.report_to_json faulted
-  in
-  let base_vms = Array.of_list baseline.Fleet.Supervisor.f_vms
-  and fault_vms = Array.of_list faulted.Fleet.Supervisor.f_vms in
-  let strip (r : Fleet.Vm.report) = { r with Fleet.Vm.r_arena = None } in
-  let clean_divergent =
-    List.filter
-      (fun i ->
-        (not (List.mem i faulty)) && strip base_vms.(i) <> strip fault_vms.(i))
-      (List.init opts.fl_vms Fun.id)
-  in
-  {
-    fl_options = opts;
-    fl_faulty_set = faulty;
-    fl_sites =
-      List.map
-        (fun vm -> (vm, Plan.site_to_string (Hashtbl.find site_of vm)))
-        faulty;
-    fl_fired = Atomic.get fired;
-    fl_clean_divergent = clean_divergent;
-    fl_jobs_divergence = jobs_divergence;
-    fl_baseline = baseline;
-    fl_faulted = faulted;
-  }
 
 let hostile_isolation opts =
   isolation_run ~site_gen:hostile_machine_site ~guard:true opts

@@ -16,10 +16,6 @@ type options = {
   jobs : int;
 }
 
-val default_options : options
-(** All five devices, 12 plans/combo, 3 cases/plan, 6 ops/case, seed 1,
-    jobs 1. *)
-
 type combo_report = {
   device : string;
   mode : Sedspec.Checker.mode;
@@ -75,9 +71,6 @@ type fleet_options = {
   fl_devices : string list;
 }
 
-val default_fleet_options : fleet_options
-(** 8 VMs, 3 faulty, 24 ticks, seed 1, jobs 1, all five devices. *)
-
 type fleet_report = {
   fl_options : fleet_options;
   fl_faulty_set : int list;  (** VM indices that carried a fault. *)
@@ -130,10 +123,6 @@ type hostile_options = {
   h_seed : int64;
   h_jobs : int;
 }
-
-val default_hostile_options : hostile_options
-(** sdhci + the virtio ring, 36 plans/combo, 6 cases/plan, 10 ops/case,
-    >= 5000 injections required, seed 1, jobs 1. *)
 
 type hostile_combo_report = {
   hc_device : string;

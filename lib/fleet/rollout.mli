@@ -1,6 +1,6 @@
 (** Online spec evolution: the candidate rollout ladder.
 
-    A candidate specification (retrained on a newer corpus, or merged)
+    A candidate specification (for example one retrained on a newer corpus)
     climbs three rungs before it may replace the enforced base:
 
     {v Shadow  ->  Canary  ->  Promoted v}

@@ -200,80 +200,23 @@ let create ~index ~seed opts =
         in
         (* Both specs need their sync instrumentation, but the interp has
            one sync slot: install the union of both sync-point sets and
-           dispatch each report to the checkers that asked for that
-           block, filtered to the locals each one declared. *)
+           report every event to both checkers.  A node's sync locals
+           depend only on its program block, so equal brefs carry equal
+           locals; a value reported at a block one checker never walks is
+           never popped, and that checker drops it at its next [before]. *)
         let base_spec =
           match got with
           | `Built b -> b.Sedspec.Pipeline.spec
           | `Spec s -> s
         in
-        let to_tbl spec =
-          let tbl = Hashtbl.create 16 in
-          List.iter
-            (fun (bref, locals) -> Hashtbl.replace tbl bref locals)
-            (Sedspec.Es_cfg.sync_points spec);
-          tbl
-        in
-        let base_sp = to_tbl base_spec
-        and cand_sp = to_tbl cand.Sedspec.Pipeline.spec in
         let union =
-          let tbl = Hashtbl.create 16 in
-          let add (bref, locals) =
-            let prev =
-              Option.value (Hashtbl.find_opt tbl bref) ~default:[]
-            in
-            Hashtbl.replace tbl bref
-              (List.sort_uniq compare (prev @ locals))
-          in
-          List.iter add (Sedspec.Es_cfg.sync_points base_spec);
-          List.iter add (Sedspec.Es_cfg.sync_points cand.Sedspec.Pipeline.spec);
-          List.sort compare (Hashtbl.fold (fun b l acc -> (b, l) :: acc) tbl [])
-        in
-        (* Pre-resolve each delivery against the union's locals: when a
-           spec asked for every local the union carries at that block
-           (the common case — base and candidate are near-identical),
-           the event is forwarded without the per-event filter
-           allocation. *)
-        let plan tbl =
-          let plans = Hashtbl.create 16 in
-          List.iter
-            (fun (bref, ulocals) ->
-              match Hashtbl.find_opt tbl bref with
-              | None -> ()
-              | Some locals ->
-                let locals = List.sort_uniq compare locals in
-                Hashtbl.replace plans bref
-                  (if locals = ulocals then `Full else `Subset locals))
-            union;
-          plans
-        in
-        let base_plan = plan base_sp and cand_plan = plan cand_sp in
-        (* When a spec wants every union event in full (base and
-           candidate sync sets usually coincide), skip the per-event
-           plan lookup entirely. *)
-        let all_full plans =
-          List.for_all
-            (fun (bref, _) -> Hashtbl.find_opt plans bref = Some `Full)
-            union
-        in
-        let deliver plans target bref vals =
-          match Hashtbl.find_opt plans bref with
-          | None -> ()
-          | Some `Full -> Checker.record_sync target bref vals
-          | Some (`Subset locals) ->
-            Checker.record_sync target bref
-              (List.filter (fun (n, _) -> List.mem n locals) vals)
-        in
-        let deliver_base =
-          if all_full base_plan then Checker.record_sync checker
-          else deliver base_plan checker
-        and deliver_cand =
-          if all_full cand_plan then Checker.record_sync s_checker
-          else deliver cand_plan s_checker
+          List.sort_uniq compare
+            (Sedspec.Es_cfg.sync_points base_spec
+            @ Sedspec.Es_cfg.sync_points cand.Sedspec.Pipeline.spec)
         in
         Interp.set_sync_points interp union ~on_sync:(fun bref vals ->
-            deliver_base bref vals;
-            deliver_cand bref vals);
+            Checker.record_sync checker bref vals;
+            Checker.record_sync s_checker bref vals);
         (* Lockstep wrapper: run the candidate first at both seams (its
            verdict cannot block, so ordering only affects bookkeeping),
            score, return the enforced verdict. *)

@@ -57,18 +57,17 @@ type options = {
           the report's [r_shadow] scoreboard; governor rung changes apply
           to both checkers so degradation cannot masquerade as
           disagreement.  Sync instrumentation installs the union of both
-          specs' sync points, each checker receiving only the locals it
-          declared.  Limitation: the inline indirect-call guard remains
-          wired to the enforced checker only — candidate indirect-target
-          deltas surface through the walk, not the inline seam.  A
+          specs' sync points and reports every event to both checkers
+          (each pops only the values of blocks it walks).  Limitation:
+          the inline indirect-call guard remains wired to the enforced
+          checker only — candidate indirect-target deltas surface
+          through the walk, not the inline seam.  A
           candidate build failure fails the VM's bulkhead (the rollout
           treats failed shadow VMs as a rejection signal).  The
           steady-state walk cost is bounded by the bench's
           shadow-overhead budget ([rollout.threshold.overhead_max],
-          15%): sync events reach both checkers through a pre-resolved
-          allocation-free dispatch, and per-VM setup (one extra checker
-          over the already-lowered candidate arena) amortises across
-          ticks. *)
+          15%): per-VM setup (one extra checker over the already-lowered
+          candidate arena) amortises across ticks. *)
 }
 
 val default_options : device:string -> options

@@ -101,13 +101,8 @@ let time_volume m device ~write ~block ~total =
   done;
   (now () -. t0, ops)
 
-(* Checker configuration for the protected side: default except for the
-   walk engine, which the benches can ablate. *)
-let engine_config engine =
-  { Sedspec.Checker.default_config with Sedspec.Checker.engine }
-
-let storage_sweep ?(total_bytes = 524288) ?(vmexit_cost = 60000)
-    ?(engine = Sedspec.Checker.Compiled) ~device ~write () =
+let storage_sweep ?(total_bytes = 524288) ?(vmexit_cost = 60000) ~device
+    ~write () =
   let w = Workload.Samples.find device in
   let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
   let total_bytes =
@@ -120,8 +115,8 @@ let storage_sweep ?(total_bytes = 524288) ?(vmexit_cost = 60000)
       let m_base = W.make_machine ~vmexit_cost W.paper_version in
       let base_s, _ = time_volume m_base device ~write ~block ~total:total_bytes in
       let m_prot, _checker =
-        Spec_cache.fresh_protected_machine ~config:(engine_config engine)
-          ~vmexit_cost (module W) W.paper_version
+        Spec_cache.fresh_protected_machine ~vmexit_cost (module W)
+          W.paper_version
       in
       let protected_s, _ =
         time_volume m_prot device ~write ~block ~total:total_bytes
@@ -195,14 +190,13 @@ let net_run m kind ~total_bytes =
   float_of_int (frames * mtu_payload) /. dt /. 1.0e6
 
 let pcnet_bandwidth ?(total_bytes = 2 * 1024 * 1024) ?(vmexit_cost = 60000)
-    ?(engine = Sedspec.Checker.Compiled) kind =
+    kind =
   let w = Workload.Samples.find "pcnet" in
   let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
   let m_base = W.make_machine ~vmexit_cost W.paper_version in
   let base_mbps = net_run m_base kind ~total_bytes in
   let m_prot, _ =
-    Spec_cache.fresh_protected_machine ~config:(engine_config engine)
-      ~vmexit_cost (module W) W.paper_version
+    Spec_cache.fresh_protected_machine ~vmexit_cost (module W) W.paper_version
   in
   let protected_mbps = net_run m_prot kind ~total_bytes in
   {
@@ -231,15 +225,13 @@ let ping_run m ~count =
   done;
   (now () -. t0) /. float_of_int count *. 1000.0
 
-let pcnet_ping ?(count = 400) ?(vmexit_cost = 60000)
-    ?(engine = Sedspec.Checker.Compiled) () =
+let pcnet_ping ?(count = 400) ?(vmexit_cost = 60000) () =
   let w = Workload.Samples.find "pcnet" in
   let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
   let m_base = W.make_machine ~vmexit_cost W.paper_version in
   let base = ping_run m_base ~count in
   let m_prot, _ =
-    Spec_cache.fresh_protected_machine ~config:(engine_config engine)
-      ~vmexit_cost (module W) W.paper_version
+    Spec_cache.fresh_protected_machine ~vmexit_cost (module W) W.paper_version
   in
   let prot = ping_run m_prot ~count in
   (base, prot, (prot -. base) /. base)

@@ -29,11 +29,10 @@ val storage_blocks : string -> int list
 (** Block-size sweep per device (FDC capped at its medium). *)
 
 val storage_sweep :
-  ?total_bytes:int -> ?vmexit_cost:int -> ?engine:Sedspec.Checker.engine ->
-  device:string -> write:bool -> unit -> storage_point list
-(** Time moving [total_bytes] (default 256 KiB; FDC smaller) at each block
-    size, protected vs. unprotected.  [engine] selects the checker walk
-    engine for the protected side (default [Compiled]). *)
+  ?total_bytes:int -> ?vmexit_cost:int -> device:string -> write:bool ->
+  unit -> storage_point list
+(** Time moving [total_bytes] (default 512 KiB; FDC at most 64 KiB) at
+    each block size, protected (default checker config) vs. unprotected. *)
 
 type net_kind = Tcp_up | Tcp_down | Udp_up | Udp_down
 
@@ -47,11 +46,9 @@ type net_point = {
 }
 
 val pcnet_bandwidth :
-  ?total_bytes:int -> ?vmexit_cost:int -> ?engine:Sedspec.Checker.engine ->
-  net_kind -> net_point
+  ?total_bytes:int -> ?vmexit_cost:int -> net_kind -> net_point
 
 val pcnet_ping :
-  ?count:int -> ?vmexit_cost:int -> ?engine:Sedspec.Checker.engine ->
-  unit -> float * float * float
+  ?count:int -> ?vmexit_cost:int -> unit -> float * float * float
 (** (base ms, protected ms, overhead fraction) averaged over [count]
-    round trips (default 100, like the paper). *)
+    round trips (default 400). *)

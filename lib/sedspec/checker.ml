@@ -1081,9 +1081,6 @@ let contain t ~pre exn =
   t.dirty <- false;
   verdict t a
 
-let interposer_exn t : Vmm.Machine.interposer =
-  { before = before t; after = after t }
-
 let interposer t : Vmm.Machine.interposer =
   {
     before = (fun req -> try before t req with e -> contain t ~pre:true e);

@@ -122,13 +122,6 @@ val interposer : t -> Vmm.Machine.interposer
     the shadow is resynced (the failed walk may have left it
     inconsistent).  This is what {!attach} installs. *)
 
-val interposer_exn : t -> Vmm.Machine.interposer
-(** The raw interposer with no containment wrapper: exceptions raised
-    inside the checker propagate to the dispatch caller.  Exists so the
-    benchmark can price the wrapper (and for debugging — a backtrace at
-    the fault site beats a diagnostic anomaly when developing the checker
-    itself).  Production paths use {!interposer}. *)
-
 val internal_errors : t -> int
 (** Exceptions contained so far (monotone; survives {!drain_anomalies},
     cleared by {!reset}). *)
@@ -144,8 +137,8 @@ exception Deadline_exceeded of int
     Through {!interposer} it is contained like any other internal
     exception — an [Internal_error] anomaly plus the [on_internal_error]
     policy verdict — so an overrunning walk degrades to a per-interaction
-    containment event, never a hang.  Only {!interposer_exn} and
-    {!bench_walk} let it propagate. *)
+    containment event, never a hang.  Only {!bench_walk} lets it
+    propagate. *)
 
 val set_deadline : t -> int option -> unit
 (** Arm (or disarm, with [None]) the watchdog: a walk visiting more than

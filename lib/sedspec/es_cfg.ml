@@ -28,7 +28,7 @@ type edge =
 (* Where a spec's learned content came from.  [Trained] is the one-shot
    paper pipeline; the others are evolution derivations — the revision
    counter orders them so the rollout ladder can pin and roll back. *)
-type provenance = Trained | Retrained of int | Merged
+type provenance = Trained | Retrained of int
 
 type t = {
   program : Program.t;
@@ -232,12 +232,10 @@ let set_version t ~revision ~provenance =
 let provenance_to_string = function
   | Trained -> "trained"
   | Retrained cases -> Printf.sprintf "retrained:%d" cases
-  | Merged -> "merged"
 
 let provenance_of_string s =
   match s with
   | "trained" -> Some Trained
-  | "merged" -> Some Merged
   | _ -> (
     match String.split_on_char ':' s with
     | [ "retrained"; n ] -> (
@@ -423,10 +421,6 @@ let import_node t bref ~visits ~taken ~not_taken ~cases ~itargets ~succs =
   List.iter (fun s -> Hashtbl.replace t.seen (E_succ (bref, s)) ()) succs
 
 let reduced_count t = t.reduced
-
-let import_reduced t n =
-  if n < 0 then invalid_arg "Es_cfg.import_reduced: negative count";
-  t.reduced <- n
 
 let import_access t ~cmd bref =
   match cmd with

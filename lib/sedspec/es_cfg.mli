@@ -43,9 +43,8 @@ type cmd_key = Devir.Program.bref * int64
 
 (** Where the spec's learned content came from.  [Trained] is the one-shot
     paper pipeline (the default); [Retrained n] a fresh training pass on an
-    [n]-case corpus; [Merged] an {!Evolve.merge} of a base with a
-    candidate's benign evidence. *)
-type provenance = Trained | Retrained of int | Merged
+    [n]-case corpus. *)
+type provenance = Trained | Retrained of int
 
 type t
 
@@ -80,8 +79,7 @@ val set_version : t -> revision:int -> provenance:provenance -> unit
     revision. *)
 
 val provenance_to_string : provenance -> string
-(** ["trained"], ["retrained:N"] or ["merged"] — the tag {!Persist}
-    writes. *)
+(** ["trained"] or ["retrained:N"] — the tag {!Persist} writes. *)
 
 val provenance_of_string : string -> provenance option
 
@@ -111,7 +109,7 @@ val sync_points : t -> (Devir.Program.bref * string list) list
 val access_entries : t -> (cmd_key option * Devir.Program.bref) list
 (** The full command access table as (command, member) rows, [None] being
     the no-command set; deterministically ordered.  Inverse of repeated
-    {!import_access} — used to diff and merge access state across specs
+    {!import_access} — used to diff access state across specs
     ({!Evolve}). *)
 
 val reduce : t -> int
@@ -125,9 +123,6 @@ val reduce : t -> int
 
 val reduced_count : t -> int
 (** Nodes reduced away so far (distinct brefs). *)
-
-val import_reduced : t -> int -> unit
-(** Set the reduced-away counter (spec import / derivation). *)
 
 val validate : t -> Devir.Validate.error list
 (** Graph well-formedness over the program: every node has a source

@@ -2,16 +2,9 @@ open Devir
 module Json = Sedspec_util.Json
 module Table = Sedspec_util.Table
 
-(* Structural diff and conservative merge of two ES-CFGs (ROADMAP item 4).
-
-   The diff is keyed by bref (handler/label strings), so it works across
-   device versions and across independently trained specs.  The merge is
-   evidence-conservative: it starts from the base spec and only ever
-   *adds* — nodes the candidate visited, transition envelope entries the
-   candidate observed, access-table rows the candidate's benign traffic
-   exercised.  Nothing the base learned is ever removed, so a merged
-   spec can only be looser than the base where the candidate's benign
-   evidence supports it, and never stricter. *)
+(* Structural diff of two ES-CFGs.  The diff is keyed by bref
+   (handler/label strings), so it works across device versions and
+   across independently trained specs. *)
 
 type envelope_change = {
   e_bref : Program.bref;
@@ -163,77 +156,6 @@ let change_count d =
   + List.length d.removed_cmds + List.length d.added_access
   + List.length d.removed_access + List.length d.added_syncs
   + List.length d.removed_syncs
-
-(* --- Conservative merge ------------------------------------------------- *)
-
-let dedup_append ~cmp xs ys =
-  xs @ List.filter (fun y -> not (List.exists (fun x -> cmp x y = 0) xs)) ys
-
-let merge ~base ~cand =
-  let program = Es_cfg.program base in
-  if Program.name program <> Program.name (Es_cfg.program cand) then
-    invalid_arg
-      (Printf.sprintf "Evolve.merge: spec programs differ (%s vs %s)"
-         (Program.name program)
-         (Program.name (Es_cfg.program cand)));
-  let merged = Es_cfg.create ~program ~selection:(Es_cfg.selection base) in
-  let case_cmp (va, la) (vb, lb) =
-    match Int64.compare va vb with 0 -> String.compare la lb | n -> n
-  in
-  (* Base nodes first, widened by candidate evidence where it exists. *)
-  List.iter
-    (fun (b : Es_cfg.node) ->
-      let visits, taken, not_taken, cases, itargets, succs =
-        match Es_cfg.node cand b.Es_cfg.bref with
-        | Some c when c.Es_cfg.visits > 0 ->
-          ( b.Es_cfg.visits + c.Es_cfg.visits,
-            b.Es_cfg.taken + c.Es_cfg.taken,
-            b.Es_cfg.not_taken + c.Es_cfg.not_taken,
-            dedup_append ~cmp:case_cmp b.Es_cfg.cases c.Es_cfg.cases,
-            dedup_append ~cmp:Int64.compare b.Es_cfg.itargets c.Es_cfg.itargets,
-            dedup_append ~cmp:Program.bref_compare b.Es_cfg.succs c.Es_cfg.succs
-          )
-        | _ ->
-          ( b.Es_cfg.visits,
-            b.Es_cfg.taken,
-            b.Es_cfg.not_taken,
-            b.Es_cfg.cases,
-            b.Es_cfg.itargets,
-            b.Es_cfg.succs )
-      in
-      Es_cfg.import_node merged b.Es_cfg.bref ~visits ~taken ~not_taken ~cases
-        ~itargets ~succs)
-    (Es_cfg.nodes base);
-  (* Candidate-only nodes: admitted when the candidate actually visited
-     them during benign (re)training — unvisited imports carry no
-     evidence and stay out. *)
-  List.iter
-    (fun (c : Es_cfg.node) ->
-      if c.Es_cfg.visits > 0 && Es_cfg.node base c.Es_cfg.bref = None then
-        Es_cfg.import_node merged c.Es_cfg.bref ~visits:c.Es_cfg.visits
-          ~taken:c.Es_cfg.taken ~not_taken:c.Es_cfg.not_taken
-          ~cases:c.Es_cfg.cases ~itargets:c.Es_cfg.itargets
-          ~succs:c.Es_cfg.succs)
-    (Es_cfg.nodes cand);
-  (* Access-table union (import_access is idempotent). *)
-  List.iter
-    (fun (cmd, bref) -> Es_cfg.import_access merged ~cmd bref)
-    (Es_cfg.access_entries base);
-  List.iter
-    (fun (cmd, bref) -> Es_cfg.import_access merged ~cmd bref)
-    (Es_cfg.access_entries cand);
-  Es_cfg.import_reduced merged (Es_cfg.reduced_count base);
-  Es_cfg.set_version merged
-    ~revision:(max (Es_cfg.revision base) (Es_cfg.revision cand) + 1)
-    ~provenance:Es_cfg.Merged;
-  (match Es_cfg.validate merged with
-  | [] -> ()
-  | errors ->
-    failwith
-      (Format.asprintf "Evolve.merge: merged spec is ill-formed:@ %a"
-         (Format.pp_print_list Devir.Validate.pp_error)
-         errors));
-  merged
 
 (* --- Rendering ----------------------------------------------------------- *)
 

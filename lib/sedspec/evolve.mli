@@ -1,5 +1,4 @@
-(** Spec evolution: structural diff and conservative merge of ES-CFGs
-    (ROADMAP item 4).
+(** Spec evolution: structural diff of ES-CFGs.
 
     Production traffic contains benign behaviour the trainer never saw,
     so the specification is a living artifact: candidates are retrained,
@@ -12,12 +11,7 @@
       added/removed nodes, re-enveloped transition data (new branch
       directions, switch cases, indirect targets, successor edges),
       command-set, access-table and sync-point deltas, rendered as
-      deterministic JSON ({!diff_to_json}) and a table ({!pp_diff});
-    - {!merge}: an evidence-conservative widening — base plus exactly
-      the nodes/envelopes/access rows the candidate's benign training
-      visited.  Nothing the base learned is removed, so the merged spec
-      is never stricter than the base and only looser where candidate
-      evidence supports it. *)
+      deterministic JSON ({!diff_to_json}) and a table ({!pp_diff}). *)
 
 type envelope_change = {
   e_bref : Devir.Program.bref;
@@ -58,16 +52,6 @@ val is_empty : diff -> bool
 (** No delta in any category — [diff ~base:s ~cand:s] is always empty. *)
 
 val change_count : diff -> int
-
-val merge : base:Es_cfg.t -> cand:Es_cfg.t -> Es_cfg.t
-(** Conservative widening of [base] by [cand]'s benign evidence (same
-    program required — raises [Invalid_argument] otherwise).  Candidate
-    nodes are admitted only when visited during training; envelopes
-    accumulate (counts add, case/target/successor sets union); access
-    rows union; nothing is removed.  The result is stamped revision
-    [max(base, cand) + 1] with [Merged] provenance and validated
-    ([Failure] on an ill-formed result — cannot happen for two
-    well-formed specs over one program). *)
 
 val diff_to_json : diff -> Sedspec_util.Json.t
 (** Deterministic (sorted, jobs-independent) JSON rendering. *)

@@ -418,6 +418,82 @@ let test_shadow_jobs_independent () =
     (Supervisor.report_to_json (mk 1))
     (Supervisor.report_to_json (mk 4))
 
+(* A pcnet candidate trained without the link check lacks the base's one
+   sync point (the BCR4 read's host value).  The VM still reports every
+   sync event to both checkers; the candidate never walks that block, so
+   it never pops the value, and the enforced checker must count exactly
+   what it counts with no shadow at all. *)
+let test_shadow_sync_points_differ () =
+  let w = Workload.Samples.find "pcnet" in
+  let module D = (val w : Workload.Samples.DEVICE_WORKLOAD) in
+  let no_link_trainer =
+    {
+      Sedspec.Pipeline.cases = 6;
+      run_case =
+        (fun m case ->
+          let d = Workload.Pcnet_driver.create m in
+          ignore (Workload.Pcnet_driver.reset d);
+          ignore (Workload.Pcnet_driver.init d ~mode:0 ());
+          ignore (Workload.Pcnet_driver.start d);
+          for i = 0 to 3 do
+            let len = 64 + ((case * 97 + i * 211) mod 1400) in
+            ignore (Workload.Pcnet_driver.transmit d [ Bytes.make len 't' ]);
+            ignore (Workload.Pcnet_driver.receive d (Bytes.make len 'r'));
+            ignore (Workload.Pcnet_driver.rx_frame d);
+            Workload.Pcnet_driver.ack_interrupts d
+          done);
+    }
+  in
+  let cand =
+    Sedspec.Pipeline.build
+      (D.make_machine D.paper_version)
+      ~device:D.device_name no_link_trainer
+  in
+  let base = Metrics.Spec_cache.built w D.paper_version in
+  let syncs (b : Sedspec.Pipeline.built) =
+    Sedspec.Es_cfg.sync_points b.Sedspec.Pipeline.spec
+  in
+  Alcotest.(check bool) "base has a sync point" true (syncs base <> []);
+  Alcotest.(check bool) "candidate sync points differ from the base's" true
+    (syncs cand <> syncs base);
+  let run shadow =
+    let vm =
+      Vm.create ~index:0 ~seed:17L
+        { (Vm.default_options ~device:"pcnet") with Vm.shadow }
+    in
+    for _ = 1 to 8 do
+      Vm.tick vm
+    done;
+    (Vm.report vm, Checker.stats (Option.get (Vm.checker vm)))
+  in
+  let plain = run None and shadowed = run (Some (fun () -> cand)) in
+  (match (fst shadowed).Vm.r_shadow with
+  | None -> Alcotest.fail "the VM must shadow the candidate"
+  | Some sh ->
+    Alcotest.(check bool) "comparisons ran" true
+      (sh.Vm.sh_agree + sh.Vm.sh_stricter + sh.Vm.sh_looser > 0));
+  (* The walk statistics catch a sync value the enforced checker missed:
+     its post-sync walk would bail instead of completing. *)
+  let counts ((r : Vm.report), (st : Checker.stats)) =
+    [
+      ("interactions", r.Vm.r_interactions);
+      ("param anomalies", r.Vm.r_anoms_param);
+      ("indirect anomalies", r.Vm.r_anoms_indirect);
+      ("cond anomalies", r.Vm.r_anoms_cond);
+      ("internal anomalies", r.Vm.r_anoms_internal);
+      ("rollbacks", r.Vm.r_rollbacks);
+      ("halt ticks", r.Vm.r_halt_ticks);
+      ("warns", r.Vm.r_warns);
+      ("walks ok", st.Checker.walks_ok);
+      ("bails", st.Checker.bails);
+      ("deferred", st.Checker.deferred);
+      ("nodes walked", st.Checker.nodes_walked);
+    ]
+  in
+  Alcotest.(check (list (pair string int)))
+    "enforced counts equal the unshadowed run" (counts plain)
+    (counts shadowed)
+
 (* A candidate whose training corpus was poisoned with the exploit
    stream: the attack's traffic becomes "benign", so the spec admits the
    CVE's path and the catalogue gate must refuse it at the first rung. *)
@@ -651,6 +727,8 @@ let () =
             test_shadow_full_agreement;
           Alcotest.test_case "shadow report independent of jobs" `Slow
             test_shadow_jobs_independent;
+          Alcotest.test_case "candidate sync points differ" `Slow
+            test_shadow_sync_points_differ;
           Alcotest.test_case "budget window semantics" `Quick
             test_budget_window;
         ] );
