@@ -829,50 +829,54 @@ let () =
         | s -> cmds := s :: !cmds)
     Sys.argv;
   let cmds = if !cmds = [] then [ "all" ] else List.rev !cmds in
+  (* Resolve the whole command list before running any of it, so a typo
+     late in the list costs nothing. *)
+  let sections =
+    [
+      ("table2", table2);
+      ("table3", table3);
+      ("fig3", fig_storage ~latency:false);
+      ("fig4", fig_storage ~latency:true);
+      ("fig5", fig5);
+      ("baseline", baseline);
+      ("ablation", ablation);
+      ("scale", scale_bench);
+      ("rollout", rollout_bench);
+    ]
+  in
+  let resolve = function
+    | "all" -> fun () -> List.iter (fun (_, run) -> run ()) sections
+    | name -> (
+      match List.assoc_opt name sections with
+      | Some run -> run
+      | None ->
+        Printf.eprintf "unknown command %s (%s|all)\n" name
+          (String.concat "|" (List.map fst sections));
+        exit 2)
+  in
+  let runs = List.map resolve cmds in
   jobs := min !jobs_requested (Runner.default_jobs ());
   if !jobs < !jobs_requested then
     Printf.printf "--jobs %d requested, %d core%s available: running %d\n"
       !jobs_requested (Runner.default_jobs ())
       (if Runner.default_jobs () = 1 then "" else "s")
       !jobs;
-  (* Fail on an unwritable --json target now, not after the full run. *)
+  (* Fail on an unwritable --json target now, not after the full run.
+     The atomic writer needs a temp file beside the target, so probe
+     exactly that: an existing file keeps its contents. *)
   (match !json_path with
-  | Some path ->
-    (try close_out (open_out path)
-     with Sys_error msg ->
-       Printf.eprintf "cannot write json output: %s\n" msg;
-       exit 2)
+  | Some path -> (
+    try
+      Sys.remove
+        (Filename.temp_file ~temp_dir:(Filename.dirname path)
+           (Filename.basename path) ".probe")
+    with Sys_error msg ->
+      Printf.eprintf "cannot write json output: %s\n" msg;
+      exit 2)
   | None -> ());
   Metrics.Spec_cache.training_cases := (if !quick then 12 else 24);
   let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun cmd ->
-      match cmd with
-      | "table2" -> table2 ()
-      | "table3" -> table3 ()
-      | "fig3" -> fig_storage ~latency:false ()
-      | "fig4" -> fig_storage ~latency:true ()
-      | "fig5" -> fig5 ()
-      | "ablation" -> ablation ()
-      | "baseline" -> baseline ()
-      | "scale" -> scale_bench ()
-      | "rollout" -> rollout_bench ()
-      | "all" ->
-        table2 ();
-        table3 ();
-        fig_storage ~latency:false ();
-        fig_storage ~latency:true ();
-        fig5 ();
-        baseline ();
-        ablation ();
-        scale_bench ();
-        rollout_bench ()
-      | other ->
-        Printf.eprintf
-          "unknown command %s (table2|table3|fig3|fig4|fig5|baseline|ablation|scale|rollout|all)\n"
-          other;
-        exit 2)
-    cmds;
+  List.iter (fun run -> run ()) runs;
   let wall = Unix.gettimeofday () -. t0 in
   Printf.printf "\ntotal bench time: %.1fs (%d job%s)\n" wall !jobs
     (if !jobs = 1 then "" else "s");

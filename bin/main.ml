@@ -34,6 +34,20 @@ let find_device name =
     Printf.eprintf "unknown device %s (fdc|ehci|pcnet|sdhci|scsi|virtio)\n" name;
     exit 2
 
+(* "all" or a comma-separated list of device names. *)
+let device_list arg =
+  if arg = "all" then
+    List.map
+      (fun w ->
+        let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
+        W.device_name)
+      Workload.Samples.all
+  else begin
+    let ds = String.split_on_char ',' arg in
+    List.iter (fun d -> ignore (find_device d)) ds;
+    ds
+  end
+
 (* --- list -------------------------------------------------------------- *)
 
 let list_cmd =
@@ -433,26 +447,13 @@ let fleet_cmd =
   in
   let run device vms ticks ops seed jobs deadline json training =
     setup_training training;
-    let devices =
-      if device = "all" then
-        List.map
-          (fun w ->
-            let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-            W.device_name)
-          Workload.Samples.all
-      else begin
-        let ds = String.split_on_char ',' device in
-        List.iter (fun d -> ignore (find_device d)) ds;
-        ds
-      end
-    in
     let opts =
       {
         Fleet.Supervisor.vms;
         ticks;
         seed;
         jobs;
-        devices;
+        devices = device_list device;
         vm_opts =
           (fun device ->
             {
@@ -638,199 +639,97 @@ let evolve_cmd =
           $ json_arg "Write the rollout outcome JSON to $(docv)."
           $ expect_arg $ training_cases_arg)
 
-(* --- faultinj -------------------------------------------------------------- *)
+(* --- faultinj / hostile ------------------------------------------------- *)
 
-let faultinj_cmd =
-  let plans_arg =
-    let doc = "Fault plans per device-mode-engine combination." in
-    Arg.(value & opt int 12 & info [ "plans" ] ~docv:"N" ~doc)
-  in
-  let cases_arg =
-    let doc = "Soak cases run while each plan is armed." in
-    Arg.(value & opt int 3 & info [ "cases" ] ~docv:"N" ~doc)
-  in
-  let ops_arg =
-    let doc = "Logical operations per soak case." in
-    Arg.(value & opt int 6 & info [ "ops" ] ~docv:"N" ~doc)
-  in
-  let fleet_vms_arg =
-    let doc =
-      "Run the fleet bulkhead-isolation campaign over $(docv) VMs instead of \
-       the per-combo campaign (0 keeps the per-combo campaign)."
-    in
-    Arg.(value & opt int 0 & info [ "fleet-vms" ] ~docv:"N" ~doc)
-  in
-  let fleet_faulty_arg =
-    let doc = "Fleet members carrying an armed fault (fleet mode)." in
-    Arg.(value & opt int 3 & info [ "fleet-faulty" ] ~docv:"N" ~doc)
-  in
-  let fleet_ticks_arg =
-    let doc = "Supervision periods per VM (fleet mode)." in
-    Arg.(value & opt int 24 & info [ "fleet-ticks" ] ~docv:"N" ~doc)
-  in
-  let run device plans cases ops seed jobs json fleet_vms fleet_faulty
-      fleet_ticks training =
-    setup_training training;
-    let devices =
-      if device = "all" then
-        List.map
-          (fun w ->
-            let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-            W.device_name)
-          Workload.Samples.all
-      else begin
-        let ds = String.split_on_char ',' device in
-        List.iter (fun d -> ignore (find_device d)) ds;
-        ds
-      end
-    in
-    if fleet_vms > 0 then begin
-      let opts =
-        {
-          Faultinj.Campaign.fl_vms = fleet_vms;
-          fl_faulty = fleet_faulty;
-          fl_ticks = fleet_ticks;
-          fl_seed = seed;
-          fl_jobs = jobs;
-          fl_devices = devices;
-        }
-      in
-      let r = Faultinj.Campaign.fleet_isolation opts in
-      Format.printf "%a" Faultinj.Campaign.pp_fleet_report r;
-      write_json json
-        (Sedspec_util.Json.to_string (Faultinj.Campaign.fleet_report_to_json r));
-      if not (Faultinj.Campaign.fleet_passed r) then exit 1
-    end
-    else begin
-      let opts =
-        {
-          Faultinj.Campaign.devices;
-          plans_per_combo = plans;
-          cases_per_plan = cases;
-          ops_per_case = ops;
-          seed;
-          jobs;
-        }
-      in
-      let r = Faultinj.Campaign.run opts in
-      Format.printf "%a" Faultinj.Campaign.pp_report r;
-      write_json json
-        (Sedspec_util.Json.to_string (Faultinj.Campaign.report_to_json r));
-      if not (Faultinj.Campaign.passed r) then exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "faultinj"
-       ~doc:
-         "Deterministic fault-injection campaign against the checker's \
-          containment (exits 1 on any escaped exception or silent fail-open); \
-          --fleet-vms switches to the fleet bulkhead-isolation campaign")
-    Term.(const run
-          $ device_flag Arg.string "all"
-              "Comma-separated devices (fdc, ehci, pcnet, sdhci, scsi, virtio) \
-               or 'all'."
-          $ plans_arg $ cases_arg $ ops_arg
-          $ seed_arg 1L "Master PRNG seed (plans and workloads replay exactly)."
-          $ jobs_arg $ json_arg "Write the JSON report to $(docv)."
-          $ fleet_vms_arg $ fleet_faulty_arg $ fleet_ticks_arg
-          $ training_cases_arg)
-
-
-(* --- hostile --------------------------------------------------------------- *)
-
-let hostile_cmd =
-  let plans_arg =
-    let doc = "Hostile fault plans per device-mode-engine combination." in
-    Arg.(value & opt int 36 & info [ "plans" ] ~docv:"N" ~doc)
-  in
-  let cases_arg =
-    let doc = "Soak cases run while each plan is armed." in
-    Arg.(value & opt int 6 & info [ "cases" ] ~docv:"N" ~doc)
-  in
-  let ops_arg =
-    let doc = "Logical operations per soak case." in
-    Arg.(value & opt int 10 & info [ "ops" ] ~docv:"N" ~doc)
+(* The substrate and hostile-device campaigns share one command line:
+   [kind] picks the plan pool and whether the guest-side validator runs,
+   and only the hostile campaign has a floor on injections. *)
+let campaign_cmd kind ~name ~doc ~device ~plans ~cases ~ops ~min_injected =
+  let int_arg name default doc =
+    Arg.(value & opt int default & info [ name ] ~docv:"N" ~doc)
   in
   let min_injected_arg =
-    let doc = "Fail unless at least $(docv) corruptions were injected." in
-    Arg.(value & opt int 5000 & info [ "min-injected" ] ~docv:"N" ~doc)
+    match min_injected with
+    | None -> Term.const 0
+    | Some default ->
+      int_arg "min-injected" default
+        "Fail unless at least $(docv) corruptions were injected."
   in
-  let isolation_vms_arg =
-    let doc =
-      "Run the hostile fleet-isolation campaign over $(docv) guarded VMs \
-       instead of the per-combo campaign (0 keeps the per-combo campaign)."
-    in
-    Arg.(value & opt int 0 & info [ "isolation-vms" ] ~docv:"N" ~doc)
-  in
-  let isolation_faulty_arg =
-    let doc = "Fleet members carrying a hostile device model (isolation mode)." in
-    Arg.(value & opt int 3 & info [ "isolation-faulty" ] ~docv:"N" ~doc)
-  in
-  let isolation_ticks_arg =
-    let doc = "Supervision periods per VM (isolation mode)." in
-    Arg.(value & opt int 24 & info [ "isolation-ticks" ] ~docv:"N" ~doc)
-  in
-  let run device plans cases ops min_injected seed jobs json isolation_vms
-      isolation_faulty isolation_ticks training =
+  let run devices plans cases ops min_injected seed jobs json vms faulty ticks
+      training =
     setup_training training;
-    let devices =
-      let ds = String.split_on_char ',' device in
-      List.iter (fun d -> ignore (find_device d)) ds;
-      ds
+    let devices = device_list devices in
+    let report pp to_json passed r =
+      Format.printf "%a" pp r;
+      write_json json (Sedspec_util.Json.to_string (to_json r));
+      if not (passed r) then exit 1
     in
-    if isolation_vms > 0 then begin
-      let opts =
-        {
-          Faultinj.Campaign.fl_vms = isolation_vms;
-          fl_faulty = isolation_faulty;
-          fl_ticks = isolation_ticks;
-          fl_seed = seed;
-          fl_jobs = jobs;
-          fl_devices = devices;
-        }
-      in
-      let r = Faultinj.Campaign.hostile_isolation opts in
-      Format.printf "%a" Faultinj.Campaign.pp_fleet_report r;
-      write_json json
-        (Sedspec_util.Json.to_string (Faultinj.Campaign.fleet_report_to_json r));
-      if not (Faultinj.Campaign.fleet_passed r) then exit 1
-    end
-    else begin
-      let opts =
-        {
-          Faultinj.Campaign.h_devices = devices;
-          h_plans_per_combo = plans;
-          h_cases_per_plan = cases;
-          h_ops_per_case = ops;
-          h_min_injected = min_injected;
-          h_seed = seed;
-          h_jobs = jobs;
-        }
-      in
-      let r = Faultinj.Campaign.run_hostile opts in
-      Format.printf "%a" Faultinj.Campaign.pp_hostile_report r;
-      write_json json
-        (Sedspec_util.Json.to_string (Faultinj.Campaign.hostile_report_to_json r));
-      if not (Faultinj.Campaign.hostile_passed r) then exit 1
-    end
+    let module C = Faultinj.Campaign in
+    if vms > 0 then
+      report C.pp_fleet_report C.fleet_report_to_json C.fleet_passed
+        (C.isolation kind
+           {
+             C.fl_vms = vms;
+             fl_faulty = faulty;
+             fl_ticks = ticks;
+             fl_seed = seed;
+             fl_jobs = jobs;
+             fl_devices = devices;
+           })
+    else
+      report C.pp_report C.report_to_json C.passed
+        (C.run
+           {
+             C.kind;
+             devices;
+             plans_per_combo = plans;
+             cases_per_plan = cases;
+             ops_per_case = ops;
+             min_injected;
+             seed;
+             jobs;
+           })
   in
-  Cmd.v
-    (Cmd.info "hostile"
-       ~doc:
-         "Hostile-device campaign: seeded corruption of device responses \
-          (read returns, DMA lengths, completion stores, IRQ storms) under \
-          the guest-side validator; exits 1 on any escaped exception, silent \
-          fail-open, or too few injections; --isolation-vms switches to the \
-          guarded fleet-isolation campaign")
+  Cmd.v (Cmd.info name ~doc)
     Term.(const run
-          $ device_flag Arg.string "sdhci,virtio"
-              "Comma-separated devices under hostile response corruption (fdc, \
-               ehci, pcnet, sdhci, scsi, virtio)."
-          $ plans_arg $ cases_arg $ ops_arg $ min_injected_arg
+          $ device_flag Arg.string device
+              "Comma-separated devices (fdc, ehci, pcnet, sdhci, scsi, virtio) \
+               or 'all'."
+          $ int_arg "plans" plans
+              "Fault plans per device-mode-engine combination."
+          $ int_arg "cases" cases "Soak cases run while each plan is armed."
+          $ int_arg "ops" ops "Logical operations per soak case."
+          $ min_injected_arg
           $ seed_arg 1L "Master PRNG seed (plans and workloads replay exactly)."
           $ jobs_arg $ json_arg "Write the JSON report to $(docv)."
-          $ isolation_vms_arg $ isolation_faulty_arg $ isolation_ticks_arg
+          $ int_arg "isolation-vms" 0
+              "Run the fleet bulkhead-isolation campaign over $(docv) VMs \
+               instead of the per-combo campaign (0 keeps the per-combo \
+               campaign)."
+          $ int_arg "isolation-faulty" 3
+              "Fleet members carrying an armed fault (isolation mode)."
+          $ int_arg "isolation-ticks" 24
+              "Supervision periods per VM (isolation mode)."
           $ training_cases_arg)
+
+let faultinj_cmd =
+  campaign_cmd Faultinj.Campaign.Substrate ~name:"faultinj"
+    ~doc:
+      "Deterministic fault-injection campaign against the checker's \
+       containment (exits 1 on any escaped exception or silent fail-open); \
+       --isolation-vms switches to the fleet bulkhead-isolation campaign"
+    ~device:"all" ~plans:12 ~cases:3 ~ops:6 ~min_injected:None
+
+let hostile_cmd =
+  campaign_cmd Faultinj.Campaign.Hostile ~name:"hostile"
+    ~doc:
+      "Hostile-device campaign: seeded corruption of device responses \
+       (read returns, DMA lengths, completion stores, IRQ storms) under \
+       the guest-side validator; exits 1 on any escaped exception, silent \
+       fail-open, or too few injections; --isolation-vms switches to the \
+       guarded fleet-isolation campaign"
+    ~device:"sdhci,virtio" ~plans:36 ~cases:6 ~ops:10
+    ~min_injected:(Some 5000)
 
 (* --- check-spec ----------------------------------------------------------- *)
 

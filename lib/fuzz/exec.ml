@@ -68,20 +68,6 @@ let cross_version_profiles ~vuln ~patched =
    throughput that dominates, so share one [Devices.Device.t] (immutable
    program) per (device, version) and mint only fresh arenas. *)
 
-let device_ctor name : (Devices.Qemu_version.t -> Devices.Device.t) option =
-  if name = Devices.Fdc.name then Some (fun version -> Devices.Fdc.device ~version)
-  else if name = Devices.Sdhci.name then
-    Some (fun version -> Devices.Sdhci.device ~version)
-  else if name = Devices.Ehci.name then
-    Some (fun version -> Devices.Ehci.device ~version)
-  else if name = Devices.Pcnet.name then
-    Some (fun version -> Devices.Pcnet.device ~version)
-  else if name = Devices.Scsi.name then
-    Some (fun version -> Devices.Scsi.device ~version)
-  else if name = Devices.Virtio_ring.name then
-    Some (fun version -> Devices.Virtio_ring.device ~version)
-  else None
-
 let device_cache : (string * string, Devices.Device.t) Hashtbl.t =
   Hashtbl.create 8
 
@@ -95,12 +81,11 @@ let cached_device ~device ~version =
       match Hashtbl.find_opt device_cache key with
       | Some d -> d
       | None ->
-        let ctor =
-          match device_ctor device with
-          | Some c -> c
+        let d =
+          match Workload.Samples.find_opt device with
+          | Some (module W) -> W.device version
           | None -> invalid_arg ("Fuzz.Exec: unknown device " ^ device)
         in
-        let d = ctor version in
         Hashtbl.replace device_cache key d;
         d)
 
@@ -109,8 +94,8 @@ let cached_device ~device ~version =
    the compiled engine lowers the spec lazily per checker instance — at
    fuzzing throughput, minting all of that per replay dominated the run
    (and the allocation churn kept the major GC walking the multi-MB spec
-   cache).  A recycled context is scrubbed back to boot state: device
-   arena, RAM, IRQ lines, machine verdict state and checker. *)
+   cache).  A recycled context goes back to boot state through
+   [Vmm.Machine.reboot] and [Checker.reset]. *)
 
 type rctx = { rx_machine : Vmm.Machine.t; rx_checker : C.t }
 
@@ -135,20 +120,6 @@ let make_rctx ~config ~version (input : Input.t) =
   let checker = Sedspec.Pipeline.protect ~config m ~device:input.device b in
   { rx_machine = m; rx_checker = checker }
 
-let scrub_rctx ~device rctx =
-  let m = rctx.rx_machine in
-  Vmm.Machine.resume m;
-  Vmm.Machine.clear_warnings m;
-  Vmm.Machine.clear_traps m;
-  Vmm.Guest_mem.clear (Vmm.Machine.ram m);
-  Devir.Arena.reset (Interp.arena (Vmm.Machine.interp_of m device));
-  Vmm.Irq.lower_line (Vmm.Machine.irq m) device;
-  Vmm.Irq.clear_counts (Vmm.Machine.irq m);
-  Vmm.Guest_mem.set_read_fault (Vmm.Machine.ram m) None;
-  Interp.set_response_fault (Vmm.Machine.interp_of m device) None;
-  C.set_fault_hook rctx.rx_checker None;
-  C.reset rctx.rx_checker
-
 let with_rctx ~config ~version (input : Input.t) f =
   let key =
     Printf.sprintf "%s|%s|%s" input.device
@@ -167,7 +138,8 @@ let with_rctx ~config ~version (input : Input.t) f =
     Mutex.unlock ctx_lock;
     match r with
     | Some rctx ->
-      scrub_rctx ~device:input.device rctx;
+      Vmm.Machine.reboot rctx.rx_machine ~device:input.device;
+      C.reset rctx.rx_checker;
       rctx
     | None -> make_rctx ~config ~version input
   in

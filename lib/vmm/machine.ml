@@ -139,6 +139,18 @@ let clear_warnings t = t.warnings_rev <- []
 let last_traps t = t.traps_rev
 let clear_traps t = t.traps_rev <- []
 
+let reboot t ~device =
+  let interp = interp_of t device in
+  resume t;
+  clear_warnings t;
+  clear_traps t;
+  Guest_mem.clear t.ram;
+  Guest_mem.set_read_fault t.ram None;
+  Devir.Arena.reset (Interp.arena interp);
+  Interp.set_response_fault interp None;
+  Irq.lower_line t.irq device;
+  Irq.clear_counts t.irq
+
 let apply_verdict t v =
   match v with
   | Allow -> ()

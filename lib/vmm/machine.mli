@@ -106,3 +106,10 @@ val last_traps : t -> (string * Interp.Event.trap) list
 (** Device faults observed since the last [clear_traps], newest first. *)
 
 val clear_traps : t -> unit
+
+val reboot : t -> device:string -> unit
+(** Return a recycled machine to boot state for [device]: resume it,
+    clear warnings and traps, zero RAM and drop its read fault, reset the
+    device's arena and response fault, lower its IRQ line and clear the
+    IRQ counts.  Interposers stay installed; their own state (a checker's
+    shadow, say) is the caller's to reset. *)

@@ -10,6 +10,7 @@ let mode_to_string = function
 module type DEVICE_WORKLOAD = sig
   val device_name : string
   val paper_version : Devices.Qemu_version.t
+  val device : Devices.Qemu_version.t -> Devices.Device.t
   val make_machine : ?vmexit_cost:int -> Devices.Qemu_version.t -> Vmm.Machine.t
   val trainer : cases:int -> Sedspec.Pipeline.trainer
 
@@ -41,9 +42,10 @@ module Fdc_w = struct
   let device_name = Devices.Fdc.name
   let paper_version = Devices.Qemu_version.v 2 3 0
 
+  let device version = Devices.Fdc.device ~version
+
   let make_machine ?vmexit_cost version =
-    make_machine_for (fun version -> Devices.Fdc.device ~version) ?vmexit_cost
-      version
+    make_machine_for device ?vmexit_cost version
 
   let seek_read_write d ~track ~head ~sect =
     ignore (Fdc_driver.seek d ~drive:0 ~head ~track);
@@ -124,9 +126,10 @@ module Ehci_w = struct
   let device_name = Devices.Ehci.name
   let paper_version = Devices.Qemu_version.v 5 1 0
 
+  let device version = Devices.Ehci.device ~version
+
   let make_machine ?vmexit_cost version =
-    make_machine_for (fun version -> Devices.Ehci.device ~version) ?vmexit_cost
-      version
+    make_machine_for device ?vmexit_cost version
 
   let trainer ~cases =
     {
@@ -185,9 +188,10 @@ module Pcnet_w = struct
   let device_name = Devices.Pcnet.name
   let paper_version = Devices.Qemu_version.v 2 4 0
 
+  let device version = Devices.Pcnet.device ~version
+
   let make_machine ?vmexit_cost version =
-    make_machine_for (fun version -> Devices.Pcnet.device ~version) ?vmexit_cost
-      version
+    make_machine_for device ?vmexit_cost version
 
   let frame rng len = Prng.bytes rng len
 
@@ -268,9 +272,10 @@ module Sdhci_w = struct
   let device_name = Devices.Sdhci.name
   let paper_version = Devices.Qemu_version.v 5 2 0
 
+  let device version = Devices.Sdhci.device ~version
+
   let make_machine ?vmexit_cost version =
-    make_machine_for (fun version -> Devices.Sdhci.device ~version) ?vmexit_cost
-      version
+    make_machine_for device ?vmexit_cost version
 
   let dma_area = 0xA0000L
 
@@ -342,9 +347,10 @@ module Scsi_w = struct
   let device_name = Devices.Scsi.name
   let paper_version = Devices.Qemu_version.v 2 4 0
 
+  let device version = Devices.Scsi.device ~version
+
   let make_machine ?vmexit_cost version =
-    make_machine_for (fun version -> Devices.Scsi.device ~version) ?vmexit_cost
-      version
+    make_machine_for device ?vmexit_cost version
 
   let trainer ~cases =
     {
@@ -402,10 +408,10 @@ module Virtio_w = struct
   let device_name = Devices.Virtio_ring.name
   let paper_version = Devices.Qemu_version.v 4 0 0
 
+  let device version = Devices.Virtio_ring.device ~version
+
   let make_machine ?vmexit_cost version =
-    make_machine_for
-      (fun version -> Devices.Virtio_ring.device ~version)
-      ?vmexit_cost version
+    make_machine_for device ?vmexit_cost version
 
   let payload rng len = Prng.bytes rng len
 

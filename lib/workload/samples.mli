@@ -22,6 +22,9 @@ module type DEVICE_WORKLOAD = sig
   val paper_version : Devices.Qemu_version.t
   (** The QEMU version the paper's case studies target for this device. *)
 
+  val device : Devices.Qemu_version.t -> Devices.Device.t
+  (** The device model at the given version. *)
+
   val make_machine : ?vmexit_cost:int -> Devices.Qemu_version.t -> Vmm.Machine.t
   (** Fresh machine with this device attached at the given version. *)
 
@@ -48,7 +51,8 @@ module Sdhci_w : DEVICE_WORKLOAD
 module Scsi_w : DEVICE_WORKLOAD
 
 val all : (module DEVICE_WORKLOAD) list
-(** The five devices in the paper's Table III order. *)
+(** The five devices of the paper's Table III, in its order, then the
+    virtio ring. *)
 
 val find : string -> (module DEVICE_WORKLOAD)
 (** Lookup by device name; raises [Not_found]. *)

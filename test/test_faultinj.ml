@@ -99,10 +99,12 @@ let test_corrupt_spec_never_silent () =
 
 let smoke_opts jobs =
   {
-    Campaign.devices = [ "fdc" ];
+    Campaign.kind = Campaign.Substrate;
+    devices = [ "fdc" ];
     plans_per_combo = 4;
     cases_per_plan = 2;
     ops_per_case = 3;
+    min_injected = 0;
     seed = 5L;
     jobs;
   }
@@ -125,6 +127,16 @@ let test_campaign_jobs_bit_identical () =
   let r1 = render (Lazy.force smoke) in
   let r2 = render (Campaign.run (smoke_opts 2)) in
   Alcotest.(check string) "jobs 1 = jobs 2" r1 r2
+
+(* Pins the report byte for byte: a reordered field or a moved RNG draw
+   changes the digest. *)
+let test_campaign_json_pinned () =
+  let json =
+    Sedspec_util.Json.to_string (Campaign.report_to_json (Lazy.force smoke))
+  in
+  Alcotest.(check string) "report JSON digest"
+    "d5fade67c65ff0f6a2e46103dfefa16c"
+    (Digest.to_hex (Digest.string json))
 
 let () =
   Alcotest.run "faultinj"
@@ -149,5 +161,7 @@ let () =
             test_campaign_contains_everything;
           Alcotest.test_case "jobs 1 = jobs 2 bit-identical" `Quick
             test_campaign_jobs_bit_identical;
+          Alcotest.test_case "report JSON pinned" `Quick
+            test_campaign_json_pinned;
         ] );
     ]

@@ -1247,18 +1247,6 @@ let test_checker_resync_restores_shadow () =
   Alcotest.(check bool) "post-resync shadow matches device" true
     (Sedspec.Checker.shadow_matches_device checker = [])
 
-(* The fuzzer's machine scrub, so [Checker.reset] can be tested against
-   the recycled machine the way the replay pool uses it. *)
-let scrub_fdc m checker =
-  Vmm.Machine.resume m;
-  Vmm.Machine.clear_warnings m;
-  Vmm.Machine.clear_traps m;
-  Vmm.Guest_mem.clear (Vmm.Machine.ram m);
-  Arena.reset (Interp.arena (Vmm.Machine.interp_of m "fdc"));
-  Vmm.Irq.lower_line (Vmm.Machine.irq m) "fdc";
-  Vmm.Irq.clear_counts (Vmm.Machine.irq m);
-  Sedspec.Checker.reset checker
-
 let benign_coverage checker d =
   let cov = Sedspec.Checker.coverage_create () in
   Sedspec.Checker.set_coverage checker (Some cov);
@@ -1270,7 +1258,7 @@ let benign_coverage checker d =
     Sedspec.Checker.coverage_edges cov )
 
 let test_checker_reset_equals_fresh () =
-  (* After arbitrary traffic (including a contained fault), scrub+reset
+  (* After arbitrary traffic (including a contained fault), reboot+reset
      must behave exactly like a just-attached checker: the same benign
      sequence walks the same nodes and edges and raises nothing. *)
   let m, checker, d = fresh_fdc () in
@@ -1278,7 +1266,9 @@ let test_checker_reset_equals_fresh () =
   Sedspec.Checker.set_fault_hook checker (Some (fun () -> failwith "boom"));
   ignore (Workload.Fdc_driver.seek d ~drive:0 ~head:0 ~track:13);
   Alcotest.(check bool) "fault halted the machine" true (Vmm.Machine.halted m);
-  scrub_fdc m checker;
+  (* The fuzzer's replay pool recycles a machine the same way. *)
+  Vmm.Machine.reboot m ~device:"fdc";
+  Sedspec.Checker.reset checker;
   Alcotest.(check int) "internal errors cleared" 0
     (Sedspec.Checker.internal_errors checker);
   Alcotest.(check int) "heals cleared" 0 (Sedspec.Checker.heals checker);

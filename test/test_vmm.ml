@@ -195,6 +195,43 @@ let test_device_irq_wiring () =
   Alcotest.(check bool) "irq raised through machine" true
     (Vmm.Irq.raise_count (Vmm.Machine.irq m) "fdc" > 0)
 
+let test_machine_reboot () =
+  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  let dev = Devices.Fdc.device ~version:(Devices.Qemu_version.v 2 3 0) in
+  Vmm.Machine.attach m (dev.make_binding ());
+  let interp = Vmm.Machine.interp_of m "fdc" in
+  let boot = Arena.snapshot (Interp.arena interp) in
+  let d = Workload.Fdc_driver.create m in
+  ignore (Workload.Fdc_driver.seek d ~drive:0 ~head:0 ~track:3);
+  let ram = Vmm.Machine.ram m in
+  Vmm.Guest_mem.write_byte ram 0x100L 0x5A;
+  Vmm.Guest_mem.set_read_fault ram (Some (fun _ b -> b lxor 0xFF));
+  Interp.set_response_fault interp (Some Interp.no_response_fault);
+  Vmm.Machine.set_interposer m "fdc"
+    {
+      Vmm.Machine.before = (fun _ -> Vmm.Machine.Halt "stop");
+      after = (fun _ _ -> Vmm.Machine.Allow);
+    };
+  ignore (Workload.Fdc_driver.seek d ~drive:0 ~head:0 ~track:4);
+  let irq = Vmm.Machine.irq m in
+  Alcotest.(check bool) "halted before reboot" true (Vmm.Machine.halted m);
+  Alcotest.(check bool) "irq raised before reboot" true
+    (Vmm.Irq.is_raised irq "fdc");
+  Alcotest.(check bool) "arena moved before reboot" false
+    (Bytes.equal boot (Arena.snapshot (Interp.arena interp)));
+  Vmm.Machine.reboot m ~device:"fdc";
+  Alcotest.(check bool) "resumed" false (Vmm.Machine.halted m);
+  Alcotest.(check int) "ram cleared, read fault dropped" 0
+    (Vmm.Guest_mem.read_byte ram 0x100L);
+  Alcotest.(check bool) "response fault dropped" true
+    (Option.is_none (Interp.response_fault interp));
+  Alcotest.(check bool) "arena at boot state" true
+    (Bytes.equal boot (Arena.snapshot (Interp.arena interp)));
+  Alcotest.(check bool) "irq line lowered" false (Vmm.Irq.is_raised irq "fdc");
+  Alcotest.(check int) "irq counts cleared" 0 (Vmm.Irq.raise_count irq "fdc");
+  Alcotest.(check bool) "interposer kept" true
+    (Option.is_some (Vmm.Machine.interposer_of m "fdc"))
+
 let test_vmexit_spin_costs_time () =
   (* The VM-exit model must actually burn time, monotonically in the
      spin count (coarse check: 200k spins cost measurably more than 0). *)
@@ -240,6 +277,8 @@ let () =
           Alcotest.test_case "trap reporting" `Quick test_trap_reporting;
           Alcotest.test_case "inject" `Quick test_inject;
           Alcotest.test_case "device irq wiring" `Quick test_device_irq_wiring;
+          Alcotest.test_case "reboot restores boot state" `Quick
+            test_machine_reboot;
           Alcotest.test_case "vm-exit spin costs time" `Slow test_vmexit_spin_costs_time;
           Alcotest.test_case "ram snapshot/restore" `Quick test_ram_snapshot_restore;
         ] );
