@@ -229,8 +229,8 @@ let fuzz_cmd =
     Arg.(value & opt int 48 & info [ "max-steps" ] ~docv:"N" ~doc)
   in
   let corpus_out_arg =
-    let doc = "Save the final corpus to $(docv) (with 'all', one file per \
-               device: $(docv).DEVICE)." in
+    let doc = "Save the final corpus to $(docv) (with more than one device, \
+               one file per device: $(docv).DEVICE)." in
     Arg.(value & opt (some string) None & info [ "corpus-out" ] ~docv:"FILE" ~doc)
   in
   let corpus_in_arg =
@@ -277,18 +277,7 @@ let fuzz_cmd =
   in
   let fuzz_devices device budget seed jobs batch max_steps json
       corpus_out corpus_in =
-    let devices =
-      if device = "all" then
-        List.map
-          (fun w ->
-            let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-            W.device_name)
-          Workload.Samples.all
-      else begin
-        ignore (find_device device);
-        [ device ]
-      end
-    in
+    let devices = device_list device in
     let extra_seeds =
       match corpus_in with Some f -> load_corpus f | None -> []
     in
@@ -326,7 +315,9 @@ let fuzz_cmd =
             r.r_findings;
           (match corpus_out with
           | Some base ->
-            let file = if device = "all" then base ^ "." ^ dev else base in
+            let file =
+              if List.length devices > 1 then base ^ "." ^ dev else base
+            in
             Fuzz.Input.save_corpus file r.r_corpus
           | None -> ());
           r)
@@ -358,7 +349,8 @@ let fuzz_cmd =
        ~doc:"Coverage-guided differential fuzzing of the ES-Checker")
     Term.(const run
           $ device_flag Arg.string "fdc"
-              "Device to fuzz (fdc, ehci, pcnet, sdhci, scsi, virtio) or 'all'."
+              "Comma-separated devices to fuzz (fdc, ehci, pcnet, sdhci, scsi, \
+               virtio) or 'all'."
           $ budget_arg $ seed_arg 0L "Master PRNG seed." $ jobs_arg $ batch_arg
           $ max_steps_arg $ json_arg "Write the JSON report to $(docv)."
           $ corpus_out_arg $ corpus_in_arg $ replay_arg $ training_cases_arg)

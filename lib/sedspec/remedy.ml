@@ -29,36 +29,33 @@ type event = {
   action : policy;
 }
 
-type mem_image = {
-  arena_bytes : bytes;
-  ram_bytes : bytes;
+type breaker = {
+  max_rollbacks : int;
+  window : int;
+  mutable recent_rev : int list;
+      (** Ticks of the rollbacks inside the window, newest first. *)
 }
-
-type breaker = { max_rollbacks : int; window : int }
 
 type t = {
   machine : Vmm.Machine.t;
-  device : string;
   checker : Checker.t;
   policy_of : severity -> policy;
   aux_drain : unit -> Checker.anomaly list;
   breaker : breaker option;
-  mutable saved : mem_image;
+  arena : Devir.Arena.t;
+  saved_arena : bytes;  (** The arena at the last checkpoint. *)
   mutable events_rev : event list;
   mutable rollbacks : int;
   mutable ticks : int;
-  mutable rollback_ticks_rev : int list;
-      (** Tick indices at which a rollback was applied, newest first. *)
   mutable tripped : bool;
   mutable log_rev : string list;
 }
 
-let take_snapshot t =
-  {
-    arena_bytes =
-      Devir.Arena.snapshot (Interp.arena (Vmm.Machine.interp_of t.machine t.device));
-    ram_bytes = Vmm.Guest_mem.snapshot (Vmm.Machine.ram t.machine);
-  }
+(* Guest RAM keeps its own checkpoint image and copies only the pages
+   dirtied since the last checkpoint. *)
+let take_checkpoint t =
+  Devir.Arena.save_into t.arena t.saved_arena;
+  Vmm.Guest_mem.checkpoint (Vmm.Machine.ram t.machine)
 
 let log_line t line = t.log_rev <- line :: t.log_rev
 
@@ -68,25 +65,28 @@ let create ?(policy_of = fun _ -> Rollback) ?(aux_drain = fun () -> [])
   | Some (max_rollbacks, window) when max_rollbacks < 1 || window < 1 ->
     invalid_arg "Remedy.create: breaker thresholds must be >= 1"
   | _ -> ());
+  let arena = Interp.arena (Vmm.Machine.interp_of machine device) in
   let t =
     {
       machine;
-      device;
       checker;
       policy_of;
       aux_drain;
       breaker =
-        Option.map (fun (max_rollbacks, window) -> { max_rollbacks; window }) breaker;
-      saved = { arena_bytes = Bytes.empty; ram_bytes = Bytes.empty };
+        Option.map
+          (fun (max_rollbacks, window) ->
+            { max_rollbacks; window; recent_rev = [] })
+          breaker;
+      arena;
+      saved_arena = Devir.Arena.snapshot arena;
       events_rev = [];
       rollbacks = 0;
       ticks = 0;
-      rollback_ticks_rev = [];
       tripped = false;
       log_rev = [];
     }
   in
-  t.saved <- take_snapshot t;
+  take_checkpoint t;
   t
 
 (* A supervisor ticking on a timer must not crash because its tick raced
@@ -95,17 +95,27 @@ let create ?(policy_of = fun _ -> Rollback) ?(aux_drain = fun () -> [])
 let checkpoint t =
   if Vmm.Machine.halted t.machine then
     log_line t "checkpoint skipped: machine is halted"
-  else t.saved <- take_snapshot t
+  else take_checkpoint t
+
+(* Rollbacks inside the trailing breaker window at the current tick. *)
+let rollbacks_in_window t b =
+  let floor = t.ticks - b.window in
+  List.fold_left (fun n tk -> if tk > floor then n + 1 else n) 0 b.recent_rev
 
 let apply_rollback t =
-  Devir.Arena.restore
-    (Interp.arena (Vmm.Machine.interp_of t.machine t.device))
-    t.saved.arena_bytes;
-  Vmm.Guest_mem.restore (Vmm.Machine.ram t.machine) t.saved.ram_bytes;
+  Devir.Arena.restore t.arena t.saved_arena;
+  Vmm.Guest_mem.rollback (Vmm.Machine.ram t.machine);
   Vmm.Machine.resume t.machine;
   Checker.resync t.checker;
   t.rollbacks <- t.rollbacks + 1;
-  t.rollback_ticks_rev <- t.ticks :: t.rollback_ticks_rev
+  (* Only the breaker reads rollback ticks, and only those in its window;
+     ticks only grow, so a tick that left the window never re-enters it. *)
+  Option.iter
+    (fun b ->
+      let floor = t.ticks - b.window in
+      b.recent_rev <-
+        t.ticks :: List.filter (fun tk -> tk > floor) b.recent_rev)
+    t.breaker
 
 (* Would one more rollback at the current tick exceed the breaker?  Counts
    rollbacks inside the trailing window, including the one about to be
@@ -113,14 +123,7 @@ let apply_rollback t =
 let breaker_would_trip t =
   match t.breaker with
   | None -> false
-  | Some b ->
-    let floor = t.ticks - b.window in
-    let recent =
-      List.fold_left
-        (fun n tk -> if tk > floor then n + 1 else n)
-        0 t.rollback_ticks_rev
-    in
-    recent + 1 > b.max_rollbacks
+  | Some b -> rollbacks_in_window t b + 1 > b.max_rollbacks
 
 let tick t =
   t.ticks <- t.ticks + 1;
@@ -139,7 +142,7 @@ let tick t =
     ignore (Checker.drain_anomalies t.checker);
     ignore (t.aux_drain ());
     Vmm.Machine.clear_warnings t.machine;
-    t.saved <- take_snapshot t;
+    take_checkpoint t;
     []
   end
   else begin
@@ -216,20 +219,14 @@ type snapshot = {
 }
 
 let snapshot t =
-  let in_window =
-    match t.breaker with
-    | None -> t.rollbacks
-    | Some b ->
-      let floor = t.ticks - b.window in
-      List.fold_left
-        (fun n tk -> if tk > floor then n + 1 else n)
-        0 t.rollback_ticks_rev
-  in
   {
     s_ticks = t.ticks;
     s_events = List.length t.events_rev;
     s_rollbacks = t.rollbacks;
-    s_rollbacks_in_window = in_window;
+    s_rollbacks_in_window =
+      (match t.breaker with
+      | None -> t.rollbacks
+      | Some b -> rollbacks_in_window t b);
     s_breaker = Option.map (fun b -> (b.max_rollbacks, b.window)) t.breaker;
     s_breaker_tripped = t.tripped;
     s_halted = Vmm.Machine.halted t.machine;

@@ -3,12 +3,20 @@
     and optionally roll the virtual machine back to a checkpoint taken
     before the exploitation.
 
-    A {!supervisor} wraps a protected machine.  The caller ticks it
-    between I/O bursts: on clean ticks it refreshes its checkpoint (device
-    control structures, guest RAM, interrupt state); when the checker has
-    halted the VM it applies the configured {!policy} — halt (paper
-    default), roll back to the last clean checkpoint and resume, or resume
-    with a warning only. *)
+    A supervisor ({!t}) wraps one device of a protected machine.  The
+    caller ticks it between I/O bursts: on clean ticks it refreshes its
+    checkpoint; when the checker has halted the VM it applies the
+    configured {!policy} — halt (paper default), roll back to the last
+    clean checkpoint and resume, or resume with a warning only.
+
+    The checkpoint holds the device's control structure (its arena) and
+    guest RAM, nothing else: interrupt lines and counts are not saved, and
+    a rollback leaves them as they are.  Guest RAM keeps the single
+    checkpoint image itself ({!Vmm.Guest_mem.checkpoint}), so there is one
+    checkpoint per guest RAM: a second supervisor on the same machine
+    would share it.  Refreshing or restoring the checkpoint copies only
+    the 4 KiB pages dirtied since the last one, so its cost scales with the
+    pages written between ticks, not with the size of RAM. *)
 
 type severity = Critical | High | Medium
 
@@ -63,7 +71,8 @@ val create :
     initial checkpoint is taken immediately. *)
 
 val checkpoint : t -> unit
-(** Capture device control structure + guest RAM as the rollback target.
+(** Capture the device's control structure and guest RAM as the rollback
+    target (RAM: only the pages dirtied since the last checkpoint).
     While the machine is halted this is a no-op recorded in {!log}
     (refreshing the target would capture post-anomaly state; callers
     ticking on a timer must not crash). *)

@@ -47,11 +47,29 @@ val fill : t -> int64 -> int -> int -> unit
 (** [fill t addr len byte]. *)
 
 val clear : t -> unit
-(** Zero the whole image (host-side reset; the write hook does not fire). *)
+(** Zero the whole image (host-side reset; the write hook does not fire).
+    Marks every page dirty. *)
 
 val snapshot : t -> bytes
-val restore : t -> bytes -> unit
-(** Save / restore the whole RAM image (same size required). *)
+(** A fresh copy of the whole RAM image. *)
+
+(** {2 Checkpoint and rollback}
+
+    RAM has one checkpoint image.  Every in-range write marks its 4 KiB
+    page dirty; {!checkpoint} and {!rollback} copy only the dirty pages,
+    then mark every page clean.  Both are exact for any write sequence: a
+    clean page still equals its saved copy.  The image is allocated at the
+    first {!checkpoint}, so RAM nobody checkpoints costs nothing extra. *)
+
+val checkpoint : t -> unit
+(** Make the checkpoint image equal to RAM.  Costs one page copy per page
+    dirtied since the last {!checkpoint} or {!rollback} (all of them the
+    first time, and after {!clear}). *)
+
+val rollback : t -> unit
+(** Make RAM equal to the checkpoint image (host-side restore; the write
+    hook does not fire).  Costs one page copy per dirty page.  Raises
+    [Invalid_argument] if no checkpoint was ever taken. *)
 
 val access : t -> Interp.guest
 (** The interpreter-facing access record. *)

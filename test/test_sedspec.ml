@@ -1332,6 +1332,51 @@ let test_remedy_checkpoint_while_halted () =
   Alcotest.(check int64) "restored the pre-anomaly checkpoint" 21L
     (Arena.get arena "track")
 
+let test_remedy_rollback_restores_guest_ram () =
+  (* The checkpoint covers guest RAM, not just the arena: bytes written
+     after it revert to their checkpointed values on rollback, including a
+     write that straddles a page boundary. *)
+  let m, checker, d = fresh_fdc () in
+  let sup = Sedspec.Remedy.create m ~device:"fdc" checker in
+  let ram = Vmm.Machine.ram m in
+  ignore (Workload.Fdc_driver.reset d);
+  Vmm.Guest_mem.write ram 0x1FFEL Width.W32 0x11223344L;
+  ignore (Sedspec.Remedy.tick sup);
+  Vmm.Guest_mem.write ram 0x1FFEL Width.W32 0xDEADBEEFL;
+  Vmm.Guest_mem.fill ram 0x5000L 16 0xAA;
+  ignore (Workload.Fdc_driver.dumpreg d);
+  Alcotest.(check bool) "halted by the rare command" true
+    (Vmm.Machine.halted m);
+  ignore (Sedspec.Remedy.tick sup);
+  Alcotest.(check int) "rolled back" 1 (Sedspec.Remedy.rollbacks sup);
+  Alcotest.(check int64) "straddling write reverted" 0x11223344L
+    (Vmm.Guest_mem.read ram 0x1FFEL Width.W32);
+  Alcotest.(check string) "fill reverted" (String.make 16 '\000')
+    (Bytes.to_string (Vmm.Guest_mem.blit_out ram 0x5000L 16))
+
+let test_remedy_clean_tick_allocation () =
+  (* A clean tick copies only the guest pages dirtied since the last
+     checkpoint into RAM's preallocated image: it must not allocate a copy
+     of the 16 MiB RAM (2 M major words). *)
+  let m, checker, d = fresh_fdc () in
+  let ram = Vmm.Machine.ram m in
+  Alcotest.(check int) "default RAM size" (16 * 1024 * 1024)
+    (Vmm.Guest_mem.size ram);
+  let sup = Sedspec.Remedy.create m ~device:"fdc" checker in
+  ignore (Workload.Fdc_driver.reset d);
+  ignore (Workload.Fdc_driver.seek d ~drive:0 ~head:0 ~track:21);
+  ignore (Sedspec.Remedy.tick sup);
+  ignore (Workload.Fdc_driver.sense_interrupt d);
+  Vmm.Guest_mem.fill ram 0x3000L 8192 0x5A;
+  let _, _, major0 = Gc.counters () in
+  let events = Sedspec.Remedy.tick sup in
+  let _, _, major1 = Gc.counters () in
+  Alcotest.(check int) "clean tick" 0 (List.length events);
+  let words = major1 -. major0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major words per clean tick < 16k" words)
+    true (words < 16_000.)
+
 let test_remedy_circuit_breaker_escalates () =
   let m, checker, d = fresh_fdc () in
   let sup =
@@ -1545,6 +1590,10 @@ let () =
             test_remedy_circuit_breaker_escalates;
           Alcotest.test_case "snapshot tracks supervisor state" `Quick
             test_remedy_snapshot_tracks_state;
+          Alcotest.test_case "rollback restores guest RAM" `Quick
+            test_remedy_rollback_restores_guest_ram;
+          Alcotest.test_case "clean tick allocation budget" `Quick
+            test_remedy_clean_tick_allocation;
         ] );
       ( "containment",
         [

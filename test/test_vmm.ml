@@ -247,13 +247,124 @@ let test_vmexit_spin_costs_time () =
   let free = time_accesses 0 and costly = time_accesses 200_000 in
   Alcotest.(check bool) "spin burns time" true (costly > free *. 2.0)
 
-let test_ram_snapshot_restore () =
+let test_ram_checkpoint_rollback () =
   let g = Vmm.Guest_mem.create 64 in
   Vmm.Guest_mem.write g 8L Width.W32 0xABCDL;
-  let snap = Vmm.Guest_mem.snapshot g in
+  Vmm.Guest_mem.checkpoint g;
   Vmm.Guest_mem.write g 8L Width.W32 0L;
-  Vmm.Guest_mem.restore g snap;
-  Alcotest.(check int64) "restored" 0xABCDL (Vmm.Guest_mem.read g 8L Width.W32)
+  Vmm.Guest_mem.rollback g;
+  Alcotest.(check int64) "restored" 0xABCDL (Vmm.Guest_mem.read g 8L Width.W32);
+  match Vmm.Guest_mem.rollback (Vmm.Guest_mem.create 64) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "rollback without a checkpoint accepted"
+
+(* Incremental checkpoints against a full-copy reference: random write,
+   checkpoint and rollback sequences on a RAM whose size is not a whole
+   number of 4 KiB pages, with addresses clustered on page boundaries and
+   the end of RAM so multi-byte writes straddle both. *)
+type ram_op =
+  | Write_byte of int * int
+  | Write of int * Width.t * int64
+  | Blit_in of int * string
+  | Fill of int * int * int
+  | Clear
+  | Checkpoint
+  | Rollback
+
+let ram_size = (20 * 4096) + 1234
+
+let print_ram_op = function
+  | Write_byte (a, v) -> Printf.sprintf "write_byte %d 0x%x" a v
+  | Write (a, w, v) ->
+    Printf.sprintf "write %d W%d 0x%Lx" a (8 * Width.bytes w) v
+  | Blit_in (a, s) -> Printf.sprintf "blit_in %d (%d bytes)" a (String.length s)
+  | Fill (a, n, b) -> Printf.sprintf "fill %d %d 0x%x" a n b
+  | Clear -> "clear"
+  | Checkpoint -> "checkpoint"
+  | Rollback -> "rollback"
+
+let gen_ram_ops =
+  let open QCheck.Gen in
+  let addr =
+    oneof
+      [
+        int_range (-8) (ram_size + 8);
+        map2 (fun p d -> (p * 4096) + d) (int_range 0 21) (int_range (-8) 8);
+        map (fun d -> ram_size + d) (int_range (-8) 8);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (3, map2 (fun a v -> Write_byte (a, v)) addr (int_bound 255));
+        ( 3,
+          map3
+            (fun a w v -> Write (a, w, v))
+            addr
+            (oneofl [ Width.W8; Width.W16; Width.W32; Width.W64 ])
+            ui64 );
+        (2, map2 (fun a s -> Blit_in (a, s)) addr (string_size (int_bound 5000)));
+        ( 2,
+          map3 (fun a n b -> Fill (a, n, b)) addr (int_bound 5000) (int_bound 255) );
+        (1, return Clear);
+        (3, return Checkpoint);
+        (3, return Rollback);
+      ]
+  in
+  list_size (int_range 1 40) op
+
+let prop_checkpoint_matches_full_copy =
+  QCheck.Test.make ~name:"checkpoint/rollback match a full copy" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_ram_op ops))
+       ~shrink:QCheck.Shrink.list gen_ram_ops)
+    (fun ops ->
+      let g = Vmm.Guest_mem.create ram_size in
+      let model = Bytes.make ram_size '\000' and saved = ref None in
+      let poke a v =
+        if a >= 0 && a < ram_size then Bytes.set model a (Char.chr (v land 0xFF))
+      in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | Write_byte (a, v) ->
+            Vmm.Guest_mem.write_byte g (Int64.of_int a) v;
+            poke a v
+          | Write (a, w, v) ->
+            Vmm.Guest_mem.write g (Int64.of_int a) w v;
+            for i = 0 to Width.bytes w - 1 do
+              poke (a + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)))
+            done
+          | Blit_in (a, s) ->
+            Vmm.Guest_mem.blit_in g (Int64.of_int a) (Bytes.of_string s);
+            String.iteri (fun i c -> poke (a + i) (Char.code c)) s
+          | Fill (a, n, b) ->
+            Vmm.Guest_mem.fill g (Int64.of_int a) n b;
+            for i = 0 to n - 1 do
+              poke (a + i) b
+            done
+          | Clear ->
+            Vmm.Guest_mem.clear g;
+            Bytes.fill model 0 ram_size '\000'
+          | Checkpoint ->
+            Vmm.Guest_mem.checkpoint g;
+            saved := Some (Bytes.copy model)
+          | Rollback -> (
+            match !saved with
+            | Some image ->
+              Vmm.Guest_mem.rollback g;
+              Bytes.blit image 0 model 0 ram_size
+            | None -> (
+              match Vmm.Guest_mem.rollback g with
+              | exception Invalid_argument _ -> ()
+              | () ->
+                QCheck.Test.fail_reportf "step %d: rollback without a checkpoint"
+                  step)));
+          if not (Bytes.equal (Vmm.Guest_mem.snapshot g) model) then
+            QCheck.Test.fail_reportf "step %d (%s): RAM differs from the model"
+              step (print_ram_op op))
+        ops;
+      true)
 
 let () =
   Alcotest.run "vmm"
@@ -263,6 +374,7 @@ let () =
           Alcotest.test_case "read/write" `Quick test_guest_mem_rw;
           Alcotest.test_case "out of range" `Quick test_guest_mem_out_of_range;
           Alcotest.test_case "fill" `Quick test_guest_mem_fill;
+          QCheck_alcotest.to_alcotest prop_checkpoint_matches_full_copy;
         ] );
       ("irq", [ Alcotest.test_case "controller" `Quick test_irq_controller ]);
       ( "machine",
@@ -280,6 +392,7 @@ let () =
           Alcotest.test_case "reboot restores boot state" `Quick
             test_machine_reboot;
           Alcotest.test_case "vm-exit spin costs time" `Slow test_vmexit_spin_costs_time;
-          Alcotest.test_case "ram snapshot/restore" `Quick test_ram_snapshot_restore;
+          Alcotest.test_case "ram checkpoint/rollback" `Quick
+            test_ram_checkpoint_rollback;
         ] );
     ]
