@@ -607,16 +607,16 @@ let run t ~handler ~params =
 
 let null_guest = { read_byte = (fun _ -> 0); write_byte = (fun _ _ -> ()) }
 
+(* The range test is on the [int64]: [Int64.to_int] drops bit 63, so an
+   address with it set would alias the byte below it. *)
 let bytes_guest mem =
+  let inside addr = addr >= 0L && addr < Int64.of_int (Bytes.length mem) in
   {
     read_byte =
-      (fun addr ->
-        let i = Int64.to_int addr in
-        if i >= 0 && i < Bytes.length mem then Char.code (Bytes.get mem i) else 0);
+      (fun addr -> if inside addr then Char.code (Bytes.get mem (Int64.to_int addr)) else 0);
     write_byte =
       (fun addr v ->
-        let i = Int64.to_int addr in
-        if i >= 0 && i < Bytes.length mem then Bytes.set mem i (Char.chr (v land 0xFF)));
+        if inside addr then Bytes.set mem (Int64.to_int addr) (Char.chr (v land 0xFF)));
   }
 
 (* Re-export the library's sibling modules: [interp.ml] is the library's

@@ -139,7 +139,7 @@ val null_guest : guest
 
 val bytes_guest : bytes -> guest
 (** Guest memory backed by a byte buffer; out-of-range accesses read zero /
-    are dropped. *)
+    are dropped.  An address with bit 63 set is out of range. *)
 
 (** {1 Re-exports} *)
 

@@ -29,56 +29,122 @@ let set_read_fault t f = t.read_fault <- f
 
 let size t = Bytes.length t.mem
 
+(* Range tests look at the [int64] address itself: [Int64.to_int] drops
+   bit 63, so testing the converted [int] would let an address with that
+   bit set alias the RAM byte below it. *)
 let read_byte t addr =
-  let i = Int64.to_int addr in
-  let b = if i >= 0 && i < Bytes.length t.mem then Char.code (Bytes.get t.mem i) else 0 in
+  let b =
+    if addr >= 0L && addr < Int64.of_int (Bytes.length t.mem) then
+      Char.code (Bytes.get t.mem (Int64.to_int addr))
+    else 0
+  in
   match t.read_fault with None -> b | Some f -> f addr b land 0xFF
 
-(* Every guest and DMA byte comes through here, so the stores skip checks
+(* Every device DMA byte comes through here, so the stores skip checks
    the range test already makes: [i] is inside [mem], so [i lsr page_bits]
    is inside [dirty] (one byte per started page), and [v land 0xFF] is a
    byte. *)
 let write_byte t addr v =
-  let i = Int64.to_int addr in
-  if i >= 0 && i < Bytes.length t.mem then begin
+  if addr >= 0L && addr < Int64.of_int (Bytes.length t.mem) then begin
+    let i = Int64.to_int addr in
     Bytes.unsafe_set t.mem i (Char.unsafe_chr (v land 0xFF));
     Bytes.unsafe_set t.dirty (i lsr page_bits) '\001';
     match t.write_hook with None -> () | Some f -> f addr (v land 0xFF)
   end
 
+(* The bulk fast path.  A range of [len] bytes at [addr] moves with one
+   [Bytes] operation when it lies wholly inside RAM, [len] is positive
+   and nothing interposes on its bytes; the result is its RAM offset, or
+   -1 when the per-byte path must run instead.  That path is the
+   reference: a write hook sees every byte written through it, in
+   address order, a read fault every byte read, and a range that leaves
+   RAM (or wraps) keeps the bytes that fall inside it. *)
+let ram_offset t addr len =
+  if len > 0 && addr >= 0L && addr <= Int64.of_int (Bytes.length t.mem - len) then
+    Int64.to_int addr
+  else -1
+
+let fast_read t addr len =
+  match t.read_fault with None -> ram_offset t addr len | Some _ -> -1
+
+let fast_write t addr len =
+  match t.write_hook with None -> ram_offset t addr len | Some _ -> -1
+
+(* Mark dirty every page that [len > 0] bytes at RAM offset [off] touch. *)
+let mark_dirty t off len =
+  let first = off lsr page_bits in
+  Bytes.fill t.dirty first (((off + len - 1) lsr page_bits) - first + 1) '\001'
+
 let read t addr w =
-  let rec go i acc =
-    if i < 0 then acc
-    else
-      go (i - 1)
-        (Int64.logor (Int64.shift_left acc 8)
-           (Int64.of_int (read_byte t (Int64.add addr (Int64.of_int i)))))
-  in
-  go (Devir.Width.bytes w - 1) 0L
+  let n = Devir.Width.bytes w in
+  let off = fast_read t addr n in
+  if off >= 0 then
+    match w with
+    | Devir.Width.W8 -> Int64.of_int (Bytes.get_uint8 t.mem off)
+    | W16 -> Int64.of_int (Bytes.get_uint16_le t.mem off)
+    | W32 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le t.mem off)) 0xFFFF_FFFFL
+    | W64 -> Bytes.get_int64_le t.mem off
+  else
+    let rec go i acc =
+      if i < 0 then acc
+      else
+        go (i - 1)
+          (Int64.logor (Int64.shift_left acc 8)
+             (Int64.of_int (read_byte t (Int64.add addr (Int64.of_int i)))))
+    in
+    go (n - 1) 0L
 
 let write t addr w v =
-  for i = 0 to Devir.Width.bytes w - 1 do
-    write_byte t
-      (Int64.add addr (Int64.of_int i))
-      (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL))
-  done
+  let n = Devir.Width.bytes w in
+  let off = fast_write t addr n in
+  if off >= 0 then begin
+    (match w with
+    | Devir.Width.W8 -> Bytes.set_uint8 t.mem off (Int64.to_int v)
+    | W16 -> Bytes.set_uint16_le t.mem off (Int64.to_int v)
+    | W32 -> Bytes.set_int32_le t.mem off (Int64.to_int32 v)
+    | W64 -> Bytes.set_int64_le t.mem off v);
+    mark_dirty t off n
+  end
+  else
+    for i = 0 to n - 1 do
+      write_byte t
+        (Int64.add addr (Int64.of_int i))
+        (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL))
+    done
 
 let blit_in t addr src =
-  for i = 0 to Bytes.length src - 1 do
-    write_byte t (Int64.add addr (Int64.of_int i)) (Char.code (Bytes.get src i))
-  done
+  let len = Bytes.length src in
+  let off = fast_write t addr len in
+  if off >= 0 then begin
+    Bytes.blit src 0 t.mem off len;
+    mark_dirty t off len
+  end
+  else
+    for i = 0 to len - 1 do
+      write_byte t (Int64.add addr (Int64.of_int i)) (Char.code (Bytes.get src i))
+    done
 
 let blit_out t addr len =
-  let out = Bytes.create len in
-  for i = 0 to len - 1 do
-    Bytes.set out i (Char.chr (read_byte t (Int64.add addr (Int64.of_int i))))
-  done;
-  out
+  let off = fast_read t addr len in
+  if off >= 0 then Bytes.sub t.mem off len
+  else begin
+    let out = Bytes.create len in
+    for i = 0 to len - 1 do
+      Bytes.set out i (Char.chr (read_byte t (Int64.add addr (Int64.of_int i))))
+    done;
+    out
+  end
 
 let fill t addr len byte =
-  for i = 0 to len - 1 do
-    write_byte t (Int64.add addr (Int64.of_int i)) byte
-  done
+  let off = fast_write t addr len in
+  if off >= 0 then begin
+    Bytes.fill t.mem off len (Char.unsafe_chr (byte land 0xFF));
+    mark_dirty t off len
+  end
+  else
+    for i = 0 to len - 1 do
+      write_byte t (Int64.add addr (Int64.of_int i)) byte
+    done
 
 (* Host-side reset: does not fire the write hook. *)
 let clear t =

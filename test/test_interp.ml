@@ -405,6 +405,16 @@ let test_guest_memory_dma () =
   Alcotest.(check int64) "little-endian load" 0x12345678L (Arena.get arena "x");
   Alcotest.(check int) "dma byte" 0x78 (Arena.get_buf_byte arena "buf" 0)
 
+(* [bytes_guest] range-tests the whole 64-bit address: with bit 63 set
+   it is out of range, not an alias of the byte below it. *)
+let test_bytes_guest_bit63 () =
+  let mem = Bytes.make 16 '\x11' in
+  let g = Interp.bytes_guest mem in
+  let alias off = Int64.logor Int64.min_int (Int64.of_int off) in
+  Alcotest.(check int) "read" 0 (g.read_byte (alias 5));
+  g.write_byte (alias 6) 0xFF;
+  Alcotest.(check string) "write dropped" (String.make 16 '\x11') (Bytes.to_string mem)
+
 (* --- Lowered paths ----------------------------------------------------- *)
 
 (* [a] overflows into [n]; [tail] is the last field, so running past it
@@ -861,6 +871,7 @@ let () =
           Alcotest.test_case "sync points" `Quick test_interp_sync_points;
           Alcotest.test_case "observation points" `Quick test_interp_observation;
           Alcotest.test_case "guest memory dma" `Quick test_guest_memory_dma;
+          Alcotest.test_case "bit-63 guest addresses" `Quick test_bytes_guest_bit63;
         ] );
       ( "lowered",
         [

@@ -26,6 +26,53 @@ let test_guest_mem_fill () =
   Alcotest.(check int) "filled" 0xAA (Vmm.Guest_mem.read_byte g 7L);
   Alcotest.(check int) "outside fill" 0 (Vmm.Guest_mem.read_byte g 8L)
 
+(* [Int64.to_int] drops bit 63, so a range test on the converted [int]
+   would let an address with that bit set alias the RAM byte below it.
+   Every path must treat such an address as out of range, and a range
+   that wraps past [Int64.max_int] leaves RAM at the wrap. *)
+let test_guest_mem_bit63 () =
+  let g = Vmm.Guest_mem.create 64 in
+  Vmm.Guest_mem.fill g 0L 64 0x11;
+  let alias off = Int64.logor Int64.min_int (Int64.of_int off) in
+  Alcotest.(check int) "read_byte" 0 (Vmm.Guest_mem.read_byte g (alias 5));
+  Alcotest.(check int64) "read" 0L (Vmm.Guest_mem.read g (alias 8) Width.W64);
+  Alcotest.(check string) "blit_out" (String.make 8 '\000')
+    (Bytes.to_string (Vmm.Guest_mem.blit_out g (alias 16) 8));
+  Alcotest.(check string) "blit_out wrapping past max_int" (String.make 4 '\000')
+    (Bytes.to_string (Vmm.Guest_mem.blit_out g Int64.max_int 4));
+  Vmm.Guest_mem.write_byte g (alias 6) 0xFF;
+  Vmm.Guest_mem.write g (alias 8) Width.W32 0xFFFF_FFFFL;
+  Vmm.Guest_mem.blit_in g (alias 16) (Bytes.make 8 '\255');
+  Vmm.Guest_mem.fill g (alias 32) 8 0xFF;
+  Vmm.Guest_mem.fill g Int64.max_int 4 0xFF;
+  Alcotest.(check string) "writes dropped" (String.make 64 '\x11')
+    (Bytes.to_string (Vmm.Guest_mem.snapshot g))
+
+(* With nothing interposed, an in-RAM range moves with one [Bytes]
+   operation: no call allocates beyond its own result (the per-byte path
+   boxes an [int64] address per byte).  Counts are exact. *)
+let test_guest_mem_alloc_budget () =
+  let g = Vmm.Guest_mem.create (64 * 1024) in
+  let frame = Bytes.make 1460 'x' in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    int_of_float (Gc.minor_words () -. w0)
+  in
+  let keep x = ignore (Sys.opaque_identity x) in
+  let check name expected f =
+    (* The first call warms up; the second is measured. *)
+    ignore (words f);
+    Alcotest.(check int) name expected (words f)
+  in
+  check "1460-byte blit_in" 0 (fun () -> Vmm.Guest_mem.blit_in g 0x1FF0L frame);
+  check "1460-byte fill" 0 (fun () -> Vmm.Guest_mem.fill g 0x1FF0L 1460 0xAA);
+  check "W32 write" 0 (fun () -> Vmm.Guest_mem.write g 0x3000L Width.W32 0xDEADBEEFL);
+  (* The result: a header and 183 words of bytes. *)
+  check "1460-byte blit_out" 184 (fun () -> keep (Vmm.Guest_mem.blit_out g 0x1FF0L 1460));
+  (* The result: one boxed int64. *)
+  check "W32 read" 3 (fun () -> keep (Vmm.Guest_mem.read g 0x3000L Width.W32))
+
 let test_irq_controller () =
   let irq = Vmm.Irq.create () in
   Vmm.Irq.register irq "dev";
@@ -258,15 +305,21 @@ let test_ram_checkpoint_rollback () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "rollback without a checkpoint accepted"
 
-(* Incremental checkpoints against a full-copy reference: random write,
-   checkpoint and rollback sequences on a RAM whose size is not a whole
-   number of 4 KiB pages, with addresses clustered on page boundaries and
-   the end of RAM so multi-byte writes straddle both. *)
+(* Incremental checkpoints and the bulk fast paths against a full-copy
+   reference: random write, read, checkpoint and rollback sequences on a
+   RAM whose size is not a whole number of 4 KiB pages, with addresses
+   clustered on page boundaries and the end of RAM so multi-byte accesses
+   straddle both.  Some addresses have bit 63 set, some ranges wrap past
+   [Int64.max_int], and lengths can be zero or negative.  Every sequence
+   runs three ways: with nothing interposed (the fast paths), under a
+   write hook and under a read fault (the per-byte path). *)
 type ram_op =
-  | Write_byte of int * int
-  | Write of int * Width.t * int64
-  | Blit_in of int * string
-  | Fill of int * int * int
+  | Write_byte of int64 * int
+  | Write of int64 * Width.t * int64
+  | Blit_in of int64 * string
+  | Fill of int64 * int * int
+  | Blit_out of int64 * int
+  | Read of int64 * Width.t
   | Clear
   | Checkpoint
   | Rollback
@@ -274,18 +327,20 @@ type ram_op =
 let ram_size = (20 * 4096) + 1234
 
 let print_ram_op = function
-  | Write_byte (a, v) -> Printf.sprintf "write_byte %d 0x%x" a v
+  | Write_byte (a, v) -> Printf.sprintf "write_byte 0x%Lx 0x%x" a v
   | Write (a, w, v) ->
-    Printf.sprintf "write %d W%d 0x%Lx" a (8 * Width.bytes w) v
-  | Blit_in (a, s) -> Printf.sprintf "blit_in %d (%d bytes)" a (String.length s)
-  | Fill (a, n, b) -> Printf.sprintf "fill %d %d 0x%x" a n b
+    Printf.sprintf "write 0x%Lx W%d 0x%Lx" a (8 * Width.bytes w) v
+  | Blit_in (a, s) -> Printf.sprintf "blit_in 0x%Lx (%d bytes)" a (String.length s)
+  | Fill (a, n, b) -> Printf.sprintf "fill 0x%Lx %d 0x%x" a n b
+  | Blit_out (a, n) -> Printf.sprintf "blit_out 0x%Lx %d" a n
+  | Read (a, w) -> Printf.sprintf "read 0x%Lx W%d" a (8 * Width.bytes w)
   | Clear -> "clear"
   | Checkpoint -> "checkpoint"
   | Rollback -> "rollback"
 
 let gen_ram_ops =
   let open QCheck.Gen in
-  let addr =
+  let offset =
     oneof
       [
         int_range (-8) (ram_size + 8);
@@ -293,19 +348,25 @@ let gen_ram_ops =
         map (fun d -> ram_size + d) (int_range (-8) 8);
       ]
   in
+  let addr =
+    frequency
+      [
+        (8, map Int64.of_int offset);
+        (1, map (fun o -> Int64.logor Int64.min_int (Int64.of_int o)) offset);
+        (1, map (fun d -> Int64.sub Int64.max_int (Int64.of_int d)) (int_bound 8));
+      ]
+  in
+  let len = frequency [ (1, int_range (-4) 0); (6, int_bound 5000) ] in
+  let width = oneofl [ Width.W8; Width.W16; Width.W32; Width.W64 ] in
   let op =
     frequency
       [
         (3, map2 (fun a v -> Write_byte (a, v)) addr (int_bound 255));
-        ( 3,
-          map3
-            (fun a w v -> Write (a, w, v))
-            addr
-            (oneofl [ Width.W8; Width.W16; Width.W32; Width.W64 ])
-            ui64 );
+        (3, map3 (fun a w v -> Write (a, w, v)) addr width ui64);
         (2, map2 (fun a s -> Blit_in (a, s)) addr (string_size (int_bound 5000)));
-        ( 2,
-          map3 (fun a n b -> Fill (a, n, b)) addr (int_bound 5000) (int_bound 255) );
+        (2, map3 (fun a n b -> Fill (a, n, b)) addr len (int_bound 255));
+        (2, map2 (fun a n -> Blit_out (a, n)) addr len);
+        (3, map2 (fun a w -> Read (a, w)) addr width);
         (1, return Clear);
         (3, return Checkpoint);
         (3, return Rollback);
@@ -313,57 +374,116 @@ let gen_ram_ops =
   in
   list_size (int_range 1 40) op
 
+type interposer = Plain | Write_hook | Read_fault
+
+(* A pure fault, as [set_read_fault] requires. *)
+let fault addr b = (b lxor (Int64.to_int addr * 7) lxor 0x5A) land 0xFF
+
+let run_ram_ops interposer ops =
+  let g = Vmm.Guest_mem.create ram_size in
+  let model = Bytes.make ram_size '\000' and saved = ref None in
+  (* What the hook or fault saw during the current op, newest first, and
+     what the model says it should have seen. *)
+  let seen = ref [] and expected = ref [] in
+  (match interposer with
+  | Plain -> ()
+  | Write_hook ->
+    Vmm.Guest_mem.set_write_hook g (Some (fun a b -> seen := (a, b) :: !seen))
+  | Read_fault ->
+    Vmm.Guest_mem.set_read_fault g
+      (Some
+         (fun a b ->
+           seen := (a, b) :: !seen;
+           fault a b)));
+  let in_ram a = a >= 0L && a < Int64.of_int ram_size in
+  let at a i = Int64.add a (Int64.of_int i) in
+  let poke a v =
+    if in_ram a then begin
+      Bytes.set model (Int64.to_int a) (Char.chr (v land 0xFF));
+      if interposer = Write_hook then expected := (a, v land 0xFF) :: !expected
+    end
+  in
+  let peek a =
+    let b = if in_ram a then Char.code (Bytes.get model (Int64.to_int a)) else 0 in
+    if interposer = Read_fault then begin
+      expected := (a, b) :: !expected;
+      fault a b
+    end
+    else b
+  in
+  let fail step op fmt =
+    QCheck.Test.fail_reportf ("step %d (%s): " ^^ fmt) step (print_ram_op op)
+  in
+  List.iteri
+    (fun step op ->
+      seen := [];
+      expected := [];
+      (match op with
+      | Write_byte (a, v) ->
+        Vmm.Guest_mem.write_byte g a v;
+        poke a v
+      | Write (a, w, v) ->
+        Vmm.Guest_mem.write g a w v;
+        for i = 0 to Width.bytes w - 1 do
+          poke (at a i) (Int64.to_int (Int64.shift_right_logical v (8 * i)))
+        done
+      | Blit_in (a, s) ->
+        Vmm.Guest_mem.blit_in g a (Bytes.of_string s);
+        String.iteri (fun i c -> poke (at a i) (Char.code c)) s
+      | Fill (a, n, b) ->
+        Vmm.Guest_mem.fill g a n b;
+        for i = 0 to n - 1 do
+          poke (at a i) b
+        done
+      | Blit_out (a, n) -> (
+        match Vmm.Guest_mem.blit_out g a n with
+        | exception Invalid_argument _ when n < 0 -> ()
+        | got ->
+          let want = Bytes.init (max n 0) (fun i -> Char.chr (peek (at a i))) in
+          if not (Bytes.equal got want) then fail step op "read differs from the model")
+      | Read (a, w) ->
+        let got = Vmm.Guest_mem.read g a w in
+        let want = ref 0L in
+        for i = Width.bytes w - 1 downto 0 do
+          want := Int64.logor (Int64.shift_left !want 8) (Int64.of_int (peek (at a i)))
+        done;
+        if got <> !want then fail step op "read 0x%Lx, model 0x%Lx" got !want
+      | Clear ->
+        Vmm.Guest_mem.clear g;
+        Bytes.fill model 0 ram_size '\000'
+      | Checkpoint ->
+        Vmm.Guest_mem.checkpoint g;
+        saved := Some (Bytes.copy model)
+      | Rollback -> (
+        match !saved with
+        | Some image ->
+          Vmm.Guest_mem.rollback g;
+          Bytes.blit image 0 model 0 ram_size
+        | None -> (
+          match Vmm.Guest_mem.rollback g with
+          | exception Invalid_argument _ -> ()
+          | () -> fail step op "rollback without a checkpoint")));
+      (* The write hook sees every in-RAM byte written, in order; the read
+         fault sees every byte read (the scalar read's per-byte path goes
+         from the highest address down, so order is not compared). *)
+      (match interposer with
+      | Plain -> ()
+      | Write_hook ->
+        if !seen <> !expected then fail step op "write hook log differs from the model"
+      | Read_fault ->
+        if List.sort compare !seen <> List.sort compare !expected then
+          fail step op "read fault saw other bytes than the model read");
+      if not (Bytes.equal (Vmm.Guest_mem.snapshot g) model) then
+        fail step op "RAM differs from the model")
+    ops
+
 let prop_checkpoint_matches_full_copy =
   QCheck.Test.make ~name:"checkpoint/rollback match a full copy" ~count:300
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map print_ram_op ops))
        ~shrink:QCheck.Shrink.list gen_ram_ops)
     (fun ops ->
-      let g = Vmm.Guest_mem.create ram_size in
-      let model = Bytes.make ram_size '\000' and saved = ref None in
-      let poke a v =
-        if a >= 0 && a < ram_size then Bytes.set model a (Char.chr (v land 0xFF))
-      in
-      List.iteri
-        (fun step op ->
-          (match op with
-          | Write_byte (a, v) ->
-            Vmm.Guest_mem.write_byte g (Int64.of_int a) v;
-            poke a v
-          | Write (a, w, v) ->
-            Vmm.Guest_mem.write g (Int64.of_int a) w v;
-            for i = 0 to Width.bytes w - 1 do
-              poke (a + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)))
-            done
-          | Blit_in (a, s) ->
-            Vmm.Guest_mem.blit_in g (Int64.of_int a) (Bytes.of_string s);
-            String.iteri (fun i c -> poke (a + i) (Char.code c)) s
-          | Fill (a, n, b) ->
-            Vmm.Guest_mem.fill g (Int64.of_int a) n b;
-            for i = 0 to n - 1 do
-              poke (a + i) b
-            done
-          | Clear ->
-            Vmm.Guest_mem.clear g;
-            Bytes.fill model 0 ram_size '\000'
-          | Checkpoint ->
-            Vmm.Guest_mem.checkpoint g;
-            saved := Some (Bytes.copy model)
-          | Rollback -> (
-            match !saved with
-            | Some image ->
-              Vmm.Guest_mem.rollback g;
-              Bytes.blit image 0 model 0 ram_size
-            | None -> (
-              match Vmm.Guest_mem.rollback g with
-              | exception Invalid_argument _ -> ()
-              | () ->
-                QCheck.Test.fail_reportf "step %d: rollback without a checkpoint"
-                  step)));
-          if not (Bytes.equal (Vmm.Guest_mem.snapshot g) model) then
-            QCheck.Test.fail_reportf "step %d (%s): RAM differs from the model"
-              step (print_ram_op op))
-        ops;
+      List.iter (fun i -> run_ram_ops i ops) [ Plain; Write_hook; Read_fault ];
       true)
 
 let () =
@@ -374,6 +494,8 @@ let () =
           Alcotest.test_case "read/write" `Quick test_guest_mem_rw;
           Alcotest.test_case "out of range" `Quick test_guest_mem_out_of_range;
           Alcotest.test_case "fill" `Quick test_guest_mem_fill;
+          Alcotest.test_case "bit-63 addresses" `Quick test_guest_mem_bit63;
+          Alcotest.test_case "allocation budget" `Quick test_guest_mem_alloc_budget;
           QCheck_alcotest.to_alcotest prop_checkpoint_matches_full_copy;
         ] );
       ("irq", [ Alcotest.test_case "controller" `Quick test_irq_controller ]);
