@@ -63,20 +63,14 @@ let size t = Bytes.length t.mem
 let get_byte_at t off = Char.code (Bytes.get t.mem off)
 let set_byte_at t off v = Bytes.set t.mem off (Char.chr (v land 0xFF))
 
-let read_u8 t off = Int64.of_int (Bytes.get_uint8 t.mem off)
-let read_u16 t off = Int64.of_int (Bytes.get_uint16_le t.mem off)
-
-let read_u32 t off =
-  Int64.logand (Int64.of_int32 (Bytes.get_int32_le t.mem off)) 0xFFFFFFFFL
-
+let read_u8 t off = Bytes.get_uint8 t.mem off
+let read_u16 t off = Bytes.get_uint16_le t.mem off
+let read_u32 t off = Int32.to_int (Bytes.get_int32_le t.mem off) land 0xFFFF_FFFF
 let read_u64 t off = Bytes.get_int64_le t.mem off
 
-let write_u8 t off v = Bytes.set_uint8 t.mem off (Int64.to_int v land 0xFF)
-
-let write_u16 t off v =
-  Bytes.set_uint16_le t.mem off (Int64.to_int v land 0xFFFF)
-
-let write_u32 t off v = Bytes.set_int32_le t.mem off (Int64.to_int32 v)
+let write_u8 t off v = Bytes.set_uint8 t.mem off (v land 0xFF)
+let write_u16 t off v = Bytes.set_uint16_le t.mem off (v land 0xFFFF)
+let write_u32 t off v = Bytes.set_int32_le t.mem off (Int32.of_int v)
 let write_u64 t off v = Bytes.set_int64_le t.mem off v
 
 let buf_abs t name idx =

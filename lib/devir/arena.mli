@@ -67,10 +67,10 @@ val scalar_fields : t -> (string * int64) list
 (** {1 Raw offset access}
 
     Absolute-offset accessors for code that has already resolved field
-    names to layout offsets (the compiled ES-Checker).  They perform no
-    name lookup and no width truncation: scalar writers expect the value
-    already truncated to the field's width, exactly as {!set} would store
-    it.  Offsets must come from {!Layout.offset}; byte accessors only
+    names to layout offsets (the lowered interpreter and the compiled
+    ES-Checker).  They perform no name lookup: a scalar writer stores the
+    low bytes of its value, as {!set} stores a value truncated to the
+    field's width.  Offsets must come from {!Layout.offset}; byte accessors only
     carry the byte-array bounds check, so callers enforcing C overflow
     semantics must range-check against {!size} themselves. *)
 
@@ -80,16 +80,19 @@ val size : t -> int
 val get_byte_at : t -> int -> int
 val set_byte_at : t -> int -> int -> unit
 
-val read_u8 : t -> int -> int64
-val read_u16 : t -> int -> int64
-val read_u32 : t -> int -> int64
-val read_u64 : t -> int -> int64
-(** Little-endian scalar reads at an absolute offset, as {!get} performs
-    after resolving the field. *)
+val read_u8 : t -> int -> int
+val read_u16 : t -> int -> int
+val read_u32 : t -> int -> int
+(** Little-endian unsigned loads at an absolute offset, as {!get}
+    performs after resolving the field, returned as an unboxed [int]. *)
 
-val write_u8 : t -> int -> int64 -> unit
-val write_u16 : t -> int -> int64 -> unit
-val write_u32 : t -> int -> int64 -> unit
+val read_u64 : t -> int -> int64
+
+val write_u8 : t -> int -> int -> unit
+val write_u16 : t -> int -> int -> unit
+val write_u32 : t -> int -> int -> unit
+(** Little-endian stores of the low 8, 16 or 32 bits of an [int]. *)
+
 val write_u64 : t -> int -> int64 -> unit
 
 val pp : Format.formatter -> t -> unit

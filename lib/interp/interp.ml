@@ -68,6 +68,7 @@ type t = {
   code : code;
   lctx : Lower.ctx;
   env : Lower.env;
+  entry_memo : int Lower.memo;  (* request handler names -> entries *)
   observed : bool array;  (* per block: an observation point *)
   mutable obs_state : (string * int * (Arena.t -> int -> int64)) list;
   sync : (string * int) list option array;
@@ -105,13 +106,12 @@ and block = {
 and term =
   | L_goto of int * Event.obs_outcome
   | L_halt
-  | L_branch of (Lower.env -> int64) * int * int
+  | L_branch of (Lower.env -> bool) * int * int
   | L_switch of switch
   | L_icall of (Lower.env -> int64) * int
 
 and switch = {
-  scrutinee : Lower.env -> int64;
-  case_vals : int64 array;  (* sorted, deduped *)
+  scrutinee : Lower.switch;  (* over [case_vals], sorted and deduped *)
   case_dests : int array;
   case_labels : string array;
   case_tips : Event.trace_event array;
@@ -158,31 +158,35 @@ let set_local (env : Lower.env) s v =
    pinned digests in test_interp: [Set_buf] evaluates its value before
    its index, every other statement evaluates left to right. *)
 let lower_stmt lc ~at (stmt : Stmt.t) : (t -> unit) option =
-  let expr = Lower.expr lc ~at in
+  let int = Lower.int_expr lc ~at and int64 = Lower.int64_expr lc ~at in
   match stmt with
-  | Stmt.Set_field (f, e) ->
-    let off, w = Lower.scalar lc ~at f in
-    let write = Lower.writer w and fe = expr e in
-    Some (fun t -> write t.arena off (fe t.env))
+  | Stmt.Set_field (f, e) -> (
+    match Lower.scalar lc ~at f with
+    | off, Width.W64 ->
+      let fe = int64 e in
+      Some (fun t -> Arena.write_u64 t.arena off (fe t.env))
+    | off, w ->
+      let write = Lower.int_writer w and fe = int e in
+      Some (fun t -> write t.arena off (fe t.env)))
   | Stmt.Set_buf (b, idx, v) ->
     let buf = Lower.buffer lc ~at b in
-    let fidx = expr idx and fv = expr v in
+    let fidx = int idx and fv = int v in
     Some
       (fun t ->
-        let byte = Int64.to_int (fv t.env) land 0xFF in
-        let i = Int64.to_int (fidx t.env) in
+        let byte = fv t.env land 0xFF in
+        let i = fidx t.env in
         Arena.set_byte_at t.arena (byte_at t at buf i ~write:true) byte)
   | Stmt.Set_local (n, e) ->
-    let s = Lower.local_slot lc n and fe = expr e in
+    let s = Lower.local_slot lc n and fe = int64 e in
     Some (fun t -> set_local t.env s (fe t.env))
   | Stmt.Buf_fill (b, off, len, v) ->
     let buf = Lower.buffer lc ~at b in
-    let foff = expr off and flen = expr len and fv = expr v in
+    let foff = int off and flen = int len and fv = int v in
     Some
       (fun t ->
-        let off = Int64.to_int (foff t.env) in
-        let len = Int64.to_int (flen t.env) in
-        let byte = Int64.to_int (fv t.env) land 0xFF in
+        let off = foff t.env in
+        let len = flen t.env in
+        let byte = fv t.env land 0xFF in
         if inside buf off len then
           for i = buf.base + off to buf.base + off + len - 1 do
             Arena.set_byte_at t.arena i byte
@@ -193,11 +197,11 @@ let lower_stmt lc ~at (stmt : Stmt.t) : (t -> unit) option =
           done)
   | Stmt.Copy_from_guest { buf; buf_off; addr; len } ->
     let buf = Lower.buffer lc ~at buf in
-    let foff = expr buf_off and flen = expr len and faddr = expr addr in
+    let foff = int buf_off and flen = int len and faddr = int64 addr in
     Some
       (fun t ->
-        let off = Int64.to_int (foff t.env) in
-        let len = Int64.to_int (flen t.env) in
+        let off = foff t.env in
+        let len = flen t.env in
         let addr = faddr t.env in
         let read = t.guest.read_byte in
         if inside buf off len then begin
@@ -214,11 +218,11 @@ let lower_stmt lc ~at (stmt : Stmt.t) : (t -> unit) option =
           done)
   | Stmt.Copy_to_guest { buf; buf_off; addr; len } ->
     let buf = Lower.buffer lc ~at buf in
-    let foff = expr buf_off and flen = expr len and faddr = expr addr in
+    let foff = int buf_off and flen = int len and faddr = int64 addr in
     Some
       (fun t ->
-        let off = Int64.to_int (foff t.env) in
-        let len = Int64.to_int (flen t.env) in
+        let off = foff t.env in
+        let len = flen t.env in
         let addr = faddr t.env in
         let len =
           match t.response_fault with
@@ -241,14 +245,14 @@ let lower_stmt lc ~at (stmt : Stmt.t) : (t -> unit) option =
             write (Int64.add addr (Int64.of_int i)) byte
           done)
   | Stmt.Read_guest { local; addr; width } ->
-    let s = Lower.local_slot lc local and faddr = expr addr in
+    let s = Lower.local_slot lc local and faddr = int64 addr in
     let n = Width.bytes width in
     Some
       (fun t ->
         let addr = faddr t.env in
         set_local t.env s (read_le t.guest.read_byte addr (n - 1) 0L))
   | Stmt.Write_guest { addr; value; width } ->
-    let faddr = expr addr and fv = expr value in
+    let faddr = int64 addr and fv = int64 value in
     let n = Width.bytes width in
     Some
       (fun t ->
@@ -266,7 +270,7 @@ let lower_stmt lc ~at (stmt : Stmt.t) : (t -> unit) option =
             (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL))
         done)
   | Stmt.Respond e ->
-    let fe = expr e in
+    let fe = int64 e in
     Some
       (fun t ->
         let v = fe t.env in
@@ -331,13 +335,12 @@ let lower_program lc program =
     | Term.Goto l -> L_goto (resolve ~at l, Event.O_goto l)
     | Term.Halt -> L_halt
     | Term.Branch (cond, if_taken, if_not) ->
-      L_branch (Lower.expr lc ~at cond, resolve ~at if_taken, resolve ~at if_not)
+      L_branch (Lower.bool_expr lc ~at cond, resolve ~at if_taken, resolve ~at if_not)
     | Term.Switch (scrutinee, cases, default) ->
       let case_vals, case_labels = Lower.sorted_cases cases in
       L_switch
         {
-          scrutinee = Lower.expr lc ~at scrutinee;
-          case_vals;
+          scrutinee = Lower.switch lc ~at scrutinee case_vals;
           case_dests = Array.map (resolve ~at) case_labels;
           case_labels;
           case_tips = Array.map (tip ~at) case_labels;
@@ -345,7 +348,8 @@ let lower_program lc program =
           default_label = default;
           default_tip = tip ~at default;
         }
-    | Term.Icall (fnptr, next) -> L_icall (Lower.expr lc ~at fnptr, resolve ~at next)
+    | Term.Icall (fnptr, next) ->
+      L_icall (Lower.int64_expr lc ~at fnptr, resolve ~at next)
   in
   let blocks =
     Array.mapi
@@ -384,6 +388,7 @@ let create ?(config = default_config) ?(hooks = silent_hooks) ~program ~arena
       code;
       lctx;
       env = Lower.make_env lctx ~work:arena;
+      entry_memo = Lower.memo 4 (-1);
       observed = Array.make n false;
       obs_state = [];
       sync = Array.make n None;
@@ -541,19 +546,20 @@ and step t depth (b : block) =
     if observed then observe t b outcome None;
     step t depth t.code.blocks.(next)
   | L_branch (cond, if_taken, if_not) ->
-    let taken = Eval.truthy (eval_at t b cond) in
+    let taken = eval_at t b cond in
     t.hooks.on_trace (if taken then tnt_taken else tnt_not_taken);
     if observed then
       observe t b (if taken then Event.O_taken else Event.O_not_taken) None;
     step t depth t.code.blocks.(if taken then if_taken else if_not)
   | L_switch sw ->
-    let v = eval_at t b sw.scrutinee in
-    let i = Lower.case_index sw.case_vals v in
+    let i = eval_at t b sw.scrutinee.index in
     t.hooks.on_trace (if i < 0 then sw.default_tip else sw.case_tips.(i));
-    if observed then
+    if observed then begin
+      let v = sw.scrutinee.value t.env in
       observe t b
         (Event.O_case (v, if i < 0 then sw.default_label else sw.case_labels.(i)))
-        (Some v);
+        (Some v)
+    end;
     step t depth t.code.blocks.(if i < 0 then sw.default else sw.case_dests.(i))
   | L_icall (fnptr, next) ->
     let v = eval_at t b fnptr in
@@ -597,7 +603,7 @@ let run t ~handler ~params =
   t.steps <- 0;
   t.responded <- false;
   let entry =
-    match Hashtbl.find t.code.entries handler with
+    match Lower.memo_find t.entry_memo t.code.entries handler with
     | i -> i
     | exception Not_found -> -2
   in

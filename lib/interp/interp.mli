@@ -10,8 +10,9 @@
     successor indices and precomputed trace packets, fields become
     width-specialised loads and stores at fixed arena offsets, buffers
     become [(offset, size)] pairs, and locals and parameters become
-    program-wide slots ({!Lower}).  A run does no name lookup except for
-    the request's handler and its parameters. *)
+    program-wide slots ({!Lower}).  A run does no name lookup: the
+    request's handler and parameter names are found again by their
+    physical identity, and hashed only the first time a string is seen. *)
 
 type guest = {
   read_byte : int64 -> int;

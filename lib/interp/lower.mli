@@ -10,6 +10,14 @@
     owns.  Evaluation order, wrap detection and exceptions are exactly
     those of {!Eval.eval}, which stays as the reference evaluator.
 
+    Lowering is typed by the range of each value.  A W8–W32 field or
+    binop, a buffer byte or length, a comparison and [Not] are narrow:
+    their values lie in [\[0, 2^32)] and their closures return an
+    unboxed [int] (or a [bool]).  Parameters, locals, W64 fields and W64
+    binops are wide and stay [int64].  Each consumer asks for the type it
+    uses ({!int_expr}, {!int64_expr}, {!bool_expr}), so a walk that only
+    reads narrow state allocates nothing.
+
     The one behavioural difference between the two callers is carried in
     the env: the device fires its [on_oob] hook when a [Buf_byte] read
     leaves its buffer; the checker passes a no-op. *)
@@ -31,6 +39,9 @@ type env = {
   mutable pslots : int array;
       (** {!bind_params}' memo: the parameter name last seen at each
           position of a request and its slot. *)
+  mutable scrut : int;
+  mutable scrut_wide : int64;
+      (** The last switch scrutinee, narrow or wide ({!switch}). *)
 }
 
 type ctx
@@ -64,9 +75,9 @@ val scalar : ctx -> at:Program.bref -> string -> int * Width.t
 val reader : Width.t -> Arena.t -> int -> int64
 (** Width-specialised load at an absolute offset, as {!Devir.Arena.get}. *)
 
-val writer : Width.t -> Arena.t -> int -> int64 -> unit
-(** Width-specialised store at an absolute offset; truncates like
-    {!Devir.Arena.set}. *)
+val int_writer : Width.t -> Arena.t -> int -> int -> unit
+(** Store of a W8–W32 field at an absolute offset; keeps the low bits,
+    as {!Devir.Arena.set} does.  [W64] fields take {!Devir.Arena.write_u64}. *)
 
 type buf = { name : string; base : int; size : int }
 (** A buffer resolved to its arena offset and declared size. *)
@@ -75,10 +86,19 @@ val buffer : ctx -> at:Program.bref -> string -> buf
 (** Raises [Invalid_argument] naming [at] for unknown fields and
     non-buffers. *)
 
-val expr : ctx -> at:Program.bref -> Expr.t -> env -> int64
-(** Lower one expression of block [at].  The closure may raise
-    {!Eval.Div_by_zero}, {!Eval.Undefined_param}, {!Eval.Undefined_local}
-    or {!Devir.Arena.Out_of_arena}, exactly where {!Eval.eval} would. *)
+val int_expr : ctx -> at:Program.bref -> Expr.t -> env -> int
+(** Lower one expression of block [at] to [Int64.to_int] of its value:
+    for offsets, lengths, indices, bytes and narrow field stores.  The
+    closures below may raise {!Eval.Div_by_zero}, {!Eval.Undefined_param},
+    {!Eval.Undefined_local} or {!Devir.Arena.Out_of_arena}, exactly where
+    {!Eval.eval} would. *)
+
+val int64_expr : ctx -> at:Program.bref -> Expr.t -> env -> int64
+(** The full value: for addresses, responses, locals and W64 stores.  A
+    narrow value is boxed here. *)
+
+val bool_expr : ctx -> at:Program.bref -> Expr.t -> env -> bool
+(** Truthiness ({!Eval.truthy}): for branch conditions. *)
 
 val make_env : ctx -> work:Arena.t -> env
 (** Storage for every slot [ctx] has allocated so far (lower all code
@@ -91,12 +111,34 @@ val bind_params : ctx -> env -> (string * int64) list -> unit
 (** Bind request parameters; the first binding of a name wins and names
     no lowered code reads are ignored. *)
 
+(** {1 Handler names} *)
+
+type 'a memo
+(** A few names looked up recently, found again by physical identity
+    before any hashing.  Requests name their handler with the same string
+    constant every time, as they do their parameters ({!bind_params}). *)
+
+val memo : int -> 'a -> 'a memo
+(** [memo n dummy]: room for [n] names; [dummy] fills the empty slots. *)
+
+val memo_find : 'a memo -> (string, 'a) Hashtbl.t -> string -> 'a
+(** [memo_find m tbl name]: [Hashtbl.find tbl name], remembered in [m].
+    A name [tbl] lacks raises [Not_found] and is not remembered. *)
+
 (** {1 Switch tables} *)
 
 val sorted_cases : (int64 * 'a) list -> int64 array * 'a array
 (** A switch's cases with duplicate values dropped (the first binding
-    wins, as in [List.assoc]) and sorted by value for {!case_index}. *)
+    wins, as in [List.assoc]) and sorted by value for {!switch}. *)
 
-val case_index : int64 array -> int64 -> int
-(** Binary search over sorted case values; [-1] means "take the default".
-    Allocation-free. *)
+type switch = {
+  index : env -> int;
+      (** Evaluate the scrutinee and return its position in the sorted
+          case values; [-1] means "take the default".  Allocation-free. *)
+  value : env -> int64;
+      (** The scrutinee value of the last [index] on this env (boxed when
+          narrow: for observations, default routes and diagnostics). *)
+}
+
+val switch : ctx -> at:Program.bref -> Expr.t -> int64 array -> switch
+(** Lower a switch scrutinee over case values from {!sorted_cases}. *)

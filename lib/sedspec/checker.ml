@@ -729,11 +729,25 @@ let anomaly_of_fault (f : Compile.fault) =
       pre_execution = true;
     }
 
+(* A command decision: enter command [id], or meet a command training
+   never saw ([id] = -1). *)
+let enter_command t cur (n : Compile.cnode) id v =
+  if id >= 0 then cur.Compile.cctx <- id
+  else if t.en_cond then
+    anomaly Conditional_jump_check (Some n.Compile.bref)
+      (Printf.sprintf "unknown device command %Ld" v)
+  else cur.Compile.cctx <- cctx_unknown
+
+let untraversed_case (n : Compile.cnode) v =
+  anomaly Conditional_jump_check (Some n.Compile.bref)
+    (Printf.sprintf "untraversed switch case %Ld" v)
+
 (* The compiled walk driver, as top-level mutually-recursive functions
    over (checker, shared compiled spec, private cursor): no local
    closures, so the steady-state walk allocates nothing in the driver
-   itself.  (Residual per-walk allocation comes from int64 boxing inside
-   compiled expression closures — see DESIGN.md §4g.) *)
+   itself.  Expressions that read only narrow state allocate nothing
+   either; what remains is an int64 box per narrow value stored in a
+   local or per wide value computed (DESIGN.md §4g). *)
 let rec cbump t (cur : Compile.cursor) (bref : Program.bref) =
   cur.Compile.steps <- cur.Compile.steps + 1;
   if cur.Compile.steps > cur.Compile.deadline then begin
@@ -803,7 +817,7 @@ and center t (c : Compile.t) (cur : Compile.cursor) (n : Compile.cnode) =
     cpop t c cur
   | Compile.C_branch { cond; taken0; not_taken0; if_taken; if_not } ->
     cur.Compile.overflow <- None;
-    let taken = Interp.Eval.truthy (cond cur.Compile.env) in
+    let taken = cond cur.Compile.env in
     if t.en_cond then
       if (taken && taken0) || ((not taken) && not_taken0) then
         anomaly Conditional_jump_check (Some n.Compile.bref)
@@ -813,26 +827,24 @@ and center t (c : Compile.t) (cur : Compile.cursor) (n : Compile.cnode) =
     cgoto t c cur (if taken then if_taken else if_not)
   | Compile.C_switch sw ->
     cur.Compile.overflow <- None;
-    let v = sw.Compile.scrutinee cur.Compile.env in
-    let idx = Interp.Lower.case_index sw.Compile.case_vals v in
-    (match sw.Compile.cmd_of with
-    | Some tbl -> (
-      match Hashtbl.find tbl v with
-      | id -> cur.Compile.cctx <- id
-      | exception Not_found ->
-        if t.en_cond then
-          anomaly Conditional_jump_check (Some n.Compile.bref)
-            (Printf.sprintf "unknown device command %Ld" v)
-        else cur.Compile.cctx <- cctx_unknown)
-    | None -> ());
-    (if t.en_cond then
-       let dlabel =
-         if idx < 0 then sw.Compile.default_label
-         else sw.Compile.case_labels.(idx)
-       in
-       if not (Compile.case_observed sw v dlabel) then
-         anomaly Conditional_jump_check (Some n.Compile.bref)
-           (Printf.sprintf "untraversed switch case %Ld" v));
+    let idx = sw.Compile.scrutinee.index cur.Compile.env in
+    if idx >= 0 then begin
+      (match sw.Compile.cmd_of with
+      | Some _ -> enter_command t cur n sw.Compile.case_cmd.(idx) sw.Compile.case_vals.(idx)
+      | None -> ());
+      if t.en_cond && not sw.Compile.case_seen.(idx) then
+        untraversed_case n sw.Compile.case_vals.(idx)
+    end
+    else begin
+      let v = sw.Compile.scrutinee.value cur.Compile.env in
+      (match sw.Compile.cmd_of with
+      | Some tbl ->
+        let id = match Hashtbl.find tbl v with id -> id | exception Not_found -> -1 in
+        enter_command t cur n id v
+      | None -> ());
+      if t.en_cond && not (Compile.case_observed sw v sw.Compile.default_label) then
+        untraversed_case n v
+    end;
     if n.Compile.is_cmd_end then cur.Compile.cctx <- cctx_none;
     cgoto t c cur
       (if idx < 0 then sw.Compile.default else sw.Compile.case_dests.(idx))
@@ -874,7 +886,7 @@ let walk_compiled t ~sync ~handler ~params =
   cur.Compile.cctx <- t.ctx;
   let res =
     match
-      match Hashtbl.find c.Compile.entries handler with
+      match Compile.entry c cur handler with
       | d -> cgoto t c cur d
       | exception Not_found ->
         (* Unknown or empty handler: surface the exact exception the

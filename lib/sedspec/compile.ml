@@ -46,13 +46,16 @@ type cursor = {
   mutable stack : dest array;
   mutable limit : int;
   mutable deadline : int;
+  entry_memo : dest L.memo;
 }
 
 type switch = {
-  scrutinee : L.env -> int64;
+  scrutinee : L.switch;
   case_vals : int64 array;
   case_dests : dest array;
   case_labels : string array;
+  case_seen : bool array;
+  case_cmd : int array;
   default : dest;
   default_label : string;
   observed : (int64, string list) Hashtbl.t;
@@ -72,7 +75,7 @@ type cterm =
   | C_goto of dest
   | C_halt
   | C_branch of {
-      cond : L.env -> int64;
+      cond : L.env -> bool;
       taken0 : bool;
       not_taken0 : bool;
       if_taken : dest;
@@ -110,7 +113,7 @@ let set_bit b i =
 
 let case_observed sw v label =
   (* [Hashtbl.find] + [Not_found] instead of [find_opt]: no [Some] box on
-     the per-switch hot path. *)
+     a default route. *)
   match Hashtbl.find sw.observed v with
   | labels -> List.mem label labels
   | exception Not_found -> false
@@ -167,23 +170,35 @@ let compile_buf_check ~at ~buf ~bsize l : cursor -> int -> int -> unit =
       if cur.en_param && fl cur && (off < 0 || off + len > bsize) then
         raise (Fault (Buf_bounds { at; buf; off; len; size = bsize }))
 
+(* A field store faults, before it writes, on an overflow while its value
+   was computed. *)
+let check_store cur at field =
+  match cur.overflow with
+  | Some ov when cur.en_param -> raise (Fault (Overflow { at; field; ov }))
+  | _ -> ()
+
 let compile_stmt c ~(at : Program.bref) (stmt : Stmt.t) : cursor -> unit =
-  let expr = L.expr c.slots ~at in
+  let int = L.int_expr c.slots ~at and int64 = L.int64_expr c.slots ~at in
   let asize = L.arena_size c.slots in
   match stmt with
-  | Stmt.Set_field (f, e) ->
-    let fe = expr e in
-    let off, w = L.scalar c.slots ~at f in
-    let write = L.writer w in
-    fun cur ->
-      cur.overflow <- None;
-      let v = fe cur.env in
-      (match cur.overflow with
-      | Some ov when cur.en_param -> raise (Fault (Overflow { at; field = f; ov }))
-      | _ -> ());
-      write cur.env.work off v
+  | Stmt.Set_field (f, e) -> (
+    match L.scalar c.slots ~at f with
+    | off, Width.W64 ->
+      let fe = int64 e in
+      fun cur ->
+        cur.overflow <- None;
+        let v = fe cur.env in
+        check_store cur at f;
+        Arena.write_u64 cur.env.work off v
+    | off, w ->
+      let fe = int e and write = L.int_writer w in
+      fun cur ->
+        cur.overflow <- None;
+        let v = fe cur.env in
+        check_store cur at f;
+        write cur.env.work off v)
   | Stmt.Set_local (n, e) -> (
-    let fe = expr e in
+    let fe = int64 e in
     let s = L.local_slot c.slots n in
     match compile_linked c e with
     | Lconst l ->
@@ -203,16 +218,16 @@ let compile_stmt c ~(at : Program.bref) (stmt : Stmt.t) : cursor -> unit =
         cur.llink.(s) <- l)
   | Stmt.Set_buf (b, idx, v) ->
     let { L.base; size = bsize; _ } = L.buffer c.slots ~at b in
-    let fidx = expr idx in
+    let fidx = int idx in
     let check = compile_buf_check ~at ~buf:b ~bsize (compile_linked c idx) in
-    let fv = expr v in
+    let fv = int v in
     if Hashtbl.mem c.tracked b then
       fun cur ->
         cur.overflow <- None;
-        let iv = Int64.to_int (fidx cur.env) in
+        let iv = fidx cur.env in
         check cur iv 1;
         cur.overflow <- None;
-        let vv = Int64.to_int (fv cur.env) land 0xFF in
+        let vv = fv cur.env land 0xFF in
         let abs = base + iv in
         if abs < 0 || abs >= asize then
           raise (Arena.Out_of_arena { field = b; index = iv });
@@ -220,25 +235,25 @@ let compile_stmt c ~(at : Program.bref) (stmt : Stmt.t) : cursor -> unit =
     else
       fun cur ->
         cur.overflow <- None;
-        let iv = Int64.to_int (fidx cur.env) in
+        let iv = fidx cur.env in
         check cur iv 1
   | Stmt.Buf_fill (b, off, len, v) ->
     let { L.base; size = bsize; _ } = L.buffer c.slots ~at b in
-    let foff = expr off and flen = expr len in
+    let foff = int off and flen = int len in
     let check =
       compile_buf_check ~at ~buf:b ~bsize
         (lnk_or (compile_linked c off) (compile_linked c len))
     in
-    let fv = expr v in
+    let fv = int v in
     if Hashtbl.mem c.tracked b then
       fun cur ->
         cur.overflow <- None;
-        let offv = Int64.to_int (foff cur.env) in
+        let offv = foff cur.env in
         cur.overflow <- None;
-        let lenv = Int64.to_int (flen cur.env) in
+        let lenv = flen cur.env in
         check cur offv lenv;
         cur.overflow <- None;
-        let vv = Int64.to_int (fv cur.env) land 0xFF in
+        let vv = fv cur.env land 0xFF in
         for i = offv to offv + lenv - 1 do
           let abs = base + i in
           if abs < 0 || abs >= asize then
@@ -248,24 +263,24 @@ let compile_stmt c ~(at : Program.bref) (stmt : Stmt.t) : cursor -> unit =
     else
       fun cur ->
         cur.overflow <- None;
-        let offv = Int64.to_int (foff cur.env) in
+        let offv = foff cur.env in
         cur.overflow <- None;
-        let lenv = Int64.to_int (flen cur.env) in
+        let lenv = flen cur.env in
         check cur offv lenv
   | Stmt.Copy_from_guest { buf; buf_off; addr; len } ->
     let { L.base; size = bsize; _ } = L.buffer c.slots ~at buf in
-    let foff = expr buf_off and flen = expr len in
+    let foff = int buf_off and flen = int len in
     let check =
       compile_buf_check ~at ~buf ~bsize
         (lnk_or (compile_linked c buf_off) (compile_linked c len))
     in
-    let faddr = expr addr in
+    let faddr = int64 addr in
     if Hashtbl.mem c.tracked buf then
       fun cur ->
         cur.overflow <- None;
-        let offv = Int64.to_int (foff cur.env) in
+        let offv = foff cur.env in
         cur.overflow <- None;
-        let lenv = Int64.to_int (flen cur.env) in
+        let lenv = flen cur.env in
         check cur offv lenv;
         cur.overflow <- None;
         let addrv = faddr cur.env in
@@ -280,27 +295,27 @@ let compile_stmt c ~(at : Program.bref) (stmt : Stmt.t) : cursor -> unit =
     else
       fun cur ->
         cur.overflow <- None;
-        let offv = Int64.to_int (foff cur.env) in
+        let offv = foff cur.env in
         cur.overflow <- None;
-        let lenv = Int64.to_int (flen cur.env) in
+        let lenv = flen cur.env in
         check cur offv lenv
   | Stmt.Copy_to_guest { buf; buf_off; len; _ } ->
     (* Guest memory is never written during simulation; only the device
        buffer bounds are validated. *)
     let bsize = (L.buffer c.slots ~at buf).size in
-    let foff = expr buf_off and flen = expr len in
+    let foff = int buf_off and flen = int len in
     let check =
       compile_buf_check ~at ~buf ~bsize
         (lnk_or (compile_linked c buf_off) (compile_linked c len))
     in
     fun cur ->
       cur.overflow <- None;
-      let offv = Int64.to_int (foff cur.env) in
+      let offv = foff cur.env in
       cur.overflow <- None;
-      let lenv = Int64.to_int (flen cur.env) in
+      let lenv = flen cur.env in
       check cur offv lenv
   | Stmt.Read_guest { local; addr; width } ->
-    let faddr = expr addr in
+    let faddr = int64 addr in
     let s = L.local_slot c.slots local in
     let n = Width.bytes width in
     fun cur ->
@@ -371,22 +386,22 @@ let resolve_label c (bref : Program.bref) label =
 (* --- Terminators ----------------------------------------------------- *)
 
 let compile_term c (n : Es_cfg.node) cmd_keys : cterm =
-  let expr = L.expr c.slots ~at:n.bref in
+  let at = n.bref in
   match n.Es_cfg.term with
   | Term.Goto l -> C_goto (resolve_label c n.bref l)
   | Term.Halt -> C_halt
   | Term.Branch (cond, if_taken, if_not) ->
     C_branch
       {
-        cond = expr cond;
+        cond = L.bool_expr c.slots ~at cond;
         taken0 = n.taken = 0;
         not_taken0 = n.not_taken = 0;
         if_taken = resolve_label c n.bref if_taken;
         if_not = resolve_label c n.bref if_not;
       }
   | Term.Switch (scrutinee, cases, default) ->
-    let fscrut = expr scrutinee in
     let case_vals, case_labels = L.sorted_cases cases in
+    let scrutinee = L.switch c.slots ~at scrutinee case_vals in
     let case_dests =
       Array.map (fun l -> resolve_label c n.bref l) case_labels
     in
@@ -409,19 +424,39 @@ let compile_term c (n : Es_cfg.node) cmd_keys : cterm =
       end
       else None
     in
+    (* Verdicts for the static cases are decided here, once; a walk
+       consults the tables only for a value routed to the default. *)
+    let case_seen =
+      Array.mapi
+        (fun i v ->
+          match Hashtbl.find_opt observed v with
+          | Some labels -> List.mem case_labels.(i) labels
+          | None -> false)
+        case_vals
+    in
+    let case_cmd =
+      Array.map
+        (fun v ->
+          match Option.bind cmd_of (fun tbl -> Hashtbl.find_opt tbl v) with
+          | Some id -> id
+          | None -> -1)
+        case_vals
+    in
     C_switch
       {
-        scrutinee = fscrut;
+        scrutinee;
         case_vals;
         case_dests;
         case_labels;
+        case_seen;
+        case_cmd;
         default = resolve_label c n.bref default;
         default_label = default;
         observed;
         cmd_of;
       }
   | Term.Icall (fnptr, next) ->
-    let f = expr fnptr in
+    let f = L.int64_expr c.slots ~at fnptr in
     let targets = Array.of_list n.itargets in
     let legit =
       match Array.length targets with
@@ -557,6 +592,7 @@ let make_cursor ?work (t : t) =
       stack = Array.make 8 dummy_dest;
       limit = max_int;
       deadline = max_int;
+      entry_memo = L.memo 4 dummy_dest;
     }
   in
   cur.env.record_overflow <-
@@ -588,3 +624,5 @@ let push_dest cur d =
   cur.depth <- cur.depth + 1
 
 let bind_params (t : t) cur params = L.bind_params t.slots cur.env params
+
+let entry (t : t) cur handler = L.memo_find cur.entry_memo t.entries handler

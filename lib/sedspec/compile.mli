@@ -20,8 +20,10 @@
       {!Interp.Lower}, the same lowering the device interpreter runs on,
       into closures over the cursor's {!Interp.Lower.env}.
     - Switch cases become sorted arrays (binary search replaces
-      [List.assoc]), observed-transition sets and indirect-call target
-      sets become int64 hashtables, and per-command access sets become
+      [List.assoc]) with a precomputed verdict per case: whether its
+      transition was observed and, on a command decision, its command id.
+      Values routed to the default and indirect-call target sets are
+      looked up in int64 hashtables, and per-command access sets become
       [Bytes]-backed bitsets indexed by block id.
 
     The result {!t} is {b immutable after [lower]}: it holds no mutable
@@ -110,19 +112,29 @@ type cursor = {
   mutable stack : dest array;  (** Continuations for chained handlers. *)
   mutable limit : int;  (** Walk step limit for this walk. *)
   mutable deadline : int;  (** Walk deadline budget for this walk. *)
+  entry_memo : dest Interp.Lower.memo;
+      (** Request handler names already resolved to entry edges. *)
 }
 
 type switch = {
-  scrutinee : Interp.Lower.env -> int64;
+  scrutinee : Interp.Lower.switch;  (** Indexes [case_vals]. *)
   case_vals : int64 array;  (** Static case values, sorted, deduped. *)
   case_dests : dest array;  (** Parallel to [case_vals]. *)
   case_labels : string array;  (** Parallel to [case_vals]. *)
+  case_seen : bool array;
+      (** Parallel to [case_vals]: the case's (value, label) transition
+          was observed in training. *)
+  case_cmd : int array;
+      (** Parallel to [case_vals]: on a [Cmd_decision] node, the case
+          value's command id, or [-1] for a command never observed. *)
   default : dest;
   default_label : string;
   observed : (int64, string list) Hashtbl.t;
-      (** Observed transitions: scrutinee value -> destination labels. *)
+      (** Observed transitions: scrutinee value -> destination labels.
+          A walk consults it only for a value routed to the default. *)
   cmd_of : (int64, int) Hashtbl.t option;
-      (** For [Cmd_decision] nodes: decoded value -> command id. *)
+      (** [Some] on [Cmd_decision] nodes: decoded value -> command id.
+          A walk consults it only for a value routed to the default. *)
 }
 
 type icall_action =
@@ -141,7 +153,7 @@ type cterm =
   | C_goto of dest
   | C_halt
   | C_branch of {
-      cond : Interp.Lower.env -> int64;
+      cond : Interp.Lower.env -> bool;
       taken0 : bool;  (** Taken direction never observed in training. *)
       not_taken0 : bool;
       if_taken : dest;
@@ -201,9 +213,15 @@ val bind_params : t -> cursor -> (string * int64) list -> unit
     wins, names without a slot are ignored (never referenced by any
     handler). *)
 
+val entry : t -> cursor -> string -> dest
+(** The entry edge of a handler, through the cursor's memo of handler
+    names.  Raises [Not_found] for an unknown or empty handler. *)
+
 val bit : Bytes.t -> int -> bool
 (** Bitset probe ([i]th bit, little-endian within bytes). *)
 
 
 val case_observed : switch -> int64 -> string -> bool
-(** Was (value -> label) observed in training? *)
+(** Was (value -> label) observed in training?  Consults [observed], so
+    only for values routed to the default; static cases read
+    [case_seen]. *)

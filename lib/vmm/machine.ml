@@ -30,6 +30,7 @@ type device_binding = {
 }
 
 type attached = {
+  name : string;
   binding : device_binding;
   interp : Interp.t;
   mutable interposer : interposer option;
@@ -39,7 +40,7 @@ type t = {
   ram : Guest_mem.t;
   irq : Irq.t;
   devices : (string, attached) Hashtbl.t;
-  mutable order : string list;
+  mutable order : attached list;  (* in attach order: routing's search order *)
   mutable halted : bool;
   mutable halt_reason : string option;
   mutable warnings_rev : string list;
@@ -75,14 +76,34 @@ let create ?(ram_size = 16 * 1024 * 1024) ?(vmexit_cost = 2000) () =
 let ram t = t.ram
 let irq t = t.irq
 
+(* Address arithmetic is unsigned.  [addr - base] is the offset into the
+   range whatever the two addresses are, so the test holds for a range
+   that ends at the top of the 64-bit space, where [base + len] wraps
+   to 0. *)
+let in_range addr base len =
+  len > 0 && Int64.unsigned_compare (Int64.sub addr base) (Int64.of_int len) < 0
+
+(* Two ranges that fit the address space overlap exactly when one starts
+   inside the other. *)
 let ranges_overlap (b1, l1) (b2, l2) =
-  let e1 = Int64.add b1 (Int64.of_int l1) and e2 = Int64.add b2 (Int64.of_int l2) in
-  Int64.compare b1 e2 < 0 && Int64.compare b2 e1 < 0
+  (in_range b2 b1 l1 && l2 > 0) || (in_range b1 b2 l2 && l1 > 0)
+
+(* The last address of a non-empty range must not wrap past the top. *)
+let range_fits (base, len) =
+  len <= 0
+  || Int64.unsigned_compare (Int64.add base (Int64.of_int (len - 1))) base >= 0
 
 let attach t binding =
   let name = Devir.Program.name binding.program in
   if Hashtbl.mem t.devices name then
     invalid_arg (Printf.sprintf "Machine.attach: duplicate device %s" name);
+  List.iter
+    (fun (kind, ranges) ->
+      if not (List.for_all range_fits ranges) then
+        invalid_arg
+          (Printf.sprintf "Machine.attach: %s range of %s runs past the top of the address space"
+             kind name))
+    [ ("pmio", binding.pmio); ("mmio", binding.mmio) ];
   Hashtbl.iter
     (fun other a ->
       let clash kind mine theirs =
@@ -113,8 +134,9 @@ let attach t binding =
       ~guest:(Guest_mem.access t.ram) ()
   in
   Irq.register t.irq name;
-  Hashtbl.add t.devices name { binding; interp; interposer = None };
-  t.order <- t.order @ [ name ]
+  let a = { name; binding; interp; interposer = None } in
+  Hashtbl.add t.devices name a;
+  t.order <- t.order @ [ a ]
 
 let get t name =
   match Hashtbl.find_opt t.devices name with
@@ -125,7 +147,7 @@ let set_interposer t name ip = (get t name).interposer <- Some ip
 let clear_interposer t name = (get t name).interposer <- None
 let interposer_of t name = (get t name).interposer
 let interp_of t name = (get t name).interp
-let device_names t = t.order
+let device_names t = List.map (fun a -> a.name) t.order
 
 let halted t = t.halted
 let halt_reason t = t.halt_reason
@@ -193,43 +215,42 @@ let dispatch t (a : attached) request =
         Io_fault trap)
   end
 
-let in_range addr (base, len) =
-  Int64.unsigned_compare addr base >= 0
-  && Int64.unsigned_compare addr (Int64.add base (Int64.of_int len)) < 0
-
-let find_route t ~mmio addr =
-  let pick (a : attached) =
-    let ranges = if mmio then a.binding.mmio else a.binding.pmio in
-    List.find_opt (in_range addr) ranges |> Option.map (fun r -> (a, r))
+let deliver t (a : attached) ~mmio ~write ~addr ~base ~size ~data =
+  let handler =
+    if mmio then if write then a.binding.mmio_write else a.binding.mmio_read
+    else if write then a.binding.pmio_write
+    else a.binding.pmio_read
   in
-  List.fold_left
-    (fun acc name ->
-      match acc with Some _ -> acc | None -> pick (Hashtbl.find t.devices name))
-    None t.order
+  match handler with
+  | None -> Io_no_device
+  | Some handler ->
+    let params =
+      [
+        ("addr", addr);
+        ("offset", Int64.sub addr base);
+        ("size", Int64.of_int size);
+        ("data", data);
+      ]
+    in
+    dispatch t a { device = a.name; handler; params }
+
+(* Routing walks the attached devices in attach order, and each one's
+   ranges in order; the first range that holds [addr] takes the access.
+   Plain recursion over the records: no lookup and no allocation. *)
+let rec route t ~mmio ~write ~addr ~size ~data = function
+  | [] -> Io_no_device
+  | (a : attached) :: rest ->
+    route_ranges t a rest ~mmio ~write ~addr ~size ~data
+      (if mmio then a.binding.mmio else a.binding.pmio)
+
+and route_ranges t a rest ~mmio ~write ~addr ~size ~data = function
+  | [] -> route t ~mmio ~write ~addr ~size ~data rest
+  | (base, len) :: ranges ->
+    if in_range addr base len then deliver t a ~mmio ~write ~addr ~base ~size ~data
+    else route_ranges t a rest ~mmio ~write ~addr ~size ~data ranges
 
 let access t ~mmio ~write ~addr ~size ~data =
-  match find_route t ~mmio addr with
-  | None -> Io_no_device
-  | Some (a, (base, _len)) -> (
-    let handler =
-      if mmio then
-        if write then a.binding.mmio_write else a.binding.mmio_read
-      else if write then a.binding.pmio_write
-      else a.binding.pmio_read
-    in
-    match handler with
-    | None -> Io_no_device
-    | Some handler ->
-      let params =
-        [
-          ("addr", addr);
-          ("offset", Int64.sub addr base);
-          ("size", Int64.of_int size);
-          ("data", data);
-        ]
-      in
-      dispatch t a
-        { device = Devir.Program.name a.binding.program; handler; params })
+  route t ~mmio ~write ~addr ~size ~data t.order
 
 let io_read t ~port ~size =
   access t ~mmio:false ~write:false ~addr:port ~size ~data:0L

@@ -144,39 +144,84 @@ let test_bench_walk_counts_nodes () =
   let after = (C.stats checker).C.nodes_walked in
   Alcotest.(check bool) "walked at least one node" true (after > before)
 
-(* Allocation-regression guard for the compiled steady-state walk.  The
-   arena/cursor split makes the walk driver itself allocation-free; what
-   remains per walk is a fixed overhead (Int64 boxing inside compiled
-   expression closures — flambda would erase it — plus walk setup).
-   That residue is ~45 words on the reference toolchain; the budget sits
-   ~4x above it so GC accounting noise can never trip the test, while a
-   reintroduced per-node allocation (a boxed option from a hashtable
-   probe, a closure built mid-walk, a fresh tuple per node — each worth
-   hundreds of words over a ~100-node walk) blows straight through. *)
-let walk_word_budget = 200.0
+(* Allocation-regression guards.  Expressions over narrow state lower to
+   unboxed [int] closures and switch verdicts are precomputed per case
+   (DESIGN.md §4g), so a walk over narrow state allocates nothing. *)
+
+(* The walk of a FIFO data-phase write during WRITE DATA evaluates the
+   DSOD expressions that move one byte into the FIFO and advance its
+   position.  It allocates nothing; a boxed value, option or closure
+   reintroduced per walk or per node trips the budget. *)
+let walk_word_budget = 4.0
 
 let test_walk_allocation_budget () =
   let w = Workload.Samples.find "fdc" in
   let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
   let m, checker = Metrics.Spec_cache.fresh_protected_machine w W.paper_version in
-  ignore (m : Vmm.Machine.t);
-  let params = [ ("addr", 0x3F4L); ("offset", 4L); ("size", 1L); ("data", 0L) ] in
-  let walk () = C.bench_walk checker ~handler:"read" ~params in
+  let port = Int64.add Devices.Fdc.io_base 5L in
+  (* WRITE DATA and its eight parameter bytes: the FIFO enters its data
+     phase. *)
+  List.iter
+    (fun b ->
+      match Vmm.Machine.io_write m ~port ~size:1 ~data:(Int64.of_int b) with
+      | Vmm.Machine.Io_ok _ -> ()
+      | _ -> Alcotest.fail "WRITE DATA command refused")
+    [ 0x45; 0x00; 0x00; 0x00; 0x01; 0x02; 0x12; 0x1B; 0xFF ];
+  let params = [ ("addr", port); ("offset", 5L); ("size", 1L); ("data", 0xA5L) ] in
+  let walk () = C.bench_walk checker ~handler:"write" ~params in
   (* Warm: lazy lowering, cursor growth, hashtable resizes. *)
   for _ = 1 to 32 do
     walk ()
   done;
   let rounds = 1000 in
-  let w0 = Gc.minor_words () in
+  let nodes0 = (C.stats checker).C.nodes_walked and w0 = Gc.minor_words () in
   for _ = 1 to rounds do
     walk ()
   done;
   let per_walk = (Gc.minor_words () -. w0) /. float_of_int rounds in
+  Alcotest.(check bool) "the walk visits nodes" true
+    ((C.stats checker).C.nodes_walked - nodes0 >= rounds);
   Alcotest.(check bool)
     (Printf.sprintf "%.1f minor words/walk within budget %.0f" per_walk
        walk_word_budget)
     true
-    (per_walk < walk_word_budget)
+    (per_walk <= walk_word_budget)
+
+(* Everything one protected port-I/O interaction allocates: routing, the
+   request, the walk before and after the device runs, and the device.
+   A READ DATA sector is a command byte and its 8 parameter bytes, 512
+   data-port reads and 7 result reads.  About 50 words per interaction
+   remain, mostly the request's parameter list and the outcome; it took
+   147 when every expression closure returned a boxed int64 and routing
+   looked devices up by name. *)
+let interaction_word_budget = 80.0
+
+let test_interaction_allocation_budget () =
+  let w = Workload.Samples.find "fdc" in
+  let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
+  let m, checker = Metrics.Spec_cache.fresh_protected_machine w W.paper_version in
+  let drv = Workload.Fdc_driver.create m in
+  let read () =
+    match Workload.Fdc_driver.read_sector drv ~drive:0 ~head:0 ~track:0 ~sect:1 with
+    | Some _ -> ()
+    | None -> Alcotest.fail "read_sector refused"
+  in
+  for _ = 1 to 4 do
+    read ()
+  done;
+  let ia0 = (C.stats checker).C.interactions and w0 = Gc.minor_words () in
+  for _ = 1 to 50 do
+    read ()
+  done;
+  let per_ia =
+    (Gc.minor_words () -. w0)
+    /. float_of_int ((C.stats checker).C.interactions - ia0)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words/interaction within budget %.0f" per_ia
+       interaction_word_budget)
+    true
+    (per_ia <= interaction_word_budget)
 
 let () =
   Alcotest.run "compile"
@@ -198,5 +243,7 @@ let () =
           Alcotest.test_case "bench_walk" `Quick test_bench_walk_counts_nodes;
           Alcotest.test_case "steady-state walk allocation budget" `Quick
             test_walk_allocation_budget;
+          Alcotest.test_case "protected interaction allocation budget" `Quick
+            test_interaction_allocation_budget;
         ] );
     ]

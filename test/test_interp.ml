@@ -116,6 +116,218 @@ let prop_cmp_matches_reference =
       && t (c a <=% c b) = (a <= b)
       && t (c a ==% c b) = (a = b))
 
+(* --- Lowering agrees with Eval ---------------------------------------- *)
+
+(* Every view [Interp.Lower] gives of an expression must agree with the
+   reference evaluator: the int64 value, its [Int64.to_int] projection and
+   its truthiness, together with the overflow records in order, the reads
+   that leave their buffer, and the exception raised. *)
+
+let lq_layout =
+  Layout.make
+    [
+      Layout.reg "r8" Width.W8;
+      Layout.reg "r16" Width.W16;
+      Layout.buf "buf" 8;
+      Layout.reg "r32" Width.W32;
+      Layout.reg "r64" Width.W64;
+      Layout.fn_ptr "fp";
+    ]
+
+let lq_at = { Program.handler = "h"; label = "e" }
+
+type 'a lq_run = ('a, exn) result * Interp.Eval.overflow list * (string * int) list
+
+(* The three views of one lowered expression. *)
+let lowered_views lc e =
+  ( Interp.Lower.int64_expr lc ~at:lq_at e,
+    Interp.Lower.int_expr lc ~at:lq_at e,
+    Interp.Lower.bool_expr lc ~at:lq_at e )
+
+let eval_reference arena ~params ~locals e : int64 lq_run =
+  let ovs = ref [] and oobs = ref [] in
+  let ctx =
+    {
+      Interp.Eval.get_field = Arena.get arena;
+      get_buf_byte =
+        (fun b i ->
+          if i < 0 || i >= Layout.buf_size lq_layout b then oobs := (b, i) :: !oobs;
+          Arena.get_buf_byte arena b i);
+      buf_len = Layout.buf_size lq_layout;
+      get_param =
+        (fun n ->
+          match List.assoc_opt n params with
+          | Some v -> v
+          | None -> raise (Interp.Eval.Undefined_param n));
+      get_local =
+        (fun n ->
+          match List.assoc_opt n locals with
+          | Some v -> v
+          | None -> raise (Interp.Eval.Undefined_local n));
+      record_overflow = (fun o -> ovs := o :: !ovs);
+    }
+  in
+  let r = match Interp.Eval.eval ctx e with v -> Ok v | exception ex -> Error ex in
+  (r, List.rev !ovs, List.rev !oobs)
+
+(* Lower [e], bind the request and the locals, and run each view on a
+   fresh log. *)
+let lowered_runs arena ~params ~locals e =
+  let lc = Interp.Lower.create lq_layout in
+  let v64, vint, vbool = lowered_views lc e in
+  let env = Interp.Lower.make_env lc ~work:arena in
+  Interp.Lower.bind_params lc env params;
+  List.iter
+    (fun (n, v) ->
+      match Interp.Lower.find_local lc n with
+      | Some s ->
+        env.locals.(s) <- v;
+        env.ldef.(s) <- true
+      | None -> ())
+    locals;
+  let run : 'a. (Interp.Lower.env -> 'a) -> 'a lq_run =
+   fun view ->
+    let ovs = ref [] and oobs = ref [] in
+    env.record_overflow <- (fun o -> ovs := o :: !ovs);
+    env.oob_read <- (fun _ b i -> oobs := (b, i) :: !oobs);
+    let r = match view env with v -> Ok v | exception ex -> Error ex in
+    (r, List.rev !ovs, List.rev !oobs)
+  in
+  (run v64, run vint, run vbool)
+
+let lq_params =
+  [ ("pbig", 0x8000_0000_0000_0005L); ("pneg", -1L); ("psmall", 5L);
+    ("pmask", 0xFFFF_FFFFL) ]
+
+let lq_locals = [ ("lmin", Int64.min_int); ("lneg", -1L); ("lsmall", 7L) ]
+
+let lq_agree arena e =
+  let ((r, ovs, oobs) as reference) =
+    eval_reference arena ~params:lq_params ~locals:lq_locals e
+  in
+  let v64, vint, vbool = lowered_runs arena ~params:lq_params ~locals:lq_locals e in
+  let project f = (Result.map f r, ovs, oobs) in
+  v64 = reference
+  && vint = project Int64.to_int
+  && vbool = project Interp.Eval.truthy
+
+let lq_consts =
+  [| 0L; 1L; 5L; 7L; 8L; 31L; 32L; 33L; 63L; 64L; 0xFFL; 0x100L; 0xFFFFL;
+     0x1_0000L; 0xFFFF_FFFFL; 0x1_0000_0000L; -1L; -3L; Int64.min_int;
+     Int64.max_int; 0x8000_0000_0000_0005L; 0x7FFF_FFFF_FFFF_FFFFL |]
+
+let lq_widths = [| Width.W8; Width.W16; Width.W32; Width.W64 |]
+
+let lq_binops =
+  Expr.[| Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr |]
+
+let lq_cmpops = Expr.[| Eq; Ne; Ltu; Leu; Gtu; Geu; Lts; Les; Gts; Ges |]
+
+let gen_lq_const =
+  QCheck.Gen.(
+    frequency
+      [ (4, oneofa lq_consts); (1, map Int64.of_int (int_range (-40) 40)); (1, ui64) ])
+
+let gen_lq_expr =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [
+        (4, map2 (fun v w -> Expr.Const (v, w)) gen_lq_const (oneofa lq_widths));
+        (2, map (fun n -> Expr.Field n) (oneofl [ "r8"; "r16"; "r32"; "r64"; "fp" ]));
+        ( 2,
+          map (fun n -> Expr.Param n)
+            (oneofl [ "pbig"; "pneg"; "psmall"; "pmask"; "punbound" ]) );
+        (2, map (fun n -> Expr.Local n) (oneofl [ "lmin"; "lneg"; "lsmall"; "lunset" ]));
+        (1, return (Expr.Buf_len "buf"));
+        ( 1,
+          map
+            (fun i -> Expr.Buf_byte ("buf", Expr.Const (Int64.of_int i, Width.W64)))
+            (int_range (-8) 40) );
+      ]
+  in
+  sized_size (int_bound 12)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               ( 5,
+                 map3
+                   (fun op w (a, b) -> Expr.Binop (op, w, a, b))
+                   (oneofa lq_binops) (oneofa lq_widths)
+                   (pair (self (n / 2)) (self (n / 2))) );
+               ( 2,
+                 map3 (fun op a b -> Expr.Cmp (op, a, b)) (oneofa lq_cmpops)
+                   (self (n / 2)) (self (n / 2)) );
+               (1, map (fun a -> Expr.Not a) (self (n - 1)));
+               (1, map (fun i -> Expr.Buf_byte ("buf", i)) (self (n - 1)));
+             ])
+
+(* A control structure whose scalars hold edge values and whose buffer
+   holds a recognisable pattern. *)
+let gen_lq_arena =
+  QCheck.Gen.(
+    map
+      (fun (vals, seed) ->
+        let a = Arena.create lq_layout in
+        List.iter2 (Arena.set a) [ "r8"; "r16"; "r32"; "r64"; "fp" ] vals;
+        for i = 0 to 7 do
+          Arena.set_buf_byte a "buf" i ((seed + (37 * i)) land 0xFF)
+        done;
+        a)
+      (pair (list_repeat 5 gen_lq_const) (int_bound 255)))
+
+let prop_lower_matches_eval =
+  QCheck.Test.make ~name:"lowered views agree with Eval.eval" ~count:3000
+    (QCheck.make
+       ~print:(fun (_, e) -> Expr.to_string e)
+       QCheck.Gen.(pair gen_lq_arena gen_lq_expr))
+    (fun (arena, e) -> lq_agree arena e)
+
+(* Pinned edges: the reference value (or exception) and overflow, and
+   agreement of every lowered view. *)
+let test_lower_edges () =
+  let arena = Arena.create lq_layout in
+  let k ?(w = Width.W32) v = Expr.Const (v, w) in
+  let check what e want ~overflow =
+    let r, ovs, _ = eval_reference arena ~params:lq_params ~locals:lq_locals e in
+    (match (r, want) with
+    | Ok v, Ok w -> Alcotest.(check int64) (what ^ ": value") w v
+    | Error ex, Error w when ex = w -> ()
+    | _ -> Alcotest.failf "%s: unexpected reference outcome" what);
+    Alcotest.(check bool) (what ^ ": overflow") overflow (ovs <> []);
+    Alcotest.(check bool) (what ^ ": lowered views agree") true (lq_agree arena e)
+  in
+  let max32 = 0xFFFF_FFFFL in
+  check "W32 mul 0xFFFF_FFFF^2" (mul Width.W32 (k max32) (k max32)) (Ok 1L) ~overflow:true;
+  check "W8 shl 1 by 31" (shl Width.W8 (k 1L) (k 31L)) (Ok 0L) ~overflow:true;
+  check "W8 shl 1 by 32" (shl Width.W8 (k 1L) (k 32L)) (Ok 0L) ~overflow:true;
+  check "W8 shl 1 by 63" (shl Width.W8 (k 1L) (k 63L)) (Ok 0L) ~overflow:true;
+  check "W8 shl 2 by 63 (all bits leave)" (shl Width.W8 (k 2L) (k 63L)) (Ok 0L)
+    ~overflow:false;
+  check "W32 shl 1 by 31" (shl Width.W32 (k 1L) (k 31L)) (Ok 0x8000_0000L) ~overflow:false;
+  check "W32 shl 1 by 32" (shl Width.W32 (k 1L) (k 32L)) (Ok 0L) ~overflow:true;
+  check "W32 shl 3 by 63" (shl Width.W32 (k 3L) (k 63L)) (Ok 0L) ~overflow:true;
+  List.iter
+    (fun s ->
+      check
+        (Printf.sprintf "W32 shr by %d" s)
+        (shr Width.W32 (k max32) (k (Int64.of_int s)))
+        (Ok 0L) ~overflow:false)
+    [ 32; 33; 48; 63 ];
+  check "W64 shr -1 by 63" (shr Width.W64 (k ~w:Width.W64 (-1L)) (k 63L)) (Ok 1L)
+    ~overflow:false;
+  check "W32 sub underflow" (sub Width.W32 (k 0L) (k 1L)) (Ok max32) ~overflow:true;
+  check "div by 0" (div Width.W32 (k 7L) (k 0L)) (Error Interp.Eval.Div_by_zero)
+    ~overflow:false;
+  check "rem by 0" (rem Width.W16 (k 7L) (k 0L)) (Error Interp.Eval.Div_by_zero)
+    ~overflow:false;
+  check "bit-63 param == 5" (prm "pbig" ==% k 5L) (Ok 0L) ~overflow:false;
+  check "masked bit-63 param == 5" ((prm "pbig" &% k max32) ==% k 5L) (Ok 1L)
+    ~overflow:false
+
 (* --- Interpreter ----------------------------------------------------- *)
 
 let tiny_layout =
@@ -616,12 +828,13 @@ let test_create_fails_closed () =
       ignore (Interp.run interp ~handler:"ghost" ~params:[]))
 
 (* Allocation-regression guard for the lowered interpreter.  A data-port
-   read on an idle fdc walks five blocks; what it still allocates is a
-   fixed residue (int64 boxes from field loads, the outcome record) of 12
-   minor words on the reference toolchain.  The budget sits 4x above it.
-   The tree-walking interpreter this replaced built an eval context and a
-   block reference and hashed names in every block: 442 words per read. *)
-let read_word_budget = 48.0
+   read on an idle fdc walks five blocks.  Its field loads and arithmetic
+   are unboxed [int]s, so all it allocates is its result: the response's
+   int64 box, its option and the outcome, 6 minor words.  Boxed field
+   loads cost 12; the tree-walking interpreter before them built an eval
+   context and a block reference and hashed names in every block, 442
+   words per read. *)
+let read_word_budget = 8.0
 
 let test_read_allocation_budget () =
   let w = Workload.Samples.find "fdc" in
@@ -855,6 +1068,11 @@ let () =
           Alcotest.test_case "undefined names" `Quick test_eval_undefined;
           QCheck_alcotest.to_alcotest prop_add_matches_reference;
           QCheck_alcotest.to_alcotest prop_cmp_matches_reference;
+        ] );
+      ( "lower",
+        [
+          QCheck_alcotest.to_alcotest prop_lower_matches_eval;
+          Alcotest.test_case "edges agree with Eval" `Quick test_lower_edges;
         ] );
       ( "interpreter",
         [

@@ -127,6 +127,53 @@ let test_machine_overlap_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* Addresses are unsigned 64-bit: a range may end at the very top of the
+   space, and ranges on either side of bit 63 are ordered as unsigned. *)
+let mmio_echo name ranges =
+  Devices.Device.binding_of ~program:(echo_program name) ~mmio:ranges
+    ~mmio_read:"read" ~mmio_write:"write" ()
+
+let test_machine_top_of_address_space () =
+  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  Vmm.Machine.attach m (mmio_echo "top" [ (0xFFFF_FFFF_FFFF_FF00L, 0x100) ]);
+  Vmm.Machine.attach m (mmio_echo "mid" [ (0x7FFF_FFFF_FFFF_FFF0L, 0x20) ]);
+  let routed addr =
+    match Vmm.Machine.mmio_read m ~addr ~size:4 with
+    | Vmm.Machine.Io_ok _ -> true
+    | Vmm.Machine.Io_no_device -> false
+    | _ -> Alcotest.failf "access at 0x%Lx failed" addr
+  in
+  Alcotest.(check bool) "inside the top range" true (routed 0xFFFF_FFFF_FFFF_FF04L);
+  Alcotest.(check bool) "last address" true (routed (-1L));
+  Alcotest.(check bool) "below the top range" false (routed 0xFFFF_FFFF_FFFF_FEFFL);
+  Alcotest.(check bool) "no wrap to 0" false (routed 0L);
+  Alcotest.(check bool) "across bit 63" true (routed 0x8000_0000_0000_0005L);
+  Alcotest.(check bool) "past the middle range" false (routed 0x8000_0000_0000_0010L);
+  let rejects what first second =
+    let m = Vmm.Machine.create ~vmexit_cost:0 () in
+    Vmm.Machine.attach m (mmio_echo "a" [ first ]);
+    Alcotest.(check bool) what true
+      (try
+         Vmm.Machine.attach m (mmio_echo "b" [ second ]);
+         false
+       with Invalid_argument _ -> true)
+  in
+  let below = (0x7FFF_FFFF_FFFF_FF00L, 0x200) and above = (0x8000_0000_0000_0000L, 0x100) in
+  rejects "overlap across bit 63" below above;
+  rejects "overlap across bit 63, other order" above below;
+  rejects "overlap at the top" (0xFFFF_FFFF_FFFF_FF00L, 0x100) (0xFFFF_FFFF_FFFF_FFF0L, 0x10);
+  Alcotest.(check bool) "a range past the top raises" true
+    (try
+       Vmm.Machine.attach (Vmm.Machine.create ~vmexit_cost:0 ())
+         (mmio_echo "wrap" [ (0xFFFF_FFFF_FFFF_FF00L, 0x200) ]);
+       false
+     with Invalid_argument _ -> true);
+  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  Vmm.Machine.attach m (mmio_echo "a" [ (0x7FFF_FFFF_FFFF_FF00L, 0x100) ]);
+  Vmm.Machine.attach m (mmio_echo "b" [ above ]);
+  Alcotest.(check (list string)) "adjacent across bit 63" [ "a"; "b" ]
+    (Vmm.Machine.device_names m)
+
 let test_machine_duplicate_rejected () =
   let m = Vmm.Machine.create ~vmexit_cost:0 () in
   Vmm.Machine.attach m (echo_binding "a");
@@ -504,6 +551,8 @@ let () =
           Alcotest.test_case "routing" `Quick test_machine_routing;
           Alcotest.test_case "overlap rejected" `Quick test_machine_overlap_rejected;
           Alcotest.test_case "duplicate rejected" `Quick test_machine_duplicate_rejected;
+          Alcotest.test_case "top of the address space" `Quick
+            test_machine_top_of_address_space;
           Alcotest.test_case "halt blocks pre-execution" `Quick
             test_interposer_halt_blocks_before_execution;
           Alcotest.test_case "warn allows" `Quick test_interposer_warn_allows;
