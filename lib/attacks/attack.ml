@@ -22,20 +22,15 @@ let succeeded e =
   e.oob_writes > 0 || e.oob_reads > 0 || e.traps <> [] || e.extra <> []
 
 let observe_effects m ~device thunk attack =
-  let interp = Vmm.Machine.interp_of m device in
-  let saved = Interp.hooks interp in
   let oob_writes = ref 0 and oob_reads = ref 0 in
-  Interp.set_hooks interp
-    {
-      saved with
-      Interp.on_oob =
-        (fun e ->
-          if e.Interp.Event.oob_write then incr oob_writes else incr oob_reads;
-          saved.Interp.on_oob e);
-    };
   Vmm.Machine.clear_traps m;
-  thunk ();
-  Interp.set_hooks interp saved;
+  Interp.with_hooks (Vmm.Machine.interp_of m device)
+    {
+      Interp.silent_hooks with
+      Interp.on_oob =
+        (fun e -> if e.Interp.Event.oob_write then incr oob_writes else incr oob_reads);
+    }
+    thunk;
   {
     oob_writes = !oob_writes;
     oob_reads = !oob_reads;

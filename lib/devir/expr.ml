@@ -69,18 +69,6 @@ let params e =
     (List.rev
        (fold (fun acc e -> match e with Param n -> n :: acc | _ -> acc) [] e))
 
-let rec subst_local name repl e =
-  match e with
-  | Local n when n = name -> repl
-  | Const _ | Field _ | Buf_len _ | Param _ | Local _ -> e
-  | Buf_byte (b, idx) -> Buf_byte (b, subst_local name repl idx)
-  | Binop (op, w, a, b) ->
-    Binop (op, w, subst_local name repl a, subst_local name repl b)
-  | Cmp (op, a, b) -> Cmp (op, subst_local name repl a, subst_local name repl b)
-  | Not a -> Not (subst_local name repl a)
-
-let equal (a : t) b = a = b
-
 let rec pp ppf = function
   | Const (v, w) -> Format.fprintf ppf "%Ld:%s" v (Width.to_string w)
   | Field n -> Format.fprintf ppf "s.%s" n

@@ -61,11 +61,5 @@ val locals : t -> string list
 val params : t -> string list
 (** All request parameters read by the expression. *)
 
-val subst_local : string -> t -> t -> t
-(** [subst_local name repl e] replaces every [Local name] in [e] with
-    [repl]. *)
-
-val equal : t -> t -> bool
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

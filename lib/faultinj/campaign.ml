@@ -72,8 +72,8 @@ let run_combo ~seed opts (device, mode, engine) =
     Metrics.Spec_cache.fresh_protected_machine ~config ~vmexit_cost:0 w version
   in
   let program = Interp.program (Vmm.Machine.interp_of machine device) in
-  (* The hostile campaign chains the guest-side validator in front of the
-     checker and feeds its anomalies to the remedy supervisor. *)
+  (* The hostile campaign adds the guest-side validator as a layer after
+     the checker and feeds its anomalies to the remedy supervisor. *)
   let validator =
     match opts.kind with
     | Substrate -> None
@@ -121,9 +121,7 @@ let run_combo ~seed opts (device, mode, engine) =
             V.set_config v { V.default_config with containment = plan.policy })
           validator;
         let remedy =
-          Sedspec.Remedy.create
-            ~policy_of:(fun _ -> Sedspec.Remedy.Rollback)
-            ?aux_drain ~breaker:(2, 8) machine ~device checker
+          Sedspec.Remedy.create ?aux_drain ~breaker:(2, 8) machine ~device checker
         in
         let armed = Inject.arm ?guard:validator plan machine checker in
         let escaped = ref 0 and halts = ref 0 and warns = ref 0 in

@@ -13,8 +13,8 @@
       seeded, replayable corruptions of device responses — register
       read-returns, outbound DMA lengths, completion stores, IRQ storms —
       plus synthetic faults inside the guest-side validator itself
-      ({!Plan.generate_hostile}).  Every combo chains the
-      {!Guard.Validator} in front of the ES-Checker and feeds its
+      ({!Plan.generate_hostile}).  Every combo adds the
+      {!Guard.Validator} as a layer after the ES-Checker and feeds its
       anomalies to the remedy supervisor, so a hostile device trips the
       same rollback/breaker machinery as a guest-side exploit.
 

@@ -143,19 +143,17 @@ let arm ?guard (plan : Plan.t) machine checker =
         let it = Vmm.Machine.interp_of machine name in
         Interp.set_response_fault it
           (Some { Interp.no_response_fault with Interp.rf_irq_burst = burst });
-        let h = Interp.hooks it in
-        Interp.set_hooks it
-          {
-            h with
-            Interp.on_irq =
-              (fun up ->
-                if up then a.fired <- a.fired + 1;
-                h.Interp.on_irq up);
-          };
+        let remove_hooks =
+          Interp.add_hooks it
+            {
+              Interp.silent_hooks with
+              Interp.on_irq = (fun up -> if up then a.fired <- a.fired + 1);
+            }
+        in
         a.undo <-
           (fun () ->
             Interp.set_response_fault it None;
-            Interp.set_hooks it h)
+            remove_hooks ())
           :: a.undo)
       (Vmm.Machine.device_names machine)
   | Plan.Guard_raise { at_check } -> (

@@ -127,14 +127,16 @@ let make_device_ctx opts device =
   let b = Metrics.Spec_cache.built w D.paper_version in
   let m = D.make_machine D.paper_version in
   let reqs = ref [] in
-  Vmm.Machine.set_interposer m D.device_name
-    {
-      before =
-        (fun r ->
-          reqs := r :: !reqs;
-          Vmm.Machine.Allow);
-      after = (fun _ _ -> Vmm.Machine.Allow);
-    };
+  let (_ : unit -> unit) =
+    Vmm.Machine.add_interposer m D.device_name
+      {
+        before =
+          (fun r ->
+            reqs := r :: !reqs;
+            Vmm.Machine.Allow);
+        after = (fun _ _ -> Vmm.Machine.Allow);
+      }
+  in
   let rng = Sedspec_util.Prng.create opts.seed in
   for _ = 1 to opts.capture_cases do
     D.soak_case ~mode:W.Sequential ~rng ~rare_prob:0.0 ~ops:opts.capture_ops m

@@ -14,10 +14,7 @@ type options = {
   ops_per_tick : int;
   rare_prob : float;
   deadline : int option;
-  governor : Governor.config;
   breaker : (int * int) option;
-  retry : Backoff.cfg;
-  max_attempts : int;
   spec_origin : spec_origin;
   guard : bool;
   shadow : (unit -> Sedspec.Pipeline.built) option;
@@ -29,14 +26,14 @@ let default_options ~device =
     ops_per_tick = 12;
     rare_prob = 0.05;
     deadline = Some 50_000;
-    governor = Governor.default_config;
     breaker = Some (2, 8);
-    retry = Backoff.default;
-    max_attempts = 3;
     spec_origin = Trained;
     guard = false;
     shadow = None;
   }
+
+(* Spec-acquisition attempts before the fallback rebuild. *)
+let max_attempts = 3
 
 (* Shadow scoreboard: the candidate walks every interaction the enforced
    checker walks, but only its verdicts' {e comparison} is recorded — the
@@ -120,8 +117,7 @@ let acquire ~backoff_seed opts (machine : Vmm.Machine.t)
       with e -> Error (Printexc.to_string e))
   in
   match
-    Backoff.retry ~cfg:opts.retry ~seed:backoff_seed
-      ~max_attempts:opts.max_attempts step
+    Backoff.retry ~seed:backoff_seed ~max_attempts step
   with
   | Ok (got, spent) -> (got, !attempts, false, spent)
   | Error (f : string Backoff.failure) ->
@@ -139,7 +135,7 @@ let create ~index ~seed opts =
   let root = Prng.create seed in
   let rng = Prng.split root in
   let backoff_seed = Prng.next root in
-  let gov = Governor.create ~config:opts.governor () in
+  let gov = Governor.create () in
   let base_config =
     Governor.checker_config (Governor.state gov) ~base:Checker.default_config
   in
@@ -163,7 +159,7 @@ let create ~index ~seed opts =
        spec, walked in lockstep by wrapping the enforced interposer.  The
        candidate's verdict is scored against the enforced one and then
        discarded — shadow mode can never change what the VM does.  Wired
-       before the validator so the guard chains in front of both. *)
+       before the validator, whose layer goes after the lockstep. *)
     let shadow =
       match opts.shadow with
       | None -> None
@@ -198,42 +194,25 @@ let create ~index ~seed opts =
             s_looser_rev = [];
           }
         in
-        (* Both specs need their sync instrumentation, but the interp has
-           one sync slot: install the union of both sync-point sets and
-           report every event to both checkers.  A node's sync locals
-           depend only on its program block, so equal brefs carry equal
-           locals; a value reported at a block one checker never walks is
-           never popped, and that checker drops it at its next [before]. *)
-        let base_spec =
-          match got with
-          | `Built b -> b.Sedspec.Pipeline.spec
-          | `Spec s -> s
+        (* The candidate's sync points are a layer of their own; every
+           layer hears every value.  A value reported at a block one
+           checker never walks is never popped, and that checker drops it
+           at its next [before]. *)
+        let (_ : unit -> unit) =
+          Interp.add_sync_points interp
+            (Sedspec.Es_cfg.sync_points cand.Sedspec.Pipeline.spec)
+            ~on_sync:(Checker.record_sync s_checker)
         in
-        let union =
-          List.sort_uniq compare
-            (Sedspec.Es_cfg.sync_points base_spec
-            @ Sedspec.Es_cfg.sync_points cand.Sedspec.Pipeline.spec)
-        in
-        Interp.set_sync_points interp union ~on_sync:(fun bref vals ->
-            Checker.record_sync checker bref vals;
-            Checker.record_sync s_checker bref vals);
         (* Lockstep wrapper: run the candidate first at both seams (its
            verdict cannot block, so ordering only affects bookkeeping),
            score, return the enforced verdict. *)
-        let enforced =
-          match Vmm.Machine.interposer_of machine D.device_name with
-          | Some ip -> ip
-          | None -> assert false (* [protect]/[attach] just installed it *)
-        in
+        let enforced = Checker.interposer checker in
         let sip = Checker.interposer s_checker in
-        let rank = function
-          | Vmm.Machine.Allow -> 0
-          | Vmm.Machine.Warn _ -> 1
-          | Vmm.Machine.Halt _ -> 2
-        in
         let score (req : Vmm.Machine.request) cand_v enf_v =
           let a, s, l =
-            match compare (rank cand_v) (rank enf_v) with
+            match
+              compare (Vmm.Machine.strength cand_v) (Vmm.Machine.strength enf_v)
+            with
             | 0 -> (1, 0, 0)
             | n when n > 0 -> (0, 1, 0)
             | _ -> (0, 0, 1)
@@ -269,8 +248,8 @@ let create ~index ~seed opts =
           };
         Some sh
     in
-    (* The response-direction validator chains in front of the checker's
-       interposer, so attach it after [protect]. *)
+    (* The response-direction validator's layer goes after the checker's,
+       so attach it after [protect]. *)
     let validator =
       if opts.guard then
         Some
@@ -324,7 +303,7 @@ let create ~index ~seed opts =
       gov;
       core = None;
       fail_reason = Printexc.to_string e;
-      build_attempts = opts.max_attempts;
+      build_attempts = max_attempts;
       build_fallback = true;
       backoff_delay = 0;
       ticks = 0;

@@ -36,16 +36,13 @@ type options = {
   ops_per_tick : int;  (** Logical soak operations per tick. *)
   rare_prob : float;  (** Rare-command probability (FP source, §VII-B1). *)
   deadline : int option;  (** Watchdog step budget ({!Sedspec.Checker.set_deadline}). *)
-  governor : Governor.config;
   breaker : (int * int) option;  (** Remedy circuit breaker. *)
-  retry : Sedspec_util.Backoff.cfg;
-  max_attempts : int;  (** Spec-acquisition attempts before fallback. *)
   spec_origin : spec_origin;
   guard : bool;
       (** Attach the guest-side response validator (trained via
-          {!Metrics.Spec_cache.guard_profile}) in front of the checker,
-          feed its anomalies to the remedy supervisor and charge pending
-          guard anomalies to the governor's burn. *)
+          {!Metrics.Spec_cache.guard_profile}) as a layer after the
+          checker, feed its anomalies to the remedy supervisor and charge
+          pending guard anomalies to the governor's burn. *)
   shadow : (unit -> Sedspec.Pipeline.built) option;
       (** Walk a candidate spec in lockstep with the enforced one: a
           second checker over the candidate sees every interaction
@@ -56,9 +53,9 @@ type options = {
           decides.  Agreement is scored per anomaly site (handler) into
           the report's [r_shadow] scoreboard; governor rung changes apply
           to both checkers so degradation cannot masquerade as
-          disagreement.  Sync instrumentation installs the union of both
-          specs' sync points and reports every event to both checkers
-          (each pops only the values of blocks it walks).  Limitation:
+          disagreement.  The candidate's sync points are a sync-point
+          layer of their own; every layer hears every value, and each
+          checker pops only the values of blocks it walks.  Limitation:
           the inline indirect-call guard remains wired to the enforced
           checker only — candidate indirect-target deltas surface
           through the walk, not the inline seam.  A
@@ -71,9 +68,10 @@ type options = {
 }
 
 val default_options : device:string -> options
-(** 12 ops/tick, rare probability 0.05, deadline 50k steps, default
-    governor, breaker (2, 8), default backoff with 3 attempts, trained
-    spec, no guard, no shadow. *)
+(** 12 ops/tick, rare probability 0.05, deadline 50k steps, breaker
+    (2, 8), trained spec, no guard, no shadow.  Every VM runs the default
+    governor and acquires its spec under the default backoff with 3
+    attempts. *)
 
 type t
 

@@ -330,20 +330,20 @@ let trace ?version (input : Input.t) =
   let nodes : (Devir.Program.bref, int) Hashtbl.t = Hashtbl.create 64 in
   let edges = Hashtbl.create 64 in
   let last = ref None in
-  let hooks = Interp.hooks interp in
-  Interp.set_hooks interp
-    {
-      hooks with
-      Interp.on_block =
-        (fun bref kind ->
-          Hashtbl.replace nodes bref
-            (1 + Option.value ~default:0 (Hashtbl.find_opt nodes bref));
-          (match !last with
-          | Some prev -> Hashtbl.replace edges (prev, bref) ()
-          | None -> ());
-          last := Some bref;
-          hooks.Interp.on_block bref kind);
-    };
+  let remove_hooks =
+    Interp.add_hooks interp
+      {
+        Interp.silent_hooks with
+        Interp.on_block =
+          (fun bref _ ->
+            Hashtbl.replace nodes bref
+              (1 + Option.value ~default:0 (Hashtbl.find_opt nodes bref));
+            (match !last with
+            | Some prev -> Hashtbl.replace edges (prev, bref) ()
+            | None -> ());
+            last := Some bref);
+      }
+  in
   let ram = Vmm.Machine.ram m in
   let resp = ref Interp.no_response_fault in
   (try
@@ -373,6 +373,7 @@ let trace ?version (input : Input.t) =
            | exception _ -> raise Exit))
        input.steps
    with Exit -> ());
+  remove_hooks ();
   ( List.sort
       (fun (a, _) (b, _) -> Devir.Program.bref_compare a b)
       (Hashtbl.fold (fun k n acc -> (k, n) :: acc) nodes []),

@@ -90,25 +90,27 @@ let record m ~device f =
              Buffer.add_char pend (Char.chr byte)
            end
          end));
-  Vmm.Machine.set_interposer m device
-    {
-      Vmm.Machine.before =
-        (fun req ->
-          flush ();
-          steps :=
-            Req { handler = req.Vmm.Machine.handler; params = req.params }
-            :: !steps;
-          in_device := true;
-          Vmm.Machine.Allow);
-      after =
-        (fun _ _ ->
-          in_device := false;
-          Vmm.Machine.Allow);
-    };
+  let remove =
+    Vmm.Machine.add_interposer m device
+      {
+        Vmm.Machine.before =
+          (fun req ->
+            flush ();
+            steps :=
+              Req { handler = req.Vmm.Machine.handler; params = req.params }
+              :: !steps;
+            in_device := true;
+            Vmm.Machine.Allow);
+        after =
+          (fun _ _ ->
+            in_device := false;
+            Vmm.Machine.Allow);
+      }
+  in
   Fun.protect
     ~finally:(fun () ->
       Vmm.Guest_mem.set_write_hook ram None;
-      Vmm.Machine.clear_interposer m device)
+      remove ())
     f;
   flush ();
   Array.of_list (List.rev !steps)

@@ -47,8 +47,8 @@ val origin_to_string : origin -> string
 val record : Vmm.Machine.t -> device:string -> (unit -> unit) -> step array
 (** [record m ~device f] runs [f] while capturing the device's top-level
     requests and the driver-side guest-memory writes between them.
-    Installs (and removes) a recording interposer and the RAM write hook;
-    the machine must not already carry an interposer on [device]. *)
+    Adds (and removes) a recording interposer layer and the RAM write
+    hook. *)
 
 val record_benign :
   (module Workload.Samples.DEVICE_WORKLOAD) -> (Vmm.Machine.t -> unit) -> t

@@ -138,49 +138,30 @@ let is_fail_closed p =
   p.trained_interactions = 0
   && Array.for_all (fun b -> not b) p.starts
 
-(* Train over a machine by splicing the collector into the device interp's
-   response hook and delimiting interactions at the dispatch boundary,
-   then restoring both seams. *)
+(* Train over a machine with a response-hook layer that collects and an
+   interposer layer that delimits interactions at the dispatch boundary. *)
 let train ?(cases_seen = ref 0) machine ~device
     (trainer : Sedspec.Pipeline.trainer) =
-  let interp = Vmm.Machine.interp_of machine device in
   let c = collector () in
-  let prev_hooks = Interp.hooks interp in
-  Interp.set_hooks interp
-    {
-      prev_hooks with
-      Interp.on_response =
-        (fun ev ->
-          observe c ev;
-          prev_hooks.Interp.on_response ev);
-    };
-  let prev_ip = Vmm.Machine.interposer_of machine device in
-  Vmm.Machine.set_interposer machine device
-    {
-      Vmm.Machine.before =
-        (fun req ->
-          boundary c;
-          match prev_ip with
-          | Some ip -> ip.Vmm.Machine.before req
-          | None -> Vmm.Machine.Allow);
-      after =
-        (fun req outcome ->
-          match prev_ip with
-          | Some ip -> ip.Vmm.Machine.after req outcome
-          | None -> Vmm.Machine.Allow);
-    };
-  Fun.protect
-    ~finally:(fun () ->
-      Interp.set_hooks interp prev_hooks;
-      (match prev_ip with
-      | Some ip -> Vmm.Machine.set_interposer machine device ip
-      | None -> Vmm.Machine.clear_interposer machine device))
-    (fun () ->
-      for case = 0 to trainer.Sedspec.Pipeline.cases - 1 do
-        trainer.Sedspec.Pipeline.run_case machine case;
-        incr cases_seen
-      done;
-      finalize c ~device)
+  let remove_interposer =
+    Vmm.Machine.add_interposer machine device
+      {
+        Vmm.Machine.before =
+          (fun _ ->
+            boundary c;
+            Vmm.Machine.Allow);
+        after = (fun _ _ -> Vmm.Machine.Allow);
+      }
+  in
+  Fun.protect ~finally:remove_interposer (fun () ->
+      Interp.with_hooks (Vmm.Machine.interp_of machine device)
+        { Interp.silent_hooks with Interp.on_response = observe c }
+        (fun () ->
+          for case = 0 to trainer.Sedspec.Pipeline.cases - 1 do
+            trainer.Sedspec.Pipeline.run_case machine case;
+            incr cases_seen
+          done;
+          finalize c ~device))
 
 let pp ppf p =
   let kinds = [ K_read; K_dma; K_store; K_irq ] in

@@ -69,8 +69,8 @@ val train :
   device:string ->
   Sedspec.Pipeline.trainer ->
   profile
-(** Run the benign training corpus with the collector spliced into the
-    device's response hook and the machine's dispatch boundary; both
-    seams are restored afterwards (exception-safe). *)
+(** Run the benign training corpus with the collector added as a
+    response-hook layer and an interposer layer at the dispatch boundary;
+    both layers are removed afterwards (exception-safe). *)
 
 val pp : Format.formatter -> profile -> unit

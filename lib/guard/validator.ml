@@ -31,13 +31,10 @@ type config = { containment : Checker.containment; heal_budget : int }
 let default_config = { containment = Checker.Fail_closed; heal_budget = 8 }
 
 type t = {
-  machine : Vmm.Machine.t;
   device : string;
   profile : Resp.profile;
   mutable config : config;
-  interp : Interp.t;
-  prev_hooks : Interp.hooks;
-  prev_interposer : Vmm.Machine.interposer option;
+  mutable remove : unit -> unit;  (* the hook and interposer layers *)
   (* In-flight interaction state. *)
   mutable prev_kind : Resp.kind option;
   mutable events : int;
@@ -128,18 +125,7 @@ let reset_inflight t =
   t.irqs <- 0;
   Array.fill t.flagged 0 (Array.length t.flagged) false
 
-let strongest a b =
-  match (a, b) with
-  | (Vmm.Machine.Halt _ as h), _ | _, (Vmm.Machine.Halt _ as h) -> h
-  | (Vmm.Machine.Warn _ as w), _ | _, (Vmm.Machine.Warn _ as w) -> w
-  | Vmm.Machine.Allow, Vmm.Machine.Allow -> Vmm.Machine.Allow
-
-let before t req =
-  let chained =
-    match t.prev_interposer with
-    | Some ip -> ip.Vmm.Machine.before req
-    | None -> Vmm.Machine.Allow
-  in
+let before t _ =
   (* A left-over in-flight buffer means the previous interaction never
      reached [after] (e.g. a trap unwound dispatch): adjudicate what it
      gathered rather than leaking it into this interaction's sequence. *)
@@ -149,46 +135,32 @@ let before t req =
   end;
   reset_inflight t;
   t.interactions <- t.interactions + 1;
-  chained
+  Vmm.Machine.Allow
 
-let after t req outcome =
-  let chained =
-    match t.prev_interposer with
-    | Some ip -> ip.Vmm.Machine.after req outcome
-    | None -> Vmm.Machine.Allow
-  in
-  let own =
-    try
-      t.checks <- t.checks + 1;
-      (match t.fault_hook with Some f -> f () | None -> ());
-      match t.pending_rev with
-      | [] -> Vmm.Machine.Allow
-      | pending ->
-        t.anomalies_rev <- pending @ t.anomalies_rev;
-        t.pending_rev <- [];
-        let first = List.nth pending (List.length pending - 1) in
-        Vmm.Machine.Halt (Printf.sprintf "guard: %s" first.detail)
-    with e ->
-      record_internal t ("verdict: " ^ Printexc.to_string e);
-      (match t.config.containment with
-      | Checker.Fail_closed -> Vmm.Machine.Halt "guard: internal error (fail closed)"
-      | Checker.Fail_open_warn -> Vmm.Machine.Warn "guard: internal error (fail open)")
-  in
-  strongest chained own
+let after t _ _ =
+  try
+    t.checks <- t.checks + 1;
+    (match t.fault_hook with Some f -> f () | None -> ());
+    match t.pending_rev with
+    | [] -> Vmm.Machine.Allow
+    | pending ->
+      t.anomalies_rev <- pending @ t.anomalies_rev;
+      t.pending_rev <- [];
+      let first = List.nth pending (List.length pending - 1) in
+      Vmm.Machine.Halt (Printf.sprintf "guard: %s" first.detail)
+  with e ->
+    record_internal t ("verdict: " ^ Printexc.to_string e);
+    (match t.config.containment with
+    | Checker.Fail_closed -> Vmm.Machine.Halt "guard: internal error (fail closed)"
+    | Checker.Fail_open_warn -> Vmm.Machine.Warn "guard: internal error (fail open)")
 
 let attach ?(config = default_config) machine ~device ~profile =
-  let interp = Vmm.Machine.interp_of machine device in
-  let prev_hooks = Interp.hooks interp in
-  let prev_interposer = Vmm.Machine.interposer_of machine device in
   let t =
     {
-      machine;
       device;
       profile;
       config;
-      interp;
-      prev_hooks;
-      prev_interposer;
+      remove = ignore;
       prev_kind = None;
       events = 0;
       irqs = 0;
@@ -203,23 +175,21 @@ let attach ?(config = default_config) machine ~device ~profile =
       fault_hook = None;
     }
   in
-  Interp.set_hooks interp
-    {
-      prev_hooks with
-      Interp.on_response =
-        (fun ev ->
-          on_event t ev;
-          prev_hooks.Interp.on_response ev);
-    };
-  Vmm.Machine.set_interposer machine device
-    { Vmm.Machine.before = before t; after = after t };
+  let remove_hooks =
+    Interp.add_hooks (Vmm.Machine.interp_of machine device)
+      { Interp.silent_hooks with Interp.on_response = on_event t }
+  in
+  let remove_interposer =
+    Vmm.Machine.add_interposer machine device
+      { Vmm.Machine.before = before t; after = after t }
+  in
+  t.remove <-
+    (fun () ->
+      remove_hooks ();
+      remove_interposer ());
   t
 
-let detach t =
-  Interp.set_hooks t.interp t.prev_hooks;
-  match t.prev_interposer with
-  | Some ip -> Vmm.Machine.set_interposer t.machine t.device ip
-  | None -> Vmm.Machine.clear_interposer t.machine t.device
+let detach t = t.remove ()
 
 let anomalies t = List.rev t.anomalies_rev
 

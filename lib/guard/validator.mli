@@ -16,9 +16,9 @@
     - self-healing is bounded ([heal_budget]), so a fault that
       re-corrupts the in-flight state on every interaction degrades to an
       explicit refusal instead of masking itself forever;
-    - {!attach} chains in front of whatever interposer is already
-      installed (normally the ES-Checker's), so both directions are
-      enforced and the {e strongest} verdict wins — and
+    - {!attach} adds its layers after the device's existing ones
+      (normally the ES-Checker's), so both directions are enforced and
+      the strongest verdict wins ({!Vmm.Machine.strength}) — and
       {!drain_as_checker_anomalies} feeds the remedy supervisor, so a
       hostile device trips the same rollback/circuit-breaker machinery as
       a request-direction exploit. *)
@@ -52,12 +52,12 @@ val attach :
   device:string ->
   profile:Resp.profile ->
   t
-(** Splice the validator into the device's response hook and the
-    machine's dispatch path, chaining in front of any installed
-    interposer.  At most one validator per device at a time. *)
+(** Add the validator as a response-hook layer of the device's
+    interpreter and an interposer layer of the machine, after the
+    existing layers. *)
 
 val detach : t -> unit
-(** Restore the previous hooks and interposer. *)
+(** Remove the validator's two layers; every other layer stays. *)
 
 val anomalies : t -> anomaly list
 (** All anomalies so far, oldest first. *)

@@ -26,6 +26,24 @@ let silent_hooks =
     on_response = ignore;
   }
 
+(* A field left as in [silent_hooks] adds no call. *)
+let seq1 silent f g = if f == silent then g else if g == silent then f else fun x -> f x; g x
+
+let seq2 silent f g =
+  if f == silent then g else if g == silent then f else fun x y -> f x y; g x y
+
+let merge_hooks a b =
+  let s = silent_hooks in
+  {
+    on_trace = seq1 s.on_trace a.on_trace b.on_trace;
+    on_block = seq2 s.on_block a.on_block b.on_block;
+    on_observe = seq1 s.on_observe a.on_observe b.on_observe;
+    on_oob = seq1 s.on_oob a.on_oob b.on_oob;
+    on_irq = seq1 s.on_irq a.on_irq b.on_irq;
+    on_overflow = seq1 s.on_overflow a.on_overflow b.on_overflow;
+    on_response = seq1 s.on_response a.on_response b.on_response;
+  }
+
 (* A seeded corruption of the host→guest channel.  Corruptors run inside
    the interpreter, after expression evaluation but before the value
    crosses to the guest, so both checker engines (which replay the same
@@ -58,9 +76,17 @@ type callback =
   | Cb_run of string * int  (* callee, entry block index or -1 if empty *)
   | Cb_noop
 
+type sync_layer = {
+  points : (Program.bref * string list) list;
+  listener : Program.bref -> (string * int64) list -> unit;
+}
+
 type t = {
   config : config;
-  mutable hooks : hooks;
+  mutable hook_layers : hooks ref list;
+      (* In the order they were added, each in its own cell for its
+         remover to find. *)
+  mutable hooks : hooks;  (* [hook_layers] composed: what a run reads *)
   program : Program.t;
   arena : Arena.t;
   asize : int;
@@ -71,10 +97,12 @@ type t = {
   entry_memo : int Lower.memo;  (* request handler names -> entries *)
   observed : bool array;  (* per block: an observation point *)
   mutable obs_state : (string * int * (Arena.t -> int -> int64)) list;
+  mutable sync_layers : sync_layer list;  (* in the order they were added *)
   sync : (string * int) list option array;
-      (* per block: a sync point's locals with their slots ([-1]: a name
-         no code sets, never defined) *)
-  mutable on_sync : Program.bref -> (string * int64) list -> unit;
+      (* per block: the sync locals of every layer, with their slots ([-1]:
+         a name no code sets, never defined) *)
+  mutable on_sync : (Program.bref -> (string * int64) list -> unit) list;
+      (* every layer's listener, in layer order *)
   mutable host_value : string -> int64;
   mutable icall_guard : (Program.bref -> int64 -> bool) option;
   mutable response_fault : response_fault option;
@@ -369,8 +397,7 @@ let lower_program lc program =
   in
   { blocks; index; entries; cb_vals = Array.of_list (List.map fst callbacks); cb_acts }
 
-let create ?(config = default_config) ?(hooks = silent_hooks) ~program ~arena
-    ~guest () =
+let create ?(config = default_config) ~program ~arena ~guest () =
   let lctx = Lower.create (Arena.layout arena) in
   let code =
     try lower_program lctx program
@@ -380,7 +407,8 @@ let create ?(config = default_config) ?(hooks = silent_hooks) ~program ~arena
   let t =
     {
       config;
-      hooks;
+      hook_layers = [];
+      hooks = silent_hooks;
       program;
       arena;
       asize = Arena.size arena;
@@ -391,8 +419,9 @@ let create ?(config = default_config) ?(hooks = silent_hooks) ~program ~arena
       entry_memo = Lower.memo 4 (-1);
       observed = Array.make n false;
       obs_state = [];
+      sync_layers = [];
       sync = Array.make n None;
-      on_sync = (fun _ _ -> ());
+      on_sync = [];
       host_value = (fun _ -> 0L);
       icall_guard = None;
       response_fault = None;
@@ -401,7 +430,7 @@ let create ?(config = default_config) ?(hooks = silent_hooks) ~program ~arena
       responded = false;
     }
   in
-  (* Hooks are read when an event fires, so [set_hooks] takes effect at
+  (* Hooks are read when an event fires, so [add_hooks] takes effect at
      once. *)
   t.env.record_overflow <- (fun o -> t.hooks.on_overflow o);
   t.env.oob_read <-
@@ -410,8 +439,16 @@ let create ?(config = default_config) ?(hooks = silent_hooks) ~program ~arena
         { Event.oob_block = at; oob_buf = buf; oob_index = i; oob_write = false });
   t
 
-let set_hooks t hooks = t.hooks <- hooks
-let hooks t = t.hooks
+let set_hook_layers t layers =
+  t.hook_layers <- layers;
+  t.hooks <- List.fold_left (fun acc l -> merge_hooks acc !l) silent_hooks layers
+
+let add_hooks t hooks =
+  let cell = ref hooks in
+  set_hook_layers t (t.hook_layers @ [ cell ]);
+  fun () -> set_hook_layers t (List.filter (fun c -> c != cell) t.hook_layers)
+
+let with_hooks t hooks f = Fun.protect ~finally:(add_hooks t hooks) f
 let program t = t.program
 let arena t = t.arena
 
@@ -443,26 +480,34 @@ let clear_observation t =
 let set_host_values t f = t.host_value <- f
 
 let set_icall_guard t g = t.icall_guard <- g
-let clear_icall_guard t = t.icall_guard <- None
 
 let set_response_fault t rf = t.response_fault <- rf
 let response_fault t = t.response_fault
 
-let set_sync_points t points ~on_sync =
+(* A block several layers list keeps the first layer's locals, then each
+   later layer's new ones. *)
+let set_sync_layers t layers =
+  t.sync_layers <- layers;
   Array.fill t.sync 0 (Array.length t.sync) None;
+  let slot l = (l, match Lower.find_local t.lctx l with Some s -> s | None -> -1) in
   List.iter
-    (fun (bref, locals) ->
-      match Hashtbl.find_opt t.code.index bref with
-      | Some i ->
-        t.sync.(i) <-
-          Some
-            (List.map
-               (fun l ->
-                 (l, match Lower.find_local t.lctx l with Some s -> s | None -> -1))
-               locals)
-      | None -> ())
-    points;
-  t.on_sync <- on_sync
+    (fun layer ->
+      List.iter
+        (fun (bref, locals) ->
+          match Hashtbl.find_opt t.code.index bref with
+          | Some i ->
+            let have = Option.value t.sync.(i) ~default:[] in
+            let fresh = List.filter (fun l -> not (List.mem_assoc l have)) locals in
+            t.sync.(i) <- Some (have @ List.map slot fresh)
+          | None -> ())
+        layer.points)
+    layers;
+  t.on_sync <- List.map (fun layer -> layer.listener) layers
+
+let add_sync_points t points ~on_sync =
+  let layer = { points; listener = on_sync } in
+  set_sync_layers t (t.sync_layers @ [ layer ]);
+  fun () -> set_sync_layers t (List.filter (fun l -> l != layer) t.sync_layers)
 
 (* --- Execution ------------------------------------------------------- *)
 
@@ -487,6 +532,14 @@ let rec synced (env : Lower.env) = function
   | (name, s) :: rest ->
     if s >= 0 && env.ldef.(s) then (name, env.locals.(s)) :: synced env rest
     else synced env rest
+
+(* A plain loop, so handing one value to several layers allocates
+   nothing. *)
+let rec deliver bref values = function
+  | [] -> ()
+  | on_sync :: rest ->
+    on_sync bref values;
+    deliver bref values rest
 
 let trap_at (b : block) = function
   | Arena.Out_of_arena { field; index } ->
@@ -538,7 +591,7 @@ and step t depth (b : block) =
   t.hooks.on_block b.bref b.kind;
   exec_stmts t b;
   (match t.sync.(b.id) with
-  | Some locals -> t.on_sync b.bref (synced t.env locals)
+  | Some locals -> deliver b.bref (synced t.env locals) t.on_sync
   | None -> ());
   let observed = t.observed.(b.id) in
   match b.term with

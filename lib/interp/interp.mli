@@ -38,7 +38,8 @@ type hooks = {
 }
 
 val silent_hooks : hooks
-(** Hooks that drop every event. *)
+(** Hooks that drop every event.  Build a hook layer as
+    [{ silent_hooks with ... }]: a field left as here adds no call. *)
 
 type response_fault = {
   rf_read : (int64 -> int64) option;
@@ -71,7 +72,6 @@ type t
 
 val create :
   ?config:config ->
-  ?hooks:hooks ->
   program:Devir.Program.t ->
   arena:Devir.Arena.t ->
   guest:guest ->
@@ -82,8 +82,15 @@ val create :
     does not resolve, or naming the callback when it runs an unknown
     handler ({!Devir.Validate} rejects such programs). *)
 
-val set_hooks : t -> hooks -> unit
-val hooks : t -> hooks
+val add_hooks : t -> hooks -> unit -> unit
+(** Add a hook layer after the existing ones.  On every event the layers
+    run in the order they were added.  Returns the function that removes
+    exactly that layer; calling it again does nothing. *)
+
+val with_hooks : t -> hooks -> (unit -> 'a) -> 'a
+(** [with_hooks t hooks f] runs [f] with [hooks] added as a layer, and
+    removes the layer however [f] returns. *)
+
 val program : t -> Devir.Program.t
 val arena : t -> Devir.Arena.t
 
@@ -102,9 +109,8 @@ val set_icall_guard : t -> (Devir.Program.bref -> int64 -> bool) option -> unit
 (** Install an inline guard consulted at every indirect call, {e after} the
     target value is computed but {e before} the callback runs.  Returning
     [false] aborts the interaction with {!Event.Icall_blocked} — this is
-    where SEDSpec's indirect jump check enforces at runtime. *)
-
-val clear_icall_guard : t -> unit
+    where SEDSpec's indirect jump check enforces at runtime.  [None]
+    removes it. *)
 
 val set_response_fault : t -> response_fault option -> unit
 (** Arm (or with [None] clear) a host→guest corruption on this device. *)
@@ -115,18 +121,21 @@ val set_host_values : t -> (string -> int64) -> unit
 (** Provide host-side values for {!Devir.Stmt.Host_value} statements
     (default: every key reads 0). *)
 
-val set_sync_points :
+val add_sync_points :
   t ->
   (Devir.Program.bref * string list) list ->
   on_sync:(Devir.Program.bref -> (string * int64) list -> unit) ->
+  unit ->
   unit
-(** Install sync points: after the statements of a listed block run, the
-    current values of the listed handler locals are reported to [on_sync]
-    (locals not set in this run are left out).  Replaces any earlier sync
-    points; a bref that names no block is ignored.  This is the paper's
-    data-dependency fallback — when a branch variable cannot be recomputed
-    from device state, the ES-Checker synchronises it from the real device
-    execution. *)
+(** Add a layer of sync points: after the statements of a listed block
+    run, the current values of the listed handler locals are reported
+    (locals not set in this run are left out); a bref that names no block
+    is ignored.  Every layer's points are installed, and every layer's
+    [on_sync] hears every value, in the order the layers were added.
+    Returns the function that removes exactly that layer.  This is the
+    paper's data-dependency fallback — when a branch variable cannot be
+    recomputed from device state, the ES-Checker synchronises it from the
+    real device execution. *)
 
 val run :
   t -> handler:string -> params:(string * int64) list -> Event.outcome

@@ -9,19 +9,10 @@ type result = {
 }
 
 let record_blocks m device f =
-  let interp = Vmm.Machine.interp_of m device in
-  let saved = Interp.hooks interp in
   let set : (Devir.Program.bref, unit) Hashtbl.t = Hashtbl.create 64 in
-  Interp.set_hooks interp
-    {
-      saved with
-      Interp.on_block =
-        (fun bref kind ->
-          Hashtbl.replace set bref ();
-          saved.Interp.on_block bref kind);
-    };
-  f ();
-  Interp.set_hooks interp saved;
+  Interp.with_hooks (Vmm.Machine.interp_of m device)
+    { Interp.silent_hooks with Interp.on_block = (fun bref _ -> Hashtbl.replace set bref ()) }
+    f;
   set
 
 let measure ?(seed = 7L) ?(fuzz_cases = 60) ?(ops_per_case = 20)

@@ -94,8 +94,10 @@ let attach machine spec =
     }
   in
   t.state <- spec.abstract (Interp.arena (Vmm.Machine.interp_of machine spec.device));
-  Vmm.Machine.set_interposer machine spec.device
-    { Vmm.Machine.before = before t; after = after t };
+  let (_ : unit -> unit) =
+    Vmm.Machine.add_interposer machine spec.device
+      { Vmm.Machine.before = before t; after = after t }
+  in
   t
 
 let anomalies t = List.rev t.anomalies_rev

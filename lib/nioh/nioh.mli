@@ -47,7 +47,7 @@ type anomaly = {
 type t
 
 val attach : Vmm.Machine.t -> spec -> t
-(** Install the monitor as the device's machine interposer (protection
+(** Add the monitor as an interposer layer of the device (protection
     mode: illegal requests halt the VM before execution; bad resulting
     states/invariants halt after). *)
 

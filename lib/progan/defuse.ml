@@ -2,37 +2,28 @@ open Devir
 
 type def =
   | Def_expr of Expr.t
-  | Def_guest  (* loaded from guest memory: unrecoverable *)
+  | Def_guest  (* loaded from guest memory: opaque *)
 
-type t = {
-  defs : (string, def list) Hashtbl.t;
-  def_stmts : (string, Stmt.t list) Hashtbl.t;
-}
+type t = { defs : (string, def list) Hashtbl.t }
 
 let add tbl key v =
   let cur = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
   Hashtbl.replace tbl key (cur @ [ v ])
 
 let analyze (h : Program.handler) =
-  let t = { defs = Hashtbl.create 16; def_stmts = Hashtbl.create 16 } in
+  let t = { defs = Hashtbl.create 16 } in
   List.iter
     (fun (b : Block.t) ->
       List.iter
         (fun stmt ->
           match stmt with
-          | Stmt.Set_local (n, e) ->
-            add t.defs n (Def_expr e);
-            add t.def_stmts n stmt
+          | Stmt.Set_local (n, e) -> add t.defs n (Def_expr e)
           | Stmt.Read_guest { local; _ } | Stmt.Host_value { local; _ } ->
-            add t.defs local Def_guest;
-            add t.def_stmts local stmt
+            add t.defs local Def_guest
           | _ -> ())
         b.stmts)
     h.blocks;
   t
-
-let definitions t local =
-  Option.value ~default:[] (Hashtbl.find_opt t.def_stmts local)
 
 (* Transitive closure over locals, tracking visited locals to terminate on
    cycles such as [i = i + 1]. *)
@@ -56,39 +47,3 @@ let transitive t extract e =
   List.rev !acc
 
 let influencing_fields t e = transitive t Expr.fields e
-let influencing_params t e = transitive t Expr.params e
-
-let recover t e =
-  let rec go depth visiting e =
-    if depth > 64 then None
-    else
-      match Expr.locals e with
-      | [] -> Some e
-      | local :: _ ->
-        if List.mem local visiting then None
-        else begin
-          match Hashtbl.find_opt t.defs local with
-          | Some [ Def_expr d ] -> (
-            match go (depth + 1) (local :: visiting) d with
-            | Some d' -> go (depth + 1) visiting (Expr.subst_local local d' e)
-            | None -> None)
-          | Some defs ->
-            (* Multiple definitions are acceptable only when syntactically
-               identical. *)
-            let exprs =
-              List.filter_map
-                (function Def_expr d -> Some d | Def_guest -> None)
-                defs
-            in
-            (match exprs with
-            | d :: rest
-              when List.length exprs = List.length defs
-                   && List.for_all (Expr.equal d) rest -> (
-              match go (depth + 1) (local :: visiting) d with
-              | Some d' -> go (depth + 1) visiting (Expr.subst_local local d' e)
-              | None -> None)
-            | _ -> None)
-          | None -> None
-        end
-  in
-  go 0 [] e

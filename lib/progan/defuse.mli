@@ -2,37 +2,19 @@
 
     Handlers are small, so the analysis is intraprocedural and
     flow-insensitive: a local is described by the set of expressions ever
-    assigned to it in the handler.  Two consumers build on this:
-
-    - {!influencing_fields} computes the control-structure fields that can
-      reach an expression through local definitions — SEDSpec's CFG
-      analyzer uses it to find the variables that influence conditional
-      and indirect jumps;
-    - {!recover} rebuilds an expression over fields and request parameters
-      only, by inlining unique local definitions — SEDSpec's
-      data-dependency recovery (the paper uses angr for this step).
-      Recovery fails ([None]) when a local has several conflicting
-      definitions or is loaded from guest memory, which is exactly the
-      case where the paper falls back to a sync point. *)
+    assigned to it in the handler.  {!influencing_fields} computes the
+    control-structure fields that can reach an expression through local
+    definitions — SEDSpec's CFG analyzer uses it to find the variables
+    that influence conditional and indirect jumps.  Data-dependency
+    recovery itself is [Sedspec.Datadep], over [Sedspec.Depgraph]'s
+    flow-sensitive reaching definitions. *)
 
 type t
 
 val analyze : Devir.Program.handler -> t
 (** Collect local definitions of one handler. *)
 
-val definitions : t -> string -> Devir.Stmt.t list
-(** All statements assigning the local (in block order). *)
-
 val influencing_fields : t -> Devir.Expr.t -> string list
 (** Control-structure fields that flow into the expression, directly or
     through any chain of local definitions (guest loads contribute no
     fields).  Order: first encountered first; no duplicates. *)
-
-val influencing_params : t -> Devir.Expr.t -> string list
-(** Request parameters that flow into the expression, transitively. *)
-
-val recover : t -> Devir.Expr.t -> Devir.Expr.t option
-(** Rewrite the expression so it references no locals, by inlining local
-    definitions.  [None] if some local has zero or multiple distinct
-    definitions, is defined from guest memory, or the inlining recurses
-    (self-referential definitions like [i = i + 1]). *)

@@ -1135,7 +1135,9 @@ let attach ?config ?compiled machine ~spec device =
       ~guest:(Vmm.Guest_mem.access (Vmm.Machine.ram machine))
       ()
   in
-  Vmm.Machine.set_interposer machine device (interposer t);
-  Interp.set_sync_points interp (Es_cfg.sync_points spec) ~on_sync:(record_sync t);
+  let (_ : unit -> unit) = Vmm.Machine.add_interposer machine device (interposer t) in
+  let (_ : unit -> unit) =
+    Interp.add_sync_points interp (Es_cfg.sync_points spec) ~on_sync:(record_sync t)
+  in
   Interp.set_icall_guard interp (Some (icall_guard t));
   t

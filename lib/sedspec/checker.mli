@@ -112,8 +112,9 @@ val compiled_arena : t -> Compile.t option
 val attach :
   ?config:config -> ?compiled:Compile.t -> Vmm.Machine.t -> spec:Es_cfg.t -> string -> t
 (** [attach machine ~spec device] wires a checker in front of the named
-    device: installs the machine interposer, initialises the shadow state
-    from the live control structure and plants sync instrumentation.
+    device: adds the checker's interposer layer and sync-point layer,
+    installs the icall guard and initialises the shadow state from the
+    live control structure.
     [?compiled] is passed through to {!create}. *)
 
 val interposer : t -> Vmm.Machine.interposer

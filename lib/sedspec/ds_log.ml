@@ -22,10 +22,8 @@ let observation_points program =
 
 module Collector = struct
   type collector = {
-    machine : Vmm.Machine.t;
-    device : string;
     interp : Interp.t;
-    saved_hooks : Interp.hooks;
+    mutable remove : unit -> unit;  (* the hook and interposer layers *)
     on_interaction : interaction -> unit;
     mutable current : (string * (string * int64) list) option;
         (** Handler/params of the in-flight interaction. *)
@@ -43,43 +41,38 @@ module Collector = struct
 
   let attach machine ~device ~points ~state_params ~on_interaction =
     let interp = Vmm.Machine.interp_of machine device in
-    let saved_hooks = Interp.hooks interp in
     let t =
-      {
-        machine;
-        device;
-        interp;
-        saved_hooks;
-        on_interaction;
-        current = None;
-        current_entries = [];
-      }
+      { interp; remove = ignore; on_interaction; current = None; current_entries = [] }
     in
     Interp.set_observation interp ~points ~state_params;
-    Interp.set_hooks interp
-      {
-        saved_hooks with
-        Interp.on_observe =
-          (fun e ->
-            t.current_entries <- e :: t.current_entries;
-            saved_hooks.Interp.on_observe e);
-      };
-    Vmm.Machine.set_interposer machine device
-      {
-        Vmm.Machine.before =
-          (fun req ->
-            flush t;
-            t.current <- Some (req.Vmm.Machine.handler, req.Vmm.Machine.params);
-            Vmm.Machine.Allow);
-        after =
-          (fun _ _ ->
-            flush t;
-            Vmm.Machine.Allow);
-      };
+    let remove_hooks =
+      Interp.add_hooks interp
+        {
+          Interp.silent_hooks with
+          Interp.on_observe = (fun e -> t.current_entries <- e :: t.current_entries);
+        }
+    in
+    let remove_interposer =
+      Vmm.Machine.add_interposer machine device
+        {
+          Vmm.Machine.before =
+            (fun req ->
+              flush t;
+              t.current <- Some (req.Vmm.Machine.handler, req.Vmm.Machine.params);
+              Vmm.Machine.Allow);
+          after =
+            (fun _ _ ->
+              flush t;
+              Vmm.Machine.Allow);
+        }
+    in
+    t.remove <-
+      (fun () ->
+        remove_hooks ();
+        remove_interposer ());
     t
 
   let detach t =
     Interp.clear_observation t.interp;
-    Interp.set_hooks t.interp t.saved_hooks;
-    Vmm.Machine.clear_interposer t.machine t.device
+    t.remove ()
 end

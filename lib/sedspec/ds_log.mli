@@ -15,9 +15,8 @@ type interaction = {
 
 (** Collector: instruments a device with observation points and groups the
     resulting entries per interaction.  Interaction boundaries come from
-    the machine's dispatch (the collector occupies the device's interposer
-    slot while attached — training happens before any checker is
-    installed).  It keeps only the interaction in flight. *)
+    the machine's dispatch (the collector adds an interposer layer while
+    attached).  It keeps only the interaction in flight. *)
 
 module Collector : sig
   type collector
@@ -38,8 +37,9 @@ module Collector : sig
       boundary so no interaction crosses into the next case. *)
 
   val detach : collector -> unit
-  (** Remove observation points, the observe hook and the interposer.
-      An interaction still in flight is dropped. *)
+  (** Remove observation points and the collector's own hook and
+      interposer layers; other layers stay.  An interaction still in
+      flight is dropped. *)
 end
 
 val observation_points : Devir.Program.t -> Devir.Program.bref list

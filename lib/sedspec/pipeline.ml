@@ -30,13 +30,12 @@ let collect machine ~device trainer =
   let interp = Vmm.Machine.interp_of machine device in
   let program = Interp.program interp in
   let encoder = Iptrace.Encoder.create (Iptrace.Filter.for_program program) in
-  let saved = Interp.hooks interp in
-  Interp.set_hooks interp
-    { saved with Interp.on_trace = Iptrace.Encoder.feed encoder };
-  for case = 0 to trainer.cases - 1 do
-    trainer.run_case machine case
-  done;
-  Interp.set_hooks interp saved;
+  Interp.with_hooks interp
+    { Interp.silent_hooks with Interp.on_trace = Iptrace.Encoder.feed encoder }
+    (fun () ->
+      for case = 0 to trainer.cases - 1 do
+        trainer.run_case machine case
+      done);
   let packets = Iptrace.Encoder.packets encoder in
   let traces = Iptrace.Decoder.decode program packets in
   let itc = Iptrace.Itc_cfg.create program in

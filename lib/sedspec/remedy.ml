@@ -21,13 +21,7 @@ let severity_to_string = function
   | High -> "high"
   | Medium -> "medium"
 
-type policy = Halt_vm | Rollback | Resume_with_warning
-
-type event = {
-  anomaly : Checker.anomaly;
-  severity : severity;
-  action : policy;
-}
+type event = { anomaly : Checker.anomaly; severity : severity }
 
 type breaker = {
   max_rollbacks : int;
@@ -39,7 +33,6 @@ type breaker = {
 type t = {
   machine : Vmm.Machine.t;
   checker : Checker.t;
-  policy_of : severity -> policy;
   aux_drain : unit -> Checker.anomaly list;
   breaker : breaker option;
   arena : Devir.Arena.t;
@@ -59,8 +52,7 @@ let take_checkpoint t =
 
 let log_line t line = t.log_rev <- line :: t.log_rev
 
-let create ?(policy_of = fun _ -> Rollback) ?(aux_drain = fun () -> [])
-    ?breaker machine ~device checker =
+let create ?(aux_drain = fun () -> []) ?breaker machine ~device checker =
   (match breaker with
   | Some (max_rollbacks, window) when max_rollbacks < 1 || window < 1 ->
     invalid_arg "Remedy.create: breaker thresholds must be >= 1"
@@ -70,7 +62,6 @@ let create ?(policy_of = fun _ -> Rollback) ?(aux_drain = fun () -> [])
     {
       machine;
       checker;
-      policy_of;
       aux_drain;
       breaker =
         Option.map
@@ -154,48 +145,25 @@ let tick t =
       []
     else begin
     let events =
-      List.map
-        (fun anomaly ->
-          let severity = severity_of anomaly in
-          { anomaly; severity; action = t.policy_of severity })
-        anomalies
-    in
-    (* The strongest requested action wins: Halt > Rollback > Resume. *)
-    let decided =
-      List.fold_left
-        (fun acc e ->
-          match (acc, e.action) with
-          | Halt_vm, _ | _, Halt_vm -> Halt_vm
-          | Rollback, _ | _, Rollback -> Rollback
-          | Resume_with_warning, Resume_with_warning -> Resume_with_warning)
-        Resume_with_warning events
+      List.map (fun anomaly -> { anomaly; severity = severity_of anomaly }) anomalies
     in
     (* Circuit breaker: a fault that re-trips the checker after every
        rollback would otherwise oscillate forever; past the threshold the
        supervisor stops spending rollbacks and leaves the VM down. *)
-    let decided =
-      if decided = Rollback && (t.tripped || breaker_would_trip t) then begin
-        if not t.tripped then begin
-          t.tripped <- true;
-          match t.breaker with
-          | Some b ->
-            log_line t
-              (Printf.sprintf
-                 "circuit breaker: >%d rollbacks within %d ticks; escalating \
-                  to halt"
-                 b.max_rollbacks b.window)
-          | None -> ()
-        end;
-        Halt_vm
+    if t.tripped || breaker_would_trip t then begin
+      if not t.tripped then begin
+        t.tripped <- true;
+        match t.breaker with
+        | Some b ->
+          log_line t
+            (Printf.sprintf
+               "circuit breaker: >%d rollbacks within %d ticks; escalating \
+                to halt"
+               b.max_rollbacks b.window)
+        | None -> ()
       end
-      else decided
-    in
-    (match decided with
-    | Halt_vm -> ()
-    | Rollback -> apply_rollback t
-    | Resume_with_warning ->
-      Vmm.Machine.resume t.machine;
-      Checker.resync t.checker);
+    end
+    else apply_rollback t;
     t.events_rev <- List.rev_append events t.events_rev;
     events
     end
@@ -233,10 +201,4 @@ let snapshot t =
   }
 
 let pp_event ppf e =
-  Format.fprintf ppf "[%s -> %s] %a"
-    (severity_to_string e.severity)
-    (match e.action with
-    | Halt_vm -> "halt"
-    | Rollback -> "rollback"
-    | Resume_with_warning -> "resume")
-    Checker.pp_anomaly e.anomaly
+  Format.fprintf ppf "[%s] %a" (severity_to_string e.severity) Checker.pp_anomaly e.anomaly

@@ -5,9 +5,9 @@
 
     A supervisor ({!t}) wraps one device of a protected machine.  The
     caller ticks it between I/O bursts: on clean ticks it refreshes its
-    checkpoint; when the checker has halted the VM it applies the
-    configured {!policy} — halt (paper default), roll back to the last
-    clean checkpoint and resume, or resume with a warning only.
+    checkpoint; when the checker has halted the VM it rolls back to the
+    last clean checkpoint and resumes — unless its circuit breaker has
+    escalated, which leaves the VM halted (the paper's protection mode).
 
     The checkpoint holds the device's control structure (its arena) and
     guest RAM, nothing else: interrupt lines and counts are not saved, and
@@ -31,32 +31,18 @@ val severity_of : Checker.anomaly -> severity
 
 val severity_to_string : severity -> string
 
-type policy =
-  | Halt_vm  (** Leave the machine halted (the paper's protection mode). *)
-  | Rollback
-      (** Restore the last clean checkpoint and resume — the paper's
-          proposed rollback remedy. *)
-  | Resume_with_warning
-      (** Clear the halt and keep going (availability first). *)
-
-type event = {
-  anomaly : Checker.anomaly;
-  severity : severity;
-  action : policy;
-}
+type event = { anomaly : Checker.anomaly; severity : severity }
 
 type t
 
 val create :
-  ?policy_of:(severity -> policy) ->
   ?aux_drain:(unit -> Checker.anomaly list) ->
   ?breaker:int * int ->
   Vmm.Machine.t ->
   device:string ->
   Checker.t ->
   t
-(** [create machine ~device checker] builds a supervisor.  [policy_of]
-    maps severities to actions (default: everything rolls back).
+(** [create machine ~device checker] builds a supervisor.
     [aux_drain] feeds anomalies from a second enforcement layer (the
     guest-side response validator) into every tick's adjudication, so a
     halt raised by that layer — whose anomalies the checker never sees —
@@ -65,7 +51,7 @@ val create :
     checker's own queue (default: none).
     [breaker:(n, w)] arms the circuit breaker: when applying a rollback
     would make more than [n] rollbacks within the last [w] ticks, the
-    decision escalates to [Halt_vm] instead and stays escalated — a fault
+    supervisor leaves the VM halted instead and stays escalated — a fault
     that re-trips the checker after every restore must not oscillate
     forever.  Both thresholds must be [>= 1]; default: no breaker.  An
     initial checkpoint is taken immediately. *)
@@ -80,8 +66,8 @@ val checkpoint : t -> unit
 val tick : t -> event list
 (** Inspect the machine: if it is running, run one bounded
     [Checker.heal] pass, drain (benign bookkeeping) and refresh the
-    checkpoint; if it was halted by anomalies, classify them, apply the
-    policy — subject to the circuit breaker — and return the events. *)
+    checkpoint; if it was halted by anomalies, classify them, roll back —
+    unless the circuit breaker escalates — and return the events. *)
 
 val events : t -> event list
 (** All events so far, oldest first. *)

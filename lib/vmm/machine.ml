@@ -11,6 +11,39 @@ type interposer = {
   after : request -> Interp.Event.outcome -> verdict;
 }
 
+let strength = function Allow -> 0 | Warn _ -> 1 | Halt _ -> 2
+
+(* Between equals the first argument, the earlier layer, wins. *)
+let strongest a b = if strength b > strength a then b else a
+
+(* Every layer sees the request, in the order the layers were added; the
+   [let]s fix that order whatever OCaml's argument evaluation order. *)
+let rec before_all layers req =
+  match layers with
+  | [] -> Allow
+  | ip :: rest ->
+    let v = ip.before req in
+    let rest_v = before_all rest req in
+    strongest v rest_v
+
+let rec after_all layers req outcome =
+  match layers with
+  | [] -> Allow
+  | ip :: rest ->
+    let v = ip.after req outcome in
+    let rest_v = after_all rest req outcome in
+    strongest v rest_v
+
+let compose = function
+  | [] -> None
+  | [ ip ] -> Some ip
+  | layers ->
+    Some
+      {
+        before = (fun req -> before_all layers req);
+        after = (fun req outcome -> after_all layers req outcome);
+      }
+
 type io_result =
   | Io_ok of int64 option
   | Io_blocked of string
@@ -33,7 +66,10 @@ type attached = {
   name : string;
   binding : device_binding;
   interp : Interp.t;
-  mutable interposer : interposer option;
+  mutable layers : interposer ref list;
+      (* In the order they were added.  Each layer has its own cell, which
+         its remover finds by physical identity. *)
+  mutable interposer : interposer option;  (* [layers] composed *)
 }
 
 type t = {
@@ -121,20 +157,21 @@ let attach t binding =
       clash "pmio" binding.pmio a.binding.pmio;
       clash "mmio" binding.mmio a.binding.mmio)
     t.devices;
-  let hooks =
-    {
-      Interp.silent_hooks with
-      Interp.on_irq =
-        (fun up ->
-          if up then Irq.raise_line t.irq name else Irq.lower_line t.irq name);
-    }
-  in
   let interp =
-    Interp.create ~hooks ~program:binding.program ~arena:binding.arena
+    Interp.create ~program:binding.program ~arena:binding.arena
       ~guest:(Guest_mem.access t.ram) ()
   in
+  let (_ : unit -> unit) =
+    Interp.add_hooks interp
+      {
+        Interp.silent_hooks with
+        Interp.on_irq =
+          (fun up ->
+            if up then Irq.raise_line t.irq name else Irq.lower_line t.irq name);
+      }
+  in
   Irq.register t.irq name;
-  let a = { name; binding; interp; interposer = None } in
+  let a = { name; binding; interp; layers = []; interposer = None } in
   Hashtbl.add t.devices name a;
   t.order <- t.order @ [ a ]
 
@@ -143,8 +180,17 @@ let get t name =
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "Machine: unknown device %s" name)
 
-let set_interposer t name ip = (get t name).interposer <- Some ip
-let clear_interposer t name = (get t name).interposer <- None
+let set_layers a layers =
+  a.layers <- layers;
+  a.interposer <- compose (List.map ( ! ) layers)
+
+let add_interposer t name ip =
+  let a = get t name in
+  let cell = ref ip in
+  set_layers a (a.layers @ [ cell ]);
+  fun () -> set_layers a (List.filter (fun c -> c != cell) a.layers)
+
+let set_interposer t name ip = set_layers (get t name) [ ref ip ]
 let interposer_of t name = (get t name).interposer
 let interp_of t name = (get t name).interp
 let device_names t = List.map (fun a -> a.name) t.order

@@ -2,10 +2,14 @@
 
     Guest I/O (PMIO/MMIO) is routed to the registered device whose range
     covers the address, exactly where KVM forwards an exit to QEMU's device
-    emulation.  An optional {e interposer} — SEDSpec's ES-Checker proxy —
-    sees every request before the device runs and can veto it; it also sees
-    the execution outcome afterwards (for sync-point resolution and
-    post-hoc verdicts).
+    emulation.  {e Interposers} — SEDSpec's ES-Checker proxy, the guest-side
+    validator, recorders — see every request before the device runs and can
+    veto it; they also see the execution outcome afterwards (for sync-point
+    resolution and post-hoc verdicts).  A device carries an ordered list of
+    interposer layers ({!add_interposer}): every layer sees every request in
+    the order the layers were added, and their verdicts merge to the
+    strongest ({!strength}), the earlier layer winning between equals.  A
+    [Halt] from any [before] blocks the device and skips every [after].
 
     Devices can also receive out-of-band input ({!inject}) for paths that
     do not originate from a CPU exit, such as a network card receiving a
@@ -26,6 +30,10 @@ type interposer = {
   before : request -> verdict;
   after : request -> Interp.Event.outcome -> verdict;
 }
+
+val strength : verdict -> int
+(** The order of verdict strength: [Allow] 0, [Warn] 1, [Halt] 2.  Layers
+    merge by it, and a shadow walk scores its verdicts by it. *)
 
 type io_result =
   | Io_ok of int64 option  (** Response data for reads. *)
@@ -63,15 +71,18 @@ val attach : t -> device_binding -> unit
     name.  Raises [Invalid_argument] on overlapping I/O ranges or duplicate
     device names. *)
 
-val set_interposer : t -> string -> interposer -> unit
-(** Install an interposer in front of one device. *)
+val add_interposer : t -> string -> interposer -> unit -> unit
+(** Add a layer after the device's existing ones.  Returns the function
+    that removes exactly that layer; calling it again does nothing. *)
 
-val clear_interposer : t -> string -> unit
+val set_interposer : t -> string -> interposer -> unit
+(** Replace every layer of the device with this one. *)
 
 val interposer_of : t -> string -> interposer option
-(** The currently installed interposer, if any — lets a second enforcement
-    layer (the guest-side validator) chain in front of the checker's
-    interposer instead of displacing it. *)
+(** The device's layers composed into one interposer ([None] without
+    layers; the installed value itself when there is one layer).  Together
+    with {!set_interposer} it lets a tracer wrap the whole stack and put it
+    back. *)
 
 val interp_of : t -> string -> Interp.t
 (** The device's interpreter, e.g. to install observation points or trace

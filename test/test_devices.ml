@@ -17,8 +17,9 @@ let arena_of m name = Interp.arena (Vmm.Machine.interp_of m name)
 let count_oob m name =
   let interp = Vmm.Machine.interp_of m name in
   let n = ref 0 in
-  Interp.set_hooks interp
-    { (Interp.hooks interp) with Interp.on_oob = (fun _ -> incr n) };
+  let (_ : unit -> unit) =
+    Interp.add_hooks interp { Interp.silent_hooks with Interp.on_oob = (fun _ -> incr n) }
+  in
   n
 
 (* --- FDC -------------------------------------------------------------- *)

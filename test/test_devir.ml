@@ -42,12 +42,6 @@ let test_expr_fields () =
   Alcotest.(check (list string)) "params" [ "data" ] (Expr.params e);
   Alcotest.(check (list string)) "locals" [] (Expr.locals e)
 
-let test_expr_subst () =
-  let e = lcl "x" +% c 1 in
-  let e' = Expr.subst_local "x" (fld "f") e in
-  Alcotest.(check (list string)) "substituted" [ "f" ] (Expr.fields e');
-  Alcotest.(check (list string)) "no local left" [] (Expr.locals e')
-
 let test_expr_dedup () =
   let e = fld "a" +% fld "a" in
   Alcotest.(check (list string)) "deduplicated" [ "a" ] (Expr.fields e)
@@ -372,7 +366,6 @@ let () =
       ( "expr",
         [
           Alcotest.test_case "fields/params/locals" `Quick test_expr_fields;
-          Alcotest.test_case "subst_local" `Quick test_expr_subst;
           Alcotest.test_case "dedup" `Quick test_expr_dedup;
         ] );
       ( "stmt/term",

@@ -224,7 +224,6 @@ let test_vm_spec_retry_and_fallback () =
     {
       (Vm.default_options ~device:"fdc") with
       Vm.spec_origin = Vm.Persisted (fun () -> "corrupt nonsense");
-      max_attempts = 3;
     }
   in
   let vm = Vm.create ~index:0 ~seed:11L opts in

@@ -346,9 +346,8 @@ let tiny_program
 
 let run_tiny ?(params = []) ?hooks ?config program handler =
   let arena = Arena.create tiny_layout in
-  let interp =
-    Interp.create ?config ?hooks ~program ~arena ~guest:Interp.null_guest ()
-  in
+  let interp = Interp.create ?config ~program ~arena ~guest:Interp.null_guest () in
+  Option.iter (fun h -> let (_ : unit -> unit) = Interp.add_hooks interp h in ()) hooks;
   (Interp.run interp ~handler ~params, arena, interp)
 
 let test_interp_straightline () =
@@ -447,7 +446,7 @@ let test_interp_icall_guard () =
   | o ->
     Alcotest.failf "expected guard block, got %s"
       (Format.asprintf "%a" Interp.Event.pp_outcome o));
-  Interp.clear_icall_guard interp;
+  Interp.set_icall_guard interp None;
   Alcotest.(check bool) "guard cleared" true
     (Interp.run interp ~handler:"h" ~params:[] = Interp.Event.Done { response = None })
 
@@ -552,9 +551,11 @@ let test_interp_sync_points () =
   let arena = Arena.create tiny_layout in
   let interp = Interp.create ~program:p ~arena ~guest:Interp.null_guest () in
   let synced = ref [] in
-  Interp.set_sync_points interp
-    [ ({ Program.handler = "h"; label = "e" }, [ "t" ]) ]
-    ~on_sync:(fun _ values -> synced := values @ !synced);
+  let (_ : unit -> unit) =
+    Interp.add_sync_points interp
+      [ ({ Program.handler = "h"; label = "e" }, [ "t" ]) ]
+      ~on_sync:(fun _ values -> synced := values @ !synced)
+  in
   ignore (Interp.run interp ~handler:"h" ~params:[]);
   Alcotest.(check (list (pair string int64))) "synced" [ ("t", 42L) ] !synced
 
@@ -576,7 +577,8 @@ let test_interp_observation () =
   let hooks =
     { Interp.silent_hooks with Interp.on_observe = (fun e -> entries := e :: !entries) }
   in
-  let interp = Interp.create ~hooks ~program:p ~arena ~guest:Interp.null_guest () in
+  let interp = Interp.create ~program:p ~arena ~guest:Interp.null_guest () in
+  let (_ : unit -> unit) = Interp.add_hooks interp hooks in
   Interp.set_observation interp
     ~points:[ { Program.handler = "h"; label = "e" } ]
     ~state_params:[ "x" ];
@@ -650,9 +652,9 @@ let run_dma ?(arena_init = fun _ -> ()) stmts =
     { Interp.silent_hooks with Interp.on_oob = (fun e -> oob := e :: !oob) }
   in
   let interp =
-    Interp.create ~hooks ~program:(dma_program stmts) ~arena
-      ~guest:(Interp.bytes_guest mem) ()
+    Interp.create ~program:(dma_program stmts) ~arena ~guest:(Interp.bytes_guest mem) ()
   in
+  let (_ : unit -> unit) = Interp.add_hooks interp hooks in
   let outcome = Interp.run interp ~handler:"h" ~params:[] in
   (outcome, arena, mem, List.rev !oob)
 
@@ -730,7 +732,8 @@ let test_fill_overflow () =
     (List.init 4 (fun i -> Arena.get_buf_byte arena "tail" i))
 
 (* Everything installed after [create] takes effect on the next run, and
-   clearing it stops its events. *)
+   removing it stops its events.  Hook and sync-point layers run in the
+   order they were added, and removing one leaves the others. *)
 let test_late_installation () =
   let p =
     tiny_program
@@ -752,7 +755,7 @@ let test_late_installation () =
     List.rev !events
   in
   Alcotest.(check (list string)) "silent at create" [] (run ());
-  Interp.set_hooks interp
+  let every_hook =
     {
       Interp.on_trace = (fun e -> note (Format.asprintf "trace %a" Interp.Event.pp_trace_event e));
       on_block = (fun b _ -> note ("block " ^ Program.bref_to_string b));
@@ -761,7 +764,9 @@ let test_late_installation () =
       on_irq = (fun up -> note (Printf.sprintf "irq %b" up));
       on_overflow = (fun _ -> note "overflow");
       on_response = (fun r -> note (Format.asprintf "response %a" Interp.Event.pp_response_event r));
-    };
+    }
+  in
+  let remove_first = Interp.add_hooks interp every_hook in
   let hooked =
     [
       "trace PGE 400000"; "block h/e"; "trace TIP 100"; "irq true";
@@ -769,26 +774,78 @@ let test_late_installation () =
     ]
   in
   Alcotest.(check (list string)) "hooks" hooked (run ());
+  let remove_second =
+    Interp.add_hooks interp
+      {
+        Interp.silent_hooks with
+        Interp.on_block = (fun b _ -> note ("second " ^ Program.bref_to_string b));
+        on_irq = (fun up -> note (Printf.sprintf "second irq %b" up));
+      }
+  in
+  Alcotest.(check (list string)) "two hook layers in order"
+    [
+      "trace PGE 400000"; "block h/e"; "second h/e"; "trace TIP 100"; "irq true";
+      "second irq true"; "response irq raise"; "block h/out"; "second h/out";
+      "trace PGD";
+    ]
+    (run ());
+  remove_first ();
+  let second_only = [ "second h/e"; "second irq true"; "second h/out" ] in
+  Alcotest.(check (list string)) "first removed" second_only (run ());
+  remove_first ();
+  Alcotest.(check (list string)) "second removal harmless" second_only (run ());
+  remove_second ();
+  Alcotest.(check (list string)) "both removed" [] (run ());
+  let remove_hooks = Interp.add_hooks interp every_hook in
   Interp.set_observation interp
     ~points:[ { Program.handler = "h"; label = "e" }; { Program.handler = "h"; label = "nowhere" } ]
     ~state_params:[ "x" ];
-  Interp.set_sync_points interp
-    [ ({ Program.handler = "h"; label = "e" }, [ "t"; "unset" ]) ]
-    ~on_sync:(fun b values ->
-      note
-        (Printf.sprintf "sync %s %s" (Program.bref_to_string b)
-           (String.concat "," (List.map (fun (n, v) -> Printf.sprintf "%s=%Ld" n v) values))));
+  let sync_note tag b values =
+    note
+      (Printf.sprintf "%s %s %s" tag (Program.bref_to_string b)
+         (String.concat "," (List.map (fun (n, v) -> Printf.sprintf "%s=%Ld" n v) values)))
+  in
+  let remove_sync =
+    Interp.add_sync_points interp
+      [ ({ Program.handler = "h"; label = "e" }, [ "t"; "unset" ]) ]
+      ~on_sync:(sync_note "sync")
+  in
+  let observed_run sync =
+    [ "trace PGE 400000"; "block h/e" ] @ sync
+    @ [
+        "trace TIP 100"; "observe h/e [entry] icall 100 {x=42}"; "irq true";
+        "response irq raise"; "block h/out"; "trace PGD";
+      ]
+  in
   Alcotest.(check (list string)) "observation and sync points"
-    [
-      "trace PGE 400000"; "block h/e"; "sync h/e t=42"; "trace TIP 100";
-      "observe h/e [entry] icall 100 {x=42}"; "irq true"; "response irq raise";
-      "block h/out"; "trace PGD";
-    ]
+    (observed_run [ "sync h/e t=42" ])
+    (run ());
+  let remove_sync2 =
+    Interp.add_sync_points interp
+      [ ({ Program.handler = "h"; label = "e" }, [ "t" ]) ]
+      ~on_sync:(sync_note "sync2")
+  in
+  Alcotest.(check (list string)) "both sync layers hear the value"
+    (observed_run [ "sync h/e t=42"; "sync2 h/e t=42" ])
+    (run ());
+  remove_sync ();
+  Alcotest.(check (list string)) "one sync layer removed"
+    (observed_run [ "sync2 h/e t=42" ])
     (run ());
   Interp.clear_observation interp;
-  Interp.set_sync_points interp [] ~on_sync:(fun _ _ -> note "stale sync");
+  remove_sync2 ();
   Alcotest.(check (list string)) "cleared" hooked (run ());
-  Interp.set_hooks interp Interp.silent_hooks;
+  (match
+     Interp.with_hooks interp
+       { Interp.silent_hooks with Interp.on_block = (fun _ _ -> note "scoped") }
+       (fun () ->
+         Alcotest.(check bool) "scoped layer fires" true (List.mem "scoped" (run ()));
+         raise Exit)
+   with
+  | () -> Alcotest.fail "with_hooks swallowed the exception"
+  | exception Exit -> ());
+  Alcotest.(check (list string)) "scoped layer removed on raise" hooked (run ());
+  remove_hooks ();
   Alcotest.(check (list string)) "silent again" [] (run ())
 
 (* Names the program fixes are resolved when the interpreter is built:
@@ -911,62 +968,56 @@ let pin_instrument p m ~device =
   let interp = Vmm.Machine.interp_of m device in
   let program = Interp.program interp in
   let arena = Interp.arena interp in
-  let saved = Interp.hooks interp in
-  Interp.set_hooks interp
-    {
-      Interp.on_trace =
-        (fun ev ->
-          (match ev with
-          | Interp.Event.Pge a -> pin_event p 'P'; pin_i64 p a
-          | Interp.Event.Tnt b -> pin_event p 'T'; pin_bool p b
-          | Interp.Event.Tip a -> pin_event p 'I'; pin_i64 p a
-          | Interp.Event.Pgd -> pin_event p 'D');
-          saved.Interp.on_trace ev);
-      on_block =
-        (fun bref kind ->
-          pin_event p 'B';
-          pin_bref p bref;
-          pin_str p (Block.kind_to_string kind);
-          saved.Interp.on_block bref kind);
-      on_observe =
-        (fun e ->
-          let b = Program.find_block program e.Interp.Event.block in
-          if not (e.Interp.Event.stmts = b.Block.stmts && e.Interp.Event.term = b.Block.term)
-          then Alcotest.failf "observe entry at %s carries foreign code"
-              (Program.bref_to_string e.Interp.Event.block);
-          pin_event p 'O';
-          pin_bref p e.Interp.Event.block;
-          pin_str p (Block.kind_to_string e.Interp.Event.kind);
-          List.iter (fun (n, v) -> pin_str p n; pin_i64 p v) e.Interp.Event.state;
-          pin_outcome p e.Interp.Event.outcome;
-          (match e.Interp.Event.cmd with
-          | Some v -> pin_bool p true; pin_i64 p v
-          | None -> pin_bool p false);
-          saved.Interp.on_observe e);
-      on_oob =
-        (fun e ->
-          pin_event p 'X';
-          pin_bref p e.Interp.Event.oob_block;
-          pin_str p e.Interp.Event.oob_buf;
-          pin_int p e.Interp.Event.oob_index;
-          pin_bool p e.Interp.Event.oob_write;
-          saved.Interp.on_oob e);
-      on_irq =
-        (fun up ->
-          pin_event p 'Q';
-          pin_bool p up;
-          saved.Interp.on_irq up);
-      on_overflow =
-        (fun o ->
-          pin_event p 'V';
-          pin_str p (Format.asprintf "%a" Interp.Eval.pp_overflow o);
-          saved.Interp.on_overflow o);
-      on_response =
-        (fun r ->
-          pin_event p 'R';
-          pin_response p r;
-          saved.Interp.on_response r);
-    };
+  let (_ : unit -> unit) =
+    Interp.add_hooks interp
+      {
+        Interp.on_trace =
+          (fun ev ->
+            (match ev with
+            | Interp.Event.Pge a -> pin_event p 'P'; pin_i64 p a
+            | Interp.Event.Tnt b -> pin_event p 'T'; pin_bool p b
+            | Interp.Event.Tip a -> pin_event p 'I'; pin_i64 p a
+            | Interp.Event.Pgd -> pin_event p 'D'));
+        on_block =
+          (fun bref kind ->
+            pin_event p 'B';
+            pin_bref p bref;
+            pin_str p (Block.kind_to_string kind));
+        on_observe =
+          (fun e ->
+            let b = Program.find_block program e.Interp.Event.block in
+            if not (e.Interp.Event.stmts = b.Block.stmts && e.Interp.Event.term = b.Block.term)
+            then Alcotest.failf "observe entry at %s carries foreign code"
+                (Program.bref_to_string e.Interp.Event.block);
+            pin_event p 'O';
+            pin_bref p e.Interp.Event.block;
+            pin_str p (Block.kind_to_string e.Interp.Event.kind);
+            List.iter (fun (n, v) -> pin_str p n; pin_i64 p v) e.Interp.Event.state;
+            pin_outcome p e.Interp.Event.outcome;
+            (match e.Interp.Event.cmd with
+            | Some v -> pin_bool p true; pin_i64 p v
+            | None -> pin_bool p false));
+        on_oob =
+          (fun e ->
+            pin_event p 'X';
+            pin_bref p e.Interp.Event.oob_block;
+            pin_str p e.Interp.Event.oob_buf;
+            pin_int p e.Interp.Event.oob_index;
+            pin_bool p e.Interp.Event.oob_write);
+        on_irq =
+          (fun up ->
+            pin_event p 'Q';
+            pin_bool p up);
+        on_overflow =
+          (fun o ->
+            pin_event p 'V';
+            pin_str p (Format.asprintf "%a" Interp.Eval.pp_overflow o));
+        on_response =
+          (fun r ->
+            pin_event p 'R';
+            pin_response p r);
+      }
+  in
   let scalars =
     List.filter_map
       (fun (f : Layout.field) ->
@@ -982,25 +1033,30 @@ let pin_instrument p m ~device =
       then
         host_blocks :=
           (bref, List.concat_map Stmt.locals_written b.Block.stmts) :: !host_blocks);
-  Interp.set_sync_points interp (List.rev !host_blocks) ~on_sync:(fun bref values ->
-      pin_event p 'S';
-      pin_bref p bref;
-      List.iter (fun (n, v) -> pin_str p n; pin_i64 p v) values);
-  Vmm.Machine.set_interposer m device
-    {
-      Vmm.Machine.before = (fun _ -> Vmm.Machine.Allow);
-      after =
-        (fun req outcome ->
-          pin_event p 'A';
-          pin_str p req.Vmm.Machine.handler;
-          List.iter (fun (n, v) -> pin_str p n; pin_i64 p v) req.Vmm.Machine.params;
-          (match outcome with
-          | Interp.Event.Done { response = Some v } -> pin_str p "done"; pin_i64 p v
-          | Interp.Event.Done { response = None } -> pin_str p "done"
-          | Interp.Event.Trapped trap -> pin_str p (Interp.Event.trap_to_string trap));
-          Buffer.add_bytes p.buf (Arena.snapshot arena);
-          Vmm.Machine.Allow);
-    }
+  let (_ : unit -> unit) =
+    Interp.add_sync_points interp (List.rev !host_blocks) ~on_sync:(fun bref values ->
+        pin_event p 'S';
+        pin_bref p bref;
+        List.iter (fun (n, v) -> pin_str p n; pin_i64 p v) values)
+  in
+  let (_ : unit -> unit) =
+    Vmm.Machine.add_interposer m device
+      {
+        Vmm.Machine.before = (fun _ -> Vmm.Machine.Allow);
+        after =
+          (fun req outcome ->
+            pin_event p 'A';
+            pin_str p req.Vmm.Machine.handler;
+            List.iter (fun (n, v) -> pin_str p n; pin_i64 p v) req.Vmm.Machine.params;
+            (match outcome with
+            | Interp.Event.Done { response = Some v } -> pin_str p "done"; pin_i64 p v
+            | Interp.Event.Done { response = None } -> pin_str p "done"
+            | Interp.Event.Trapped trap -> pin_str p (Interp.Event.trap_to_string trap));
+            Buffer.add_bytes p.buf (Arena.snapshot arena);
+            Vmm.Machine.Allow);
+      }
+  in
+  ()
 
 let pin_ram p m =
   pin_event p 'M';

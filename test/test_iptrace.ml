@@ -74,16 +74,14 @@ let roundtrip_device (module W : Workload.Samples.DEVICE_WORKLOAD) ops_seed =
   let program = Interp.program interp in
   let enc = Iptrace.Encoder.create (Iptrace.Filter.for_program program) in
   let executed = ref [] in
-  let saved = Interp.hooks interp in
-  Interp.set_hooks interp
+  let rng = Prng.create ops_seed in
+  Interp.with_hooks interp
     {
-      saved with
+      Interp.silent_hooks with
       Interp.on_trace = Iptrace.Encoder.feed enc;
       on_block = (fun bref _ -> executed := bref :: !executed);
-    };
-  let rng = Prng.create ops_seed in
-  W.soak_case ~mode:Workload.Samples.Random ~rng ~rare_prob:0.05 ~ops:6 m;
-  Interp.set_hooks interp saved;
+    }
+    (fun () -> W.soak_case ~mode:Workload.Samples.Random ~rng ~rare_prob:0.05 ~ops:6 m);
   let traces = Iptrace.Decoder.decode program (Iptrace.Encoder.packets enc) in
   let decoded =
     List.concat_map (List.map (fun (s : Iptrace.Decoder.step) -> s.block)) traces
@@ -124,8 +122,10 @@ let test_itc_cfg_counts () =
   let interp = Vmm.Machine.interp_of m "fdc" in
   let program = Interp.program interp in
   let enc = Iptrace.Encoder.create (Iptrace.Filter.for_program program) in
-  Interp.set_hooks interp
-    { (Interp.hooks interp) with Interp.on_trace = Iptrace.Encoder.feed enc };
+  let (_ : unit -> unit) =
+    Interp.add_hooks interp
+      { Interp.silent_hooks with Interp.on_trace = Iptrace.Encoder.feed enc }
+  in
   let trainer = W.trainer ~cases:4 in
   for case = 0 to 3 do
     trainer.Sedspec.Pipeline.run_case m case

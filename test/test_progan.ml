@@ -1,23 +1,10 @@
 (* Tests for the static analyses: def-use chains, branch-influencing
-   variable extraction, expression recovery (the angr substitute) and
-   buffer-content relevance. *)
+   variable extraction and buffer-content relevance. *)
 
 open Devir
 open Devir.Dsl
 
 let mk_handler blocks = handler "h" ~params:[ "data" ] blocks
-
-let test_defuse_definitions () =
-  let h =
-    mk_handler
-      [
-        entry "e" [ local "t" (fld "a" +% c 1); local "t" (fld "a" +% c 1) ] (goto "x");
-        exit_ "x" [];
-      ]
-  in
-  let du = Progan.Defuse.analyze h in
-  Alcotest.(check int) "two defs" 2 (List.length (Progan.Defuse.definitions du "t"));
-  Alcotest.(check int) "none" 0 (List.length (Progan.Defuse.definitions du "u"))
 
 let test_influencing_fields_transitive () =
   let h =
@@ -46,59 +33,6 @@ let test_influencing_guest_is_opaque () =
   let du = Progan.Defuse.analyze h in
   Alcotest.(check (list string)) "no fields through guest loads" []
     (Progan.Defuse.influencing_fields du (lcl "g" ==% c 1))
-
-let test_recover_single_def () =
-  let h =
-    mk_handler
-      [ entry "e" [ local "t" (fld "a" +% prm "data") ] (goto "x"); exit_ "x" [] ]
-  in
-  let du = Progan.Defuse.analyze h in
-  match Progan.Defuse.recover du (lcl "t" >% c 5) with
-  | Some e ->
-    Alcotest.(check (list string)) "expr over fields" [ "a" ] (Expr.fields e);
-    Alcotest.(check (list string)) "no locals" [] (Expr.locals e)
-  | None -> Alcotest.fail "expected recovery"
-
-let test_recover_fails_on_guest () =
-  let h =
-    mk_handler
-      [
-        entry "e"
-          [ Stmt.Read_guest { local = "t"; addr = c 0; width = Width.W32 } ]
-          (goto "x");
-        exit_ "x" [];
-      ]
-  in
-  let du = Progan.Defuse.analyze h in
-  Alcotest.(check bool) "unrecoverable" true
-    (Progan.Defuse.recover du (lcl "t") = None)
-
-let test_recover_fails_on_conflicting_defs () =
-  let h =
-    mk_handler
-      [ entry "e" [ local "t" (c 1); local "t" (c 2) ] (goto "x"); exit_ "x" [] ]
-  in
-  let du = Progan.Defuse.analyze h in
-  Alcotest.(check bool) "conflicting defs" true
-    (Progan.Defuse.recover du (lcl "t") = None)
-
-let test_recover_identical_defs_ok () =
-  let h =
-    mk_handler
-      [ entry "e" [ local "t" (fld "a"); local "t" (fld "a") ] (goto "x"); exit_ "x" [] ]
-  in
-  let du = Progan.Defuse.analyze h in
-  Alcotest.(check bool) "identical defs recover" true
-    (Progan.Defuse.recover du (lcl "t") <> None)
-
-let test_recover_terminates_on_cycle () =
-  let h =
-    mk_handler
-      [ entry "e" [ local "i" (lcl "i" +% c 1) ] (goto "x"); exit_ "x" [] ]
-  in
-  let du = Progan.Defuse.analyze h in
-  Alcotest.(check bool) "self-reference fails gracefully" true
-    (Progan.Defuse.recover du (lcl "i") = None)
 
 (* Usage facts on the real FDC model. *)
 let fdc = Devices.Fdc.program ~version:(Devices.Qemu_version.v 2 3 0)
@@ -166,17 +100,8 @@ let () =
     [
       ( "defuse",
         [
-          Alcotest.test_case "definitions" `Quick test_defuse_definitions;
           Alcotest.test_case "transitive fields" `Quick test_influencing_fields_transitive;
           Alcotest.test_case "guest loads are opaque" `Quick test_influencing_guest_is_opaque;
-        ] );
-      ( "recover",
-        [
-          Alcotest.test_case "single def" `Quick test_recover_single_def;
-          Alcotest.test_case "guest def fails" `Quick test_recover_fails_on_guest;
-          Alcotest.test_case "conflicting defs fail" `Quick test_recover_fails_on_conflicting_defs;
-          Alcotest.test_case "identical defs ok" `Quick test_recover_identical_defs_ok;
-          Alcotest.test_case "cycles terminate" `Quick test_recover_terminates_on_cycle;
         ] );
       ( "usage",
         [

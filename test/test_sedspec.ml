@@ -173,6 +173,29 @@ let test_log_collection_counts () =
   Alcotest.(check bool) "entries recorded" true (sum snd > 1000);
   Alcotest.(check (pair int int)) "an empty case delivers nothing" (0, 0) empty
 
+(* A collector adds its own hook and interposer layers and removes only
+   those: attached to a protected machine and detached again, it leaves the
+   checker in place, so the Venom stream still halts the machine. *)
+let test_collector_keeps_checker () =
+  Metrics.Spec_cache.training_cases := training_cases;
+  let attack = Attacks.Attack.find "CVE-2015-3456" in
+  let w = Workload.Samples.find "fdc" in
+  let m, _ = Metrics.Spec_cache.fresh_protected_machine ~vmexit_cost:0 w attack.qemu_version in
+  let program = Interp.program (Vmm.Machine.interp_of m "fdc") in
+  let seen = ref 0 in
+  let collector =
+    Sedspec.Ds_log.Collector.attach m ~device:"fdc"
+      ~points:(Sedspec.Ds_log.observation_points program)
+      ~state_params:[]
+      ~on_interaction:(fun _ -> incr seen)
+  in
+  attack.setup m;
+  Sedspec.Ds_log.Collector.detach collector;
+  Alcotest.(check bool) "collector saw the set-up" true (!seen > 0);
+  Alcotest.(check bool) "set-up is benign" false (Vmm.Machine.halted m);
+  (try attack.run m with Exit -> ());
+  Alcotest.(check bool) "venom still halts" true (Vmm.Machine.halted m)
+
 let test_observation_points_are_joints () =
   let p = Devices.Fdc.program ~version:(QV.v 2 3 0) in
   let points = Sedspec.Ds_log.observation_points p in
@@ -1157,23 +1180,6 @@ let test_remedy_rollback_restores_state () =
   Alcotest.(check (list reject)) "clean again" []
     (List.map (fun _ -> ()) (Sedspec.Remedy.tick sup))
 
-let test_remedy_halt_policy_keeps_halted () =
-  let w = Workload.Samples.find "fdc" in
-  let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-  let m = W.make_machine (QV.v 2 3 0) in
-  let built = Sedspec.Pipeline.build m ~device:"fdc" (W.trainer ~cases:8) in
-  let checker = Sedspec.Pipeline.protect m ~device:"fdc" built in
-  let sup =
-    Sedspec.Remedy.create ~policy_of:(fun _ -> Sedspec.Remedy.Halt_vm) m
-      ~device:"fdc" checker
-  in
-  let d = Workload.Fdc_driver.create m in
-  ignore (Workload.Fdc_driver.reset d);
-  ignore (Workload.Fdc_driver.dumpreg d);
-  ignore (Sedspec.Remedy.tick sup);
-  Alcotest.(check bool) "still halted" true (Vmm.Machine.halted m);
-  Alcotest.(check int) "no rollback" 0 (Sedspec.Remedy.rollbacks sup)
-
 (* --- Containment and fail-safe behaviour ---------------------------------- *)
 
 let fresh_fdc ?config () =
@@ -1379,11 +1385,7 @@ let test_remedy_clean_tick_allocation () =
 
 let test_remedy_circuit_breaker_escalates () =
   let m, checker, d = fresh_fdc () in
-  let sup =
-    Sedspec.Remedy.create
-      ~policy_of:(fun _ -> Sedspec.Remedy.Rollback)
-      ~breaker:(2, 8) m ~device:"fdc" checker
-  in
+  let sup = Sedspec.Remedy.create ~breaker:(2, 8) m ~device:"fdc" checker in
   ignore (Workload.Fdc_driver.reset d);
   ignore (Sedspec.Remedy.tick sup);
   (* A fault that re-trips the checker after every restore: the first
@@ -1414,11 +1416,7 @@ let test_remedy_snapshot_tracks_state () =
      count, breaker arming and latch, and the halt flag — as a pure read
      that never advances the supervisor. *)
   let m, checker, d = fresh_fdc () in
-  let sup =
-    Sedspec.Remedy.create
-      ~policy_of:(fun _ -> Sedspec.Remedy.Rollback)
-      ~breaker:(2, 8) m ~device:"fdc" checker
-  in
+  let sup = Sedspec.Remedy.create ~breaker:(2, 8) m ~device:"fdc" checker in
   let s0 = Sedspec.Remedy.snapshot sup in
   Alcotest.(check int) "no ticks yet" 0 s0.Sedspec.Remedy.s_ticks;
   Alcotest.(check int) "no events yet" 0 s0.Sedspec.Remedy.s_events;
@@ -1508,6 +1506,8 @@ let () =
       ( "logs",
         [
           Alcotest.test_case "collection counts" `Quick test_log_collection_counts;
+          Alcotest.test_case "collector keeps the checker" `Quick
+            test_collector_keeps_checker;
           Alcotest.test_case "observation points are joints" `Quick
             test_observation_points_are_joints;
         ] );
@@ -1582,8 +1582,6 @@ let () =
             test_remedy_severity_classification;
           Alcotest.test_case "rollback restores state" `Quick
             test_remedy_rollback_restores_state;
-          Alcotest.test_case "halt policy keeps halted" `Quick
-            test_remedy_halt_policy_keeps_halted;
           Alcotest.test_case "checkpoint while halted is a logged no-op" `Quick
             test_remedy_checkpoint_while_halted;
           Alcotest.test_case "circuit breaker escalates repeat rollbacks" `Quick

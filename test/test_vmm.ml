@@ -202,7 +202,8 @@ let test_interposer_halt_blocks_before_execution () =
   Alcotest.(check bool) "subsequent io refused" true
     (Vmm.Machine.io_read m ~port:0x100L ~size:4 = Vmm.Machine.Io_vm_halted);
   Vmm.Machine.resume m;
-  Vmm.Machine.clear_interposer m "echo";
+  Vmm.Machine.set_interposer m "echo"
+    { Vmm.Machine.before = (fun _ -> Vmm.Machine.Allow); after = (fun _ _ -> Vmm.Machine.Allow) };
   Alcotest.(check bool) "resumed" true
     (match Vmm.Machine.io_read m ~port:0x100L ~size:4 with
     | Vmm.Machine.Io_ok _ -> true
@@ -242,6 +243,153 @@ let test_interposer_sees_request () =
     Alcotest.(check (option int64)) "offset" (Some 2L) (List.assoc_opt "offset" params);
     Alcotest.(check (option int64)) "data" (Some 5L) (List.assoc_opt "data" params)
   | _ -> Alcotest.fail "interposer not called exactly once"
+
+(* Interposer layers, over every stack of two and three layers that
+   return Allow, Warn or Halt in [before] and in [after]: every layer is
+   called, in the order added; the merged verdict is the strongest, the
+   earlier layer's reason winning between equals; a Halt in [before] runs
+   no device and no [after]. *)
+type v = A | W | H
+
+let rank = function A -> 0 | W -> 1 | H -> 2
+let v_name = function A -> "A" | W -> "W" | H -> "H"
+
+let recording_layer calls i (b, a) =
+  let verdict v tag =
+    calls := tag :: !calls;
+    match v with
+    | A -> Vmm.Machine.Allow
+    | W -> Vmm.Machine.Warn tag
+    | H -> Vmm.Machine.Halt tag
+  in
+  {
+    Vmm.Machine.before = (fun _ -> verdict b (Printf.sprintf "b%d" i));
+    after = (fun _ _ -> verdict a (Printf.sprintf "a%d" i));
+  }
+
+(* The strongest verdict of a side and the tag of its first layer; [None]
+   when every layer allows. *)
+let expected side vs =
+  let best = List.fold_left (fun m v -> max m (rank v)) 0 vs in
+  let rec first i = function
+    | [] -> None
+    | v :: rest ->
+      if best > 0 && rank v = best then Some (v, Printf.sprintf "%s%d" side i)
+      else first (i + 1) rest
+  in
+  first 0 vs
+
+let check_stack specs =
+  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  Vmm.Machine.attach m (echo_binding "echo");
+  let calls = ref [] in
+  List.iteri
+    (fun i s ->
+      let (_ : unit -> unit) = Vmm.Machine.add_interposer m "echo" (recording_layer calls i s) in
+      ())
+    specs;
+  let result = Vmm.Machine.io_write m ~port:0x100L ~size:4 ~data:7L in
+  let name =
+    String.concat " " (List.map (fun (b, a) -> v_name b ^ "/" ^ v_name a) specs)
+  in
+  let tags side = List.mapi (fun i _ -> Printf.sprintf "%s%d" side i) specs in
+  let last () = Arena.get (Interp.arena (Vmm.Machine.interp_of m "echo")) "last" in
+  match expected "b" (List.map fst specs) with
+  | Some (H, reason) ->
+    Alcotest.(check bool) (name ^ ": blocked") true (result = Vmm.Machine.Io_blocked reason);
+    Alcotest.(check (list string)) (name ^ ": only befores") (tags "b") (List.rev !calls);
+    Alcotest.(check int64) (name ^ ": no device run") 0L (last ());
+    Alcotest.(check (option string)) (name ^ ": halt reason") (Some reason)
+      (Vmm.Machine.halt_reason m)
+  | before ->
+    Alcotest.(check bool) (name ^ ": ran") true (result = Vmm.Machine.Io_ok None);
+    Alcotest.(check (list string)) (name ^ ": call order") (tags "b" @ tags "a")
+      (List.rev !calls);
+    Alcotest.(check int64) (name ^ ": device ran") 7L (last ());
+    let after = expected "a" (List.map snd specs) in
+    let warn = function Some (W, r) -> [ r ] | _ -> [] in
+    Alcotest.(check (list string)) (name ^ ": warnings") (warn before @ warn after)
+      (Vmm.Machine.warnings m);
+    Alcotest.(check (option string)) (name ^ ": halt reason")
+      (match after with Some (H, r) -> Some r | _ -> None)
+      (Vmm.Machine.halt_reason m)
+
+let test_interposer_layers_merge () =
+  let vs = [ A; W; H ] in
+  let pairs = List.concat_map (fun b -> List.map (fun a -> (b, a)) vs) vs in
+  List.iter
+    (fun p1 ->
+      List.iter
+        (fun p2 ->
+          check_stack [ p1; p2 ];
+          List.iter (fun p3 -> check_stack [ p1; p2; p3 ]) pairs)
+        pairs)
+    pairs
+
+(* Removing a middle layer keeps the others in order; removing a layer
+   twice is harmless. *)
+let test_interposer_layer_removal () =
+  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  Vmm.Machine.attach m (echo_binding "echo");
+  let calls = ref [] in
+  let add i = Vmm.Machine.add_interposer m "echo" (recording_layer calls i (A, A)) in
+  let remove0 = add 0 in
+  let remove1 = add 1 in
+  let (_ : unit -> unit) = add 2 in
+  let run () =
+    calls := [];
+    ignore (Vmm.Machine.io_write m ~port:0x100L ~size:4 ~data:1L);
+    List.rev !calls
+  in
+  Alcotest.(check (list string)) "three layers" [ "b0"; "b1"; "b2"; "a0"; "a1"; "a2" ] (run ());
+  remove1 ();
+  Alcotest.(check (list string)) "middle removed" [ "b0"; "b2"; "a0"; "a2" ] (run ());
+  remove1 ();
+  Alcotest.(check (list string)) "removed twice" [ "b0"; "b2"; "a0"; "a2" ] (run ());
+  remove0 ();
+  Alcotest.(check (list string)) "first removed" [ "b2"; "a2" ] (run ())
+
+(* A tracer swaps itself in through [interposer_of] and [set_interposer]
+   and puts the stack back the same way: verdicts before, during and
+   after the swap are identical.  One layer is returned as installed. *)
+let test_interposer_swap () =
+  let swap specs =
+    let m = Vmm.Machine.create ~vmexit_cost:0 () in
+    Vmm.Machine.attach m (echo_binding "echo");
+    let calls = ref [] in
+    List.iteri
+      (fun i s ->
+        let (_ : unit -> unit) = Vmm.Machine.add_interposer m "echo" (recording_layer calls i s) in
+        ())
+      specs;
+    let run () =
+      Vmm.Machine.resume m;
+      Vmm.Machine.clear_warnings m;
+      calls := [];
+      let r = Vmm.Machine.io_write m ~port:0x100L ~size:4 ~data:3L in
+      (r, Vmm.Machine.warnings m, Vmm.Machine.halt_reason m, List.rev !calls)
+    in
+    let before = run () in
+    let original = Option.get (Vmm.Machine.interposer_of m "echo") in
+    Vmm.Machine.set_interposer m "echo"
+      {
+        Vmm.Machine.before = (fun req -> original.Vmm.Machine.before req);
+        after = (fun req outcome -> original.Vmm.Machine.after req outcome);
+      };
+    let wrapped = run () in
+    Vmm.Machine.set_interposer m "echo" original;
+    let restored = run () in
+    Alcotest.(check bool) "wrapped = before" true (wrapped = before);
+    Alcotest.(check bool) "restored = before" true (restored = before)
+  in
+  swap [ (W, A); (H, W) ];
+  swap [ (A, W); (W, H); (A, A) ];
+  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  Vmm.Machine.attach m (echo_binding "echo");
+  let ip = recording_layer (ref []) 0 (A, A) in
+  let (_ : unit -> unit) = Vmm.Machine.add_interposer m "echo" ip in
+  Alcotest.(check bool) "one layer returned as installed" true
+    (Option.get (Vmm.Machine.interposer_of m "echo") == ip)
 
 let test_trap_reporting () =
   let program =
@@ -557,6 +705,9 @@ let () =
             test_interposer_halt_blocks_before_execution;
           Alcotest.test_case "warn allows" `Quick test_interposer_warn_allows;
           Alcotest.test_case "interposer sees request" `Quick test_interposer_sees_request;
+          Alcotest.test_case "interposer layers merge" `Quick test_interposer_layers_merge;
+          Alcotest.test_case "interposer layer removal" `Quick test_interposer_layer_removal;
+          Alcotest.test_case "interposer swap keeps verdicts" `Quick test_interposer_swap;
           Alcotest.test_case "trap reporting" `Quick test_trap_reporting;
           Alcotest.test_case "inject" `Quick test_inject;
           Alcotest.test_case "device irq wiring" `Quick test_device_irq_wiring;
