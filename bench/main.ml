@@ -474,7 +474,7 @@ let ablation () =
           Metrics.Spec_cache.fresh_protected_machine ~config w attack.qemu_version
         in
         attack.setup m;
-        (try attack.run m with Exit -> ());
+        Attacks.Attack.run_stream m attack;
         let anoms = Sedspec.Checker.drain_anomalies checker in
         [
           Sedspec.Checker.strategy_to_string strat;
@@ -557,7 +557,6 @@ let scale_bench () =
       (fun vms ->
         let opts =
           {
-            (Fleet.Scale.default_options ()) with
             Fleet.Scale.vms;
             ticks = (if !quick then 2 else 4);
             seed = !seed;

@@ -381,7 +381,6 @@ let locate_cmd =
     setup_training cases;
     let opts =
       {
-        Fuzz.Locate.default_options with
         Fuzz.Locate.device;
         cve;
         budget;
@@ -434,7 +433,11 @@ let fleet_cmd =
     Arg.(value & opt int 12 & info [ "ops" ] ~docv:"N" ~doc)
   in
   let deadline_arg =
-    let doc = "Watchdog step budget per checker walk (0 disables)." in
+    let doc =
+      "Watchdog step budget per checker walk (0 disables).  A budget above \
+       the checker's walk limit of 20000 steps never fires: the walk limit \
+       ends the walk first, so the default does nothing."
+    in
     Arg.(value & opt int 50_000 & info [ "deadline" ] ~docv:"STEPS" ~doc)
   in
   let run device vms ticks ops seed jobs deadline json training =

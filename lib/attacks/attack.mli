@@ -27,6 +27,10 @@ type t = {
   ground_check : Vmm.Machine.t -> string list;
 }
 
+val run_stream : Vmm.Machine.t -> t -> unit
+(** Run the malicious stream.  A stream stops with [Exit] where an access
+    it needs is vetoed; [run_stream] returns there. *)
+
 val version_pair : t -> Devices.Qemu_version.t * Devices.Qemu_version.t
 (** [(vulnerable, patched)] — the adjacent device versions the
     cross-version deviation locator replays against. *)

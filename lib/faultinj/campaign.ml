@@ -117,12 +117,9 @@ let run_combo ~seed opts (device, mode, engine) =
         Option.iter V.reset validator;
         C.set_config checker { config with on_internal_error = plan.policy };
         Option.iter
-          (fun v ->
-            V.set_config v { V.default_config with containment = plan.policy })
+          (fun v -> V.set_config v { V.containment = plan.policy })
           validator;
-        let remedy =
-          Sedspec.Remedy.create ?aux_drain ~breaker:(2, 8) machine ~device checker
-        in
+        let remedy = Sedspec.Remedy.create ?aux_drain machine ~device checker in
         let armed = Inject.arm ?guard:validator plan machine checker in
         let escaped = ref 0 and halts = ref 0 and warns = ref 0 in
         for _ = 1 to opts.cases_per_plan do
@@ -247,14 +244,6 @@ let columns kind =
     @ [ col "guard_anomalies" "guard" 6 (fun c -> c.guard_anomalies) ]
     @ remedy
 
-let mode_to_string = function
-  | C.Protection -> "protection"
-  | C.Enhancement -> "enhancement"
-
-let engine_to_string = function
-  | C.Compiled -> "compiled"
-  | C.Interpreted -> "interpreted"
-
 let report_to_json r =
   let o = r.options in
   let fields c =
@@ -278,8 +267,8 @@ let report_to_json r =
                (fun c ->
                  Json.Obj
                    (("device", Json.Str c.device)
-                    :: ("mode", Json.Str (mode_to_string c.mode))
-                    :: ("engine", Json.Str (engine_to_string c.engine))
+                    :: ("mode", Json.Str (C.mode_to_string c.mode))
+                    :: ("engine", Json.Str (C.engine_to_string c.engine))
                     :: fields c))
                r.combos) );
         ("totals", Json.Obj (fields (totals r)));
@@ -289,7 +278,7 @@ let report_to_json r =
 let pp_report ppf r =
   let cols = columns r.options.kind in
   let row name cells =
-    Format.fprintf ppf "%-24s" name;
+    Format.fprintf ppf "%-30s" name;
     List.iter2
       (fun (_, _, width, _) cell -> Format.fprintf ppf " %*s" width cell)
       cols cells;
@@ -302,9 +291,8 @@ let pp_report ppf r =
   List.iter
     (fun c ->
       line c
-        (Printf.sprintf "%s/%s/%s" c.device
-           (match c.mode with C.Protection -> "prot" | C.Enhancement -> "enh")
-           (match c.engine with C.Compiled -> "comp" | C.Interpreted -> "interp")))
+        (Printf.sprintf "%s/%s/%s" c.device (C.mode_to_string c.mode)
+           (C.engine_to_string c.engine)))
     r.combos;
   let t = totals r in
   line t "TOTAL";

@@ -32,15 +32,13 @@ end
 
 type state = Protection | Enhancement | Fail_open
 
-type config = {
-  window : int;
-  degrade_burn : int;
-  restore_burn : int;
-  restore_clean : int;
-}
-
-let default_config =
-  { window = 8; degrade_burn = 6; restore_burn = 2; restore_clean = 4 }
+(* The ladder's thresholds: a window of [window] observations; degrade
+   when its burn exceeds [degrade_burn]; restore after [restore_clean]
+   consecutive observations with a burn of at most [restore_burn]. *)
+let window = 8
+let degrade_burn = 6
+let restore_burn = 2
+let restore_clean = 4
 
 type transition =
   | Steady
@@ -48,7 +46,6 @@ type transition =
   | Restored of state * state
 
 type t = {
-  cfg : config;
   budget : Budget.t;  (** Last [window] burns; zero-filled at creation. *)
   mutable state : state;
   mutable clean : int;  (** Current restore-eligible streak. *)
@@ -56,16 +53,9 @@ type t = {
   mutable restores : int;
 }
 
-let create ?(config = default_config) () =
-  if config.window < 1 then invalid_arg "Governor: window must be >= 1";
-  if config.degrade_burn < 1 then invalid_arg "Governor: degrade_burn must be >= 1";
-  if config.restore_burn < 0 || config.restore_burn >= config.degrade_burn then
-    invalid_arg "Governor: need 0 <= restore_burn < degrade_burn";
-  if config.restore_clean < 1 then
-    invalid_arg "Governor: restore_clean must be >= 1";
+let create () =
   {
-    cfg = config;
-    budget = Budget.create ~window:config.window;
+    budget = Budget.create ~window;
     state = Protection;
     clean = 0;
     degrades = 0;
@@ -96,7 +86,7 @@ let clear_window t =
 let observe t ~burn =
   if burn < 0 then invalid_arg "Governor.observe: burn must be >= 0";
   Budget.observe t.budget burn;
-  if Budget.sum t.budget > t.cfg.degrade_burn then begin
+  if Budget.sum t.budget > degrade_burn then begin
     t.clean <- 0;
     match down t.state with
     | None -> Steady (* already at the bottom rung *)
@@ -107,9 +97,9 @@ let observe t ~burn =
       clear_window t;
       Degraded (from, s)
   end
-  else if Budget.sum t.budget <= t.cfg.restore_burn then begin
+  else if Budget.sum t.budget <= restore_burn then begin
     t.clean <- t.clean + 1;
-    if t.clean >= t.cfg.restore_clean then
+    if t.clean >= restore_clean then
       match up t.state with
       | None ->
         t.clean <- 0;

@@ -24,14 +24,13 @@
     degradation only ever relaxes the warn-only strategies and the
     internal-error policy.
 
-    {b Hysteresis}: degradation requires the window burn to {e exceed}
-    [degrade_burn]; restoration requires it to stay {e at or below}
-    [restore_burn] (strictly less than [degrade_burn]) for
-    [restore_clean] consecutive observations.  A burn rate sitting
-    exactly on either boundary therefore holds the current rung — the
-    ladder cannot oscillate on a boundary burn rate.  Every transition
-    clears the window and the clean streak, so a single incident is
-    charged once. *)
+    {b Hysteresis}: the window holds the last 8 observations.
+    Degradation requires its burn to {e exceed} 6; restoration requires
+    it to stay {e at or below} 2 for 4 consecutive observations.  A burn
+    rate sitting exactly on either boundary therefore holds the current
+    rung — the ladder cannot oscillate on a boundary burn rate.  Every
+    transition clears the window and the clean streak, so a single
+    incident is charged once. *)
 
 (** The governor's sliding-window accumulator, exposed so other ladders
     (the rollout's agreement budget) share the exact same window
@@ -56,19 +55,6 @@ end
 
 type state = Protection | Enhancement | Fail_open
 
-type config = {
-  window : int;  (** Sliding-window length in observations (>= 1). *)
-  degrade_burn : int;  (** Degrade when window burn exceeds this (>= 1). *)
-  restore_burn : int;
-      (** Restore-eligible while window burn <= this; must be
-          [< degrade_burn]. *)
-  restore_clean : int;
-      (** Consecutive eligible observations before one restore (>= 1). *)
-}
-
-val default_config : config
-(** [{ window = 8; degrade_burn = 6; restore_burn = 2; restore_clean = 4 }]. *)
-
 type transition =
   | Steady
   | Degraded of state * state  (** (from, to) — one rung down. *)
@@ -76,9 +62,8 @@ type transition =
 
 type t
 
-val create : ?config:config -> unit -> t
-(** Fresh governor at [Protection] with an empty window.  Raises
-    [Invalid_argument] on a config violating the bounds above. *)
+val create : unit -> t
+(** Fresh governor at [Protection] with an empty window. *)
 
 val observe : t -> burn:int -> transition
 (** Record one observation period's burn (>= 0) and apply the ladder
@@ -96,7 +81,7 @@ val restores : t -> int
 val checker_config :
   state -> base:Sedspec.Checker.config -> Sedspec.Checker.config
 (** The checker configuration enforcing a rung, preserving [base]'s
-    engine, walk limit and heal budget.  Always includes
+    engine and walk limit.  Always includes
     [Parameter_check] in the strategies (adding it if [base] dropped it)
     and always maps to a mode that halts parameter-check anomalies — the
     hard invariant above. *)

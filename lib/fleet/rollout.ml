@@ -45,11 +45,15 @@ type config = {
   canary_ticks : int;
   seed : int64;
   jobs : int;
-  agree_min : float;  (** Minimum agreement ratio per fleet phase. *)
-  looser_budget : int;  (** Max looser verdicts in any budget window. *)
-  budget_window : int;  (** {!Governor.Budget} window, in ticks. *)
   vm_opts : Vm.options;
 }
+
+(* The promotion thresholds: a fleet phase passes with an agreement
+   ratio of at least [agree_min] and at most [looser_budget] looser
+   verdicts in any [budget_window]-tick {!Governor.Budget} window. *)
+let agree_min = 0.98
+let looser_budget = 0
+let budget_window = 8
 
 let default_config ~device =
   {
@@ -61,9 +65,6 @@ let default_config ~device =
     canary_ticks = 8;
     seed = 1L;
     jobs = 1;
-    agree_min = 0.98;
-    looser_budget = 0;
-    budget_window = 8;
     vm_opts = Vm.default_options ~device;
   }
 
@@ -75,12 +76,6 @@ let validate cfg =
     invalid_arg "Rollout: need 1 <= shadow_vms <= vms";
   if cfg.shadow_ticks < 1 || cfg.canary_ticks < 1 then
     invalid_arg "Rollout: ticks must be >= 1";
-  if cfg.agree_min < 0.0 || cfg.agree_min > 1.0 then
-    invalid_arg "Rollout: agree_min must be in [0, 1]";
-  if cfg.looser_budget < 0 then
-    invalid_arg "Rollout: looser_budget must be >= 0";
-  if cfg.budget_window < 1 then
-    invalid_arg "Rollout: budget_window must be >= 1";
   if Workload.Samples.find_opt cfg.device = None then
     invalid_arg (Printf.sprintf "Rollout: unknown device %s" cfg.device)
 
@@ -94,9 +89,6 @@ type gate_check = {
   g_blocked : bool;
   g_pass : bool;
 }
-
-let run_stream m (attack : Attacks.Attack.t) =
-  try attack.Attacks.Attack.run m with Exit -> ()
 
 (* Replay one catalogued CVE with the candidate enforced: detectable
    attacks must raise anomalies in both modes and also halt the machine
@@ -122,7 +114,7 @@ let gate_attack ~device (recipe : recipe) (a : Attacks.Attack.t) =
           ignore
             (Sedspec.Checker.drain_anomalies checker
               : Sedspec.Checker.anomaly list);
-          run_stream m a;
+          Attacks.Attack.run_stream m a;
           let anomalies = Sedspec.Checker.drain_anomalies checker in
           let detected = anomalies <> [] in
           let blocked = Vmm.Machine.halted m in
@@ -133,14 +125,8 @@ let gate_attack ~device (recipe : recipe) (a : Attacks.Attack.t) =
           in
           {
             g_cve = a.Attacks.Attack.cve;
-            g_engine =
-              (match engine with
-              | Sedspec.Checker.Compiled -> "compiled"
-              | Sedspec.Checker.Interpreted -> "interpreted");
-            g_mode =
-              (match mode with
-              | Sedspec.Checker.Protection -> "protection"
-              | Sedspec.Checker.Enhancement -> "enhancement");
+            g_engine = Sedspec.Checker.engine_to_string engine;
+            g_mode = Sedspec.Checker.mode_to_string mode;
             g_detected = detected;
             g_blocked = blocked;
             g_pass = pass;
@@ -201,7 +187,7 @@ let twin_regression index (c : Vm.report) (b : Vm.report) =
       worse "degrades" c.Vm.r_degrades b.Vm.r_degrades;
     ]
 
-let phase_of_reports ~rung ~window pairs =
+let phase_of_reports ~rung pairs =
   let reports = List.map fst pairs in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
   let shadowed =
@@ -223,7 +209,7 @@ let phase_of_reports ~rung ~window pairs =
         (fun i l -> merged.(i) <- merged.(i) + l)
         s.Vm.sh_tick_looser)
     shadowed;
-  let budget = Governor.Budget.create ~window in
+  let budget = Governor.Budget.create ~window:budget_window in
   let peak = ref 0 in
   Array.iter
     (fun l ->
@@ -309,7 +295,7 @@ let fleet_phase cfg ~rung ~ticks ~canaries fetch =
     Runner.map_seeded ~jobs:cfg.jobs ~seed:cfg.seed run_vm
       (List.init cfg.vms Fun.id)
   in
-  (phase_of_reports ~rung ~window:cfg.budget_window pairs, pairs)
+  (phase_of_reports ~rung pairs, pairs)
 
 (* --- The ladder ------------------------------------------------------- *)
 
@@ -450,16 +436,16 @@ let run cfg (recipe : recipe) =
         if shadow_phase.ph_failed_vms > 0 then
           rolled_back ~diff ~gates ~shadow:shadow_phase ~cand_rev ~rung:Shadow
             ~latency:cfg.shadow_ticks "shadow VM failed"
-        else if shadow_phase.ph_max_window_looser > cfg.looser_budget then
+        else if shadow_phase.ph_max_window_looser > looser_budget then
           rolled_back ~diff ~gates ~shadow:shadow_phase ~cand_rev ~rung:Shadow
             ~latency:(latency_of shadow_phase ~ticks:cfg.shadow_ticks)
             (Printf.sprintf "agreement budget breached (%d looser in window > %d)"
-               shadow_phase.ph_max_window_looser cfg.looser_budget)
-        else if agreement_ratio shadow_phase < cfg.agree_min then
+               shadow_phase.ph_max_window_looser looser_budget)
+        else if agreement_ratio shadow_phase < agree_min then
           rolled_back ~diff ~gates ~shadow:shadow_phase ~cand_rev ~rung:Shadow
             ~latency:(latency_of shadow_phase ~ticks:cfg.shadow_ticks)
             (Printf.sprintf "agreement %.4f below threshold %.4f"
-               (agreement_ratio shadow_phase) cfg.agree_min)
+               (agreement_ratio shadow_phase) agree_min)
         else
           (* Rung 2: canary — a subset of the fleet enforces the
              candidate; the rest keep shadow-scoring it. *)
@@ -486,14 +472,14 @@ let run cfg (recipe : recipe) =
                 ("canary regressed against its base twin: "
                 ^ String.concat "; " canary_phase.ph_canary_regressions)
             else if
-              canary_phase.ph_max_window_looser > cfg.looser_budget
+              canary_phase.ph_max_window_looser > looser_budget
             then
               rolled_back ~diff ~gates ~shadow:shadow_phase
                 ~canary:canary_phase ~cand_rev ~rung:Canary
                 ~latency:(latency_of canary_phase ~ticks:cfg.canary_ticks)
                 (Printf.sprintf
                    "agreement budget breached (%d looser in window > %d)"
-                   canary_phase.ph_max_window_looser cfg.looser_budget)
+                   canary_phase.ph_max_window_looser looser_budget)
             else
               (* Rung 3: promotion — one last catalogue replay before the
                  candidate revision is pinned fleet-wide. *)

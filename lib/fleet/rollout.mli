@@ -12,14 +12,16 @@
       VM's lockstep walk fleet-wide (the bench's
       [rollout.threshold.overhead_max] asserts the resulting wall-clock
       cost stays under 15%); verdict agreement is scored per anomaly
-      site and a {!Governor.Budget} window slides over the fleet's
-      per-tick looser counts;
+      site and an 8-tick {!Governor.Budget} window slides over the
+      fleet's per-tick looser counts.  The phase passes with an
+      agreement ratio of at least 0.98 and no looser verdict in any
+      window;
     - {b Canary}: a subset of the fleet enforces the candidate
       ({!Vm.spec_origin.Candidate}) while the rest keep shadow-scoring;
       each canary VM is A/B-paired with a same-seed twin enforcing the
       base, and any canary doing worse than its twin (failure, more halt
       ticks, a breaker trip, more parameter anomalies, crashes or
-      degrades) demotes immediately;
+      degrades) or a looser verdict demotes immediately;
     - {b Promoted}: the candidate revision becomes the pinned revision.
 
     {b Safety gate}: at {e every} rung the candidate is replayed against
@@ -63,23 +65,18 @@ type config = {
   canary_ticks : int;
   seed : int64;
   jobs : int;
-  agree_min : float;  (** Minimum agreement ratio per fleet phase. *)
-  looser_budget : int;
-      (** Maximum looser verdicts tolerated in any {!Governor.Budget}
-          window; the default 0 demotes on the first missed detection. *)
-  budget_window : int;  (** Budget window length in ticks. *)
   vm_opts : Vm.options;  (** Base VM options ([device]/[spec_origin]/
           [shadow] are overridden per phase). *)
 }
 
 val default_config : device:string -> config
 (** 4 VMs, 1 canary, 1 shadower, 12 shadow + 8 canary ticks, seed 1,
-    1 job, agreement 0.98, zero looser budget over an 8-tick window. *)
+    1 job. *)
 
 type gate_check = {
   g_cve : string;
-  g_engine : string;  (** ["compiled"] or ["interpreted"]. *)
-  g_mode : string;  (** ["protection"] or ["enhancement"]. *)
+  g_engine : string;  (** {!Sedspec.Checker.engine_to_string}. *)
+  g_mode : string;  (** {!Sedspec.Checker.mode_to_string}. *)
   g_detected : bool;
   g_blocked : bool;
   g_pass : bool;

@@ -24,19 +24,15 @@
     asserts physical arena identity across all cells). *)
 
 type options = {
-  vms : int;  (** Cells, assigned round-robin over [devices]. *)
+  vms : int;
+      (** Cells, assigned round-robin over the five paper devices (fdc,
+          ehci, pcnet, sdhci, scsi). *)
   ticks : int;  (** Timed stream replays per cell. *)
-  seed : int64;  (** Capture-stream workload seed. *)
+  seed : int64;
+      (** Capture-stream workload seed.  Each device's stream is
+          captured from 2 soak cases of 12 ops. *)
   jobs : int;  (** Runner domains; cells are partitioned into chunks. *)
-  devices : string list;
-  capture_cases : int;  (** Soak cases recorded into the stream. *)
-  capture_ops : int;  (** Ops per soak case. *)
-  deadline : int option;  (** Per-cell watchdog budget. *)
 }
-
-val default_options : unit -> options
-(** 1000 VMs, 4 ticks, seed 7, 1 job, all five paper devices, 2x12-op
-    capture, 50k-step deadline. *)
 
 type result = {
   sc_vms : int;
@@ -66,7 +62,6 @@ type result = {
 }
 
 val run : options -> result
-(** Raises [Invalid_argument] on non-positive [vms]/[ticks] or an empty
-    or unknown [devices] list. *)
+(** Raises [Invalid_argument] on non-positive [vms]/[ticks]. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -14,7 +14,6 @@ type options = {
   ops_per_tick : int;
   rare_prob : float;
   deadline : int option;
-  breaker : (int * int) option;
   spec_origin : spec_origin;
   guard : bool;
   shadow : (unit -> Sedspec.Pipeline.built) option;
@@ -26,7 +25,6 @@ let default_options ~device =
     ops_per_tick = 12;
     rare_prob = 0.05;
     deadline = Some 50_000;
-    breaker = Some (2, 8);
     spec_origin = Trained;
     guard = false;
     shadow = None;
@@ -268,8 +266,7 @@ let create ~index ~seed opts =
           l
     in
     let remedy =
-      Remedy.create ~aux_drain ?breaker:opts.breaker machine
-        ~device:D.device_name checker
+      Remedy.create ~aux_drain machine ~device:D.device_name checker
     in
     ({ workload = w; machine; checker; remedy; coverage; validator;
        guard_drained; shadow }, attempts, fallback, spent)

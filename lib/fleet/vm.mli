@@ -36,7 +36,6 @@ type options = {
   ops_per_tick : int;  (** Logical soak operations per tick. *)
   rare_prob : float;  (** Rare-command probability (FP source, §VII-B1). *)
   deadline : int option;  (** Watchdog step budget ({!Sedspec.Checker.set_deadline}). *)
-  breaker : (int * int) option;  (** Remedy circuit breaker. *)
   spec_origin : spec_origin;
   guard : bool;
       (** Attach the guest-side response validator (trained via
@@ -68,10 +67,11 @@ type options = {
 }
 
 val default_options : device:string -> options
-(** 12 ops/tick, rare probability 0.05, deadline 50k steps, breaker
-    (2, 8), trained spec, no guard, no shadow.  Every VM runs the default
-    governor and acquires its spec under the default backoff with 3
-    attempts. *)
+(** 12 ops/tick, rare probability 0.05, deadline 50k steps (above the
+    walk limit, so it never fires: {!Sedspec.Checker.set_deadline}),
+    trained spec, no guard, no shadow.  Every VM runs the governor and a
+    remedy supervisor with its circuit breaker, and acquires its spec
+    under {!Sedspec_util.Backoff.retry} with 3 attempts. *)
 
 type t
 

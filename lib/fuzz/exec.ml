@@ -35,10 +35,9 @@ let profile ~mode ~pname =
   }
 
 let default_profiles =
-  [
-    profile ~mode:C.Protection ~pname:"protection";
-    profile ~mode:C.Enhancement ~pname:"enhancement";
-  ]
+  List.map
+    (fun mode -> profile ~mode ~pname:(C.mode_to_string mode))
+    [ C.Protection; C.Enhancement ]
 
 (* Cross-version oracles: the same engine and mode on both sides, but
    the device model (and the spec trained on it) at the CVE's vulnerable
@@ -51,43 +50,25 @@ let default_profiles =
    warnings, halts, shadow bytes, crashes — are always compared. *)
 let cross_version_profiles ~vuln ~patched =
   List.map
-    (fun (mode, mname) ->
+    (fun mode ->
       {
-        pname = Printf.sprintf "xver-%s" mname;
+        pname = "xver-" ^ C.mode_to_string mode;
         left = { C.default_config with C.mode; engine = C.Compiled };
         right = { C.default_config with C.mode; engine = C.Compiled };
         left_version = Some vuln;
         right_version = Some patched;
         lenient = true;
       })
-    [ (C.Protection, "protection"); (C.Enhancement, "enhancement") ]
+    [ C.Protection; C.Enhancement ]
 
 (* --- Machine factory --------------------------------------------------- *)
 
-(* [W.make_machine] rebuilds the whole device program per call; at fuzzing
-   throughput that dominates, so share one [Devices.Device.t] (immutable
-   program) per (device, version) and mint only fresh arenas. *)
-
-let device_cache : (string * string, Devices.Device.t) Hashtbl.t =
-  Hashtbl.create 8
-
-let device_lock = Mutex.create ()
-
-let cached_device ~device ~version =
-  let key = (device, Devices.Qemu_version.to_string version) in
-  let finally () = Mutex.unlock device_lock in
-  Mutex.lock device_lock;
-  Fun.protect ~finally (fun () ->
-      match Hashtbl.find_opt device_cache key with
-      | Some d -> d
-      | None ->
-        let d =
-          match Workload.Samples.find_opt device with
-          | Some (module W) -> W.device version
-          | None -> invalid_arg ("Fuzz.Exec: unknown device " ^ device)
-        in
-        Hashtbl.replace device_cache key d;
-        d)
+(* Building a device program takes well under a millisecond; a replay
+   context's cost is guest RAM and lowering, so nothing here is cached. *)
+let device_model ~device ~version =
+  match Workload.Samples.find_opt device with
+  | Some (module W) -> W.device version
+  | None -> invalid_arg ("Fuzz.Exec: unknown device " ^ device)
 
 (* Replay contexts (machine + attached checker) are pooled and recycled:
    checker creation re-derives copy spans and the pass-through map, and
@@ -95,37 +76,30 @@ let cached_device ~device ~version =
    fuzzing throughput, minting all of that per replay dominated the run
    (and the allocation churn kept the major GC walking the multi-MB spec
    cache).  A recycled context goes back to boot state through
-   [Vmm.Machine.reboot] and [Checker.reset]. *)
+   [Vmm.Machine.reboot] and [Checker.reset]; it keeps its configuration,
+   so the pool is keyed by the whole configuration. *)
 
 type rctx = { rx_machine : Vmm.Machine.t; rx_checker : C.t }
 
-let config_key (c : C.config) =
-  Printf.sprintf "%s|%s|%d|%s"
-    (String.concat "+" (List.map C.strategy_to_string c.C.strategies))
-    (match c.C.mode with C.Protection -> "prot" | C.Enhancement -> "enh")
-    c.C.walk_limit
-    (match c.C.engine with C.Compiled -> "compiled" | C.Interpreted -> "interp")
+let ctx_pool :
+    (string * Devices.Qemu_version.t * C.config, rctx list ref) Hashtbl.t =
+  Hashtbl.create 16
 
-let ctx_pool : (string, rctx list ref) Hashtbl.t = Hashtbl.create 16
 let ctx_lock = Mutex.create ()
 
 let make_rctx ~config ~version (input : Input.t) =
   let w = Workload.Samples.find input.device in
+  let module W = (val w) in
   let b = Metrics.Spec_cache.built w version in
-  let dev = cached_device ~device:input.device ~version in
   (* 1 MiB of RAM, not the 16 MiB default: every guest address the
      workloads, attacks and mutator touch sits below 0xA0000. *)
   let m = Vmm.Machine.create ~ram_size:0x100000 ~vmexit_cost:0 () in
-  Vmm.Machine.attach m (dev.Devices.Device.make_binding ());
+  Vmm.Machine.attach m ((W.device version).Devices.Device.make_binding ());
   let checker = Sedspec.Pipeline.protect ~config m ~device:input.device b in
   { rx_machine = m; rx_checker = checker }
 
 let with_rctx ~config ~version (input : Input.t) f =
-  let key =
-    Printf.sprintf "%s|%s|%s" input.device
-      (Devices.Qemu_version.to_string version)
-      (config_key config)
-  in
+  let key = (input.device, version, config) in
   let acquire () =
     Mutex.lock ctx_lock;
     let r =
@@ -323,7 +297,7 @@ let run ~config ?version (input : Input.t) =
    effects and are skipped; guest faults apply as in [run]. *)
 let trace ?version (input : Input.t) =
   let version = Option.value version ~default:input.version in
-  let dev = cached_device ~device:input.device ~version in
+  let dev = device_model ~device:input.device ~version in
   let m = Vmm.Machine.create ~ram_size:0x100000 ~vmexit_cost:0 () in
   Vmm.Machine.attach m (dev.Devices.Device.make_binding ());
   let interp = Vmm.Machine.interp_of m input.device in

@@ -41,10 +41,9 @@ val cross_version_profiles :
     deviation across the version boundary, not a checker bug — the raw
     signal {!Locate} minimizes and clusters. *)
 
-val cached_device : device:string -> version:Devices.Qemu_version.t -> Devices.Device.t
-(** Process-wide memoised device build (immutable program; callers mint
-    fresh arenas via [make_binding]).  Raises [Invalid_argument] for an
-    unknown device name. *)
+val device_model : device:string -> version:Devices.Qemu_version.t -> Devices.Device.t
+(** The device model at [version], built on each call.  Raises
+    [Invalid_argument] for an unknown device name. *)
 
 type obs = {
   o_steps : string list;

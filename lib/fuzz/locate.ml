@@ -10,7 +10,6 @@ type options = {
   seed : int64;
   jobs : int;
   max_steps : int;
-  shrink_evals : int;
 }
 
 let default_options =
@@ -21,7 +20,6 @@ let default_options =
     seed = 0L;
     jobs = 1;
     max_steps = 48;
-    shrink_evals = 400;
   }
 
 let targets (opts : options) =
@@ -259,7 +257,7 @@ let clusters witnesses =
    exploit seed directly and ddmin every distinct (profile, field)
    divergence it shows, reusing the loop's shrink when the loop's
    finding already came from this very seed. *)
-let exploit_findings ~(opts : options) ~profiles (a : Attacks.Attack.t) seed
+let exploit_findings ~profiles (a : Attacks.Attack.t) seed
     (loop_findings : Loop.finding list) =
   let o = Exec.evaluate ~profiles seed in
   let seed_len = Array.length seed.Input.steps in
@@ -299,8 +297,7 @@ let exploit_findings ~(opts : options) ~profiles (a : Attacks.Attack.t) seed
                 o.Exec.divergences
             in
             let steps =
-              Loop.ddmin ~max_evals:opts.shrink_evals ~test:interesting
-                seed.Input.steps
+              Loop.ddmin ~test:interesting seed.Input.steps
             in
             Some
               {
@@ -326,16 +323,15 @@ let locate_cve (opts : options) (a : Attacks.Attack.t) =
       budget = opts.budget;
       jobs = opts.jobs;
       max_steps = opts.max_steps;
-      shrink_evals = opts.shrink_evals;
       profiles;
       extra_seeds = [ exploit ];
     }
   in
   let r = Loop.run loop_opts in
   let dev_v =
-    Exec.cached_device ~device:a.Attacks.Attack.device ~version:vuln
+    Exec.device_model ~device:a.Attacks.Attack.device ~version:vuln
   and dev_p =
-    Exec.cached_device ~device:a.Attacks.Attack.device ~version:patched
+    Exec.device_model ~device:a.Attacks.Attack.device ~version:patched
   in
   (* Roots are computed in the patched program: an added decision block
      exists only there, and attribution should name what the fix looks
@@ -351,7 +347,7 @@ let locate_cve (opts : options) (a : Attacks.Attack.t) =
     }
   in
   let from_seed, from_exploit =
-    exploit_findings ~opts ~profiles a exploit r.Loop.r_findings
+    exploit_findings ~profiles a exploit r.Loop.r_findings
   in
   (* Exploit witnesses first, then the loop's remaining findings —
      fuzzer-discovered candidates on other inputs.  A loop finding that

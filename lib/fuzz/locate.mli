@@ -28,12 +28,11 @@ type options = {
   seed : int64;
   jobs : int;
   max_steps : int;  (** Mutant length cap. *)
-  shrink_evals : int;  (** ddmin budget per witness. *)
 }
 
 val default_options : options
-(** No filters, budget 128/CVE, seed 0, 1 job, 48-step mutants, 400
-    shrink evaluations. *)
+(** No filters, budget 128/CVE, seed 0, 1 job, 48-step mutants.  Each
+    witness shrink runs {!Loop.ddmin} with its default budget. *)
 
 val targets : options -> Attacks.Attack.t list
 (** The catalogued CVEs the filters select, in catalogue order. *)

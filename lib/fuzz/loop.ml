@@ -25,7 +25,6 @@ type options = {
   max_steps : int;
   profiles : Exec.profile list;
   extra_seeds : Input.t list;  (** Appended to the recorded seed corpus. *)
-  shrink_evals : int;  (** Evaluation budget per reproducer shrink. *)
 }
 
 let default_options ~device =
@@ -38,7 +37,6 @@ let default_options ~device =
     max_steps = 48;
     profiles = Exec.default_profiles;
     extra_seeds = [];
-    shrink_evals = 400;
   }
 
 type finding = {
@@ -72,7 +70,7 @@ type report = {
    while [test] (= "still interesting") holds, refining granularity until
    single steps can't be removed.  [max_evals] bounds the number of
    [test] calls so a pathological reproducer can't stall the run. *)
-let ddmin ?(max_evals = max_int) ~test steps =
+let ddmin ?(max_evals = 400) ~test steps =
   let evals = ref 0 in
   let check s =
     if !evals >= max_evals then false
@@ -106,9 +104,9 @@ let ddmin ?(max_evals = max_int) ~test steps =
   in
   if Array.length steps = 0 then steps else go steps 2
 
-let shrink_input ~opts (input : Input.t) ~interesting =
+let shrink_input (input : Input.t) ~interesting =
   let test steps = interesting { input with Input.steps } in
-  let steps = ddmin ~max_evals:opts.shrink_evals ~test input.steps in
+  let steps = ddmin ~test input.steps in
   { input with Input.steps = steps }
 
 (* --- The loop ----------------------------------------------------------- *)
@@ -144,7 +142,7 @@ let run (opts : options) =
                 d'.d_profile = d.d_profile && d'.d_field = d.d_field)
               o.Exec.divergences
           in
-          let shrunk = shrink_input ~opts input ~interesting in
+          let shrunk = shrink_input input ~interesting in
           Hashtbl.replace findings key
             {
               f_profile = d.d_profile;

@@ -17,12 +17,12 @@ type options = {
   max_steps : int;  (** Mutant length cap. *)
   profiles : Exec.profile list;
   extra_seeds : Input.t list;  (** Appended to the recorded seed corpus. *)
-  shrink_evals : int;  (** Evaluation budget per reproducer shrink. *)
 }
 
 val default_options : device:string -> options
 (** Seed 0, budget 1000, 1 job, batch 32, max 48 steps, the default
-    profiles, 400 shrink evaluations. *)
+    profiles.  Each reproducer shrink runs {!ddmin} with its default
+    budget. *)
 
 type finding = {
   f_profile : string;
@@ -53,7 +53,8 @@ val ddmin :
   ?max_evals:int -> test:('a array -> bool) -> 'a array -> 'a array
 (** Classic delta debugging: a minimal-ish subsequence on which [test]
     (the "still interesting" predicate) holds.  [test] is never called on
-    the input itself, which the caller already knows is interesting. *)
+    the input itself, which the caller already knows is interesting, and
+    at most [max_evals] (default 400) times. *)
 
 val run : options -> report
 

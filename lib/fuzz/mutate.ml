@@ -68,7 +68,7 @@ let surface ~device ~version =
       match Hashtbl.find_opt surface_cache key with
       | Some s -> s
       | None ->
-        let dev = Exec.cached_device ~device ~version in
+        let dev = Exec.device_model ~device ~version in
         let binding = dev.Devices.Device.make_binding () in
         let handlers =
           Devir.Program.handlers dev.Devices.Device.program

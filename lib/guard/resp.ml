@@ -140,8 +140,7 @@ let is_fail_closed p =
 
 (* Train over a machine with a response-hook layer that collects and an
    interposer layer that delimits interactions at the dispatch boundary. *)
-let train ?(cases_seen = ref 0) machine ~device
-    (trainer : Sedspec.Pipeline.trainer) =
+let train machine ~device (trainer : Sedspec.Pipeline.trainer) =
   let c = collector () in
   let remove_interposer =
     Vmm.Machine.add_interposer machine device
@@ -158,8 +157,7 @@ let train ?(cases_seen = ref 0) machine ~device
         { Interp.silent_hooks with Interp.on_response = observe c }
         (fun () ->
           for case = 0 to trainer.Sedspec.Pipeline.cases - 1 do
-            trainer.Sedspec.Pipeline.run_case machine case;
-            incr cases_seen
+            trainer.Sedspec.Pipeline.run_case machine case
           done;
           finalize c ~device))
 

@@ -64,7 +64,6 @@ val is_fail_closed : profile -> bool
     kind. *)
 
 val train :
-  ?cases_seen:int ref ->
   Vmm.Machine.t ->
   device:string ->
   Sedspec.Pipeline.trainer ->

@@ -26,9 +26,12 @@ let violation_to_string = function
 
 type anomaly = { violation : violation; detail : string }
 
-type config = { containment : Checker.containment; heal_budget : int }
+type config = { containment : Checker.containment }
 
-let default_config = { containment = Checker.Fail_closed; heal_budget = 8 }
+let default_config = { containment = Checker.Fail_closed }
+
+(* Stale-buffer clears [heal] may perform per validator lifetime. *)
+let heal_budget = 8
 
 type t = {
   device : string;
@@ -219,7 +222,7 @@ let drain_as_checker_anomalies t =
    [heal_budget] times per validator lifetime. *)
 let heal t =
   if t.prev_kind = None && t.pending_rev = [] then true
-  else if t.heals >= t.config.heal_budget then false
+  else if t.heals >= heal_budget then false
   else begin
     t.heals <- t.heals + 1;
     if t.pending_rev <> [] then begin

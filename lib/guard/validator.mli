@@ -13,9 +13,9 @@
       adjudicated at the interaction boundary under the configured
       {!Sedspec.Checker.containment} policy (fail-closed by default —
       protection degrades to unavailability, never to silence);
-    - self-healing is bounded ([heal_budget]), so a fault that
-      re-corrupts the in-flight state on every interaction degrades to an
-      explicit refusal instead of masking itself forever;
+    - self-healing is bounded (8 heals), so a fault that re-corrupts
+      the in-flight state on every interaction degrades to an explicit
+      refusal instead of masking itself forever;
     - {!attach} adds its layers after the device's existing ones
       (normally the ES-Checker's), so both directions are enforced and
       the strongest verdict wins ({!Vmm.Machine.strength}) — and
@@ -38,11 +38,10 @@ type anomaly = { violation : violation; detail : string }
 type config = {
   containment : Sedspec.Checker.containment;
       (** Verdict policy for contained internal errors. *)
-  heal_budget : int;
 }
 
 val default_config : config
-(** Fail-closed, heal budget 8. *)
+(** Fail-closed. *)
 
 type t
 
@@ -72,8 +71,8 @@ val drain_as_checker_anomalies : t -> Sedspec.Checker.anomaly list
 
 val heal : t -> bool
 (** Clear a stale in-flight buffer (an interaction that never reached its
-    boundary), at most [heal_budget] times; [false] once the budget is
-    spent and state is still dirty. *)
+    boundary), at most 8 times; [false] once the budget is spent and
+    state is still dirty. *)
 
 val reset : t -> unit
 (** Return to the just-attached state (clears anomalies, counters, heal

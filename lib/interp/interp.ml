@@ -59,9 +59,10 @@ type response_fault = {
 let no_response_fault =
   { rf_read = None; rf_dma_len = None; rf_store = None; rf_irq_burst = 0 }
 
-type config = { step_limit : int; depth_limit : int }
-
-let default_config = { step_limit = 100_000; depth_limit = 8 }
+(* Blocks one run may execute before it counts as a hang, and how deep
+   callbacks may chain handlers. *)
+let step_limit = 100_000
+let depth_limit = 8
 
 exception Trap of Event.trap
 
@@ -82,7 +83,6 @@ type sync_layer = {
 }
 
 type t = {
-  config : config;
   mutable hook_layers : hooks ref list;
       (* In the order they were added, each in its own cell for its
          remover to find. *)
@@ -397,7 +397,7 @@ let lower_program lc program =
   in
   { blocks; index; entries; cb_vals = Array.of_list (List.map fst callbacks); cb_acts }
 
-let create ?(config = default_config) ~program ~arena ~guest () =
+let create ~program ~arena ~guest () =
   let lctx = Lower.create (Arena.layout arena) in
   let code =
     try lower_program lctx program
@@ -406,7 +406,6 @@ let create ?(config = default_config) ~program ~arena ~guest () =
   let n = Array.length code.blocks in
   let t =
     {
-      config;
       hook_layers = [];
       hooks = silent_hooks;
       program;
@@ -578,7 +577,7 @@ let rec find_callback vals v i =
    PGE/PGD.  [entry] is [-1] for an empty handler and [-2] for a name the
    program does not define. *)
 let rec run_handler t depth name entry =
-  if depth > t.config.depth_limit then raise (Trap Event.Depth_limit);
+  if depth > depth_limit then raise (Trap Event.Depth_limit);
   if entry = -2 then invalid_arg (Printf.sprintf "Interp.run: no handler %s" name);
   if entry = -1 then invalid_arg (Printf.sprintf "Interp.run: handler %s is empty" name);
   let b = t.code.blocks.(entry) in
@@ -587,7 +586,7 @@ let rec run_handler t depth name entry =
 
 and step t depth (b : block) =
   t.steps <- t.steps + 1;
-  if t.steps > t.config.step_limit then raise (Trap Event.Step_limit);
+  if t.steps > step_limit then raise (Trap Event.Step_limit);
   t.hooks.on_block b.bref b.kind;
   exec_stmts t b;
   (match t.sync.(b.id) with

@@ -60,18 +60,9 @@ type response_fault = {
 val no_response_fault : response_fault
 (** All corruptors off — identity behaviour. *)
 
-type config = {
-  step_limit : int;   (** Blocks executed before declaring a hang. *)
-  depth_limit : int;  (** Maximum handler-chaining depth. *)
-}
-
-val default_config : config
-(** [step_limit = 100_000], [depth_limit = 8]. *)
-
 type t
 
 val create :
-  ?config:config ->
   program:Devir.Program.t ->
   arena:Devir.Arena.t ->
   guest:guest ->
@@ -140,9 +131,12 @@ val add_sync_points :
 val run :
   t -> handler:string -> params:(string * int64) list -> Event.outcome
 (** Execute one I/O interaction.  Raises [Invalid_argument] if [handler]
-    is unknown or has no blocks.  Hooks, the icall guard, host values and
-    response faults are read when they are used.  A hook must not call
-    [run] on the same interpreter: runs share its local slots. *)
+    is unknown or has no blocks.  A run that executes more than 100,000
+    blocks traps with [Step_limit]; callbacks that chain handlers more
+    than 8 deep trap with [Depth_limit].  Hooks, the icall guard, host
+    values and response faults are read when they are used.  A hook must
+    not call [run] on the same interpreter: runs share its local
+    slots. *)
 
 val null_guest : guest
 (** Guest memory that reads zero and ignores writes (for unit tests). *)

@@ -14,9 +14,6 @@ let nioh_cves =
     "CVE-2016-1568";
   ]
 
-let run_stream m (attack : Attacks.Attack.t) =
-  try attack.run m with Exit -> ()
-
 let nioh_detects (attack : Attacks.Attack.t) =
   let w = Workload.Samples.find attack.device in
   let m = Spec_cache.fresh_machine w attack.qemu_version in
@@ -29,7 +26,7 @@ let nioh_detects (attack : Attacks.Attack.t) =
   let monitor = Nioh.attach m spec in
   attack.setup m;
   assert (Nioh.anomalies monitor = []);
-  run_stream m attack;
+  Attacks.Attack.run_stream m attack;
   Nioh.drain_anomalies monitor <> []
 
 let sedspec_detects (attack : Attacks.Attack.t) =
@@ -37,7 +34,7 @@ let sedspec_detects (attack : Attacks.Attack.t) =
   let m, checker = Spec_cache.fresh_protected_machine w attack.qemu_version in
   attack.setup m;
   ignore (Sedspec.Checker.drain_anomalies checker);
-  run_stream m attack;
+  Attacks.Attack.run_stream m attack;
   Sedspec.Checker.drain_anomalies checker <> []
 
 let run () =

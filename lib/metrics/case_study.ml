@@ -20,16 +20,12 @@ let strategies =
     Sedspec.Checker.Conditional_jump_check;
   ]
 
-let run_stream m (attack : Attacks.Attack.t) =
-  (* Exploit streams bail out with [Exit] when an access is vetoed. *)
-  try attack.run m with Exit -> ()
-
 let ground_truth (attack : Attacks.Attack.t) =
   let w = Workload.Samples.find attack.device in
   let m = Spec_cache.fresh_machine w attack.qemu_version in
   attack.setup m;
   Attacks.Attack.observe_effects m ~device:attack.device
-    (fun () -> run_stream m attack)
+    (fun () -> Attacks.Attack.run_stream m attack)
     attack
 
 let with_strategy (attack : Attacks.Attack.t) strategy =
@@ -47,7 +43,7 @@ let with_strategy (attack : Attacks.Attack.t) strategy =
   let setup_anoms = Sedspec.Checker.drain_anomalies checker in
   let effects =
     Attacks.Attack.observe_effects m ~device:attack.device
-      (fun () -> run_stream m attack)
+      (fun () -> Attacks.Attack.run_stream m attack)
       attack
   in
   let anomalies = Sedspec.Checker.drain_anomalies checker in

@@ -15,7 +15,7 @@ let record_blocks m device f =
     f;
   set
 
-let measure ?(seed = 7L) ?(fuzz_cases = 60) ?(ops_per_case = 20)
+let measure ?(seed = 7L) ?(fuzz_cases = 60)
     (module W : Workload.Samples.DEVICE_WORKLOAD) =
   (* Training coverage. *)
   let m1 = W.make_machine W.paper_version in
@@ -37,7 +37,7 @@ let measure ?(seed = 7L) ?(fuzz_cases = 60) ?(ops_per_case = 20)
             if Prng.bool rng then Workload.Samples.Random
             else Workload.Samples.Sequential
           in
-          W.soak_case ~mode ~rng ~rare_prob:0.10 ~ops:ops_per_case m2
+          W.soak_case ~mode ~rng ~rare_prob:0.10 ~ops:20 m2
         done)
   in
   let covered =

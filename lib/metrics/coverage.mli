@@ -18,9 +18,9 @@ type result = {
 val measure :
   ?seed:int64 ->
   ?fuzz_cases:int ->
-  ?ops_per_case:int ->
   (module Workload.Samples.DEVICE_WORKLOAD) ->
   result
-(** Defaults: seed 7, 60 fuzz cases of 20 ops ("one hour" of fuzzing). *)
+(** Fuzz cases have 20 ops each.  Defaults: seed 7, 60 fuzz cases ("one
+    hour" of fuzzing). *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -24,8 +24,7 @@ let modes =
   [| Workload.Samples.Sequential; Workload.Samples.Random; Workload.Samples.Random_delay |]
 
 let soak ?(seed = 42L) ?(cases_per_hour = 120) ?(checkpoint_hours = [ 10; 20; 30 ])
-    ?(ops_per_case = (4, 8)) ?rare_prob (module W : Workload.Samples.DEVICE_WORKLOAD)
-    =
+    ?rare_prob (module W : Workload.Samples.DEVICE_WORKLOAD) =
   let rare_prob = Option.value rare_prob ~default:(paper_fpr W.device_name) in
   let rng = Prng.create seed in
   let config =
@@ -35,11 +34,10 @@ let soak ?(seed = 42L) ?(cases_per_hour = 120) ?(checkpoint_hours = [ 10; 20; 30
   let max_hours = List.fold_left max 0 checkpoint_hours in
   let fp_cases = ref 0 and cases = ref 0 and param_fps = ref 0 in
   let checkpoints = ref [] in
-  let lo, hi = ops_per_case in
   for hour = 1 to max_hours do
     for k = 0 to cases_per_hour - 1 do
       let mode = modes.(k mod Array.length modes) in
-      let ops = Prng.int_in rng lo hi in
+      let ops = Prng.int_in rng 4 8 in
       (* Spread the rare-command probability over the case's ops so that
          P(case contains a rare command) = rare_prob to first order. *)
       let per_op = rare_prob /. float_of_int ops in

@@ -30,13 +30,13 @@ val soak :
   ?seed:int64 ->
   ?cases_per_hour:int ->
   ?checkpoint_hours:int list ->
-  ?ops_per_case:int * int ->
   ?rare_prob:float ->
   (module Workload.Samples.DEVICE_WORKLOAD) ->
   result
-(** Defaults: seed 42, 120 cases/hour (the paper's Table II counts imply
-    roughly this volume at its FPRs), checkpoints at 10/20/30 h, 4..8
-    logical ops per case, [rare_prob] = [paper_fpr device].  The checker
-    runs in enhancement mode so non-parameter anomalies only warn. *)
+(** Each case performs 4..8 logical ops.  Defaults: seed 42, 120
+    cases/hour (the paper's Table II counts imply roughly this volume at
+    its FPRs), checkpoints at 10/20/30 h, [rare_prob] =
+    [paper_fpr device].  The checker runs in enhancement mode so
+    non-parameter anomalies only warn. *)
 
 val pp_result : Format.formatter -> result -> unit

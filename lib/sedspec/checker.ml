@@ -25,7 +25,6 @@ type config = {
   walk_limit : int;
   engine : engine;
   on_internal_error : containment;
-  heal_budget : int;
 }
 
 let default_config =
@@ -35,7 +34,6 @@ let default_config =
     walk_limit = 20_000;
     engine = Compiled;
     on_internal_error = Fail_closed;
-    heal_budget = 8;
   }
 
 type stats = {
@@ -157,6 +155,14 @@ let strategy_to_string = function
   | Indirect_jump_check -> "indirect-jump-check"
   | Conditional_jump_check -> "conditional-jump-check"
   | Internal_error -> "internal-error"
+
+let mode_to_string = function
+  | Protection -> "protection"
+  | Enhancement -> "enhancement"
+
+let engine_to_string = function
+  | Compiled -> "compiled"
+  | Interpreted -> "interpreted"
 
 let pp_anomaly ppf a =
   Format.fprintf ppf "[%s]%s %s%s"
@@ -1108,12 +1114,15 @@ type heal_result = Heal_clean | Heal_resynced of int | Heal_exhausted of int
 
 let heals t = t.heals
 
+(* Resyncs [heal] may perform per checker lifetime. *)
+let heal_budget = 8
+
 let heal t =
   match shadow_matches_device t with
   | [] -> Heal_clean
   | divergent ->
     let n = List.length divergent in
-    if t.heals >= t.config.heal_budget then Heal_exhausted n
+    if t.heals >= heal_budget then Heal_exhausted n
     else begin
       t.heals <- t.heals + 1;
       resync t;

@@ -72,12 +72,11 @@ type config = {
   walk_limit : int;  (** ES-CFG nodes visited per interaction. *)
   engine : engine;
   on_internal_error : containment;
-  heal_budget : int;  (** Resyncs {!heal} may perform before giving up. *)
 }
 
 val default_config : config
 (** All three strategies, protection mode, walk limit 20000, compiled
-    engine, fail-closed containment, heal budget 8. *)
+    engine, fail-closed containment. *)
 
 type stats = {
   mutable interactions : int;
@@ -149,8 +148,13 @@ val set_deadline : t -> int option -> unit
     whose trip is a conditional-jump anomaly about the {e guest}), the
     deadline is an availability bound about the {e checker}: the fleet
     supervisor uses it so one hostile or degenerate interaction cannot
-    stall a bulkhead.  Budgets must be >= 1; [None] (the default) costs
-    one integer compare per step.  {!reset} disarms it. *)
+    stall a bulkhead.  The watchdog is checked first, so a budget at or
+    below [walk_limit] fires; a budget above it never can, because the
+    walk limit ends the walk first.  [Fleet.Vm]'s default of 50,000
+    steps, also the default of [sedspec fleet --deadline], is above the
+    default walk limit of 20,000 and so does nothing.  Budgets must be
+    >= 1; [None] (the default) costs one integer compare per step.
+    {!reset} disarms it. *)
 
 val deadline : t -> int option
 
@@ -170,14 +174,14 @@ val resync : t -> unit
 
 (** Outcome of one {!heal} pass: shadow already matched; resynced after
     observing [n] divergent decision-relevant parameters; or divergence
-    persists but the [heal_budget] is spent. *)
+    persists but the heal budget is spent. *)
 type heal_result = Heal_clean | Heal_resynced of int | Heal_exhausted of int
 
 val heal : t -> heal_result
 (** Bounded self-healing: if {!shadow_matches_device} reports divergence,
-    {!resync} — but at most [config.heal_budget] times per checker
-    lifetime (until {!reset}), so a fault that re-corrupts the shadow on
-    every interaction degrades to an explicit [Heal_exhausted] instead of
+    {!resync} — but at most 8 times per checker lifetime (until
+    {!reset}), so a fault that re-corrupts the shadow on every
+    interaction degrades to an explicit [Heal_exhausted] instead of
     masking itself forever.  Intended to run off the hot path (the remedy
     supervisor calls it once per clean tick). *)
 
@@ -244,4 +248,11 @@ val set_coverage : t -> coverage option -> unit
     into.  Resets the edge seam state. *)
 
 val strategy_to_string : strategy -> string
+
+val mode_to_string : mode -> string
+(** ["protection"] or ["enhancement"]. *)
+
+val engine_to_string : engine -> string
+(** ["compiled"] or ["interpreted"]. *)
+
 val pp_anomaly : Format.formatter -> anomaly -> unit

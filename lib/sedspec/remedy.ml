@@ -23,18 +23,17 @@ let severity_to_string = function
 
 type event = { anomaly : Checker.anomaly; severity : severity }
 
-type breaker = {
-  max_rollbacks : int;
-  window : int;
-  mutable recent_rev : int list;
-      (** Ticks of the rollbacks inside the window, newest first. *)
-}
+(* The circuit breaker: more than [max_rollbacks] rollbacks within the
+   last [breaker_window] ticks escalate to a latched halt. *)
+let max_rollbacks = 2
+let breaker_window = 8
 
 type t = {
   machine : Vmm.Machine.t;
   checker : Checker.t;
   aux_drain : unit -> Checker.anomaly list;
-  breaker : breaker option;
+  mutable recent_rev : int list;
+      (** Ticks of the rollbacks inside the breaker window, newest first. *)
   arena : Devir.Arena.t;
   saved_arena : bytes;  (** The arena at the last checkpoint. *)
   mutable events_rev : event list;
@@ -52,22 +51,14 @@ let take_checkpoint t =
 
 let log_line t line = t.log_rev <- line :: t.log_rev
 
-let create ?(aux_drain = fun () -> []) ?breaker machine ~device checker =
-  (match breaker with
-  | Some (max_rollbacks, window) when max_rollbacks < 1 || window < 1 ->
-    invalid_arg "Remedy.create: breaker thresholds must be >= 1"
-  | _ -> ());
+let create ?(aux_drain = fun () -> []) machine ~device checker =
   let arena = Interp.arena (Vmm.Machine.interp_of machine device) in
   let t =
     {
       machine;
       checker;
       aux_drain;
-      breaker =
-        Option.map
-          (fun (max_rollbacks, window) ->
-            { max_rollbacks; window; recent_rev = [] })
-          breaker;
+      recent_rev = [];
       arena;
       saved_arena = Devir.Arena.snapshot arena;
       events_rev = [];
@@ -89,9 +80,9 @@ let checkpoint t =
   else take_checkpoint t
 
 (* Rollbacks inside the trailing breaker window at the current tick. *)
-let rollbacks_in_window t b =
-  let floor = t.ticks - b.window in
-  List.fold_left (fun n tk -> if tk > floor then n + 1 else n) 0 b.recent_rev
+let rollbacks_in_window t =
+  let floor = t.ticks - breaker_window in
+  List.fold_left (fun n tk -> if tk > floor then n + 1 else n) 0 t.recent_rev
 
 let apply_rollback t =
   Devir.Arena.restore t.arena t.saved_arena;
@@ -101,20 +92,13 @@ let apply_rollback t =
   t.rollbacks <- t.rollbacks + 1;
   (* Only the breaker reads rollback ticks, and only those in its window;
      ticks only grow, so a tick that left the window never re-enters it. *)
-  Option.iter
-    (fun b ->
-      let floor = t.ticks - b.window in
-      b.recent_rev <-
-        t.ticks :: List.filter (fun tk -> tk > floor) b.recent_rev)
-    t.breaker
+  let floor = t.ticks - breaker_window in
+  t.recent_rev <- t.ticks :: List.filter (fun tk -> tk > floor) t.recent_rev
 
 (* Would one more rollback at the current tick exceed the breaker?  Counts
    rollbacks inside the trailing window, including the one about to be
    applied. *)
-let breaker_would_trip t =
-  match t.breaker with
-  | None -> false
-  | Some b -> rollbacks_in_window t b + 1 > b.max_rollbacks
+let breaker_would_trip t = rollbacks_in_window t + 1 > max_rollbacks
 
 let tick t =
   t.ticks <- t.ticks + 1;
@@ -153,14 +137,11 @@ let tick t =
     if t.tripped || breaker_would_trip t then begin
       if not t.tripped then begin
         t.tripped <- true;
-        match t.breaker with
-        | Some b ->
-          log_line t
-            (Printf.sprintf
-               "circuit breaker: >%d rollbacks within %d ticks; escalating \
-                to halt"
-               b.max_rollbacks b.window)
-        | None -> ()
+        log_line t
+          (Printf.sprintf
+             "circuit breaker: >%d rollbacks within %d ticks; escalating to \
+              halt"
+             max_rollbacks breaker_window)
       end
     end
     else apply_rollback t;
@@ -181,7 +162,6 @@ type snapshot = {
   s_events : int;
   s_rollbacks : int;
   s_rollbacks_in_window : int;
-  s_breaker : (int * int) option;
   s_breaker_tripped : bool;
   s_halted : bool;
 }
@@ -191,11 +171,7 @@ let snapshot t =
     s_ticks = t.ticks;
     s_events = List.length t.events_rev;
     s_rollbacks = t.rollbacks;
-    s_rollbacks_in_window =
-      (match t.breaker with
-      | None -> t.rollbacks
-      | Some b -> rollbacks_in_window t b);
-    s_breaker = Option.map (fun b -> (b.max_rollbacks, b.window)) t.breaker;
+    s_rollbacks_in_window = rollbacks_in_window t;
     s_breaker_tripped = t.tripped;
     s_halted = Vmm.Machine.halted t.machine;
   }

@@ -37,7 +37,6 @@ type t
 
 val create :
   ?aux_drain:(unit -> Checker.anomaly list) ->
-  ?breaker:int * int ->
   Vmm.Machine.t ->
   device:string ->
   Checker.t ->
@@ -49,12 +48,11 @@ val create :
     is classified and remedied instead of leaving the VM down forever;
     on clean ticks it is drained as benign bookkeeping like the
     checker's own queue (default: none).
-    [breaker:(n, w)] arms the circuit breaker: when applying a rollback
-    would make more than [n] rollbacks within the last [w] ticks, the
-    supervisor leaves the VM halted instead and stays escalated — a fault
-    that re-trips the checker after every restore must not oscillate
-    forever.  Both thresholds must be [>= 1]; default: no breaker.  An
-    initial checkpoint is taken immediately. *)
+    The circuit breaker is always armed: when applying a rollback would
+    make more than 2 rollbacks within the last 8 ticks, the supervisor
+    leaves the VM halted instead and stays escalated — a fault that
+    re-trips the checker after every restore must not oscillate forever.
+    An initial checkpoint is taken immediately. *)
 
 val checkpoint : t -> unit
 (** Capture the device's control structure and guest RAM as the rollback
@@ -89,9 +87,7 @@ type snapshot = {
   s_events : int;  (** Adjudicated anomaly events so far. *)
   s_rollbacks : int;  (** Rollbacks applied (lifetime). *)
   s_rollbacks_in_window : int;
-      (** Rollbacks inside the trailing breaker window; equals
-          [s_rollbacks] when no breaker is armed. *)
-  s_breaker : (int * int) option;  (** The armed [(max_rollbacks, window)]. *)
+      (** Rollbacks inside the trailing 8-tick breaker window. *)
   s_breaker_tripped : bool;  (** Latched escalation (see {!breaker_tripped}). *)
   s_halted : bool;  (** The supervised machine is currently halted. *)
 }

@@ -7,31 +7,24 @@
     a domain, which keeps every run bit-identical for any [--jobs] and
     lets tests assert the exact schedule.
 
-    Jitter is drawn from the splitmix64 generator keyed by
-    [(seed, attempt)], so the whole schedule is a pure function of the
-    seed: the same seed replays the same delays, and distinct seeds
-    de-synchronise retry storms.  For [jitter <= 1/3] the jittered
-    delays are monotone (non-strict) in the attempt number while the
-    nominal delay is still doubling below [cap] — the qcheck properties
-    in [test_util.ml] pin both guarantees. *)
+    The nominal delay of attempt 0 is 1 unit; it doubles per attempt
+    and saturates at 64.  Jitter of up to 25% either way is drawn from
+    the splitmix64 generator keyed by [(seed, attempt)], so the whole
+    schedule is a pure function of the seed: the same seed replays the
+    same delays, and distinct seeds de-synchronise retry storms.  Since
+    the jitter is at most 1/3, the jittered delays are monotone
+    (non-strict) in the attempt number while the nominal delay is still
+    doubling — the qcheck properties in [test_util.ml] pin both
+    guarantees. *)
 
-type cfg = {
-  base : int;  (** Nominal delay of attempt 0 (logical units, >= 1). *)
-  cap : int;  (** Nominal delays saturate here (>= base). *)
-  jitter : float;  (** Relative band half-width, in [0, 1). *)
-}
+val nominal : attempt:int -> int
+(** [min 64 (2^attempt)], saturating (never overflows). *)
 
-val default : cfg
-(** [{ base = 1; cap = 64; jitter = 0.25 }]. *)
-
-val nominal : cfg -> attempt:int -> int
-(** [min cap (base * 2^attempt)], saturating (never overflows). *)
-
-val delay : cfg -> seed:int64 -> attempt:int -> int
+val delay : seed:int64 -> attempt:int -> int
 (** The jittered delay before retry number [attempt] (0-based): a
-    deterministic value in [[nominal * (1 - jitter), nominal * (1 + jitter)]]
-    (rounded to the nearest unit, never negative), depending only on
-    [cfg], [seed] and [attempt]. *)
+    deterministic value in [[nominal * 0.75, nominal * 1.25]] (rounded
+    to the nearest unit, never negative), depending only on [seed] and
+    [attempt]. *)
 
 type 'e failure = {
   error : 'e;  (** The last attempt's error. *)
@@ -40,7 +33,6 @@ type 'e failure = {
 }
 
 val retry :
-  ?cfg:cfg ->
   seed:int64 ->
   max_attempts:int ->
   (attempt:int -> ('a, 'e) result) ->

@@ -25,10 +25,6 @@ let shadow_repr checker =
   Bytes.iter (fun c -> Buffer.add_string h (Printf.sprintf "%02x" (Char.code c))) b;
   Buffer.contents h
 
-let mode_name = function
-  | C.Protection -> "protection"
-  | C.Enhancement -> "enhancement"
-
 (* --- Workload soak ----------------------------------------------------- *)
 
 (* One soak transcript: everything observable about the checker after each
@@ -72,14 +68,11 @@ let test_workloads_differential mode () =
       let reference = soak_transcript device mode C.Interpreted in
       let compiled = soak_transcript device mode C.Compiled in
       Alcotest.(check (list string))
-        (Printf.sprintf "%s soak (%s mode)" device (mode_name mode))
+        (Printf.sprintf "%s soak (%s mode)" device (C.mode_to_string mode))
         reference compiled)
     Workload.Samples.all
 
 (* --- Attacks corpus ---------------------------------------------------- *)
-
-let run_stream m (attack : Attacks.Attack.t) =
-  try attack.run m with Exit -> ()
 
 let attack_transcript (attack : Attacks.Attack.t) mode engine =
   let w = Workload.Samples.find attack.device in
@@ -89,7 +82,7 @@ let attack_transcript (attack : Attacks.Attack.t) mode engine =
   in
   attack.setup m;
   let setup_anoms = List.map anomaly_repr (C.drain_anomalies checker) in
-  run_stream m attack;
+  Attacks.Attack.run_stream m attack;
   let attack_anoms = List.map anomaly_repr (C.drain_anomalies checker) in
   setup_anoms
   @ ("--attack--" :: attack_anoms)
@@ -106,7 +99,7 @@ let test_attacks_differential mode () =
       let reference = attack_transcript attack mode C.Interpreted in
       let compiled = attack_transcript attack mode C.Compiled in
       Alcotest.(check (list string))
-        (Printf.sprintf "%s (%s mode)" attack.cve (mode_name mode))
+        (Printf.sprintf "%s (%s mode)" attack.cve (C.mode_to_string mode))
         reference compiled)
     Attacks.Attack.all
 

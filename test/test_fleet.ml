@@ -15,32 +15,32 @@ let state = Alcotest.testable
 
 (* --- Governor ladder ------------------------------------------------------ *)
 
+(* The governor's fixed thresholds: an 8-observation window, degrade when
+   its burn exceeds 6, restore after 4 consecutive observations at or
+   below 2. *)
+
 let test_governor_degrades_and_restores () =
-  let g =
-    Governor.create
-      ~config:{ window = 4; degrade_burn = 5; restore_burn = 1; restore_clean = 3 }
-      ()
-  in
+  let g = Governor.create () in
   Alcotest.check state "starts protecting" Governor.Protection (Governor.state g);
-  (* Burn through the budget: 3 + 3 = 6 > 5 degrades one rung and clears
+  (* Burn through the budget: 3 + 4 = 7 > 6 degrades one rung and clears
      the window (the incident is charged once). *)
   (match Governor.observe g ~burn:3 with
   | Governor.Steady -> ()
   | _ -> Alcotest.fail "no transition under the threshold");
-  (match Governor.observe g ~burn:3 with
+  (match Governor.observe g ~burn:4 with
   | Governor.Degraded (Governor.Protection, Governor.Enhancement) -> ()
   | _ -> Alcotest.fail "expected Protection -> Enhancement");
   Alcotest.(check int) "window cleared on transition" 0 (Governor.burn_in_window g);
   (* Another incident descends to the bottom rung and stays there. *)
-  ignore (Governor.observe g ~burn:6);
+  ignore (Governor.observe g ~burn:7);
   Alcotest.check state "fail-open" Governor.Fail_open (Governor.state g);
-  ignore (Governor.observe g ~burn:6);
+  ignore (Governor.observe g ~burn:7);
   Alcotest.check state "bottom rung holds" Governor.Fail_open (Governor.state g);
   (* A sustained clean run restores one rung at a time.  The failed
-     degrade above left a stale burn of 6 in the window, so the first
-     [window - 1] zeros only flush it; then [restore_clean] eligible
-     observations buy the rung back. *)
-  for i = 1 to 5 do
+     degrade above left a stale burn of 7 in the window, so the first
+     7 zeros only flush it; then 4 eligible observations buy the rung
+     back. *)
+  for i = 1 to 10 do
     match Governor.observe g ~burn:0 with
     | Governor.Steady -> ()
     | _ -> Alcotest.failf "flush/streak observation %d must be Steady" i
@@ -48,8 +48,9 @@ let test_governor_degrades_and_restores () =
   (match Governor.observe g ~burn:0 with
   | Governor.Restored (Governor.Fail_open, Governor.Enhancement) -> ()
   | _ -> Alcotest.fail "expected Fail_open -> Enhancement after clean streak");
-  ignore (Governor.observe g ~burn:0);
-  ignore (Governor.observe g ~burn:0);
+  for _ = 1 to 3 do
+    ignore (Governor.observe g ~burn:0)
+  done;
   (match Governor.observe g ~burn:0 with
   | Governor.Restored (Governor.Enhancement, Governor.Protection) -> ()
   | _ -> Alcotest.fail "expected Enhancement -> Protection");
@@ -59,36 +60,30 @@ let test_governor_degrades_and_restores () =
 
 let test_governor_hysteresis_boundary () =
   (* A burn rate sitting on either boundary must hold the rung forever:
-     exactly degrade_burn never degrades, and anything above restore_burn
+     a window burn of exactly 6 never degrades, and anything above 2
      breaks the clean streak so it never restores either. *)
-  let config =
-    { Governor.window = 3; degrade_burn = 6; restore_burn = 2; restore_clean = 2 }
-  in
-  let g = Governor.create ~config () in
-  for _ = 1 to 50 do
-    (* A steady burn of 2 saturates the 3-wide window at exactly
-       degrade_burn = 6 (the > is strict) and sits above restore_burn
-       from the second observation on: the rung must hold forever. *)
-    (match Governor.observe g ~burn:2 with
+  let g = Governor.create () in
+  for i = 0 to 49 do
+    (* One burn of 6 every 8 observations keeps the 8-wide window at
+       exactly 6 (the > is strict), above the restore threshold: the
+       rung must hold forever. *)
+    (match Governor.observe g ~burn:(if i mod 8 = 0 then 6 else 0) with
     | Governor.Steady -> ()
     | _ -> Alcotest.fail "boundary burn must not transition");
-    if Governor.burn_in_window g > 6 then Alcotest.fail "ring buffer sum wrong"
+    Alcotest.(check int) "window burn on the boundary" 6
+      (Governor.burn_in_window g)
   done;
   Alcotest.check state "degrade boundary holds the rung" Governor.Protection
     (Governor.state g);
-  (* Push one rung down, then keep the window sum inside the hysteresis
-     band (restore_burn < sum <= degrade_burn): no oscillation either
-     way.  The opening 3 keeps the transient sums out of the
-     restore-eligible region while the window refills. *)
+  (* Push one rung down, then keep the window burn inside the hysteresis
+     band (2 < burn <= 6): no oscillation either way. *)
   ignore (Governor.observe g ~burn:7);
   Alcotest.check state "degraded" Governor.Enhancement (Governor.state g);
-  (match Governor.observe g ~burn:3 with
-  | Governor.Steady -> ()
-  | _ -> Alcotest.fail "band refill must not transition");
-  for _ = 1 to 50 do
-    match Governor.observe g ~burn:1 with
+  for i = 0 to 49 do
+    (match Governor.observe g ~burn:(if i mod 8 = 0 then 3 else 0) with
     | Governor.Steady -> ()
-    | _ -> Alcotest.fail "hysteresis band must not transition"
+    | _ -> Alcotest.fail "hysteresis band must not transition");
+    Alcotest.(check int) "window burn in the band" 3 (Governor.burn_in_window g)
   done;
   Alcotest.check state "band holds the rung" Governor.Enhancement
     (Governor.state g);
@@ -96,14 +91,6 @@ let test_governor_hysteresis_boundary () =
   Alcotest.(check int) "no restores" 0 (Governor.restores g)
 
 let test_governor_preconditions () =
-  let bad config =
-    match Governor.create ~config () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail "invalid governor config accepted"
-  in
-  bad { Governor.window = 0; degrade_burn = 2; restore_burn = 1; restore_clean = 1 };
-  bad { Governor.window = 4; degrade_burn = 2; restore_burn = 2; restore_clean = 1 };
-  bad { Governor.window = 4; degrade_burn = 2; restore_burn = 1; restore_clean = 0 };
   let g = Governor.create () in
   match Governor.observe g ~burn:(-1) with
   | exception Invalid_argument _ -> ()
@@ -213,6 +200,32 @@ let test_deadline_engines_agree () =
   Alcotest.(check int) "same overrun count" o_i o_c;
   Alcotest.(check bool) "same halt verdict" h_i h_c;
   Alcotest.(check bool) "overran" true (o_c > 0)
+
+(* Both budgets count the same walk steps and the watchdog is checked
+   first: a deadline equal to the walk limit fires, one above it never
+   can, because the walk limit ends the walk first. *)
+let test_deadline_above_walk_limit_never_fires () =
+  let run deadline =
+    let w = Workload.Samples.find "fdc" in
+    let config = { Checker.default_config with Checker.walk_limit = 3 } in
+    let m, checker =
+      Metrics.Spec_cache.fresh_protected_machine ~config ~vmexit_cost:0 w
+        (Devices.Qemu_version.v 2 3 0)
+    in
+    Checker.set_deadline checker (Some deadline);
+    ignore (Workload.Fdc_driver.reset (Workload.Fdc_driver.create m));
+    (Checker.deadline_overruns checker, Checker.anomalies checker)
+  in
+  let overruns, _ = run 3 in
+  Alcotest.(check bool) "deadline at the walk limit fires" true (overruns > 0);
+  let overruns, anomalies = run 4 in
+  Alcotest.(check int) "deadline above the walk limit never fires" 0 overruns;
+  Alcotest.(check bool) "the walk limit ended the walk" true
+    (List.exists
+       (fun (a : Checker.anomaly) ->
+         a.Checker.strategy = Checker.Conditional_jump_check
+         && String.starts_with ~prefix:"walk limit exceeded" a.Checker.detail)
+       anomalies)
 
 (* --- Vm bulkhead and spec acquisition ------------------------------------- *)
 
@@ -700,6 +713,8 @@ let () =
             test_deadline_overrun_contained;
           Alcotest.test_case "both engines overrun identically" `Quick
             test_deadline_engines_agree;
+          Alcotest.test_case "deadline above the walk limit never fires" `Quick
+            test_deadline_above_walk_limit_never_fires;
         ] );
       ( "vm",
         [

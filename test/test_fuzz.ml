@@ -251,6 +251,32 @@ let test_fault_steps_no_divergence () =
   Alcotest.(check int) "no divergences" 0 (List.length o.Exec.divergences);
   Alcotest.(check bool) "no crash" true (o.Exec.crashed = None)
 
+(* Pooled replay contexts keep the checker configuration they were made
+   with, so two configurations that differ only in the internal-error
+   policy must not share one.  A walk raise on the first request halts a
+   fail-closed replay there and only warns under fail-open, whichever ran
+   first. *)
+let test_replay_pool_keeps_each_config () =
+  let seed = List.hd (seed_corpus "fdc") in
+  let input =
+    {
+      seed with
+      Input.origin = Input.Mutant;
+      steps = Array.append [| Input.Fault Input.F_walk_raise |] seed.Input.steps;
+    }
+  in
+  let closed, _ = Exec.run ~config:C.default_config input in
+  let opened, _ =
+    Exec.run
+      ~config:{ C.default_config with C.on_internal_error = C.Fail_open_warn }
+      input
+  in
+  Alcotest.(check (option int)) "fail-closed halts at the first request"
+    (Some 1) closed.Exec.o_halted_at;
+  Alcotest.(check (option int)) "fail-open runs to completion" None
+    opened.Exec.o_halted_at;
+  Alcotest.(check bool) "fail-open warns" true (opened.Exec.o_warnings <> [])
+
 (* --- ddmin (pure) ------------------------------------------------------- *)
 
 let test_ddmin_minimises () =
@@ -537,6 +563,8 @@ let () =
           QCheck_alcotest.to_alcotest corpus_roundtrip_prop;
           Alcotest.test_case "fault steps keep the oracle green" `Quick
             test_fault_steps_no_divergence;
+          Alcotest.test_case "replay pool keeps each configuration" `Quick
+            test_replay_pool_keeps_each_config;
         ] );
       ( "ddmin",
         [

@@ -344,9 +344,9 @@ let tiny_program
     handlers =
   Program.make ~name:"tiny" ~layout:tiny_layout ~callbacks handlers
 
-let run_tiny ?(params = []) ?hooks ?config program handler =
+let run_tiny ?(params = []) ?hooks program handler =
   let arena = Arena.create tiny_layout in
-  let interp = Interp.create ?config ~program ~arena ~guest:Interp.null_guest () in
+  let interp = Interp.create ~program ~arena ~guest:Interp.null_guest () in
   Option.iter (fun h -> let (_ : unit -> unit) = Interp.add_hooks interp h in ()) hooks;
   (Interp.run interp ~handler ~params, arena, interp)
 
@@ -458,11 +458,15 @@ let test_interp_step_limit () =
           [ entry "e" [] (goto "spin"); blk "spin" [] (goto "spin"); exit_ "out" [] ];
       ]
   in
-  let outcome, _, _ =
-    run_tiny ~config:{ Interp.step_limit = 100; depth_limit = 4 } p "h"
+  let blocks = ref 0 in
+  let hooks =
+    { Interp.silent_hooks with Interp.on_block = (fun _ _ -> incr blocks) }
   in
+  let outcome, _, _ = run_tiny ~hooks p "h" in
   Alcotest.(check bool) "hangs" true
-    (outcome = Interp.Event.Trapped Interp.Event.Step_limit)
+    (outcome = Interp.Event.Trapped Interp.Event.Step_limit);
+  Alcotest.(check int) "trapped on the block after the 100,000th" 100_000
+    !blocks
 
 let test_interp_depth_limit () =
   let p =
@@ -474,9 +478,14 @@ let test_interp_depth_limit () =
           [ entry "e" [] (icall (fld "cb") "out"); exit_ "out" [] ];
       ]
   in
-  let outcome, _, _ = run_tiny p "h" in
+  let entries = ref 0 in
+  let hooks =
+    { Interp.silent_hooks with Interp.on_block = (fun _ _ -> incr entries) }
+  in
+  let outcome, _, _ = run_tiny ~hooks p "h" in
   Alcotest.(check bool) "depth limit" true
-    (outcome = Interp.Event.Trapped Interp.Event.Depth_limit)
+    (outcome = Interp.Event.Trapped Interp.Event.Depth_limit);
+  Alcotest.(check int) "the handler ran at depths 0 through 8" 9 !entries
 
 let test_interp_chained_handler () =
   let p =

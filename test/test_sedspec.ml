@@ -1287,8 +1287,7 @@ let test_checker_reset_equals_fresh () =
     (fresh_edges = edges')
 
 let test_checker_heal_budget () =
-  let config = { Sedspec.Checker.default_config with heal_budget = 2 } in
-  let m, checker, d = fresh_fdc ~config () in
+  let m, checker, d = fresh_fdc () in
   ignore (Workload.Fdc_driver.reset d);
   ignore (Workload.Fdc_driver.seek d ~drive:0 ~head:0 ~track:21);
   ignore (Workload.Fdc_driver.sense_interrupt d);
@@ -1303,16 +1302,19 @@ let test_checker_heal_budget () =
   | _ -> Alcotest.fail "expected the first heal to resync");
   Alcotest.(check bool) "resync actually healed" true
     (Sedspec.Checker.shadow_matches_device checker = []);
-  corrupt 91L;
-  (match Sedspec.Checker.heal checker with
-  | Sedspec.Checker.Heal_resynced _ -> ()
-  | _ -> Alcotest.fail "expected the second heal to resync");
-  corrupt 92L;
+  (* The budget is 8 resyncs per checker lifetime. *)
+  for i = 2 to 8 do
+    corrupt (Int64.of_int (89 + i));
+    match Sedspec.Checker.heal checker with
+    | Sedspec.Checker.Heal_resynced _ -> ()
+    | _ -> Alcotest.failf "expected heal %d to resync" i
+  done;
+  corrupt 98L;
   (match Sedspec.Checker.heal checker with
   | Sedspec.Checker.Heal_exhausted n ->
     Alcotest.(check bool) "still divergent" true (n > 0)
-  | _ -> Alcotest.fail "expected the third heal to be budget-exhausted");
-  Alcotest.(check int) "heals capped at the budget" 2
+  | _ -> Alcotest.fail "expected the ninth heal to be budget-exhausted");
+  Alcotest.(check int) "heals capped at the budget" 8
     (Sedspec.Checker.heals checker)
 
 let test_remedy_checkpoint_while_halted () =
@@ -1385,7 +1387,7 @@ let test_remedy_clean_tick_allocation () =
 
 let test_remedy_circuit_breaker_escalates () =
   let m, checker, d = fresh_fdc () in
-  let sup = Sedspec.Remedy.create ~breaker:(2, 8) m ~device:"fdc" checker in
+  let sup = Sedspec.Remedy.create m ~device:"fdc" checker in
   ignore (Workload.Fdc_driver.reset d);
   ignore (Sedspec.Remedy.tick sup);
   (* A fault that re-trips the checker after every restore: the first
@@ -1402,26 +1404,18 @@ let test_remedy_circuit_breaker_escalates () =
   Alcotest.(check bool) "escalation logged" true
     (List.exists
        (fun l -> string_contains l "breaker")
-       (Sedspec.Remedy.log sup));
-  (* Threshold validation. *)
-  match
-    Sedspec.Remedy.create ~breaker:(0, 5) m ~device:"fdc" checker
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "breaker with zero threshold accepted"
+       (Sedspec.Remedy.log sup))
 
 let test_remedy_snapshot_tracks_state () =
   (* The snapshot record must expose what previously had to be scraped
      from the log: tick/event/rollback counters, the in-window rollback
-     count, breaker arming and latch, and the halt flag — as a pure read
-     that never advances the supervisor. *)
+     count, the breaker latch and the halt flag — as a pure read that
+     never advances the supervisor. *)
   let m, checker, d = fresh_fdc () in
-  let sup = Sedspec.Remedy.create ~breaker:(2, 8) m ~device:"fdc" checker in
+  let sup = Sedspec.Remedy.create m ~device:"fdc" checker in
   let s0 = Sedspec.Remedy.snapshot sup in
   Alcotest.(check int) "no ticks yet" 0 s0.Sedspec.Remedy.s_ticks;
   Alcotest.(check int) "no events yet" 0 s0.Sedspec.Remedy.s_events;
-  Alcotest.(check (option (pair int int))) "breaker armed" (Some (2, 8))
-    s0.Sedspec.Remedy.s_breaker;
   Alcotest.(check bool) "not tripped" false s0.Sedspec.Remedy.s_breaker_tripped;
   Alcotest.(check bool) "not halted" false s0.Sedspec.Remedy.s_halted;
   ignore (Workload.Fdc_driver.reset d);
@@ -1454,18 +1448,26 @@ let test_remedy_snapshot_tracks_state () =
     s2.Sedspec.Remedy.s_breaker_tripped;
   Alcotest.(check int) "rollbacks capped" 2 s2.Sedspec.Remedy.s_rollbacks;
   Alcotest.(check bool) "left halted" true s2.Sedspec.Remedy.s_halted;
-  (* Without a breaker the in-window count equals the lifetime count. *)
+  (* A rollback leaves the 8-tick breaker window; the lifetime count
+     keeps it. *)
   let m2, checker2, d2 = fresh_fdc () in
   let sup2 = Sedspec.Remedy.create m2 ~device:"fdc" checker2 in
   ignore (Workload.Fdc_driver.reset d2);
   ignore (Sedspec.Remedy.tick sup2);
   ignore (Workload.Fdc_driver.dumpreg d2);
   ignore (Sedspec.Remedy.tick sup2);
+  for _ = 1 to 7 do
+    ignore (Sedspec.Remedy.tick sup2)
+  done;
   let s3 = Sedspec.Remedy.snapshot sup2 in
-  Alcotest.(check int) "unarmed: window = lifetime" s3.Sedspec.Remedy.s_rollbacks
+  Alcotest.(check int) "rollback 7 ticks ago is in the window" 1
     s3.Sedspec.Remedy.s_rollbacks_in_window;
-  Alcotest.(check (option (pair int int))) "unarmed breaker" None
-    s3.Sedspec.Remedy.s_breaker
+  ignore (Sedspec.Remedy.tick sup2);
+  let s4 = Sedspec.Remedy.snapshot sup2 in
+  Alcotest.(check int) "rollback 8 ticks ago has left the window" 0
+    s4.Sedspec.Remedy.s_rollbacks_in_window;
+  Alcotest.(check int) "lifetime count keeps it" 1
+    s4.Sedspec.Remedy.s_rollbacks
 
 (* --- Shadow consistency property ----------------------------------------- *)
 

@@ -250,75 +250,50 @@ let test_fmt_float () =
 
 module Backoff = Sedspec_util.Backoff
 
-let backoff_cfg_gen =
-  QCheck.Gen.(
-    let* base = int_range 1 8 in
-    let* cap = int_range base 512 in
-    let* jitter = float_bound_inclusive 0.9 in
-    return { Backoff.base; cap; jitter })
-
-let backoff_cfg_arb =
-  QCheck.make
-    ~print:(fun c ->
-      Printf.sprintf "{base=%d; cap=%d; jitter=%f}" c.Backoff.base c.Backoff.cap
-        c.Backoff.jitter)
-    backoff_cfg_gen
-
 let prop_backoff_deterministic =
-  QCheck.Test.make ~name:"backoff delay deterministic per (cfg, seed, attempt)"
+  QCheck.Test.make ~name:"backoff delay deterministic per (seed, attempt)"
     ~count:300
-    QCheck.(pair backoff_cfg_arb (pair int64 (int_range 0 80)))
-    (fun (cfg, (seed, attempt)) ->
-      Backoff.delay cfg ~seed ~attempt = Backoff.delay cfg ~seed ~attempt)
+    QCheck.(pair int64 (int_range 0 80))
+    (fun (seed, attempt) ->
+      Backoff.delay ~seed ~attempt = Backoff.delay ~seed ~attempt)
 
 let prop_backoff_band =
   QCheck.Test.make ~name:"backoff delay within jitter band" ~count:500
-    QCheck.(pair backoff_cfg_arb (pair int64 (int_range 0 80)))
-    (fun (cfg, (seed, attempt)) ->
-      let n = float_of_int (Backoff.nominal cfg ~attempt) in
-      let d = float_of_int (Backoff.delay cfg ~seed ~attempt) in
-      let lo = (n *. (1.0 -. cfg.Backoff.jitter)) -. 0.5
-      and hi = (n *. (1.0 +. cfg.Backoff.jitter)) +. 0.5 in
+    QCheck.(pair int64 (int_range 0 80))
+    (fun (seed, attempt) ->
+      let n = float_of_int (Backoff.nominal ~attempt) in
+      let d = float_of_int (Backoff.delay ~seed ~attempt) in
+      let lo = (n *. 0.75) -. 0.5 and hi = (n *. 1.25) +. 0.5 in
       d >= Float.max 0.0 lo && d <= hi)
 
-(* For jitter <= 1/3 the worst case across consecutive attempts is
-   2n(1-j) >= n(1+j), so the jittered schedule can never shrink while
-   the nominal delay is doubling (and is trivially flat at the cap). *)
+(* The jitter (25%) is at most 1/3, and the worst case across consecutive
+   attempts is 2n(1-j) >= n(1+j), so the jittered schedule can never
+   shrink while the nominal delay is doubling (and is trivially flat at
+   the cap). *)
 let prop_backoff_monotone =
   QCheck.Test.make ~name:"backoff monotone in attempt for jitter <= 1/3"
-    ~count:300
-    QCheck.(pair int64 (pair (int_range 1 8) (int_range 0 100)))
-    (fun (seed, (base, jpct)) ->
-      let base = max 1 base and jpct = max 0 jpct in
-      let cfg =
-        { Backoff.base; cap = base * 256; jitter = float_of_int jpct /. 300.0 }
-      in
+    ~count:300 QCheck.int64
+    (fun seed ->
       let ok = ref true in
       for attempt = 0 to 11 do
         (* The guarantee covers the doubling region; once the nominal
            saturates at the cap only the band bound applies. *)
         if
-          Backoff.nominal cfg ~attempt:(attempt + 1)
-          = 2 * Backoff.nominal cfg ~attempt
-          && Backoff.delay cfg ~seed ~attempt
-             > Backoff.delay cfg ~seed ~attempt:(attempt + 1)
+          Backoff.nominal ~attempt:(attempt + 1) = 2 * Backoff.nominal ~attempt
+          && Backoff.delay ~seed ~attempt
+             > Backoff.delay ~seed ~attempt:(attempt + 1)
         then ok := false
       done;
       !ok)
 
 let prop_backoff_nominal_caps =
   QCheck.Test.make ~name:"backoff nominal doubles then saturates" ~count:300
-    QCheck.(pair backoff_cfg_arb (int_range 0 200))
-    (fun (cfg, attempt) ->
-      let n = Backoff.nominal cfg ~attempt in
-      n >= cfg.Backoff.base && n <= cfg.Backoff.cap
+    QCheck.(int_range 0 200)
+    (fun attempt ->
+      let n = Backoff.nominal ~attempt in
+      n >= 1 && n <= 64
       &&
-      (* base <= 8 and cap <= 512 from the generator, so [lsl] is exact
-         through attempt 30 and anything past that saturates. *)
-      if attempt <= 30 then
-        let exact = cfg.Backoff.base lsl attempt in
-        n = if exact > cfg.Backoff.cap then cfg.Backoff.cap else exact
-      else n = cfg.Backoff.cap)
+      if attempt <= 30 then n = min 64 (1 lsl attempt) else n = 64)
 
 let test_backoff_retry_accounting () =
   let calls = ref 0 in
@@ -333,7 +308,7 @@ let test_backoff_retry_accounting () =
     Alcotest.(check string) "value" "done" v;
     let expect =
       List.fold_left
-        (fun acc a -> acc + Backoff.delay Backoff.default ~seed:9L ~attempt:a)
+        (fun acc a -> acc + Backoff.delay ~seed:9L ~attempt:a)
         0 [ 0; 1; 2 ]
     in
     Alcotest.(check int) "delay spent = sum of pre-success delays" expect spent
@@ -346,7 +321,7 @@ let test_backoff_retry_accounting () =
     Alcotest.(check int) "attempts" 3 f.Backoff.attempts;
     let expect =
       List.fold_left
-        (fun acc a -> acc + Backoff.delay Backoff.default ~seed:9L ~attempt:a)
+        (fun acc a -> acc + Backoff.delay ~seed:9L ~attempt:a)
         0 [ 0; 1 ]
     in
     Alcotest.(check int) "delay total" expect f.Backoff.delay_total
