@@ -141,6 +141,9 @@ let before t _ =
   Vmm.Machine.Allow
 
 let after t _ _ =
+  (* The interaction is closed: nothing it gathered is stale, and [heal]
+     tells a stale buffer by its last response kind. *)
+  t.prev_kind <- None;
   try
     t.checks <- t.checks + 1;
     (match t.fault_hook with Some f -> f () | None -> ());
@@ -218,8 +221,9 @@ let drain_as_checker_anomalies t =
     (drain t)
 
 (* Bounded self-healing, mirroring the checker's discipline: clear a
-   stale in-flight buffer (an interaction that never closed), at most
-   [heal_budget] times per validator lifetime. *)
+   stale in-flight buffer (responses of an interaction that never reached
+   [after], or anomalies still pending), at most [heal_budget] times per
+   validator lifetime. *)
 let heal t =
   if t.prev_kind = None && t.pending_rev = [] then true
   else if t.heals >= heal_budget then false

@@ -70,9 +70,11 @@ val drain_as_checker_anomalies : t -> Sedspec.Checker.anomaly list
     the adapter the remedy supervisor's [aux_drain] consumes. *)
 
 val heal : t -> bool
-(** Clear a stale in-flight buffer (an interaction that never reached its
-    boundary), at most 8 times; [false] once the budget is spent and
-    state is still dirty. *)
+(** Clear a stale in-flight buffer (the responses of an interaction that
+    never reached the interposer's [after], or anomalies still pending),
+    at most 8 times; [false] once the budget is spent and state is still
+    dirty.  After closed interactions, or one whose device never ran,
+    there is nothing to heal: it returns [true] and counts nothing. *)
 
 val reset : t -> unit
 (** Return to the just-attached state (clears anomalies, counters, heal

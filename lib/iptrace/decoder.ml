@@ -67,9 +67,10 @@ let expect_pgd cur =
   go ()
 
 (* Walk the program from an entry block, consuming packets, producing steps
-   in order.  [stack] holds continuation blocks of chained handlers. *)
+   in order.  [stack] holds continuation blocks of chained handlers.  Also
+   says whether the window ended at a wild jump. *)
 let decode_window program cur entry =
-  let steps = ref [] in
+  let steps = ref [] and wild = ref false in
   let push block transfer = steps := { block; transfer } :: !steps in
   let find (r : Program.bref) = Program.find_block program r in
   let rec walk (bref : Program.bref) stack =
@@ -109,7 +110,7 @@ let decode_window program cur entry =
         (* A wild jump: the interpreter trapped right after emitting this
            TIP, so the window ends here with no PGD; the partial path is
            kept. *)
-        ())
+        wild := true)
     | Term.Halt -> (
       push bref End;
       match stack with
@@ -117,7 +118,7 @@ let decode_window program cur entry =
       | [] -> ())
   in
   walk entry [];
-  List.rev !steps
+  (List.rev !steps, !wild)
 
 let decode program packets =
   let cur = { rest = packets; bits = [] } in
@@ -138,11 +139,10 @@ let decode program packets =
           | Some b -> b
           | None -> desync "PGE %Lx resolves to no block" addr
         in
-        let steps = decode_window program cur entry in
-        (* Windows that trapped mid-flight (wild jump) have no PGD. *)
-        (match cur.rest with
-        | Packet.Tip_pgd :: _ -> expect_pgd cur
-        | _ -> ());
+        let steps, wild = decode_window program cur entry in
+        (* A window that a wild jump trapped has no PGD.  Any other window
+           without one was cut short by a trap the path cannot show. *)
+        if not wild then expect_pgd cur;
         traces := steps :: !traces
       | _ -> desync "PSBEND without TIP.PGE");
       go ()

@@ -26,7 +26,9 @@ exception Desync of string
     unresolvable TIP, truncated window, filtered-out indirect target). *)
 
 val decode : Devir.Program.t -> Packet.t list -> trace list
-(** Decode all complete trace windows.  Raises {!Desync} on malformed
-    streams. *)
+(** Decode every trace window in the stream, one trace per window; the
+    stream may hold one window or many.  A window must end at its TIP.PGD,
+    unless a wild jump ended it.  Raises {!Desync} on malformed streams,
+    including a window that any other trap cut short. *)
 
 val pp_step : Format.formatter -> step -> unit

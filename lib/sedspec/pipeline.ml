@@ -25,21 +25,30 @@ let reset_device machine ~device =
   Devir.Arena.reset (Interp.arena interp);
   Vmm.Machine.resume machine
 
+(* Each trace window is decoded and folded into the ITC-CFG the moment it
+   closes, so only the open window is ever held: fdc's training stream is
+   5.4 MB of packets.  A [Decoder.Desync] therefore fires when the bad
+   window closes, inside the training run unless it is the last; it
+   escapes [collect], and [with_hooks] removes the encoder's hook as it
+   unwinds. *)
 let collect machine ~device trainer =
   reset_device machine ~device;
   let interp = Vmm.Machine.interp_of machine device in
   let program = Interp.program interp in
-  let encoder = Iptrace.Encoder.create (Iptrace.Filter.for_program program) in
+  let itc = Iptrace.Itc_cfg.create program in
+  let encoder =
+    Iptrace.Encoder.create (Iptrace.Filter.for_program program)
+      ~on_window:(fun window ->
+        List.iter (Iptrace.Itc_cfg.add_trace itc)
+          (Iptrace.Decoder.decode program window))
+  in
   Interp.with_hooks interp
     { Interp.silent_hooks with Interp.on_trace = Iptrace.Encoder.feed encoder }
     (fun () ->
       for case = 0 to trainer.cases - 1 do
         trainer.run_case machine case
       done);
-  let packets = Iptrace.Encoder.packets encoder in
-  let traces = Iptrace.Decoder.decode program packets in
-  let itc = Iptrace.Itc_cfg.create program in
-  List.iter (Iptrace.Itc_cfg.add_trace itc) traces;
+  Iptrace.Encoder.finish encoder;
   let usage = Progan.Usage.analyze program in
   let observed =
     List.map (fun (n : Iptrace.Itc_cfg.node) -> n.bref) (Iptrace.Itc_cfg.nodes itc)

@@ -1,9 +1,10 @@
 (** End-to-end SEDSpec pipeline (paper Fig. 1).
 
     Phase 1 (data collection): run the benign training cases with the IPT
-    simulator attached, decode the packet stream, build the ITC-CFG, and
-    select the device state parameters; observation points are placed at
-    the control-flow joints.
+    simulator attached, decode each trace window into the ITC-CFG as soon
+    as it closes, and select the device state parameters; observation
+    points are placed at the control-flow joints.  The packet stream is
+    not kept: collection holds one window at a time.
 
     Phase 2 (specification construction): re-run the training cases with
     observation points active and fold each interaction of the device
@@ -41,7 +42,11 @@ type built = {
 }
 
 val collect : Vmm.Machine.t -> device:string -> trainer -> phase1
-(** Phase 1.  Resets the device control structure first. *)
+(** Phase 1.  Resets the device control structure first.  Raises
+    {!Iptrace.Decoder.Desync} as soon as a window that does not decode
+    closes (e.g. one that a trap other than a wild jump cut short): inside
+    the training run, or after the last case for the last window.  The
+    encoder's hook is removed either way. *)
 
 val construct :
   ?reduce:bool -> Vmm.Machine.t -> device:string -> phase1 -> trainer -> built

@@ -137,6 +137,66 @@ let test_reset_clears_state () =
     (Validator.internal_errors v);
   Validator.detach v
 
+(* Closed interactions leave nothing to heal, however many response kinds
+   they saw: the budget is for buffers an exception left open. *)
+let test_heal_ignores_benign () =
+  let profile = train_profile () in
+  let m = W.make_machine ~vmexit_cost:0 W.paper_version in
+  let v = Validator.attach m ~device:dev ~profile in
+  let trainer = W.trainer ~cases:10 in
+  let healed =
+    List.init 10 (fun i ->
+        trainer.Sedspec.Pipeline.run_case m i;
+        Validator.heal v)
+  in
+  Validator.detach v;
+  Alcotest.(check bool) "responses were checked" true
+    (Validator.events_seen v > 0);
+  Alcotest.(check (list bool)) "heal always succeeds" (List.init 10 (fun _ -> true))
+    healed;
+  Alcotest.(check int) "no heals counted" 0 (Validator.heals v)
+
+(* A layer ahead of the validator halts in [before]: the device never
+   runs and every [after] is skipped, but the validator gathered nothing. *)
+let test_heal_ignores_blocked_request () =
+  let profile = train_profile () in
+  let m = W.make_machine ~vmexit_cost:0 W.paper_version in
+  let remove_blocker =
+    Vmm.Machine.add_interposer m dev
+      {
+        Vmm.Machine.before = (fun _ -> Vmm.Machine.Halt "blocked");
+        after = (fun _ _ -> Vmm.Machine.Allow);
+      }
+  in
+  let v = Validator.attach m ~device:dev ~profile in
+  (W.trainer ~cases:1).Sedspec.Pipeline.run_case m 0;
+  Alcotest.(check bool) "the request was blocked" true (Vmm.Machine.halted m);
+  Alcotest.(check int) "the validator saw it" 1 (Validator.interactions v);
+  Alcotest.(check bool) "nothing to heal" true (Validator.heal v);
+  Alcotest.(check int) "no heal counted" 0 (Validator.heals v);
+  Validator.detach v;
+  remove_blocker ()
+
+(* An exception that unwinds dispatch after a response event leaves the
+   interaction open: [before] ran, [after] never did. *)
+let test_heal_clears_stale_buffer () =
+  let profile = train_profile () in
+  let m = W.make_machine ~vmexit_cost:0 W.paper_version in
+  let v = Validator.attach m ~device:dev ~profile in
+  let remove =
+    Interp.add_hooks (Vmm.Machine.interp_of m dev)
+      { Interp.silent_hooks with Interp.on_response = (fun _ -> raise Exit) }
+  in
+  (match (W.trainer ~cases:1).Sedspec.Pipeline.run_case m 0 with
+  | () -> Alcotest.fail "no response event unwound dispatch"
+  | exception Exit -> ());
+  remove ();
+  Alcotest.(check bool) "stale buffer healed" true (Validator.heal v);
+  Alcotest.(check int) "and counted" 1 (Validator.heals v);
+  Alcotest.(check bool) "nothing left to heal" true (Validator.heal v);
+  Alcotest.(check int) "counted once" 1 (Validator.heals v);
+  Validator.detach v
+
 let hostile_opts jobs =
   {
     Campaign.kind = Campaign.Hostile;
@@ -175,7 +235,7 @@ let test_hostile_json_pinned () =
       (Campaign.report_to_json (Lazy.force hostile_smoke))
   in
   Alcotest.(check string) "report JSON digest"
-    "bbdfe4227235c2b2b109eb0746e20644"
+    "fac23b8e5ca187a51e47b8e0a776cc09"
     (Digest.to_hex (Digest.string json))
 
 let test_hostile_isolation () =
@@ -264,6 +324,12 @@ let () =
             test_fail_closed_containment;
           Alcotest.test_case "reset clears state and hook" `Quick
             test_reset_clears_state;
+          Alcotest.test_case "heal ignores benign traffic" `Quick
+            test_heal_ignores_benign;
+          Alcotest.test_case "heal ignores a blocked request" `Quick
+            test_heal_ignores_blocked_request;
+          Alcotest.test_case "heal clears a stale buffer" `Quick
+            test_heal_clears_stale_buffer;
         ] );
       ( "hostile",
         [
