@@ -434,11 +434,11 @@ let fleet_cmd =
   in
   let deadline_arg =
     let doc =
-      "Watchdog step budget per checker walk (0 disables).  A budget above \
-       the checker's walk limit of 20000 steps never fires: the walk limit \
-       ends the walk first, so the default does nothing."
+      "Watchdog step budget per checker walk (0, the default, disables it).  \
+       A budget above the checker's walk limit of 20000 steps never fires: \
+       the walk limit ends the walk first."
     in
-    Arg.(value & opt int 50_000 & info [ "deadline" ] ~docv:"STEPS" ~doc)
+    Arg.(value & opt int 0 & info [ "deadline" ] ~docv:"STEPS" ~doc)
   in
   let run device vms ticks ops seed jobs deadline json training =
     setup_training training;
@@ -465,8 +465,8 @@ let fleet_cmd =
   Cmd.v
     (Cmd.info "fleet"
        ~doc:
-         "Serve a fleet of protected VMs under the deadline watchdog, \
-          error-budget governor and bulkhead isolation")
+         "Serve a fleet of protected VMs under the error-budget governor and \
+          bulkhead isolation, with a deadline watchdog if --deadline arms one")
     Term.(const run
           $ device_flag Arg.string "all"
               "Comma-separated devices assigned round-robin (fdc, ehci, pcnet, \

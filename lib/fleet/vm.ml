@@ -24,7 +24,7 @@ let default_options ~device =
     device;
     ops_per_tick = 12;
     rare_prob = 0.05;
-    deadline = Some 50_000;
+    deadline = None;
     spec_origin = Trained;
     guard = false;
     shadow = None;

@@ -67,8 +67,8 @@ type options = {
 }
 
 val default_options : device:string -> options
-(** 12 ops/tick, rare probability 0.05, deadline 50k steps (above the
-    walk limit, so it never fires: {!Sedspec.Checker.set_deadline}),
+(** 12 ops/tick, rare probability 0.05, no deadline watchdog (a budget
+    above the walk limit could never fire: {!Sedspec.Checker.set_deadline}),
     trained spec, no guard, no shadow.  Every VM runs the governor and a
     remedy supervisor with its circuit breaker, and acquires its spec
     under {!Sedspec_util.Backoff.retry} with 3 attempts. *)

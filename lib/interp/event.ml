@@ -9,13 +9,9 @@ type obs_outcome =
   | O_halt
 
 type observe_entry = {
+  index : int;
   block : Devir.Program.bref;
-  kind : Devir.Block.kind;
-  state : (string * int64) list;
   outcome : obs_outcome;
-  cmd : int64 option;
-  stmts : Devir.Stmt.t list;
-  term : Devir.Term.t;
 }
 
 type oob_event = {
@@ -61,12 +57,8 @@ let pp_obs_outcome ppf = function
   | O_halt -> Format.fprintf ppf "halt"
 
 let pp_observe_entry ppf (e : observe_entry) =
-  Format.fprintf ppf "@[<h>%a [%s] %a {%s}%s@]" Devir.Program.pp_bref e.block
-    (Devir.Block.kind_to_string e.kind)
+  Format.fprintf ppf "@[<h>%a %a@]" Devir.Program.pp_bref e.block
     pp_obs_outcome e.outcome
-    (String.concat ", "
-       (List.map (fun (n, v) -> Printf.sprintf "%s=%Ld" n v) e.state))
-    (match e.cmd with Some c -> Printf.sprintf " cmd=%Ld" c | None -> "")
 
 let pp_response_event ppf = function
   | R_read_return v -> Format.fprintf ppf "read-return %Ld" v

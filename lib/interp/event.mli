@@ -26,16 +26,15 @@ type obs_outcome =
   | O_halt
 
 type observe_entry = {
+  index : int;  (** The block's place in {!Devir.Program.index_of}. *)
   block : Devir.Program.bref;
-  kind : Devir.Block.kind;
-  state : (string * int64) list;
-      (** Observed device state parameter values after the block ran. *)
   outcome : obs_outcome;
-  cmd : int64 option;
-      (** For [Cmd_decision] blocks: the decoded command value. *)
-  stmts : Devir.Stmt.t list;  (** Source statements of the block. *)
-  term : Devir.Term.t;        (** Source terminator of the block. *)
+      (** How the block left; a switch's carries the decoded command. *)
 }
+(** What an observation point reports: which block ran and where it went,
+    all that Algorithm 1 reads to restore the path.  Kind, statements and
+    terminator are the program's, found by [index]; a hook that wants
+    device state reads the arena itself. *)
 
 type oob_event = {
   oob_block : Devir.Program.bref;

@@ -96,7 +96,6 @@ type t = {
   env : Lower.env;
   entry_memo : int Lower.memo;  (* request handler names -> entries *)
   observed : bool array;  (* per block: an observation point *)
-  mutable obs_state : (string * int * (Arena.t -> int -> int64)) list;
   mutable sync_layers : sync_layer list;  (* in the order they were added *)
   sync : (string * int) list option array;
       (* per block: the sync locals of every layer, with their slots ([-1]:
@@ -113,8 +112,7 @@ type t = {
 }
 
 and code = {
-  blocks : block array;
-  index : (Program.bref, int) Hashtbl.t;
+  blocks : block array;  (* by [Program.index_of] *)
   entries : (string, int) Hashtbl.t;  (* handler -> entry index, -1 if empty *)
   cb_vals : int64 array;  (* callback table in program order *)
   cb_acts : callback array;
@@ -127,8 +125,6 @@ and block = {
   pge : Event.trace_event;  (* [Pge] of this block's address *)
   stmts : (t -> unit) array;
   term : term;
-  src_stmts : Stmt.t list;  (* what observation entries carry *)
-  src_term : Term.t;
 }
 
 and term =
@@ -317,28 +313,20 @@ let lower_stmt lc ~at (stmt : Stmt.t) : (t -> unit) option =
 
 (* --- Lowering -------------------------------------------------------- *)
 
+(* Block order, successor labels and handler entries come from the
+   program's block index; an unresolved label fails here, naming its
+   block. *)
 let lower_program lc program =
-  let index = Hashtbl.create 64 in
-  let brefs = ref [] in
-  Program.iter_blocks program (fun bref _ ->
-      Hashtbl.replace index bref (Hashtbl.length index);
-      brefs := bref :: !brefs);
-  let brefs = Array.of_list (List.rev !brefs) in
-  let resolve ~(at : Program.bref) label =
-    match Hashtbl.find_opt index { Program.handler = at.handler; label } with
-    | Some i -> i
-    | None -> Lower.unresolved ~at "no block %s" label
+  let resolve ~at i k label =
+    match Program.succ_index program i k with
+    | j -> j
+    | exception Not_found -> Lower.unresolved ~at "no block %s" label
   in
-  let tip ~at label =
-    Event.Tip (Program.address_of program brefs.(resolve ~at label))
-  in
+  let tip j = Event.Tip (Program.address_of program (Program.bref_of_index program j)) in
   let entries = Hashtbl.create 8 in
   List.iter
     (fun (h : Program.handler) ->
-      Hashtbl.replace entries h.hname
-        (match h.blocks with
-        | b :: _ -> Hashtbl.find index { Program.handler = h.hname; label = b.label }
-        | [] -> -1))
+      Hashtbl.replace entries h.hname (Program.entry_index program h.hname))
     (Program.handlers program);
   let callbacks = Program.callbacks program in
   let cb_acts =
@@ -358,44 +346,46 @@ let lower_program lc program =
                     callee)))
          callbacks)
   in
-  let lower_term ~at (term : Term.t) =
+  let lower_term ~at i (term : Term.t) =
     match term with
-    | Term.Goto l -> L_goto (resolve ~at l, Event.O_goto l)
+    | Term.Goto l -> L_goto (resolve ~at i 0 l, Event.O_goto l)
     | Term.Halt -> L_halt
     | Term.Branch (cond, if_taken, if_not) ->
-      L_branch (Lower.bool_expr lc ~at cond, resolve ~at if_taken, resolve ~at if_not)
+      L_branch (Lower.bool_expr lc ~at cond, resolve ~at i 0 if_taken, resolve ~at i 1 if_not)
     | Term.Switch (scrutinee, cases, default) ->
-      let case_vals, case_labels = Lower.sorted_cases cases in
+      (* Each case keeps its successor slot through the sort. *)
+      let case_vals, slots =
+        Lower.sorted_cases (List.mapi (fun k (v, label) -> (v, (k, label))) cases)
+      in
+      let case_dests = Array.map (fun (k, label) -> resolve ~at i k label) slots in
+      let default_dest = resolve ~at i (List.length cases) default in
       L_switch
         {
           scrutinee = Lower.switch lc ~at scrutinee case_vals;
-          case_dests = Array.map (resolve ~at) case_labels;
-          case_labels;
-          case_tips = Array.map (tip ~at) case_labels;
-          default = resolve ~at default;
+          case_dests;
+          case_labels = Array.map snd slots;
+          case_tips = Array.map tip case_dests;
+          default = default_dest;
           default_label = default;
-          default_tip = tip ~at default;
+          default_tip = tip default_dest;
         }
     | Term.Icall (fnptr, next) ->
-      L_icall (Lower.int64_expr lc ~at fnptr, resolve ~at next)
+      L_icall (Lower.int64_expr lc ~at fnptr, resolve ~at i 0 next)
   in
   let blocks =
-    Array.mapi
-      (fun id (bref : Program.bref) ->
-        let b = Program.find_block program bref in
+    Array.init (Program.block_count program) (fun id ->
+        let bref = Program.bref_of_index program id in
+        let b = Program.block_of_index program id in
         {
           id;
           bref;
           kind = b.kind;
           pge = Event.Pge (Program.address_of program bref);
           stmts = Array.of_list (List.filter_map (lower_stmt lc ~at:bref) b.stmts);
-          term = lower_term ~at:bref b.term;
-          src_stmts = b.stmts;
-          src_term = b.term;
+          term = lower_term ~at:bref id b.term;
         })
-      brefs
   in
-  { blocks; index; entries; cb_vals = Array.of_list (List.map fst callbacks); cb_acts }
+  { blocks; entries; cb_vals = Array.of_list (List.map fst callbacks); cb_acts }
 
 let create ~program ~arena ~guest () =
   let lctx = Lower.create (Arena.layout arena) in
@@ -417,7 +407,6 @@ let create ~program ~arena ~guest () =
       env = Lower.make_env lctx ~work:arena;
       entry_memo = Lower.memo 4 (-1);
       observed = Array.make n false;
-      obs_state = [];
       sync_layers = [];
       sync = Array.make n None;
       on_sync = [];
@@ -451,30 +440,16 @@ let with_hooks t hooks f = Fun.protect ~finally:(add_hooks t hooks) f
 let program t = t.program
 let arena t = t.arena
 
-let state_reader layout name =
-  match Layout.find layout name with
-  | { Layout.kind = Layout.Reg w; _ } ->
-    (name, Layout.offset layout name, Lower.reader w)
-  | { Layout.kind = Layout.Fn_ptr; _ } ->
-    (name, Layout.offset layout name, Lower.reader Width.W64)
-  | { Layout.kind = Layout.Buf _; _ } | (exception Not_found) ->
-    invalid_arg
-      (Printf.sprintf "Interp.set_observation: %s is not a scalar field" name)
-
-let set_observation t ~points ~state_params =
-  let readers = List.map (state_reader (Arena.layout t.arena)) state_params in
+let set_observation t ~points =
   Array.fill t.observed 0 (Array.length t.observed) false;
   List.iter
     (fun p ->
-      match Hashtbl.find_opt t.code.index p with
-      | Some i -> t.observed.(i) <- true
-      | None -> ())
-    points;
-  t.obs_state <- readers
+      match Program.index_of t.program p with
+      | i -> t.observed.(i) <- true
+      | exception Not_found -> ())
+    points
 
-let clear_observation t =
-  Array.fill t.observed 0 (Array.length t.observed) false;
-  t.obs_state <- []
+let clear_observation t = Array.fill t.observed 0 (Array.length t.observed) false
 
 let set_host_values t f = t.host_value <- f
 
@@ -493,12 +468,12 @@ let set_sync_layers t layers =
     (fun layer ->
       List.iter
         (fun (bref, locals) ->
-          match Hashtbl.find_opt t.code.index bref with
-          | Some i ->
+          match Program.index_of t.program bref with
+          | i ->
             let have = Option.value t.sync.(i) ~default:[] in
             let fresh = List.filter (fun l -> not (List.mem_assoc l have)) locals in
             t.sync.(i) <- Some (have @ List.map slot fresh)
-          | None -> ())
+          | exception Not_found -> ())
         layer.points)
     layers;
   t.on_sync <- List.map (fun layer -> layer.listener) layers
@@ -510,21 +485,8 @@ let add_sync_points t points ~on_sync =
 
 (* --- Execution ------------------------------------------------------- *)
 
-let rec read_state arena = function
-  | [] -> []
-  | (name, off, read) :: rest -> (name, read arena off) :: read_state arena rest
-
-let observe t (b : block) outcome cmd =
-  t.hooks.on_observe
-    {
-      Event.block = b.bref;
-      kind = b.kind;
-      state = read_state t.arena t.obs_state;
-      outcome;
-      cmd;
-      stmts = b.src_stmts;
-      term = b.src_term;
-    }
+let observe t (b : block) outcome =
+  t.hooks.on_observe { Event.index = b.id; block = b.bref; outcome }
 
 let rec synced (env : Lower.env) = function
   | [] -> []
@@ -595,28 +557,26 @@ and step t depth (b : block) =
   let observed = t.observed.(b.id) in
   match b.term with
   | L_goto (next, outcome) ->
-    if observed then observe t b outcome None;
+    if observed then observe t b outcome;
     step t depth t.code.blocks.(next)
   | L_branch (cond, if_taken, if_not) ->
     let taken = eval_at t b cond in
     t.hooks.on_trace (if taken then tnt_taken else tnt_not_taken);
     if observed then
-      observe t b (if taken then Event.O_taken else Event.O_not_taken) None;
+      observe t b (if taken then Event.O_taken else Event.O_not_taken);
     step t depth t.code.blocks.(if taken then if_taken else if_not)
   | L_switch sw ->
     let i = eval_at t b sw.scrutinee.index in
     t.hooks.on_trace (if i < 0 then sw.default_tip else sw.case_tips.(i));
-    if observed then begin
-      let v = sw.scrutinee.value t.env in
+    if observed then
       observe t b
-        (Event.O_case (v, if i < 0 then sw.default_label else sw.case_labels.(i)))
-        (Some v)
-    end;
+        (Event.O_case
+           (sw.scrutinee.value t.env, if i < 0 then sw.default_label else sw.case_labels.(i)));
     step t depth t.code.blocks.(if i < 0 then sw.default else sw.case_dests.(i))
   | L_icall (fnptr, next) ->
     let v = eval_at t b fnptr in
     t.hooks.on_trace (Event.Tip v);
-    if observed then observe t b (Event.O_icall v) None;
+    if observed then observe t b (Event.O_icall v);
     (match t.icall_guard with
     | Some guard when not (guard b.bref v) ->
       raise (Trap (Event.Icall_blocked { block = b.bref; target = v }))
@@ -646,7 +606,7 @@ and step t depth (b : block) =
       | Cb_noop -> ()));
     step t depth t.code.blocks.(next)
   | L_halt ->
-    if observed then observe t b Event.O_halt None;
+    if observed then observe t b Event.O_halt;
     if depth = 0 then t.hooks.on_trace Event.Pgd
 
 let run t ~handler ~params =

@@ -6,8 +6,9 @@
     the PT simulator, fires observation points for SEDSpec's data
     collection, and reports memory-corruption ground truth.
 
-    {!create} lowers the program once: blocks become an array with
-    successor indices and precomputed trace packets, fields become
+    {!create} lowers the program once: blocks become an array in the
+    order of the program's block index ({!Devir.Program.index_of}), with
+    its successor indices and precomputed trace packets; fields become
     width-specialised loads and stores at fixed arena offsets, buffers
     become [(offset, size)] pairs, and locals and parameters become
     program-wide slots ({!Lower}).  A run does no name lookup: the
@@ -85,14 +86,12 @@ val with_hooks : t -> hooks -> (unit -> 'a) -> 'a
 val program : t -> Devir.Program.t
 val arena : t -> Devir.Arena.t
 
-val set_observation :
-  t -> points:Devir.Program.bref list -> state_params:string list -> unit
+val set_observation : t -> points:Devir.Program.bref list -> unit
 (** Install observation points: on leaving any block in [points], emit an
-    {!Event.observe_entry} carrying the current values of [state_params]
-    (scalar fields only — buffers are tracked through their index/length
-    parameters, per the paper's data-volume rule).  Replaces any earlier
-    points; a bref that names no block is ignored.  Raises
-    [Invalid_argument] if a state parameter is not a scalar field. *)
+    {!Event.observe_entry} naming the block and its outcome.  It copies no
+    device state: Algorithm 1 reads none, and a hook that wants some reads
+    {!arena}.  Replaces any earlier points; a bref that names no block is
+    ignored. *)
 
 val clear_observation : t -> unit
 

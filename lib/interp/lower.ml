@@ -55,12 +55,6 @@ let scalar c ~at name =
   | { Layout.kind = Layout.Reg w; _ } -> (Layout.offset c.layout name, w)
   | { Layout.kind = Layout.Fn_ptr; _ } -> (Layout.offset c.layout name, Width.W64)
 
-let reader = function
-  | Width.W8 -> fun a off -> Int64.of_int (Arena.read_u8 a off)
-  | Width.W16 -> fun a off -> Int64.of_int (Arena.read_u16 a off)
-  | Width.W32 -> fun a off -> Int64.of_int (Arena.read_u32 a off)
-  | Width.W64 -> Arena.read_u64
-
 let int_writer = function
   | Width.W8 -> Arena.write_u8
   | Width.W16 -> Arena.write_u16

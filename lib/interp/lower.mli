@@ -72,9 +72,6 @@ val scalar : ctx -> at:Program.bref -> string -> int * Width.t
 (** Offset and width of a scalar field ([Fn_ptr] is [W64]).  Raises
     [Invalid_argument] naming [at] for unknown fields and buffers. *)
 
-val reader : Width.t -> Arena.t -> int -> int64
-(** Width-specialised load at an absolute offset, as {!Devir.Arena.get}. *)
-
 val int_writer : Width.t -> Arena.t -> int -> int -> unit
 (** Store of a W8–W32 field at an absolute offset; keeps the low bits,
     as {!Devir.Arena.set} does.  [W64] fields take {!Devir.Arena.write_u64}. *)

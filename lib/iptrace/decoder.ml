@@ -66,63 +66,50 @@ let expect_pgd cur =
   in
   go ()
 
-(* Walk the program from an entry block, consuming packets, producing steps
-   in order.  [stack] holds continuation blocks of chained handlers.  Also
-   says whether the window ended at a wild jump. *)
-let decode_window program cur entry =
-  let steps = ref [] and wild = ref false in
-  let push block transfer = steps := { block; transfer } :: !steps in
-  let find (r : Program.bref) = Program.find_block program r in
-  let rec walk (bref : Program.bref) stack =
-    let block = find bref in
-    let sibling label : Program.bref = { handler = bref.handler; label } in
-    match block.term with
-    | Term.Goto l ->
-      push bref Fall;
-      walk (sibling l) stack
-    | Term.Branch (_, if_taken, if_not) ->
+(* Walk the program's block index from a window's entry block, consuming
+   packets and handing each step to [on_step] in order.  [stack] holds the
+   indirect-call blocks of chained handlers, whose continuations are
+   resolved on return.  Says whether the window ended at a wild jump. *)
+let walk_window program cur on_step entry =
+  let rec walk i stack =
+    match (Program.block_of_index program i).term with
+    | Term.Goto _ ->
+      on_step i Fall;
+      walk (Program.succ_index program i 0) stack
+    | Term.Branch _ ->
       let taken = next_tnt cur in
-      push bref (if taken then Taken else Not_taken);
-      walk (sibling (if taken then if_taken else if_not)) stack
-    | Term.Switch (_, _, _) ->
+      on_step i (if taken then Taken else Not_taken);
+      walk (Program.succ_index program i (if taken then 0 else 1)) stack
+    | Term.Switch _ ->
       let addr = next_tip cur in
-      let dest =
-        match Program.block_at program addr with
-        | Some d -> d
-        | None -> desync "switch TIP %Lx resolves to no block" addr
-      in
-      push bref (Sw dest);
+      let dest = Program.index_at program addr in
+      if dest < 0 then desync "switch TIP %Lx resolves to no block" addr;
+      on_step i (Sw (Program.bref_of_index program dest));
       walk dest stack
-    | Term.Icall (_, next) ->
+    | Term.Icall _ -> (
       let target = next_tip cur in
-      push bref (Call target);
-      let continue_at = sibling next in
-      (match Program.find_callback program target with
+      on_step i (Call target);
+      match Program.find_callback program target with
       | Some { action = Program.Run_handler callee; _ } ->
-        let callee_entry =
-          match (Program.find_handler program callee).blocks with
-          | b :: _ -> ({ handler = callee; label = b.label } : Program.bref)
-          | [] -> desync "chained handler %s is empty" callee
-        in
-        walk callee_entry (continue_at :: stack)
-      | Some _ -> walk continue_at stack
+        let entry = Program.entry_index program callee in
+        if entry < 0 then desync "chained handler %s is empty" callee;
+        walk entry (i :: stack)
+      | Some _ -> walk (Program.succ_index program i 0) stack
       | None ->
         (* A wild jump: the interpreter trapped right after emitting this
            TIP, so the window ends here with no PGD; the partial path is
            kept. *)
-        wild := true)
+        true)
     | Term.Halt -> (
-      push bref End;
+      on_step i End;
       match stack with
-      | cont :: stack -> walk cont stack
-      | [] -> ())
+      | call :: stack -> walk (Program.succ_index program call 0) stack
+      | [] -> false)
   in
-  walk entry [];
-  (List.rev !steps, !wild)
+  walk entry []
 
-let decode program packets =
+let walk program packets ~on_step ~on_close =
   let cur = { rest = packets; bits = [] } in
-  let traces = ref [] in
   let rec go () =
     match cur.rest with
     | [] -> ()
@@ -134,16 +121,12 @@ let decode program packets =
       (match cur.rest with
       | Packet.Tip_pge addr :: rest ->
         cur.rest <- rest;
-        let entry =
-          match Program.block_at program addr with
-          | Some b -> b
-          | None -> desync "PGE %Lx resolves to no block" addr
-        in
-        let steps, wild = decode_window program cur entry in
+        let entry = Program.index_at program addr in
+        if entry < 0 then desync "PGE %Lx resolves to no block" addr;
         (* A window that a wild jump trapped has no PGD.  Any other window
            without one was cut short by a trap the path cannot show. *)
-        if not wild then expect_pgd cur;
-        traces := steps :: !traces
+        if not (walk_window program cur on_step entry) then expect_pgd cur;
+        on_close ()
       | _ -> desync "PSBEND without TIP.PGE");
       go ()
     | Packet.Pad :: rest ->
@@ -151,7 +134,16 @@ let decode program packets =
       go ()
     | p :: _ -> desync "unexpected %s between windows" (Packet.to_string p)
   in
-  go ();
+  go ()
+
+let decode program packets =
+  let traces = ref [] and steps = ref [] in
+  walk program packets
+    ~on_step:(fun i transfer ->
+      steps := { block = Program.bref_of_index program i; transfer } :: !steps)
+    ~on_close:(fun () ->
+      traces := List.rev !steps :: !traces;
+      steps := []);
   List.rev !traces
 
 let pp_step ppf s =

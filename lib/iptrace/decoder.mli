@@ -6,7 +6,9 @@
     followed statically, each conditional branch consumes one TNT bit,
     each switch consumes a TIP packet resolved to a block address, and each
     indirect call consumes a TIP carrying the raw function-pointer value
-    (following into chained handlers when the callback table says so). *)
+    (following into chained handlers when the callback table says so).
+    Blocks are found by index, switch targets and window entries by
+    address arithmetic: the walk hashes no block name. *)
 
 type transfer =
   | Fall                      (** Unconditional (goto). *)
@@ -25,10 +27,23 @@ exception Desync of string
 (** The packet stream is inconsistent with the program (missing TNT bits,
     unresolvable TIP, truncated window, filtered-out indirect target). *)
 
+val walk :
+  Devir.Program.t ->
+  Packet.t list ->
+  on_step:(int -> transfer -> unit) ->
+  on_close:(unit -> unit) ->
+  unit
+(** Decode every trace window in the stream; the stream may hold one
+    window or many.  The walk follows the program's block index
+    ({!Devir.Program.index_of}) and hands each step to [on_step] as it
+    reaches it: the block's index and how the block left.  [on_close]
+    runs after each window's last step.  A window must end at its
+    TIP.PGD, unless a wild jump ended it.  Raises {!Desync} on malformed
+    streams, including a window that any other trap cut short; the steps
+    before the fault have been handed over by then.  A label that names no
+    block raises [Not_found] when the walk reaches it. *)
+
 val decode : Devir.Program.t -> Packet.t list -> trace list
-(** Decode every trace window in the stream, one trace per window; the
-    stream may hold one window or many.  A window must end at its TIP.PGD,
-    unless a wild jump ended it.  Raises {!Desync} on malformed streams,
-    including a window that any other trap cut short. *)
+(** {!walk}'s steps as lists, one trace per window. *)
 
 val pp_step : Format.formatter -> step -> unit

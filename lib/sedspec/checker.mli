@@ -150,11 +150,9 @@ val set_deadline : t -> int option -> unit
     supervisor uses it so one hostile or degenerate interaction cannot
     stall a bulkhead.  The watchdog is checked first, so a budget at or
     below [walk_limit] fires; a budget above it never can, because the
-    walk limit ends the walk first.  [Fleet.Vm]'s default of 50,000
-    steps, also the default of [sedspec fleet --deadline], is above the
-    default walk limit of 20,000 and so does nothing.  Budgets must be
-    >= 1; [None] (the default) costs one integer compare per step.
-    {!reset} disarms it. *)
+    walk limit ends the walk first.  [Fleet.Vm] and [sedspec fleet
+    --deadline] arm none by default.  Budgets must be >= 1; [None] (the
+    default) costs one integer compare per step.  {!reset} disarms it. *)
 
 val deadline : t -> int option
 

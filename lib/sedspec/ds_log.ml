@@ -39,12 +39,12 @@ module Collector = struct
       t.current_entries <- [];
       t.on_interaction { handler; params; entries }
 
-  let attach machine ~device ~points ~state_params ~on_interaction =
+  let attach machine ~device ~points ~on_interaction =
     let interp = Vmm.Machine.interp_of machine device in
     let t =
       { interp; remove = ignore; on_interaction; current = None; current_entries = [] }
     in
-    Interp.set_observation interp ~points ~state_params;
+    Interp.set_observation interp ~points;
     let remove_hooks =
       Interp.add_hooks interp
         {

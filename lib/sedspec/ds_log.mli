@@ -1,11 +1,14 @@
 (** Device state change logs (paper §IV, phase 1 output).
 
     A benign test case logs a sequence of I/O interactions, each carrying
-    the observation-point entries the instrumented device emitted (block
-    identity and kind, the selected state parameters' values after the
-    block, the branch outcome, and — for command decision blocks — the
-    decoded command).  Algorithm 1 consumes the interactions one at a
-    time, as each one closes, so no log outlives its interaction. *)
+    the observation-point entries the instrumented device emitted: the
+    block's index and reference and how it left (the branch side, the
+    switch value and label — for a command decision block, the decoded
+    command — or the function-pointer value).  That is all Algorithm 1
+    reads.  The paper's log also copies the selected state parameters at
+    every entry; nothing here reads them, so the log does not copy them.
+    Algorithm 1 consumes the interactions one at a time, as each one
+    closes, so no log outlives its interaction. *)
 
 type interaction = {
   handler : string;
@@ -25,7 +28,6 @@ module Collector : sig
     Vmm.Machine.t ->
     device:string ->
     points:Devir.Program.bref list ->
-    state_params:string list ->
     on_interaction:(interaction -> unit) ->
     collector
   (** [on_interaction] receives each interaction as it closes, in

@@ -16,55 +16,57 @@ type node = {
 
 type cmd_key = Program.bref * int64
 
-(* Membership keys for the NBTD edge lists.  The lists themselves stay in
-   insertion order on the nodes; this auxiliary table makes the
-   once-per-observation membership test O(1) instead of scanning the list
-   on every single visit (quadratic over a training log). *)
-type edge =
-  | E_succ of Program.bref * Program.bref
-  | E_case of Program.bref * int64 * string
-  | E_itarget of Program.bref * int64
-
 (* Where a spec's learned content came from.  [Trained] is the one-shot
    paper pipeline; the others are evolution derivations — the revision
    counter orders them so the rollout ladder can pin and roll back. *)
 type provenance = Trained | Retrained of int
 
+module Int_tbl = Hashtbl.Make (Int)
+
+(* Nodes and access sets are arrays over the program's block index. *)
 type t = {
   program : Program.t;
   selection : Selection.t;
   mutable revision : int;
   mutable provenance : provenance;
-  nodes : (Program.bref, node) Hashtbl.t;
-  cmd_table : (cmd_key, (Program.bref, unit) Hashtbl.t) Hashtbl.t;
-  no_cmd : (Program.bref, unit) Hashtbl.t;
-  seen : (edge, unit) Hashtbl.t;
-  removed : (Program.bref, unit) Hashtbl.t;
-      (** Brefs ever removed by {!reduce} — makes the [reduced] counter
-          idempotent across repeated reductions of the same blocks. *)
+  nodes : node option array;
+  cmd_table : (cmd_key, bool array) Hashtbl.t;
+  no_cmd : bool array;
+  (* Membership of the NBTD lists while Algorithm 1 folds a fresh spec:
+     the lists stay in first-seen order on the nodes, and these make the
+     once-per-visit test O(1) instead of a scan of the list on every
+     visit (quadratic over a training log).  [edges] keys a successor
+     edge [src * block_count + dst], [values] a switch's case value or an
+     indirect call's target at its block ([v] fixes a switch's label). *)
+  edges : unit Int_tbl.t;
+  values : (int * int64, unit) Hashtbl.t;
+  mutable foldable : bool;
+      (* No [reduce] or [import_node] yet, so [edges] and [values] still
+         describe the nodes. *)
+  removed : bool array;
+      (* Blocks ever removed by {!reduce} — makes the [reduced] counter
+         idempotent across repeated reductions of the same blocks. *)
   mutable reduced : int;
 }
 
+exception Restore_failed of string
+
 let create ~program ~selection =
+  let n = Program.block_count program in
   {
     program;
     selection;
     revision = 0;
     provenance = Trained;
-    nodes = Hashtbl.create 128;
+    nodes = Array.make n None;
     cmd_table = Hashtbl.create 32;
-    no_cmd = Hashtbl.create 64;
-    seen = Hashtbl.create 256;
-    removed = Hashtbl.create 16;
+    no_cmd = Array.make n false;
+    edges = Int_tbl.create 256;
+    values = Hashtbl.create 64;
+    foldable = true;
+    removed = Array.make n false;
     reduced = 0;
   }
-
-let first_sight t edge =
-  if Hashtbl.mem t.seen edge then false
-  else begin
-    Hashtbl.add t.seen edge ();
-    true
-  end
 
 (* DSOD lifting: keep statements that write device state (directly or by
    DMA), plus the definitions the replay needs (locals, guest loads, host
@@ -89,14 +91,14 @@ let sync_locals_of stmts =
       | _ -> None)
     stmts
 
-let get_node t bref =
-  match Hashtbl.find_opt t.nodes bref with
+let get_node t i =
+  match t.nodes.(i) with
   | Some n -> n
   | None ->
-    let block = Program.find_block t.program bref in
+    let block = Program.block_of_index t.program i in
     let n =
       {
-        bref;
+        bref = Program.bref_of_index t.program i;
         kind = block.Block.kind;
         dsod = lift_dsod block.Block.stmts;
         term = block.Block.term;
@@ -109,113 +111,157 @@ let get_node t bref =
         succs = [];
       }
     in
-    Hashtbl.add t.nodes bref n;
+    t.nodes.(i) <- Some n;
     n
 
-(* Command context during construction (and mirrored by the checker). *)
-type ctx = Ctx_none | Ctx_cmd of cmd_key
+(* The command context of Algorithm 1, holding the current command's
+   access set once the decision block has resolved it. *)
+type ctx = Ctx_none | Ctx_cmd of bool array
 
 let access_set t key =
   match Hashtbl.find_opt t.cmd_table key with
   | Some set -> set
   | None ->
-    let set = Hashtbl.create 16 in
+    let set = Array.make (Program.block_count t.program) false in
     Hashtbl.add t.cmd_table key set;
     set
 
-let record_access t ctx bref =
-  match ctx with
-  | Ctx_none -> Hashtbl.replace t.no_cmd bref ()
-  | Ctx_cmd key -> Hashtbl.replace (access_set t key) bref ()
+let restore_failed fmt = Format.kasprintf (fun s -> raise (Restore_failed s)) fmt
 
-(* Restore one interaction's full block path from its observation entries
-   and fold it into the graph.  Returns the command context after the
-   interaction. *)
-let add_interaction t ctx (i : Ds_log.interaction) =
-  let ctx = ref ctx in
-  let entries = ref i.entries in
-  let pop_entry (bref : Program.bref) =
-    match !entries with
-    | e :: rest when Program.bref_equal e.Interp.Event.block bref ->
-      entries := rest;
-      Some e
-    | _ -> None
-  in
-  let prev : node option ref = ref None in
-  let link (n : node) =
-    (match !prev with
-    | Some p ->
-      if first_sight t (E_succ (p.bref, n.bref)) then
-        p.succs <- p.succs @ [ n.bref ]
-    | None -> ());
-    prev := Some n
-  in
-  (* Walk the source from the handler entry, consuming observation entries
-     at the observation points; gaps are deterministic. *)
-  let rec walk (bref : Program.bref) stack fuel =
-    if fuel <= 0 then ()
+(* One interaction's walk: the entries not yet consumed, the previous
+   block (-1 before the first) and the command context. *)
+type walk = {
+  mutable entries : Interp.Event.observe_entry list;
+  mutable prev : int;
+  mutable ctx : ctx;
+}
+
+let first_value t i v =
+  if Hashtbl.mem t.values (i, v) then false
+  else begin
+    Hashtbl.add t.values (i, v) ();
+    true
+  end
+
+(* Count a visit of block [i] and its edge from the previous block. *)
+let visit t w i =
+  let n = get_node t i in
+  n.visits <- n.visits + 1;
+  (match w.ctx with Ctx_none -> t.no_cmd.(i) <- true | Ctx_cmd set -> set.(i) <- true);
+  (if w.prev >= 0 then
+     let key = (w.prev * Array.length t.nodes) + i in
+     if not (Int_tbl.mem t.edges key) then begin
+       Int_tbl.add t.edges key ();
+       match t.nodes.(w.prev) with
+       | Some p -> p.succs <- p.succs @ [ n.bref ]
+       | None -> ()
+     end);
+  w.prev <- i;
+  n
+
+(* The outcome the log recorded at block [i], which must be its next
+   entry. *)
+let outcome_at w (n : node) i =
+  match w.entries with
+  | e :: rest when e.Interp.Event.index = i ->
+    w.entries <- rest;
+    e.outcome
+  | e :: _ ->
+    restore_failed "%a reached, but the log's next entry is at %a"
+      Program.pp_bref n.bref Program.pp_bref e.block
+  | [] -> restore_failed "%a reached, but the log has ended" Program.pp_bref n.bref
+
+(* A goto or halt block needs no entry, but consumes its own. *)
+let skip_entry w i =
+  match w.entries with
+  | e :: rest when e.Interp.Event.index = i -> w.entries <- rest
+  | _ -> ()
+
+let mismatch (n : node) outcome =
+  restore_failed "%a: the log says %a" Program.pp_bref n.bref
+    Interp.Event.pp_obs_outcome outcome
+
+(* The successor slot [k] of a switch's label, counting from the first
+   case; the default's slot follows the last case. *)
+let rec switch_slot (n : node) default dest k = function
+  | (_, label) :: rest ->
+    if String.equal label dest then k else switch_slot n default dest (k + 1) rest
+  | [] ->
+    if String.equal default dest then k
     else
-      let n = get_node t bref in
-      n.visits <- n.visits + 1;
-      record_access t !ctx bref;
-      link n;
-      let sibling label : Program.bref = { handler = bref.handler; label } in
-      let entry = pop_entry bref in
-      match n.term with
-      | Term.Goto l ->
-        if n.kind = Block.Cmd_end then ctx := Ctx_none;
-        walk (sibling l) stack (fuel - 1)
-      | Term.Halt -> (
-        if n.kind = Block.Cmd_end then ctx := Ctx_none;
-        match stack with
-        | cont :: rest -> walk cont rest (fuel - 1)
-        | [] -> ())
-      | Term.Branch (_, if_taken, if_not) -> (
-        match entry with
-        | Some { Interp.Event.outcome = Interp.Event.O_taken; _ } ->
-          n.taken <- n.taken + 1;
-          if n.kind = Block.Cmd_end then ctx := Ctx_none;
-          walk (sibling if_taken) stack (fuel - 1)
-        | Some { Interp.Event.outcome = Interp.Event.O_not_taken; _ } ->
-          n.not_taken <- n.not_taken + 1;
-          if n.kind = Block.Cmd_end then ctx := Ctx_none;
-          walk (sibling if_not) stack (fuel - 1)
-        | _ -> (* truncated log (trapped interaction): stop the path *) ())
-      | Term.Switch (_, _, _) -> (
-        match entry with
-        | Some { Interp.Event.outcome = Interp.Event.O_case (v, dest); _ } ->
-          if first_sight t (E_case (bref, v, dest)) then
-            n.cases <- n.cases @ [ (v, dest) ];
-          if n.kind = Block.Cmd_decision then ctx := Ctx_cmd (bref, v);
-          if n.kind = Block.Cmd_end then ctx := Ctx_none;
-          walk (sibling dest) stack (fuel - 1)
-        | _ -> ())
-      | Term.Icall (_, next) -> (
-        match entry with
-        | Some { Interp.Event.outcome = Interp.Event.O_icall v; _ } -> (
-          if first_sight t (E_itarget (bref, v)) then
-            n.itargets <- n.itargets @ [ v ];
-          if n.kind = Block.Cmd_end then ctx := Ctx_none;
-          let continue_at = sibling next in
-          match Program.find_callback t.program v with
-          | Some { Program.action = Program.Run_handler callee; _ } ->
-            let callee_entry : Program.bref =
-              match (Program.find_handler t.program callee).blocks with
-              | b :: _ -> { handler = callee; label = b.Block.label }
-              | [] -> continue_at
-            in
-            walk callee_entry (continue_at :: stack) (fuel - 1)
-          | Some _ -> walk continue_at stack (fuel - 1)
-          | None -> ())
-        | _ -> ())
-  in
-  let entry_bref : Program.bref =
-    match (Program.find_handler t.program i.handler).blocks with
-    | b :: _ -> { handler = i.handler; label = b.Block.label }
-    | [] -> invalid_arg "Es_cfg.add_interaction: empty handler"
-  in
-  walk entry_bref [] 1_000_000;
-  !ctx
+      restore_failed "%a: the log's case label %s is not the switch's" Program.pp_bref
+        n.bref dest
+
+let end_command w (n : node) = if n.kind = Block.Cmd_end then w.ctx <- Ctx_none
+
+(* Walk the source by block index from the handler entry, consuming
+   observation entries at the observation points; the gaps between them
+   are deterministic.  [stack] holds the indirect-call blocks of chained
+   handlers, whose continuations are resolved on return. *)
+let rec walk t w i stack fuel =
+  if fuel = 0 then
+    restore_failed "%a: the walk ran out of fuel" Program.pp_bref
+      (Program.bref_of_index t.program i);
+  let n = visit t w i in
+  match n.term with
+  | Term.Goto _ ->
+    skip_entry w i;
+    end_command w n;
+    walk t w (Program.succ_index t.program i 0) stack (fuel - 1)
+  | Term.Halt -> (
+    skip_entry w i;
+    end_command w n;
+    match stack with
+    | call :: rest -> walk t w (Program.succ_index t.program call 0) rest (fuel - 1)
+    | [] -> ())
+  | Term.Branch _ -> (
+    match outcome_at w n i with
+    | Interp.Event.O_taken ->
+      n.taken <- n.taken + 1;
+      end_command w n;
+      walk t w (Program.succ_index t.program i 0) stack (fuel - 1)
+    | Interp.Event.O_not_taken ->
+      n.not_taken <- n.not_taken + 1;
+      end_command w n;
+      walk t w (Program.succ_index t.program i 1) stack (fuel - 1)
+    | o -> mismatch n o)
+  | Term.Switch (_, cases, default) -> (
+    match outcome_at w n i with
+    | Interp.Event.O_case (v, dest) ->
+      let k = switch_slot n default dest 0 cases in
+      if first_value t i v then n.cases <- n.cases @ [ (v, dest) ];
+      if n.kind = Block.Cmd_decision then w.ctx <- Ctx_cmd (access_set t (n.bref, v));
+      end_command w n;
+      walk t w (Program.succ_index t.program i k) stack (fuel - 1)
+    | o -> mismatch n o)
+  | Term.Icall _ -> (
+    match outcome_at w n i with
+    | Interp.Event.O_icall v -> (
+      if first_value t i v then n.itargets <- n.itargets @ [ v ];
+      end_command w n;
+      match Program.find_callback t.program v with
+      | Some { Program.action = Program.Run_handler callee; _ } ->
+        let entry = Program.entry_index t.program callee in
+        if entry < 0 then
+          restore_failed "%a: chained handler %s is empty" Program.pp_bref n.bref callee;
+        walk t w entry (i :: stack) (fuel - 1)
+      | Some _ -> walk t w (Program.succ_index t.program i 0) stack (fuel - 1)
+      | None -> (* a wild jump: the interaction trapped here *) ())
+    | o -> mismatch n o)
+
+let add_interaction t ctx (i : Ds_log.interaction) =
+  if not t.foldable then
+    invalid_arg "Es_cfg.add_interaction: the spec was reduced or imported";
+  let entry = Program.entry_index t.program i.handler in
+  if entry < 0 then invalid_arg "Es_cfg.add_interaction: empty handler";
+  let w = { entries = i.entries; prev = -1; ctx } in
+  walk t w entry [] 1_000_000;
+  (match w.entries with
+  | e :: _ ->
+    restore_failed "%s: the walk ended before the log's entry at %a" i.handler
+      Program.pp_bref e.block
+  | [] -> ());
+  w.ctx
 
 let case_start = Ctx_none
 
@@ -244,32 +290,30 @@ let provenance_of_string s =
       | _ -> None)
     | _ -> None)
 
-let node t bref = Hashtbl.find_opt t.nodes bref
+let index_of t bref =
+  match Program.index_of t.program bref with i -> i | exception Not_found -> -1
 
-let nodes t =
-  let all = Hashtbl.fold (fun _ n acc -> n :: acc) t.nodes [] in
-  List.sort
-    (fun a b ->
-      Int64.compare
-        (Program.address_of t.program a.bref)
-        (Program.address_of t.program b.bref))
-    all
+let node t bref = match index_of t bref with -1 -> None | i -> t.nodes.(i)
 
-let node_count t = Hashtbl.length t.nodes
+(* In the block index's order, which is address order. *)
+let nodes t = List.filter_map Fun.id (Array.to_list t.nodes)
 
-let entry_of t handler : Program.bref =
-  match (Program.find_handler t.program handler).blocks with
-  | b :: _ -> { handler; label = b.Block.label }
-  | [] -> invalid_arg "Es_cfg.entry_of: empty handler"
+let node_count t =
+  Array.fold_left (fun acc n -> if Option.is_some n then acc + 1 else acc) 0 t.nodes
+
+let entry_of t handler =
+  match Program.entry_index t.program handler with
+  | -1 -> invalid_arg "Es_cfg.entry_of: empty handler"
+  | i -> Program.bref_of_index t.program i
 
 let cmd_known t key = Hashtbl.mem t.cmd_table key
 
 let cmd_allows t key bref =
   match Hashtbl.find_opt t.cmd_table key with
-  | Some set -> Hashtbl.mem set bref
+  | Some set -> ( match index_of t bref with -1 -> false | i -> set.(i))
   | None -> false
 
-let no_cmd_allows t bref = Hashtbl.mem t.no_cmd bref
+let no_cmd_allows t bref = match index_of t bref with -1 -> false | i -> t.no_cmd.(i)
 
 let cmd_key_compare ((a, va) : cmd_key) ((b, vb) : cmd_key) =
   match Program.bref_compare a b with 0 -> Int64.compare va vb | n -> n
@@ -285,15 +329,18 @@ let commands t =
 let sync_points t =
   List.sort
     (fun (a, _) (b, _) -> Program.bref_compare a b)
-    (Hashtbl.fold
-       (fun bref n acc ->
-         if n.sync_locals <> [] then (bref, n.sync_locals) :: acc else acc)
-       t.nodes [])
+    (List.filter_map
+       (fun n -> if n.sync_locals <> [] then Some (n.bref, n.sync_locals) else None)
+       (nodes t))
 
 let access_entries t =
   let sorted_members set =
-    List.sort Program.bref_compare
-      (Hashtbl.fold (fun b () acc -> b :: acc) set [])
+    let members = ref [] in
+    Array.iteri
+      (fun i allowed ->
+        if allowed then members := Program.bref_of_index t.program i :: !members)
+      set;
+    List.sort Program.bref_compare !members
   in
   List.map (fun b -> (None, b)) (sorted_members t.no_cmd)
   @ List.concat_map
@@ -307,73 +354,57 @@ let access_entries t =
    DSOD, unconditional transfer) until a present node; [None] when the
    chain halts, leaves defined ground or cycles. *)
 let chase_to_node t (start : Program.bref) =
-  let rec go (bref : Program.bref) fuel =
-    if Hashtbl.mem t.nodes bref then Some bref
+  let rec go i fuel =
+    if Option.is_some t.nodes.(i) then Some (Program.bref_of_index t.program i)
     else if fuel = 0 then None
     else
-      match Program.find_block t.program bref with
-      | exception Not_found -> None
-      | block -> (
-        if lift_dsod block.Block.stmts <> [] then None
-        else
-          match block.Block.term with
-          | Term.Goto l -> go { Program.handler = bref.handler; label = l } (fuel - 1)
-          | _ -> None)
+      let block = Program.block_of_index t.program i in
+      if lift_dsod block.Block.stmts <> [] then None
+      else
+        match block.Block.term with
+        | Term.Goto _ -> (
+          match Program.succ_index t.program i 0 with
+          | j -> go j (fuel - 1)
+          | exception Not_found -> None)
+        | _ -> None
   in
-  go start 1024
+  match index_of t start with -1 -> None | i -> go i 1024
 
 let reduce t =
-  let removable =
-    Hashtbl.fold
-      (fun bref n acc ->
-        match (n.kind, n.dsod, n.term) with
-        | Block.Normal, [], Term.Goto _ -> bref :: acc
-        | _ -> acc)
-      t.nodes []
-  in
-  List.iter (Hashtbl.remove t.nodes) removable;
-  (* Drop membership entries sourced at removed nodes so a later fold
-     that recreates one starts from its (empty) lists consistently. *)
-  if removable <> [] then begin
-    let gone = Hashtbl.create 16 in
-    List.iter (fun b -> Hashtbl.replace gone b ()) removable;
-    Hashtbl.filter_map_inplace
-      (fun edge () ->
-        let src =
-          match edge with
-          | E_succ (src, _) | E_case (src, _, _) | E_itarget (src, _) -> src
-        in
-        if Hashtbl.mem gone src then None else Some ())
-      t.seen;
-    (* Rewrite surviving nodes' successor edges through the removed
-       blocks: an NBTD edge into a reduced-away block would otherwise
-       dangle.  The chase mirrors the walker's pass-through rule. *)
-    Hashtbl.iter
-      (fun _ n ->
-        let rewritten =
-          List.filter_map
-            (fun s ->
-              if Hashtbl.mem t.nodes s then Some s else chase_to_node t s)
-            n.succs
-        in
-        let dedup =
-          List.rev
-            (List.fold_left
-               (fun acc s -> if List.mem s acc then acc else s :: acc)
-               [] rewritten)
-        in
-        List.iter
-          (fun s -> Hashtbl.replace t.seen (E_succ (n.bref, s)) ())
-          dedup;
-        n.succs <- dedup)
-      t.nodes
-  end;
-  (* Count each bref at most once across repeated reductions. *)
-  let fresh =
-    List.filter (fun b -> not (Hashtbl.mem t.removed b)) removable
-  in
-  List.iter (fun b -> Hashtbl.replace t.removed b ()) fresh;
-  t.reduced <- t.reduced + List.length fresh;
+  t.foldable <- false;
+  let removable = ref [] in
+  Array.iteri
+    (fun i n ->
+      match n with
+      | Some { kind = Block.Normal; dsod = []; term = Term.Goto _; _ } ->
+        removable := i :: !removable
+      | _ -> ())
+    t.nodes;
+  let removable = !removable in
+  List.iter (fun i -> t.nodes.(i) <- None) removable;
+  (* Rewrite surviving nodes' successor edges through the removed blocks:
+     an NBTD edge into a reduced-away block would otherwise dangle.  The
+     chase mirrors the walker's pass-through rule. *)
+  if removable <> [] then
+    Array.iter
+      (function
+        | None -> ()
+        | Some n ->
+          let rewritten = List.filter_map (chase_to_node t) n.succs in
+          n.succs <-
+            List.rev
+              (List.fold_left
+                 (fun acc s -> if List.mem s acc then acc else s :: acc)
+                 [] rewritten))
+      t.nodes;
+  (* Count each block at most once across repeated reductions. *)
+  List.iter
+    (fun i ->
+      if not t.removed.(i) then begin
+        t.removed.(i) <- true;
+        t.reduced <- t.reduced + 1
+      end)
+    removable;
   List.length removable
 
 let validate t =
@@ -381,24 +412,17 @@ let validate t =
     ~nodes:
       (List.map
          (fun n -> (n.bref, n.succs))
-         (List.sort
-            (fun a b -> Program.bref_compare a.bref b.bref)
-            (Hashtbl.fold (fun _ n acc -> n :: acc) t.nodes [])))
+         (List.sort (fun a b -> Program.bref_compare a.bref b.bref) (nodes t)))
     ~pass_through:(fun (b : Block.t) -> lift_dsod b.Block.stmts = [])
 
 let pp_stats ppf t =
-  let conds =
-    Hashtbl.fold
-      (fun _ n acc -> match n.term with Term.Branch _ -> acc + 1 | _ -> acc)
-      t.nodes 0
-  in
+  let count p = List.length (List.filter p (nodes t)) in
+  let conds = count (fun n -> match n.term with Term.Branch _ -> true | _ -> false) in
   let one_sided =
-    Hashtbl.fold
-      (fun _ n acc ->
+    count (fun n ->
         match n.term with
-        | Term.Branch _ when (n.taken = 0) <> (n.not_taken = 0) -> acc + 1
-        | _ -> acc)
-      t.nodes 0
+        | Term.Branch _ -> (n.taken = 0) <> (n.not_taken = 0)
+        | _ -> false)
   in
   Format.fprintf ppf
     "es-cfg %s: %d nodes (%d reduced away), %d conditionals (%d one-sided), %d commands, %d sync points"
@@ -407,22 +431,19 @@ let pp_stats ppf t =
     (List.length (sync_points t))
 
 let import_node t bref ~visits ~taken ~not_taken ~cases ~itargets ~succs =
-  let n = get_node t bref in
+  t.foldable <- false;
+  let n = get_node t (Program.index_of t.program bref) in
   n.visits <- visits;
   n.taken <- taken;
   n.not_taken <- not_taken;
   n.cases <- cases;
   n.itargets <- itargets;
-  n.succs <- succs;
-  (* Seed the membership table so further training on an imported spec
-     does not duplicate edges. *)
-  List.iter (fun (v, d) -> Hashtbl.replace t.seen (E_case (bref, v, d)) ()) cases;
-  List.iter (fun v -> Hashtbl.replace t.seen (E_itarget (bref, v)) ()) itargets;
-  List.iter (fun s -> Hashtbl.replace t.seen (E_succ (bref, s)) ()) succs
+  n.succs <- succs
 
 let reduced_count t = t.reduced
 
 let import_access t ~cmd bref =
+  let i = Program.index_of t.program bref in
   match cmd with
-  | None -> Hashtbl.replace t.no_cmd bref ()
-  | Some key -> Hashtbl.replace (access_set t key) bref ()
+  | None -> t.no_cmd.(i) <- true
+  | Some key -> (access_set t key).(i) <- true

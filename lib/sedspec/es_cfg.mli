@@ -20,7 +20,10 @@
     for every decoded command, the set of blocks reachable while that
     command is current.  Command context persists across I/O interactions
     until a command end block, as device commands span many port
-    accesses. *)
+    accesses.  The restoration walks the program's block index
+    ({!Devir.Program.index_of}): nodes and access sets are arrays over it,
+    and it fails closed ({!Restore_failed}) on a log that contradicts the
+    program. *)
 
 type node = {
   bref : Devir.Program.bref;
@@ -57,11 +60,23 @@ type ctx
 val case_start : ctx
 (** The context at the start of a test case: no command in progress. *)
 
+exception Restore_failed of string
+(** An interaction's log does not restore to a path through the program:
+    an entry does not match the block the walk reached (a missing entry,
+    one of another block, an outcome of the wrong kind, or a case label
+    that is not the switch's), the walk ran past 1,000,000 blocks, or
+    entries were left over when it ended. *)
+
 val add_interaction : t -> ctx -> Ds_log.interaction -> ctx
 (** Fold one benign interaction into the specification, starting from
     the context the previous interaction of its test case left (or
     {!case_start}), and return the context it leaves.  Interactions must
-    be added in training order. *)
+    be added in training order.  The only early end is an indirect call
+    through a value no callback claims (a wild jump, where the
+    interaction trapped); any other log that does not restore raises
+    {!Restore_failed}, and a spec that folds one must be discarded.
+    Raises [Invalid_argument] on a spec that {!reduce} or {!import_node}
+    has touched: training folds into a fresh spec ({!create}) only. *)
 
 val program : t -> Devir.Program.t
 val selection : t -> Selection.t
@@ -119,7 +134,8 @@ val reduce : t -> int
     through the removed blocks (chasing the walker's pass-through rule),
     so no dangling successors remain.  Returns the number of nodes
     removed by this call; the {!reduced} statistic counts each distinct
-    bref once, making repeated reduction idempotent. *)
+    bref once, making repeated reduction idempotent.  The spec no longer
+    accepts {!add_interaction}. *)
 
 val reduced_count : t -> int
 (** Nodes reduced away so far (distinct brefs). *)
@@ -150,8 +166,10 @@ val import_node :
   succs:Devir.Program.bref list ->
   unit
 (** Recreate a node from persisted training statistics; DSOD/NBTD come
-    from the program source.  Used by {!Persist}. *)
+    from the program source.  Used by {!Persist}.  Raises [Not_found] for
+    a block the program lacks.  The spec no longer accepts
+    {!add_interaction}. *)
 
 val import_access : t -> cmd:cmd_key option -> Devir.Program.bref -> unit
 (** Mark a block accessible under a command ([None] = the no-command
-    set). *)
+    set).  Raises [Not_found] for a block the program lacks. *)

@@ -38,9 +38,7 @@ let collect machine ~device trainer =
   let itc = Iptrace.Itc_cfg.create program in
   let encoder =
     Iptrace.Encoder.create (Iptrace.Filter.for_program program)
-      ~on_window:(fun window ->
-        List.iter (Iptrace.Itc_cfg.add_trace itc)
-          (Iptrace.Decoder.decode program window))
+      ~on_window:(Iptrace.Itc_cfg.add_window itc)
   in
   Interp.with_hooks interp
     { Interp.silent_hooks with Interp.on_trace = Iptrace.Encoder.feed encoder }
@@ -64,10 +62,9 @@ let collect machine ~device trainer =
 
 (* The paper's trainer feeds the same samples again with the observation
    points instrumented.  Each interaction goes into the ES-CFG the moment
-   it closes and is dropped there, so its entries die young: the logs
-   outweigh the spec by four orders of magnitude, and nothing downstream
-   reads them.  The command context carries across the interactions of a
-   case and resets at each case boundary. *)
+   it closes and is dropped there, so its entries die young.  The command
+   context carries across the interactions of a case and resets at each
+   case boundary. *)
 let construct ?(reduce = true) machine ~device p1 trainer =
   reset_device machine ~device;
   let program = Interp.program (Vmm.Machine.interp_of machine device) in
@@ -75,7 +72,7 @@ let construct ?(reduce = true) machine ~device p1 trainer =
   let ctx = ref Es_cfg.case_start and interactions = ref 0 in
   let collector =
     Ds_log.Collector.attach machine ~device ~points:p1.observation_points
-      ~state_params:p1.selection.Selection.scalars ~on_interaction:(fun i ->
+      ~on_interaction:(fun i ->
         incr interactions;
         ctx := Es_cfg.add_interaction spec !ctx i)
   in

@@ -12,6 +12,11 @@
     then apply control-flow reduction and analyze data dependencies.  The
     logs are not kept: a build holds only what enforcement reads.
 
+    Both phases walk the program's block index
+    ({!Devir.Program.index_of}): the decoder and Algorithm 1 resolve
+    every block and successor by index, and an observation copies no
+    device state.
+
     Phase 3 (runtime protection): attach an ES-Checker built from the
     specification in front of the device. *)
 
@@ -50,7 +55,9 @@ val collect : Vmm.Machine.t -> device:string -> trainer -> phase1
 
 val construct :
   ?reduce:bool -> Vmm.Machine.t -> device:string -> phase1 -> trainer -> built
-(** Phase 2 ([reduce] defaults to [true]). *)
+(** Phase 2 ([reduce] defaults to [true]).  Raises
+    {!Es_cfg.Restore_failed} as soon as an interaction closes whose log
+    does not restore to a path through the program. *)
 
 val build : ?reduce:bool -> Vmm.Machine.t -> device:string -> trainer -> built
 (** Phases 1 + 2. *)

@@ -583,21 +583,24 @@ let test_interp_observation () =
   in
   let arena = Arena.create tiny_layout in
   let entries = ref [] in
+  (* An entry carries no device state: a hook that wants some reads the
+     arena as the entry arrives. *)
   let hooks =
-    { Interp.silent_hooks with Interp.on_observe = (fun e -> entries := e :: !entries) }
+    {
+      Interp.silent_hooks with
+      Interp.on_observe = (fun e -> entries := (e, Arena.get arena "x") :: !entries);
+    }
   in
   let interp = Interp.create ~program:p ~arena ~guest:Interp.null_guest () in
   let (_ : unit -> unit) = Interp.add_hooks interp hooks in
-  Interp.set_observation interp
-    ~points:[ { Program.handler = "h"; label = "e" } ]
-    ~state_params:[ "x" ];
+  Interp.set_observation interp ~points:[ { Program.handler = "h"; label = "e" } ];
   ignore (Interp.run interp ~handler:"h" ~params:[ ("v", 1L) ]);
   match !entries with
-  | [ e ] ->
+  | [ (e, x) ] ->
     Alcotest.(check bool) "taken outcome" true
       (e.Interp.Event.outcome = Interp.Event.O_taken);
-    Alcotest.(check (list (pair string int64))) "state" [ ("x", 0L) ]
-      e.Interp.Event.state
+    Alcotest.(check int) "block index" 0 e.Interp.Event.index;
+    Alcotest.(check int64) "state" 0L x
   | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l)
 
 let test_guest_memory_dma () =
@@ -807,8 +810,7 @@ let test_late_installation () =
   Alcotest.(check (list string)) "both removed" [] (run ());
   let remove_hooks = Interp.add_hooks interp every_hook in
   Interp.set_observation interp
-    ~points:[ { Program.handler = "h"; label = "e" }; { Program.handler = "h"; label = "nowhere" } ]
-    ~state_params:[ "x" ];
+    ~points:[ { Program.handler = "h"; label = "e" }; { Program.handler = "h"; label = "nowhere" } ];
   let sync_note tag b values =
     note
       (Printf.sprintf "%s %s %s" tag (Program.bref_to_string b)
@@ -822,7 +824,7 @@ let test_late_installation () =
   let observed_run sync =
     [ "trace PGE 400000"; "block h/e" ] @ sync
     @ [
-        "trace TIP 100"; "observe h/e [entry] icall 100 {x=42}"; "irq true";
+        "trace TIP 100"; "observe h/e icall 100"; "irq true";
         "response irq raise"; "block h/out"; "trace PGD";
       ]
   in
@@ -977,6 +979,7 @@ let pin_instrument p m ~device =
   let interp = Vmm.Machine.interp_of m device in
   let program = Interp.program interp in
   let arena = Interp.arena interp in
+  let scalars = ref [] in
   let (_ : unit -> unit) =
     Interp.add_hooks interp
       {
@@ -994,18 +997,22 @@ let pin_instrument p m ~device =
             pin_str p (Block.kind_to_string kind));
         on_observe =
           (fun e ->
-            let b = Program.find_block program e.Interp.Event.block in
-            if not (e.Interp.Event.stmts = b.Block.stmts && e.Interp.Event.term = b.Block.term)
-            then Alcotest.failf "observe entry at %s carries foreign code"
-                (Program.bref_to_string e.Interp.Event.block);
+            (* The entry names its block; kind, state and the decoded
+               command are read here, in the order the digests fold them. *)
+            if not (Program.bref_equal (Program.bref_of_index program e.Interp.Event.index)
+                      e.Interp.Event.block)
+            then Alcotest.failf "observe entry at %s has index %d"
+                (Program.bref_to_string e.Interp.Event.block) e.Interp.Event.index;
             pin_event p 'O';
             pin_bref p e.Interp.Event.block;
-            pin_str p (Block.kind_to_string e.Interp.Event.kind);
-            List.iter (fun (n, v) -> pin_str p n; pin_i64 p v) e.Interp.Event.state;
+            pin_str p
+              (Block.kind_to_string
+                 (Program.block_of_index program e.Interp.Event.index).Block.kind);
+            List.iter (fun n -> pin_str p n; pin_i64 p (Arena.get arena n)) !scalars;
             pin_outcome p e.Interp.Event.outcome;
-            (match e.Interp.Event.cmd with
-            | Some v -> pin_bool p true; pin_i64 p v
-            | None -> pin_bool p false));
+            (match e.Interp.Event.outcome with
+            | Interp.Event.O_case (v, _) -> pin_bool p true; pin_i64 p v
+            | _ -> pin_bool p false));
         on_oob =
           (fun e ->
             pin_event p 'X';
@@ -1027,15 +1034,12 @@ let pin_instrument p m ~device =
             pin_response p r);
       }
   in
-  let scalars =
+  scalars :=
     List.filter_map
       (fun (f : Layout.field) ->
         match f.kind with Layout.Buf _ -> None | _ -> Some f.name)
-      (Layout.fields (Program.layout program))
-  in
-  Interp.set_observation interp
-    ~points:(Sedspec.Ds_log.observation_points program)
-    ~state_params:scalars;
+      (Layout.fields (Program.layout program));
+  Interp.set_observation interp ~points:(Sedspec.Ds_log.observation_points program);
   let host_blocks = ref [] in
   Program.iter_blocks program (fun bref b ->
       if List.exists (function Stmt.Host_value _ -> true | _ -> false) b.Block.stmts

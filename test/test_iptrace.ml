@@ -262,9 +262,8 @@ let test_itc_cfg_counts () =
   let m = W.make_machine W.paper_version in
   let program = Interp.program (Vmm.Machine.interp_of m "fdc") in
   let windows, _ = training_windows m ~device:"fdc" (W.trainer ~cases:4) in
-  let traces = Iptrace.Decoder.decode program (List.concat windows) in
   let itc = Iptrace.Itc_cfg.create program in
-  List.iter (Iptrace.Itc_cfg.add_trace itc) traces;
+  Iptrace.Itc_cfg.add_window itc (List.concat windows);
   Alcotest.(check bool) "blocks observed" true (Iptrace.Itc_cfg.block_count itc > 20);
   Alcotest.(check bool) "edges observed" true (Iptrace.Itc_cfg.edge_count itc > 20);
   Alcotest.(check bool) "conditionals found" true
@@ -314,8 +313,7 @@ let test_collect_matches_whole_stream () =
       let program = Interp.program (Vmm.Machine.interp_of m W.device_name) in
       let windows, bytes = training_windows m ~device:W.device_name trainer in
       let itc = Iptrace.Itc_cfg.create program in
-      List.iter (Iptrace.Itc_cfg.add_trace itc)
-        (Iptrace.Decoder.decode program (List.concat windows));
+      Iptrace.Itc_cfg.add_window itc (List.concat windows);
       let streamed = List.map node_view (Iptrace.Itc_cfg.nodes p1.itc)
       and whole = List.map node_view (Iptrace.Itc_cfg.nodes itc) in
       Alcotest.(check int) (W.device_name ^ " nodes") (List.length whole)
@@ -335,19 +333,38 @@ let test_collect_matches_whole_stream () =
     Workload.Samples.all
 
 (* The stream is not held: fdc's 24 training cases encode 5.4 MB of
-   packets, and holding them put about 20 M words on the major heap. *)
+   packets, and holding them put about 20 M words on the major heap.  Both
+   phases walk the block index and phase 2 copies no device state, so
+   each allocates at most 300 minor words per interaction; with brefs
+   hashed at every block and the state copied at every observation point
+   they allocated 391 and 1,521.  The counts repeat exactly. *)
 let test_collect_major_budget () =
   let module W = (val Workload.Samples.find "fdc") in
   let m = W.make_machine ~vmexit_cost:0 W.paper_version in
   let trainer = W.trainer ~cases:24 in
   let before = (Gc.quick_stat ()).Gc.major_words in
+  let minor = Gc.minor_words () in
   let p1 = Sedspec.Pipeline.collect m ~device:"fdc" trainer in
+  let collect_words = Gc.minor_words () -. minor in
   let words = (Gc.quick_stat ()).Gc.major_words -. before in
   Alcotest.(check int) "trace bytes" 5_387_568 p1.trace_bytes;
   Alcotest.(check bool)
     (Printf.sprintf "%.0f major words <= 1,000,000" words)
     true
-    (words <= 1_000_000.)
+    (words <= 1_000_000.);
+  let minor = Gc.minor_words () in
+  let built = Sedspec.Pipeline.construct m ~device:"fdc" p1 trainer in
+  let construct_words = Gc.minor_words () -. minor in
+  Alcotest.(check int) "interactions" 153_552 built.interactions;
+  let per_interaction words = words /. float_of_int built.interactions in
+  List.iter
+    (fun (phase, words) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f minor words per interaction <= 300" phase
+           (per_interaction words))
+        true
+        (per_interaction words <= 300.))
+    [ ("collect", collect_words); ("construct", construct_words) ]
 
 (* [tiny] on a machine of its own, driven by injection. *)
 let tiny_machine () =

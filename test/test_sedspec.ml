@@ -139,7 +139,6 @@ let test_log_collection_counts () =
   let collector =
     Sedspec.Ds_log.Collector.attach m ~device:"fdc"
       ~points:p1.observation_points
-      ~state_params:p1.selection.Sedspec.Selection.scalars
       ~on_interaction:(fun (i : Sedspec.Ds_log.interaction) ->
         incr interactions;
         entries := !entries + List.length i.entries)
@@ -186,7 +185,6 @@ let test_collector_keeps_checker () =
   let collector =
     Sedspec.Ds_log.Collector.attach m ~device:"fdc"
       ~points:(Sedspec.Ds_log.observation_points program)
-      ~state_params:[]
       ~on_interaction:(fun _ -> incr seen)
   in
   attack.setup m;
@@ -454,6 +452,104 @@ let test_escfg_reduce_idempotent () =
     (List.map
        (fun (e : Validate.error) -> e.message)
        (Sedspec.Es_cfg.validate spec))
+
+(* Algorithm 1 restores each interaction's path from its log and fails
+   closed on a log that contradicts the program.  The one early end it
+   accepts is a wild jump, where the interaction trapped. *)
+let restore_layout =
+  Layout.make [ Layout.reg "x" Width.W32; Layout.fn_ptr ~init:0x100L "cb" ]
+
+let restore_program =
+  Dsl.(
+    Program.make ~name:"restore" ~layout:restore_layout
+      ~callbacks:
+        [ (0x100L, { Program.cb_name = "cb"; action = Program.Raise_irq_line }) ]
+      [
+        handler "h" ~params:[ "v" ]
+          [
+            entry "e" [] (br (prm "v" >% c 0) "a" "b");
+            blk "a" [ set "x" (c 1) ] (icall (fld "cb") "out");
+            blk "b" [ set "x" (c 2) ] (goto "out");
+            exit_ "out" [];
+          ];
+        handler "s" ~params:[ "v" ]
+          [
+            entry "se" [] (switch (prm "v") [ (1, "one") ] "other");
+            blk "one" [] (goto "sx");
+            blk "other" [] (goto "sx");
+            exit_ "sx" [];
+          ];
+        handler "spin" ~params:[] [ entry "loop" [] (goto "loop") ];
+      ])
+
+let test_escfg_restore_fails_closed () =
+  let p = restore_program in
+  (* What the instrumented device logs for one run. *)
+  let logged ?(cb = 0x100L) handler v =
+    let arena = Arena.create restore_layout in
+    Arena.set arena "cb" cb;
+    let interp = Interp.create ~program:p ~arena ~guest:Interp.null_guest () in
+    let entries = ref [] in
+    let (_ : unit -> unit) =
+      Interp.add_hooks interp
+        { Interp.silent_hooks with Interp.on_observe = (fun e -> entries := e :: !entries) }
+    in
+    Interp.set_observation interp ~points:(Sedspec.Ds_log.observation_points p);
+    ignore (Interp.run interp ~handler ~params:[ ("v", v) ] : Interp.Event.outcome);
+    List.rev !entries
+  in
+  let fold ?(handler = "h") entries =
+    let spec = Sedspec.Es_cfg.create ~program:p ~selection:empty_selection in
+    ignore
+      (Sedspec.Es_cfg.add_interaction spec Sedspec.Es_cfg.case_start
+         { Sedspec.Ds_log.handler; params = []; entries }
+        : Sedspec.Es_cfg.ctx);
+    spec
+  in
+  let fails ?handler what entries =
+    match fold ?handler entries with
+    | _ -> Alcotest.failf "%s: folded without an error" what
+    | exception Sedspec.Es_cfg.Restore_failed _ -> ()
+  in
+  let at label outcome =
+    let block = { Program.handler = "h"; label } in
+    { Interp.Event.index = Program.index_of p block; block; outcome }
+  in
+  let node spec label = Sedspec.Es_cfg.node spec { Program.handler = "h"; label } in
+  let via_a = logged "h" 1L and via_b = logged "h" 0L in
+  Alcotest.(check int) "a's path logs entry, call and exit" 3 (List.length via_a);
+  let spec = fold via_a in
+  Alcotest.(check bool) "a's path restored" true
+    (node spec "a" <> None && node spec "out" <> None && node spec "b" = None);
+  ignore (fold via_b : Sedspec.Es_cfg.t);
+  fails "a log that contradicts the branch"
+    [ at "e" Interp.Event.O_taken; at "out" Interp.Event.O_halt ];
+  fails "an outcome of the wrong kind" (at "e" (Interp.Event.O_icall 0x100L) :: List.tl via_b);
+  fails "a log that ends early" [ at "e" Interp.Event.O_taken ];
+  fails "entries left over" (via_b @ [ at "out" Interp.Event.O_halt ]);
+  (match logged "s" 1L with
+  | [ ({ Interp.Event.outcome = Interp.Event.O_case (v, _); _ } as e); exit ] ->
+    ignore (fold ~handler:"s" [ e; exit ] : Sedspec.Es_cfg.t);
+    fails ~handler:"s" "a case label that is not the switch's"
+      [ { e with Interp.Event.outcome = Interp.Event.O_case (v, "sx") }; exit ]
+  | l -> Alcotest.failf "the switch logged %d entries" (List.length l));
+  fails ~handler:"spin" "a walk that never ends" [];
+  (* A wild jump ends the path where the interaction trapped. *)
+  let wild = logged ~cb:0x999L "h" 1L in
+  let spec = fold wild in
+  (match node spec "a" with
+  | Some n -> Alcotest.(check (list int64)) "wild target recorded" [ 0x999L ] n.itargets
+  | None -> Alcotest.fail "a missing");
+  Alcotest.(check bool) "no exit after the wild jump" true (node spec "out" = None);
+  let spec = fold via_a in
+  ignore (Sedspec.Es_cfg.reduce spec : int);
+  Alcotest.check_raises "a reduced spec folds nothing"
+    (Invalid_argument "Es_cfg.add_interaction: the spec was reduced or imported")
+    (fun () ->
+      ignore
+        (Sedspec.Es_cfg.add_interaction spec Sedspec.Es_cfg.case_start
+           { Sedspec.Ds_log.handler = "h"; params = []; entries = via_b }
+          : Sedspec.Es_cfg.ctx))
 
 (* --- Checker: benign traffic -------------------------------------------- *)
 
@@ -1523,6 +1619,8 @@ let () =
             test_escfg_deterministic_order;
           Alcotest.test_case "reduce is idempotent and leaves no dangling edges"
             `Quick test_escfg_reduce_idempotent;
+          Alcotest.test_case "path restoration fails closed" `Quick
+            test_escfg_restore_fails_closed;
         ] );
       ( "datadep",
         [
