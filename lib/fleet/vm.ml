@@ -33,6 +33,9 @@ let default_options ~device =
 (* Spec-acquisition attempts before the fallback rebuild. *)
 let max_attempts = 3
 
+(* One handler's shadow counts, bumped in place. *)
+type site = { mutable agree : int; mutable stricter : int; mutable looser : int }
+
 (* Shadow scoreboard: the candidate walks every interaction the enforced
    checker walks, but only its verdicts' {e comparison} is recorded — the
    enforced verdict always decides the interaction. *)
@@ -43,7 +46,12 @@ type shadow = {
   mutable s_agree : int;
   mutable s_stricter : int;  (** Candidate stricter than enforced. *)
   mutable s_looser : int;  (** Candidate looser — missed detections. *)
-  s_sites : (string, int * int * int) Hashtbl.t;  (** Keyed by handler. *)
+  s_sites : (string, site) Hashtbl.t;  (** Keyed by handler. *)
+  mutable s_last_handler : string;
+  mutable s_last_site : site;
+      (** The site of the last handler scored: a request whose handler is
+          physically that string (routing hands out one string per
+          binding) skips the table. *)
   mutable s_tick_agree : int;
   mutable s_tick_stricter : int;
   mutable s_tick_looser : int;
@@ -82,6 +90,46 @@ type t = {
   mutable anoms_internal : int;
   mutable stream_rev : string list;
 }
+
+(* A handler no request carries: a fresh string is physically equal to
+   nothing else, so the first score goes through the table. *)
+let no_handler = Bytes.to_string (Bytes.make 1 '\000')
+
+let site_of sh handler =
+  if handler == sh.s_last_handler then sh.s_last_site
+  else begin
+    let site =
+      match Hashtbl.find sh.s_sites handler with
+      | site -> site
+      | exception Not_found ->
+        let site = { agree = 0; stricter = 0; looser = 0 } in
+        Hashtbl.add sh.s_sites handler site;
+        site
+    in
+    sh.s_last_handler <- handler;
+    sh.s_last_site <- site;
+    site
+  end
+
+(* Score one seam's verdict pair; allocates nothing. *)
+let score sh (req : Vmm.Machine.request) cand_v enf_v =
+  let site = site_of sh req.Vmm.Machine.handler in
+  let d = Vmm.Machine.strength cand_v - Vmm.Machine.strength enf_v in
+  if d = 0 then begin
+    sh.s_agree <- sh.s_agree + 1;
+    sh.s_tick_agree <- sh.s_tick_agree + 1;
+    site.agree <- site.agree + 1
+  end
+  else if d > 0 then begin
+    sh.s_stricter <- sh.s_stricter + 1;
+    sh.s_tick_stricter <- sh.s_tick_stricter + 1;
+    site.stricter <- site.stricter + 1
+  end
+  else begin
+    sh.s_looser <- sh.s_looser + 1;
+    sh.s_tick_looser <- sh.s_tick_looser + 1;
+    site.looser <- site.looser + 1
+  end
 
 (* Spec acquisition: retry the fallible source under seeded backoff, then
    fall back to a fresh (cache-bypassing) pipeline rebuild.  The serving
@@ -185,6 +233,8 @@ let create ~index ~seed opts =
             s_stricter = 0;
             s_looser = 0;
             s_sites = Hashtbl.create 8;
+            s_last_handler = no_handler;
+            s_last_site = { agree = 0; stricter = 0; looser = 0 };
             s_tick_agree = 0;
             s_tick_stricter = 0;
             s_tick_looser = 0;
@@ -206,42 +256,19 @@ let create ~index ~seed opts =
            score, return the enforced verdict. *)
         let enforced = Checker.interposer checker in
         let sip = Checker.interposer s_checker in
-        let score (req : Vmm.Machine.request) cand_v enf_v =
-          let a, s, l =
-            match
-              compare (Vmm.Machine.strength cand_v) (Vmm.Machine.strength enf_v)
-            with
-            | 0 -> (1, 0, 0)
-            | n when n > 0 -> (0, 1, 0)
-            | _ -> (0, 0, 1)
-          in
-          sh.s_agree <- sh.s_agree + a;
-          sh.s_stricter <- sh.s_stricter + s;
-          sh.s_looser <- sh.s_looser + l;
-          sh.s_tick_agree <- sh.s_tick_agree + a;
-          sh.s_tick_stricter <- sh.s_tick_stricter + s;
-          sh.s_tick_looser <- sh.s_tick_looser + l;
-          let pa, ps, pl =
-            Option.value
-              (Hashtbl.find_opt sh.s_sites req.Vmm.Machine.handler)
-              ~default:(0, 0, 0)
-          in
-          Hashtbl.replace sh.s_sites req.Vmm.Machine.handler
-            (pa + a, ps + s, pl + l)
-        in
         Vmm.Machine.set_interposer machine D.device_name
           {
             Vmm.Machine.before =
               (fun req ->
                 let cand_v = sip.Vmm.Machine.before req in
                 let enf_v = enforced.Vmm.Machine.before req in
-                score req cand_v enf_v;
+                score sh req cand_v enf_v;
                 enf_v);
             after =
               (fun req outcome ->
                 let cand_v = sip.Vmm.Machine.after req outcome in
                 let enf_v = enforced.Vmm.Machine.after req outcome in
-                score req cand_v enf_v;
+                score sh req cand_v enf_v;
                 enf_v);
           };
         Some sh
@@ -535,7 +562,9 @@ let report t =
             sh_tick_looser = List.rev sh.s_looser_rev;
             sh_sites =
               List.sort compare
-                (Hashtbl.fold (fun k v acc -> (k, v) :: acc) sh.s_sites []);
+                (Hashtbl.fold
+                   (fun k s acc -> (k, (s.agree, s.stricter, s.looser)) :: acc)
+                   sh.s_sites []);
           }
       | _ -> None);
     r_arena =

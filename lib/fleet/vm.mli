@@ -63,7 +63,10 @@ type options = {
           steady-state walk cost is bounded by the bench's
           shadow-overhead budget ([rollout.threshold.overhead_max],
           15%): per-VM setup (one extra checker over the already-lowered
-          candidate arena) amortises across ticks. *)
+          candidate arena) amortises across ticks.  Scoring allocates
+          nothing: each handler has one record of mutable counters,
+          found through the content-keyed table, or directly when the
+          request's handler is physically the last one scored. *)
 }
 
 val default_options : device:string -> options
@@ -112,7 +115,9 @@ type shadow_report = {
       (** Per-tick looser counts, oldest first — fed to the rollout's
           {!Governor.Budget} agreement window. *)
   sh_sites : (string * (int * int * int)) list;
-      (** Per-handler (agree, stricter, looser), sorted by handler. *)
+      (** Per-handler (agree, stricter, looser), sorted by handler: one
+          entry per handler name, and the columns sum to [sh_agree],
+          [sh_stricter] and [sh_looser]. *)
 }
 
 type report = {

@@ -115,10 +115,14 @@ type t = {
   mutable inline_warn : anomaly option;
   mutable cov : coverage option;
       (** When set, every walk records ES-CFG node/edge coverage here. *)
-  mutable cov_prev : Program.bref;
-      (** Previous node entered in the current walk (edge recording);
-          only meaningful when [cov_has_prev]. *)
-  mutable cov_has_prev : bool;
+  mutable cov_prev : int;
+      (** Block index of the previous node entered (edge recording); -1
+          before the first node since coverage was set. *)
+  mutable cov_seen : Bytes.t;
+      (** What this checker has put into [cov] since it was set: node bits
+          over the program's block index, then edge bits at
+          [block_count + prev * block_count + index].  Empty until
+          coverage is first set. *)
   (* Result fields for the int-coded walk: [w_ctx] is valid after
      [res_ok], [w_anomaly] after [res_anomaly]. *)
   mutable w_ctx : int;
@@ -172,8 +176,6 @@ let pp_anomaly ppf a =
     | Some b -> Program.bref_to_string b ^ ": "
     | None -> "")
     a.detail
-
-let dummy_bref : Program.bref = { handler = ""; label = "" }
 
 (* Wire a private cursor over [c] (shared or private) into this checker.
    The compiled spec itself is immutable: everything per-VM lives in the
@@ -254,8 +256,8 @@ let create ?(config = default_config) ?compiled ~spec ~device_arena ~guest () =
       inline_halt = None;
       inline_warn = None;
       cov = None;
-      cov_prev = dummy_bref;
-      cov_has_prev = false;
+      cov_prev = -1;
+      cov_seen = Bytes.empty;
       w_ctx = cctx_none;
       w_anomaly = None;
       en_param = List.mem Parameter_check config.strategies;
@@ -314,8 +316,8 @@ let reset t =
   t.inline_halt <- None;
   t.inline_warn <- None;
   t.cov <- None;
-  t.cov_prev <- dummy_bref;
-  t.cov_has_prev <- false;
+  t.cov_prev <- -1;
+  Bytes.fill t.cov_seen 0 (Bytes.length t.cov_seen) '\000';
   t.w_ctx <- cctx_none;
   t.w_anomaly <- None;
   t.fault_hook <- None;
@@ -397,24 +399,44 @@ let coverage_absorb ~into c =
   merge c.cov_edges into.cov_edges;
   !fresh
 
+(* The dense record is allocated on the first coverage a checker gets
+   (fleet-scale VMs that never record coverage do not pay for it) and
+   cleared on every call: its bits stand only for what went into the
+   coverage installed now. *)
 let set_coverage t cov =
   t.cov <- cov;
-  t.cov_prev <- dummy_bref;
-  t.cov_has_prev <- false
+  t.cov_prev <- -1;
+  match cov with
+  | Some _ when Bytes.length t.cov_seen = 0 ->
+    let n = Program.block_count (Es_cfg.program t.spec) in
+    t.cov_seen <- Bytes.make (((n + (n * n)) / 8) + 1) '\000'
+  | _ -> Bytes.fill t.cov_seen 0 (Bytes.length t.cov_seen) '\000'
 
-(* Entering an ES-CFG node during a walk (either engine).  With coverage
-   off (the steady state) this is one immediate match: no allocation. *)
-let cov_enter t bref =
+(* Entering the ES-CFG node at block index [i] during a walk (either
+   engine).  With coverage off (the steady state) this is one immediate
+   match.  With it on, a node or edge this checker already recorded costs
+   a bit probe; only a new one touches the bref-keyed tables.  Coverage
+   only grows, so a set bit stays true of the tables. *)
+let cov_enter t i bref =
   match t.cov with
   | None -> ()
   | Some c ->
-    if not (Hashtbl.mem c.cov_nodes bref) then Hashtbl.replace c.cov_nodes bref ();
-    if t.cov_has_prev then begin
-      let e = (t.cov_prev, bref) in
-      if not (Hashtbl.mem c.cov_edges e) then Hashtbl.replace c.cov_edges e ()
+    let seen = t.cov_seen in
+    if not (Compile.bit seen i) then begin
+      Compile.set_bit seen i;
+      Hashtbl.replace c.cov_nodes bref ()
     end;
-    t.cov_prev <- bref;
-    t.cov_has_prev <- true
+    let p = t.cov_prev in
+    if p >= 0 then begin
+      let program = Es_cfg.program t.spec in
+      let n = Program.block_count program in
+      let e = n + (p * n) + i in
+      if not (Compile.bit seen e) then begin
+        Compile.set_bit seen e;
+        Hashtbl.replace c.cov_edges (Program.bref_of_index program p, bref) ()
+      end
+    end;
+    t.cov_prev <- i
 
 let enabled t = function
   | Parameter_check -> t.en_param
@@ -620,7 +642,8 @@ let walk_interpreted t ~sync ~handler ~params =
           "walk limit exceeded (irregular device operation / possible infinite loop)"
       else raise (Bail "walk limit exceeded");
     let sibling label : Program.bref = { handler = bref.handler; label } in
-    match Es_cfg.node t.spec bref with
+    let i = Es_cfg.index_of t.spec bref in
+    match Es_cfg.node_at t.spec i with
     | None -> (
       (* Blocks with no device-state operations and an unconditional
          transfer are exactly what control-flow reduction removes: pass
@@ -634,7 +657,7 @@ let walk_interpreted t ~sync ~handler ~params =
       | Some P_off | None -> off_graph bref "block never observed in training")
     | Some n -> (
       t.stats.nodes_walked <- t.stats.nodes_walked + 1;
-      cov_enter t bref;
+      cov_enter t i bref;
       check_access bref;
       List.iter (exec_stmt bref) n.dsod;
       let clear_if_cmd_end () = if n.kind = Block.Cmd_end then ctx := cctx_none in
@@ -748,25 +771,30 @@ let untraversed_case (n : Compile.cnode) v =
   anomaly Conditional_jump_check (Some n.Compile.bref)
     (Printf.sprintf "untraversed switch case %Ld" v)
 
+(* A step past [cur.bound] = [min walk_limit deadline]: the watchdog is
+   tested first, so a deadline at or below the walk limit fires; a step
+   past the bound but within the deadline is past the walk limit. *)
+let past_bound t (cur : Compile.cursor) (bref : Program.bref) =
+  if cur.Compile.steps > cur.Compile.deadline then begin
+    t.deadline_overruns <- t.deadline_overruns + 1;
+    raise (Deadline_exceeded cur.Compile.deadline)
+  end;
+  if t.en_cond then
+    anomaly Conditional_jump_check (Some bref)
+      "walk limit exceeded (irregular device operation / possible infinite loop)"
+  else raise (Compile.Bail "walk limit exceeded")
+
+let cbump t (cur : Compile.cursor) bref =
+  cur.Compile.steps <- cur.Compile.steps + 1;
+  if cur.Compile.steps > cur.Compile.bound then past_bound t cur bref
+
 (* The compiled walk driver, as top-level mutually-recursive functions
    over (checker, shared compiled spec, private cursor): no local
    closures, so the steady-state walk allocates nothing in the driver
    itself.  Expressions that read only narrow state allocate nothing
    either; what remains is an int64 box per narrow value stored in a
    local or per wide value computed (DESIGN.md §4g). *)
-let rec cbump t (cur : Compile.cursor) (bref : Program.bref) =
-  cur.Compile.steps <- cur.Compile.steps + 1;
-  if cur.Compile.steps > cur.Compile.deadline then begin
-    t.deadline_overruns <- t.deadline_overruns + 1;
-    raise (Deadline_exceeded cur.Compile.deadline)
-  end;
-  if cur.Compile.steps > cur.Compile.limit then
-    if t.en_cond then
-      anomaly Conditional_jump_check (Some bref)
-        "walk limit exceeded (irregular device operation / possible infinite loop)"
-    else raise (Compile.Bail "walk limit exceeded")
-
-and cgoto t (c : Compile.t) cur (d : Compile.dest) =
+let rec cgoto t (c : Compile.t) cur (d : Compile.dest) =
   let chain = d.Compile.chain in
   for i = 0 to Array.length chain - 1 do
     cbump t cur chain.(i)
@@ -797,19 +825,18 @@ and cpop t c (cur : Compile.cursor) =
 and center t (c : Compile.t) (cur : Compile.cursor) (n : Compile.cnode) =
   cbump t cur n.Compile.bref;
   cur.Compile.walked <- cur.Compile.walked + 1;
-  cov_enter t n.Compile.bref;
-  (let cx = cur.Compile.cctx in
-   let ok =
-     if cx = cctx_unknown then true
-     else if cx = cctx_none then Compile.bit c.Compile.no_cmd_bits n.Compile.id
-     else
-       Compile.bit c.Compile.cmd_bits.(cx) n.Compile.id
-       || Compile.bit c.Compile.no_cmd_bits n.Compile.id
-   in
-   if not ok then
-     if t.en_cond then
-       anomaly Conditional_jump_check (Some n.Compile.bref)
-         "block not accessible under the current device command");
+  cov_enter t n.Compile.index n.Compile.bref;
+  (* A block open with no command current is open under every context. *)
+  if not n.Compile.no_cmd then begin
+    let cx = cur.Compile.cctx in
+    if
+      cx <> cctx_unknown
+      && (cx = cctx_none || not (Compile.bit c.Compile.cmd_bits.(cx) n.Compile.id))
+    then
+      if t.en_cond then
+        anomaly Conditional_jump_check (Some n.Compile.bref)
+          "block not accessible under the current device command"
+  end;
   let stmts = n.Compile.stmts in
   for i = 0 to Array.length stmts - 1 do
     stmts.(i) cur

@@ -151,8 +151,10 @@ val set_deadline : t -> int option -> unit
     stall a bulkhead.  The watchdog is checked first, so a budget at or
     below [walk_limit] fires; a budget above it never can, because the
     walk limit ends the walk first.  [Fleet.Vm] and [sedspec fleet
-    --deadline] arm none by default.  Budgets must be >= 1; [None] (the
-    default) costs one integer compare per step.  {!reset} disarms it. *)
+    --deadline] arm none by default.  Budgets must be >= 1.  The compiled
+    walk compares each step once, with [min walk_limit deadline], and
+    tests which one tripped only past it, so an armed watchdog costs no
+    more per step than [None] (the default).  {!reset} disarms it. *)
 
 val deadline : t -> int option
 
@@ -189,7 +191,8 @@ val heals : t -> int
 val reset : t -> unit
 (** Return the checker to its just-attached state against the (already
     reset) live control structure: clears anomalies, statistics, command
-    context, deferred/staged state and coverage wiring, and re-copies the
+    context, deferred/staged state and coverage wiring (the coverage, the
+    edge seam and the record of what was recorded), and re-copies the
     shadow from the device arena.  The lazily-compiled walk form is kept.
     Lets the fuzzer recycle machine+checker pairs across replays. *)
 
@@ -222,7 +225,19 @@ val shadow_snapshot : t -> bytes
     first records, so an unseen {e ordering} of commands counts as new
     coverage even when every command path is individually known.  Both
     engines record identically, so the coverage-guided fuzzer can use it
-    as feedback {e and} as part of its differential oracle. *)
+    as feedback {e and} as part of its differential oracle.
+
+    Coverage only grows, and it is keyed by [bref], so runs over
+    different program versions can be unioned ({!coverage_absorb}).
+    Recording costs a bit probe per node entered once warm: each checker
+    keeps a dense record, over its program's block index, of the nodes
+    and edges it has already put into the coverage installed now, and
+    only a node or edge not in that record touches the coverage's
+    tables.  The record (about [(n + n * n) / 8] bytes for [n] blocks;
+    1,093 for the largest program) is allocated by the first
+    {!set_coverage} with [Some], and {!set_coverage} and {!reset} clear
+    it, so it never outlives the coverage it stands for.  Checkers that
+    share one coverage each keep their own record and edge seam. *)
 
 type coverage
 
@@ -243,7 +258,9 @@ val coverage_absorb : into:coverage -> coverage -> int
 
 val set_coverage : t -> coverage option -> unit
 (** Install (or remove) the accumulator every subsequent walk records
-    into.  Resets the edge seam state. *)
+    into.  Resets the edge seam and clears the checker's record of what
+    it recorded, on every call (also when one coverage replaces
+    another). *)
 
 val strategy_to_string : strategy -> string
 

@@ -44,7 +44,7 @@ type cursor = {
   mutable cctx : int;
   mutable depth : int;
   mutable stack : dest array;
-  mutable limit : int;
+  mutable bound : int;
   mutable deadline : int;
   entry_memo : dest L.memo;
 }
@@ -86,7 +86,9 @@ type cterm =
 
 type cnode = {
   id : int;
+  index : int;
   bref : Program.bref;
+  no_cmd : bool;
   is_cmd_end : bool;
   stmts : (cursor -> unit) array;
   term : cterm;
@@ -98,7 +100,6 @@ type t = {
   nodes : cnode array;
   entries : (string, dest) Hashtbl.t;
   slots : L.ctx;
-  no_cmd_bits : Bytes.t;
   cmd_bits : Bytes.t array;
   cmd_keys : Es_cfg.cmd_key array;
   cmd_ids : (Es_cfg.cmd_key, int) Hashtbl.t;
@@ -515,7 +516,9 @@ let lower spec : t =
          (fun id (n : Es_cfg.node) ->
            {
              id;
+             index = Program.index_of program n.bref;
              bref = n.bref;
+             no_cmd = Es_cfg.no_cmd_allows spec n.bref;
              is_cmd_end = n.kind = Block.Cmd_end;
              stmts =
                Array.of_list
@@ -527,11 +530,6 @@ let lower spec : t =
   (* Per-command access sets as bitsets over dense node ids. *)
   let nbits = (Array.length nodes + 7) / 8 in
   let nbits = if nbits = 0 then 1 else nbits in
-  let no_cmd_bits = Bytes.make nbits '\000' in
-  Array.iter
-    (fun cn ->
-      if Es_cfg.no_cmd_allows spec cn.bref then set_bit no_cmd_bits cn.id)
-    nodes;
   let cmd_bits =
     Array.map
       (fun key ->
@@ -563,7 +561,6 @@ let lower spec : t =
     nodes;
     entries;
     slots = c.slots;
-    no_cmd_bits;
     cmd_bits;
     cmd_keys;
     cmd_ids;
@@ -590,7 +587,7 @@ let make_cursor ?work (t : t) =
       cctx = -1;
       depth = 0;
       stack = Array.make 8 dummy_dest;
-      limit = max_int;
+      bound = max_int;
       deadline = max_int;
       entry_memo = L.memo 4 dummy_dest;
     }
@@ -600,17 +597,22 @@ let make_cursor ?work (t : t) =
   cur
 
 (* Reset the per-walk portions of a cursor.  Everything here is a field
-   write or an [Array.fill] over preallocated storage: no allocation. *)
+   write or a store into preallocated storage: no allocation.  The taint
+   flags are cleared by a plain loop, which the compiler turns into
+   immediate stores; [Array.fill] is a C call. *)
 let cursor_start cur ~sync ~en_param ~limit ~deadline =
   L.reset cur.env;
-  Array.fill cur.llink 0 (Array.length cur.llink) false;
+  let llink = cur.llink in
+  for i = 0 to Array.length llink - 1 do
+    llink.(i) <- false
+  done;
   cur.overflow <- None;
   cur.sync <- sync;
   cur.en_param <- en_param;
   cur.steps <- 0;
   cur.walked <- 0;
   cur.depth <- 0;
-  cur.limit <- limit;
+  cur.bound <- min limit deadline;
   cur.deadline <- deadline
 
 let push_dest cur d =

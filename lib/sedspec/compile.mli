@@ -23,8 +23,9 @@
       [List.assoc]) with a precomputed verdict per case: whether its
       transition was observed and, on a command decision, its command id.
       Values routed to the default and indirect-call target sets are
-      looked up in int64 hashtables, and per-command access sets become
-      [Bytes]-backed bitsets indexed by block id.
+      looked up in int64 hashtables, per-command access sets become
+      [Bytes]-backed bitsets indexed by node id, and the no-command set
+      a flag on each node.
 
     The result {!t} is {b immutable after [lower]}: it holds no mutable
     walk state whatsoever, so one value can be physically shared by every
@@ -110,7 +111,10 @@ type cursor = {
           command id (index into {!t.cmd_bits}). *)
   mutable depth : int;  (** Live entries in [stack]. *)
   mutable stack : dest array;  (** Continuations for chained handlers. *)
-  mutable limit : int;  (** Walk step limit for this walk. *)
+  mutable bound : int;
+      (** [min limit deadline] for this walk: the one step count checked
+          on every step.  Only a walk past it tests which of the two
+          tripped. *)
   mutable deadline : int;  (** Walk deadline budget for this walk. *)
   entry_memo : dest Interp.Lower.memo;
       (** Request handler names already resolved to entry edges. *)
@@ -164,7 +168,14 @@ type cterm =
 
 type cnode = {
   id : int;
+  index : int;
+      (** The block's index in the program ({!Devir.Program.index_of}):
+          what the checker's coverage record is keyed by, under either
+          engine. *)
   bref : Program.bref;
+  no_cmd : bool;
+      (** Accessible with no command current, and so under every command
+          context: the walk tests it before the context. *)
   is_cmd_end : bool;
   stmts : (cursor -> unit) array;  (** Compiled DSOD, in order. *)
   term : cterm;
@@ -181,7 +192,6 @@ type t = {
       (** Local and request-parameter slots of every lowered expression;
           global across handlers because chained handlers share the
           caller's request and locals.  Only read after {!lower}. *)
-  no_cmd_bits : Bytes.t;  (** Bitset over node ids: no-command access. *)
   cmd_bits : Bytes.t array;  (** Per-command-id bitsets over node ids. *)
   cmd_keys : Es_cfg.cmd_key array;  (** Command id -> key. *)
   cmd_ids : (Es_cfg.cmd_key, int) Hashtbl.t;  (** Key -> command id. *)
@@ -201,7 +211,8 @@ val make_cursor : ?work:Arena.t -> t -> cursor
 
 val cursor_start :
   cursor -> sync:bool -> en_param:bool -> limit:int -> deadline:int -> unit
-(** Reset per-walk cursor state in place (no allocation). *)
+(** Reset per-walk cursor state in place (no allocation); [bound] becomes
+    [min limit deadline]. *)
 
 val push_dest : cursor -> dest -> unit
 (** Push a continuation on the cursor's chained-handler stack (amortised
@@ -219,6 +230,9 @@ val entry : t -> cursor -> string -> dest
 
 val bit : Bytes.t -> int -> bool
 (** Bitset probe ([i]th bit, little-endian within bytes). *)
+
+val set_bit : Bytes.t -> int -> unit
+(** Set the [i]th bit (the layout {!bit} reads). *)
 
 
 val case_observed : switch -> int64 -> string -> bool

@@ -293,7 +293,8 @@ let provenance_of_string s =
 let index_of t bref =
   match Program.index_of t.program bref with i -> i | exception Not_found -> -1
 
-let node t bref = match index_of t bref with -1 -> None | i -> t.nodes.(i)
+let node_at t i = if i < 0 then None else t.nodes.(i)
+let node t bref = node_at t (index_of t bref)
 
 (* In the block index's order, which is address order. *)
 let nodes t = List.filter_map Fun.id (Array.to_list t.nodes)

@@ -99,6 +99,15 @@ val provenance_to_string : provenance -> string
 val provenance_of_string : string -> provenance option
 
 val node : t -> Devir.Program.bref -> node option
+
+val index_of : t -> Devir.Program.bref -> int
+(** The block's index in the program ({!Devir.Program.index_of}), or -1
+    for a block the program lacks. *)
+
+val node_at : t -> int -> node option
+(** The node at a block index; [None] for -1 and for a block with no
+    node.  [node t b] is [node_at t (index_of t b)]. *)
+
 val nodes : t -> node list
 val node_count : t -> int
 

@@ -114,16 +114,21 @@ let test_lowering_shape () =
   let c = Sedspec.Compile.lower built.spec in
   let n = Array.length c.Sedspec.Compile.nodes in
   Alcotest.(check int) "node count matches spec" (Sedspec.Es_cfg.node_count built.spec) n;
+  let program = Sedspec.Es_cfg.program built.spec in
   Array.iteri
-    (fun i cn -> Alcotest.(check int) "dense id" i cn.Sedspec.Compile.id)
+    (fun i cn ->
+      Alcotest.(check int) "dense id" i cn.Sedspec.Compile.id;
+      Alcotest.(check int) "block index" (Devir.Program.index_of program cn.bref)
+        cn.index;
+      Alcotest.(check bool) "no-command flag"
+        (Sedspec.Es_cfg.no_cmd_allows built.spec cn.bref)
+        cn.no_cmd)
     c.Sedspec.Compile.nodes;
   Alcotest.(check int) "one bitset per command"
     (List.length (Sedspec.Es_cfg.commands built.spec))
     (Array.length c.Sedspec.Compile.cmd_bits);
   Alcotest.(check bool) "some no-cmd-accessible node" true
-    (Array.exists
-       (fun cn -> Sedspec.Compile.bit c.Sedspec.Compile.no_cmd_bits cn.Sedspec.Compile.id)
-       c.Sedspec.Compile.nodes)
+    (Array.exists (fun cn -> cn.Sedspec.Compile.no_cmd) c.Sedspec.Compile.nodes)
 
 let test_bench_walk_counts_nodes () =
   let w = Workload.Samples.find "fdc" in
@@ -216,6 +221,159 @@ let test_interaction_allocation_budget () =
     true
     (per_ia <= interaction_word_budget)
 
+(* --- Coverage ------------------------------------------------------------ *)
+
+(* Each checker keeps a dense record of the nodes and edges it already put
+   into its current coverage and skips the coverage's tables for them
+   (DESIGN.md §4q).  These cases fail if that record outlives the coverage
+   it stands for or survives [Checker.reset]. *)
+
+let cov_repr cov =
+  ( List.map Devir.Program.bref_to_string (C.coverage_nodes cov),
+    List.map
+      (fun (a, b) -> Devir.Program.bref_to_string a ^ " -> " ^ Devir.Program.bref_to_string b)
+      (C.coverage_edges cov) )
+
+let check_cov what (en, ee) (gn, ge) =
+  Alcotest.(check (list string)) (what ^ ": nodes") en gn;
+  Alcotest.(check (list string)) (what ^ ": edges") ee ge
+
+(* Replay some of the device's training cases, in order. *)
+let replay w m cases =
+  let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
+  let trainer = W.trainer ~cases:!Metrics.Spec_cache.training_cases in
+  List.iter (fun case -> trainer.Sedspec.Pipeline.run_case m case) cases
+
+let fresh device =
+  let w = Workload.Samples.find device in
+  let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
+  let m, checker = Metrics.Spec_cache.fresh_protected_machine w W.paper_version in
+  (w, m, checker)
+
+let test_coverage_engines_agree () =
+  List.iter
+    (fun w ->
+      let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
+      let record engine =
+        let config = { C.default_config with C.engine } in
+        let m, checker =
+          Metrics.Spec_cache.fresh_protected_machine ~config w W.paper_version
+        in
+        let cov = C.coverage_create () in
+        C.set_coverage checker (Some cov);
+        replay w m (List.init !Metrics.Spec_cache.training_cases Fun.id);
+        cov_repr cov
+      in
+      let reference = record C.Interpreted in
+      Alcotest.(check bool) (W.device_name ^ ": some edges") true (snd reference <> []);
+      check_cov W.device_name reference (record C.Compiled))
+    Workload.Samples.all
+
+(* Cases 0-3 walk, then the same cases again and one more: the second
+   pass re-enters nodes and edges the first pass already recorded. *)
+let first_pass = [ 0; 1; 2; 3 ]
+let second_pass = [ 0; 1; 2; 3; 4 ]
+
+let test_coverage_switch () =
+  (* What the second pass walks, recorded by a checker that recorded
+     nothing before it. *)
+  let reference =
+    let w, m, checker = fresh "fdc" in
+    replay w m first_pass;
+    let cov = C.coverage_create () in
+    C.set_coverage checker (Some cov);
+    replay w m second_pass;
+    cov_repr cov
+  in
+  let w, m, checker = fresh "fdc" in
+  let a = C.coverage_create () and b = C.coverage_create () in
+  C.set_coverage checker (Some a);
+  replay w m first_pass;
+  C.set_coverage checker (Some b);
+  replay w m second_pass;
+  check_cov "straight from Some a to Some b" reference (cov_repr b);
+  (* A reset checker records like a fresh one. *)
+  let from_boot =
+    let w, m, checker = fresh "fdc" in
+    let cov = C.coverage_create () in
+    C.set_coverage checker (Some cov);
+    replay w m (first_pass @ second_pass);
+    cov_repr cov
+  in
+  Vmm.Machine.reboot m ~device:"fdc";
+  C.reset checker;
+  let c = C.coverage_create () in
+  C.set_coverage checker (Some c);
+  replay w m (first_pass @ second_pass);
+  check_cov "after reset" from_boot (cov_repr c)
+
+(* Two checkers, here of two devices, record into one coverage: it must
+   get every node and edge each of them walks, and no edge across the
+   seam between them. *)
+let test_coverage_shared () =
+  let cases = [ 0; 1; 2 ] in
+  let alone device =
+    let w, m, checker = fresh device in
+    let cov = C.coverage_create () in
+    C.set_coverage checker (Some cov);
+    replay w m cases;
+    cov
+  in
+  let union = C.coverage_create () in
+  ignore (C.coverage_absorb ~into:union (alone "fdc") : int);
+  ignore (C.coverage_absorb ~into:union (alone "sdhci") : int);
+  (* Interleaved case by case.  [y] first walks its cases into a private
+     coverage and is then reset: a record that survived would hold all of
+     them when it joins. *)
+  let wx, mx, x = fresh "fdc" and wy, my, y = fresh "sdhci" in
+  C.set_coverage y (Some (C.coverage_create ()));
+  replay wy my cases;
+  Vmm.Machine.reboot my ~device:"sdhci";
+  C.reset y;
+  let shared = C.coverage_create () in
+  C.set_coverage x (Some shared);
+  C.set_coverage y (Some shared);
+  List.iter
+    (fun case ->
+      replay wx mx [ case ];
+      replay wy my [ case ])
+    cases;
+  check_cov "shared coverage" (cov_repr union) (cov_repr shared)
+
+(* With coverage on, a steady-state walk allocates exactly what it does
+   with coverage off: a node or edge already recorded costs a bit probe,
+   not a hashed (bref * bref) pair. *)
+let test_coverage_allocation () =
+  let _, m, checker = fresh "fdc" in
+  let port = Int64.add Devices.Fdc.io_base 5L in
+  (* READ DATA and its eight parameter bytes: the FIFO enters its data
+     phase. *)
+  List.iter
+    (fun b ->
+      match Vmm.Machine.io_write m ~port ~size:1 ~data:(Int64.of_int b) with
+      | Vmm.Machine.Io_ok _ -> ()
+      | _ -> Alcotest.fail "READ DATA command refused")
+    [ 0x46; 0x00; 0x00; 0x00; 0x01; 0x02; 0x12; 0x1B; 0xFF ];
+  let params = [ ("addr", port); ("offset", 5L); ("size", 1L); ("data", 0L) ] in
+  let walks n =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      C.bench_walk checker ~handler:"read" ~params
+    done;
+    Gc.minor_words () -. w0
+  in
+  let cov = C.coverage_create () in
+  C.set_coverage checker (Some cov);
+  ignore (walks 64 : float);
+  let nodes0 = (C.stats checker).C.nodes_walked in
+  let on = walks 10_000 in
+  Alcotest.(check bool) "the walks visit nodes" true
+    ((C.stats checker).C.nodes_walked - nodes0 >= 10_000);
+  Alcotest.(check bool) "coverage recorded" true (C.coverage_edge_count cov > 0);
+  C.set_coverage checker None;
+  let off = walks 10_000 in
+  Alcotest.(check (float 0.0)) "minor words, coverage on = off" off on
+
 let () =
   Alcotest.run "compile"
     [
@@ -238,5 +396,15 @@ let () =
             test_walk_allocation_budget;
           Alcotest.test_case "protected interaction allocation budget" `Quick
             test_interaction_allocation_budget;
+        ] );
+      ( "coverage",
+        [
+          Alcotest.test_case "engines record equal coverage" `Slow
+            test_coverage_engines_agree;
+          Alcotest.test_case "switch coverage, then reset" `Quick test_coverage_switch;
+          Alcotest.test_case "two checkers share one coverage" `Quick
+            test_coverage_shared;
+          Alcotest.test_case "no allocation with coverage on" `Quick
+            test_coverage_allocation;
         ] );
     ]

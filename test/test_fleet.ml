@@ -506,6 +506,83 @@ let test_shadow_sync_points_differ () =
     "enforced counts equal the unshadowed run" (counts plain)
     (counts shadowed)
 
+(* The scoreboard keys sites by handler content: the physical-equality
+   shortcut to the last site must not split one handler into two. *)
+let test_shadow_sites_by_content () =
+  let vm =
+    Vm.create ~index:0 ~seed:19L
+      { (Vm.default_options ~device:"fdc") with Vm.shadow = Some (retrain_fetch "fdc") }
+  in
+  let m = Option.get (Vm.machine vm) in
+  let port = Int64.add Devices.Fdc.io_base 4L in
+  let params = [ ("addr", port); ("offset", 4L); ("size", 1L); ("data", 0L) ] in
+  let fresh_read () = Bytes.to_string (Bytes.of_string "read") in
+  Alcotest.(check bool) "handler copies are distinct strings" false
+    (fresh_read () == fresh_read ());
+  for _ = 1 to 5 do
+    (* Routing hands out the binding's one string; inject carries ours. *)
+    ignore (Vmm.Machine.io_read m ~port ~size:1 : Vmm.Machine.io_result);
+    ignore
+      (Vmm.Machine.inject m ~device:"fdc" ~handler:(fresh_read ()) ~params
+        : Vmm.Machine.io_result)
+  done;
+  match (Vm.report vm).Vm.r_shadow with
+  | None -> Alcotest.fail "the VM must shadow the candidate"
+  | Some sh ->
+    (* Ten interactions, each scored at both seams. *)
+    Alcotest.(check (list (pair string (triple int int int))))
+      "one read site" [ ("read", (20, 0, 0)) ] sh.Vm.sh_sites
+
+(* A scsi candidate trained on one benign case plus CVE-2016-4439's
+   stream flags benign traffic the base admits (stricter) and admits the
+   attack the base flags (looser); every verdict lands in exactly one
+   site. *)
+let test_shadow_sites_sum () =
+  let w = Workload.Samples.find "scsi" in
+  let module D = (val w : Workload.Samples.DEVICE_WORKLOAD) in
+  let attack = Attacks.Attack.find "CVE-2016-4439" in
+  let fetch () =
+    let benign = D.trainer ~cases:1 in
+    Sedspec.Pipeline.build
+      (D.make_machine D.paper_version)
+      ~device:D.device_name
+      {
+        Sedspec.Pipeline.cases = 2;
+        run_case =
+          (fun m i ->
+            if i = 0 then benign.Sedspec.Pipeline.run_case m 0
+            else begin
+              (try attack.Attacks.Attack.setup m with _ -> ());
+              try attack.Attacks.Attack.run m with _ -> ()
+            end);
+      }
+  in
+  let vm =
+    Vm.create ~index:0 ~seed:5L
+      { (Vm.default_options ~device:"scsi") with Vm.shadow = Some fetch; rare_prob = 0.0 }
+  in
+  for _ = 1 to 4 do
+    Vm.tick vm
+  done;
+  let m = Option.get (Vm.machine vm) in
+  (try attack.Attacks.Attack.setup m with _ -> ());
+  (try Attacks.Attack.run_stream m attack with _ -> ());
+  Vm.tick vm;
+  match (Vm.report vm).Vm.r_shadow with
+  | None -> Alcotest.fail "the VM must shadow the candidate"
+  | Some sh ->
+    let sum f = List.fold_left (fun acc (_, t) -> acc + f t) 0 sh.Vm.sh_sites in
+    Alcotest.(check bool) "agree, stricter and looser all seen" true
+      (sh.Vm.sh_agree > 0 && sh.Vm.sh_stricter > 0 && sh.Vm.sh_looser > 0);
+    Alcotest.(check int) "sites sum to sh_agree" sh.Vm.sh_agree (sum (fun (a, _, _) -> a));
+    Alcotest.(check int) "sites sum to sh_stricter" sh.Vm.sh_stricter
+      (sum (fun (_, s, _) -> s));
+    Alcotest.(check int) "sites sum to sh_looser" sh.Vm.sh_looser
+      (sum (fun (_, _, l) -> l));
+    Alcotest.(check (list string)) "sites sorted, one per handler"
+      (List.sort_uniq compare (List.map fst sh.Vm.sh_sites))
+      (List.map fst sh.Vm.sh_sites)
+
 (* A candidate whose training corpus was poisoned with the exploit
    stream: the attack's traffic becomes "benign", so the spec admits the
    CVE's path and the catalogue gate must refuse it at the first rung. *)
@@ -743,6 +820,9 @@ let () =
             test_shadow_jobs_independent;
           Alcotest.test_case "candidate sync points differ" `Slow
             test_shadow_sync_points_differ;
+          Alcotest.test_case "sites keyed by handler content" `Quick
+            test_shadow_sites_by_content;
+          Alcotest.test_case "sites sum to the totals" `Quick test_shadow_sites_sum;
           Alcotest.test_case "budget window semantics" `Quick
             test_budget_window;
         ] );
