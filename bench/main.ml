@@ -669,7 +669,7 @@ let rollout_bench () =
   (* VM creation (the candidate checker's two arena allocations
      included) stays untimed: the budget bounds the steady-state walk. *)
   let ticks = if !quick then 32 else 48 in
-  let pairs = if !quick then 6 else 7 in
+  let pairs = if !quick then 24 else 28 in
   let shadow_fetch device =
     let w = Workload.Samples.find device in
     let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in

@@ -194,29 +194,33 @@ let phase_of_reports ~rung pairs =
     List.filter_map (fun (r : Vm.report) -> r.Vm.r_shadow) reports
   in
   let ssum f = List.fold_left (fun acc s -> acc + f s) 0 shadowed in
-  (* Fold every shadowing VM's per-tick looser counts into one fleet
-     stream (tick-aligned: all VMs run the same tick count) and slide the
-     governor's budget window over it. *)
-  let ticks =
-    List.fold_left
-      (fun acc s -> max acc (List.length s.Vm.sh_tick_looser))
-      0 shadowed
+  (* Fold every shadowing VM's looser ticks into one fleet stream
+     (tick-aligned: all VMs run the same ticks) and slide the governor's
+     budget window over it.  A tick missing from the stream had no looser
+     verdict; a gap observes zeros, at most a window's worth, so the
+     window sums are those of the dense per-tick stream.  They can only
+     peak at a tick with a looser verdict. *)
+  let merged =
+    List.sort compare (List.concat_map (fun s -> s.Vm.sh_looser_ticks) shadowed)
+    |> List.fold_left
+         (fun acc (tick, l) ->
+           match acc with
+           | (t, sum) :: rest when t = tick -> (t, sum + l) :: rest
+           | _ -> (tick, l) :: acc)
+         []
+    |> List.rev
   in
-  let merged = Array.make (max ticks 1) 0 in
-  List.iter
-    (fun s ->
-      List.iteri
-        (fun i l -> merged.(i) <- merged.(i) + l)
-        s.Vm.sh_tick_looser)
-    shadowed;
   let budget = Governor.Budget.create ~window:budget_window in
-  let peak = ref 0 in
-  Array.iter
-    (fun l ->
+  let peak = ref 0 and last = ref 0 in
+  List.iter
+    (fun (tick, l) ->
+      for _ = 1 to min (tick - !last - 1) budget_window do
+        Governor.Budget.observe budget 0
+      done;
       Governor.Budget.observe budget l;
-      if Governor.Budget.sum budget > !peak then
-        peak := Governor.Budget.sum budget)
-    (if ticks = 0 then [||] else merged);
+      last := tick;
+      peak := max !peak (Governor.Budget.sum budget))
+    merged;
   {
     ph_rung = rung;
     ph_agree = ssum (fun s -> s.Vm.sh_agree);

@@ -111,6 +111,10 @@ type phase = {
           outside the canary rung; any entry demotes. *)
 }
 
+val phase_of_reports : rung:rung -> (Vm.report * Vm.report option) list -> phase
+(** Fold one fleet phase's VM reports, each with its canary twin's when
+    it has one; exposed for harnesses. *)
+
 val agreement_ratio : phase -> float
 (** agree / (agree + stricter + looser); 1.0 when no comparisons ran. *)
 

@@ -2,7 +2,8 @@
 
     {!Supervisor} runs full VMs — machine, guest RAM, workload, governor,
     remedy — which is the right fidelity for supervision semantics but
-    caps fleet size at tens (16 MiB of guest RAM each).  This harness
+    caps fleet size at tens (each VM runs a guest workload and keeps the
+    guest RAM it writes, twice with its checkpoint).  This harness
     isolates what actually scales with fleet size under the arena/cursor
     split: per VM it instantiates only a {e cell} — one
     {!Sedspec.Checker} (cursor + shadow state) over its device's shared

@@ -177,6 +177,16 @@ let vm_to_json (r : Vm.report) =
       ("stream", Json.List (List.map (fun l -> Json.Str l) r.Vm.r_stream));
     ]
     @
+    (* A stream longer than the ring also gives its length and digest, so
+       the JSON says lines were dropped; a whole stream's JSON keeps its
+       historical bytes. *)
+    (if r.Vm.r_stream_lines > List.length r.Vm.r_stream then
+       [
+         ("stream_lines", Json.Int r.Vm.r_stream_lines);
+         ("stream_crc", Json.Str (Sedspec_util.Crc.to_hex r.Vm.r_stream_crc));
+       ]
+     else [])
+    @
     (* Present only for guard-enabled VMs, so guard-less fleet JSON is
        byte-identical to what it was before the validator existed. *)
     (match r.Vm.r_guard with

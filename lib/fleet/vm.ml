@@ -33,6 +33,10 @@ let default_options ~device =
 (* Spec-acquisition attempts before the fallback rebuild. *)
 let max_attempts = 3
 
+(* Verdict-stream lines a VM keeps: the newest, in a ring.  Every smoke
+   and CLI default runs fewer ticks, so their reports hold every line. *)
+let stream_keep = 64
+
 (* One handler's shadow counts, bumped in place. *)
 type site = { mutable agree : int; mutable stricter : int; mutable looser : int }
 
@@ -55,8 +59,9 @@ type shadow = {
   mutable s_tick_agree : int;
   mutable s_tick_stricter : int;
   mutable s_tick_looser : int;
-  mutable s_first_looser_tick : int option;
-  mutable s_looser_rev : int list;  (** Per-tick looser counts, newest first. *)
+  mutable s_looser_rev : (int * int) list;
+      (** [(tick, looser count)] of each tick with a looser verdict,
+          newest first; its last entry is the first looser tick. *)
 }
 
 type core = {
@@ -88,7 +93,9 @@ type t = {
   mutable anoms_indirect : int;
   mutable anoms_cond : int;
   mutable anoms_internal : int;
-  mutable stream_rev : string list;
+  stream : string array;  (** The last [stream_keep] lines, a ring. *)
+  mutable stream_lines : int;  (** Lines ever appended. *)
+  mutable stream_crc : int32;  (** CRC-32 of every line, each with its newline. *)
 }
 
 (* A handler no request carries: a fresh string is physically equal to
@@ -238,7 +245,6 @@ let create ~index ~seed opts =
             s_tick_agree = 0;
             s_tick_stricter = 0;
             s_tick_looser = 0;
-            s_first_looser_tick = None;
             s_looser_rev = [];
           }
         in
@@ -317,7 +323,9 @@ let create ~index ~seed opts =
       anoms_indirect = 0;
       anoms_cond = 0;
       anoms_internal = 0;
-      stream_rev = [];
+      stream = Array.make stream_keep "";
+      stream_lines = 0;
+      stream_crc = 0l;
     }
   | exception e ->
     {
@@ -338,7 +346,9 @@ let create ~index ~seed opts =
       anoms_indirect = 0;
       anoms_cond = 0;
       anoms_internal = 0;
-      stream_rev = [];
+      stream = Array.make stream_keep "";
+      stream_lines = 0;
+      stream_crc = 0l;
     }
 
 let machine t = Option.map (fun c -> c.machine) t.core
@@ -416,12 +426,11 @@ let tick t =
     (match core.shadow with
     | Some sh ->
       (* Candidate anomalies are advisory: drain them (bounded memory)
-         and record when the first looser verdict landed — the rollout's
-         deterministic rollback-latency clock. *)
+         and record the ticks with looser verdicts — the first of them is
+         the rollout's deterministic rollback-latency clock. *)
       ignore (Checker.drain_anomalies sh.s_checker : Checker.anomaly list);
-      sh.s_looser_rev <- sh.s_tick_looser :: sh.s_looser_rev;
-      if sh.s_tick_looser > 0 && sh.s_first_looser_tick = None then
-        sh.s_first_looser_tick <- Some t.ticks
+      if sh.s_tick_looser > 0 then
+        sh.s_looser_rev <- (t.ticks, sh.s_tick_looser) :: sh.s_looser_rev
     | None -> ());
     let halted = Vmm.Machine.halted core.machine in
     if halted then t.halt_ticks <- t.halt_ticks + 1;
@@ -446,7 +455,9 @@ let tick t =
         Printf.sprintf "%s sh=%d/%d/%d" line sh.s_tick_agree
           sh.s_tick_stricter sh.s_tick_looser
     in
-    t.stream_rev <- line :: t.stream_rev
+    t.stream.(t.stream_lines mod stream_keep) <- line;
+    t.stream_lines <- t.stream_lines + 1;
+    t.stream_crc <- Sedspec_util.Crc.update (Sedspec_util.Crc.update t.stream_crc line) "\n"
 
 type shadow_report = {
   sh_revision : int;
@@ -455,7 +466,7 @@ type shadow_report = {
   sh_stricter : int;
   sh_looser : int;
   sh_first_looser_tick : int option;
-  sh_tick_looser : int list;  (** Per-tick looser counts, oldest first. *)
+  sh_looser_ticks : (int * int) list;
   sh_sites : (string * (int * int * int)) list;
 }
 
@@ -491,6 +502,8 @@ type report = {
   r_shadow : shadow_report option;
   r_arena : Sedspec.Compile.t option;
   r_stream : string list;
+  r_stream_lines : int;
+  r_stream_crc : int32;
 }
 
 let report t =
@@ -551,6 +564,7 @@ let report t =
     r_shadow =
       (match t.core with
       | Some { shadow = Some sh; _ } ->
+        let looser_ticks = List.rev sh.s_looser_rev in
         Some
           {
             sh_revision = sh.s_revision;
@@ -558,8 +572,9 @@ let report t =
             sh_agree = sh.s_agree;
             sh_stricter = sh.s_stricter;
             sh_looser = sh.s_looser;
-            sh_first_looser_tick = sh.s_first_looser_tick;
-            sh_tick_looser = List.rev sh.s_looser_rev;
+            sh_first_looser_tick =
+              (match looser_ticks with (tick, _) :: _ -> Some tick | [] -> None);
+            sh_looser_ticks = looser_ticks;
             sh_sites =
               List.sort compare
                 (Hashtbl.fold
@@ -576,5 +591,9 @@ let report t =
          | Some core when t.opts.spec_origin = Trained ->
            Checker.compiled_arena core.checker
          | _ -> None);
-    r_stream = List.rev t.stream_rev;
+    r_stream =
+      (let kept = min t.stream_lines stream_keep in
+       List.init kept (fun i -> t.stream.((t.stream_lines - kept + i) mod stream_keep)));
+    r_stream_lines = t.stream_lines;
+    r_stream_crc = t.stream_crc;
   }

@@ -100,7 +100,9 @@ val tick : t -> unit
 (** One supervision period: run the benign workload (bulkhead-wrapped),
     account warnings/anomalies/overruns, feed the burn to the governor
     (applying any rung change to the checker config), then run the
-    remedy supervisor's tick.  Appends one line to the verdict stream. *)
+    remedy supervisor's tick.  Appends one line to the verdict stream.
+    What a VM keeps per tick is bounded: the stream's newest lines in a
+    fixed ring, and looser counts only for ticks that have one. *)
 
 type shadow_report = {
   sh_revision : int;  (** Candidate spec revision. *)
@@ -111,9 +113,10 @@ type shadow_report = {
   sh_first_looser_tick : int option;
       (** Tick of the first looser verdict — the rollout's deterministic
           rollback-latency clock. *)
-  sh_tick_looser : int list;
-      (** Per-tick looser counts, oldest first — fed to the rollout's
-          {!Governor.Budget} agreement window. *)
+  sh_looser_ticks : (int * int) list;
+      (** [(tick, looser count)] for each tick with a looser verdict,
+          oldest first; every other tick had none.  The rollout slides
+          its {!Governor.Budget} agreement window over these. *)
   sh_sites : (string * (int * int * int)) list;
       (** Per-handler (agree, stricter, looser), sorted by handler: one
           entry per handler name, and the columns sum to [sh_agree],
@@ -160,8 +163,15 @@ type report = {
           for fallback rebuilds and persisted sources).  Lets the
           supervisor assert physical sharing across the whole fleet. *)
   r_stream : string list;
-      (** Per-tick verdict/coverage stream, oldest first: the bulkhead
-          isolation oracle compares these byte-for-byte. *)
+      (** The per-tick verdict/coverage stream's newest lines, oldest
+          first: every line of a run of up to 64 ticks, the last 64 of a
+          longer one. *)
+  r_stream_lines : int;  (** Lines the stream ever had: one per tick served. *)
+  r_stream_crc : int32;
+      (** {!Sedspec_util.Crc.crc32} of every line of the stream, each
+          followed by a newline.  With {!r_stream_lines} it lets the
+          bulkhead isolation oracle compare whole streams, the lines the
+          ring dropped included. *)
 }
 
 val report : t -> report

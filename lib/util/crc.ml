@@ -1,30 +1,25 @@
-(* Table-driven CRC-32 over the reflected IEEE polynomial.  The table is
-   built once at module init; digesting is one xor + shift + lookup per
-   byte, so verifying a multi-KB spec costs microseconds. *)
+(* Table-driven CRC-32 over the reflected IEEE polynomial, computed in
+   [int]s (the 32 bits fit in an OCaml int), so digesting allocates
+   nothing but the result: one xor + shift + lookup per byte.  The table
+   is built at module initialisation, before any domain can race to
+   build it. *)
 
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let crc32 s =
-  let table = Lazy.force table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+let update crc s =
+  let c = ref (Int32.to_int crc land 0xFFFFFFFF lxor 0xFFFFFFFF) in
+  for i = 0 to String.length s - 1 do
+    c := table.((!c lxor Char.code (String.unsafe_get s i)) land 0xFF) lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let crc32 s = update 0l s
 
 let to_hex v = Printf.sprintf "%08lx" (Int32.logand v 0xFFFFFFFFl)
 

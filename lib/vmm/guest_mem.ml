@@ -1,23 +1,39 @@
-(* Dirty-page tracking for incremental checkpoints.  [dirty] holds one
+(* Paged RAM.  [pages.(p)] holds bytes [p * page_size ..] of RAM: either
+   a page of its own or [zero_page], which every untouched page shares.
+   Nothing ever writes [zero_page]: a store into a slot that still holds
+   it first gives the slot its own page ([own_page]; [writable] for the
+   bulk paths).  A RAM whose size is not a page multiple still has whole pages;
+   the range tests keep every access below [size], so the tail of the
+   last page stays zero.
+
+   Dirty-page tracking for incremental checkpoints.  [dirty] holds one
    byte per page: nonzero means the page may differ from its copy in the
    checkpoint image.  A page whose byte is zero equals its saved copy, so
    [checkpoint] and [rollback] only move the marked pages.  Every page
    starts marked, which also covers the image not existing yet. *)
 let page_bits = 12
 let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+
+let zero_page = Bytes.make page_size '\000'
 
 type t = {
-  mem : bytes;
+  size : int;
+  pages : bytes array;
   dirty : bytes;
-  mutable image : bytes option;  (** Allocated at the first [checkpoint]. *)
+  mutable image : bytes array option;
+      (** Allocated at the first [checkpoint]; pages as in [pages]. *)
   mutable write_hook : (int64 -> int -> unit) option;
   mutable read_fault : (int64 -> int -> int) option;
 }
 
 let create size =
+  if size < 0 then invalid_arg "Guest_mem.create: negative size";
+  let n = (size + page_size - 1) lsr page_bits in
   {
-    mem = Bytes.make size '\000';
-    dirty = Bytes.make ((size + page_size - 1) lsr page_bits) '\001';
+    size;
+    pages = Array.make n zero_page;
+    dirty = Bytes.make n '\001';
     image = None;
     write_hook = None;
     read_fault = None;
@@ -27,41 +43,59 @@ let set_write_hook t hook = t.write_hook <- hook
 
 let set_read_fault t f = t.read_fault <- f
 
-let size t = Bytes.length t.mem
+let size t = t.size
+
+(* Page [p]'s own page, allocated at its first write. *)
+let own_page t p =
+  let page = Bytes.make page_size '\000' in
+  t.pages.(p) <- page;
+  page
+
+let writable t p =
+  let page = Array.unsafe_get t.pages p in
+  if page == zero_page then own_page t p else page
 
 (* Range tests look at the [int64] address itself: [Int64.to_int] drops
    bit 63, so testing the converted [int] would let an address with that
-   bit set alias the RAM byte below it. *)
+   bit set alias the RAM byte below it.  Below the test [i] is inside
+   RAM, so [i lsr page_bits] is inside [pages] and [dirty]. *)
 let read_byte t addr =
   let b =
-    if addr >= 0L && addr < Int64.of_int (Bytes.length t.mem) then
-      Char.code (Bytes.get t.mem (Int64.to_int addr))
+    if addr >= 0L && addr < Int64.of_int t.size then
+      let i = Int64.to_int addr in
+      Char.code (Bytes.unsafe_get (Array.unsafe_get t.pages (i lsr page_bits)) (i land page_mask))
     else 0
   in
   match t.read_fault with None -> b | Some f -> f addr b land 0xFF
 
-(* Every device DMA byte comes through here, so the stores skip checks
-   the range test already makes: [i] is inside [mem], so [i lsr page_bits]
-   is inside [dirty] (one byte per started page), and [v land 0xFF] is a
-   byte. *)
-let write_byte t addr v =
-  if addr >= 0L && addr < Int64.of_int (Bytes.length t.mem) then begin
+(* Every device DMA byte comes through here: past the range test the
+   stores skip their checks, and only a page's first write leaves the
+   straight path (it gives the page slot its own page, then writes). *)
+let rec write_byte t addr v =
+  if addr >= 0L && addr < Int64.of_int t.size then begin
     let i = Int64.to_int addr in
-    Bytes.unsafe_set t.mem i (Char.unsafe_chr (v land 0xFF));
-    Bytes.unsafe_set t.dirty (i lsr page_bits) '\001';
-    match t.write_hook with None -> () | Some f -> f addr (v land 0xFF)
+    let p = i lsr page_bits in
+    let page = Array.unsafe_get t.pages p in
+    if page != zero_page then begin
+      Bytes.unsafe_set page (i land page_mask) (Char.unsafe_chr (v land 0xFF));
+      Bytes.unsafe_set t.dirty p '\001';
+      match t.write_hook with None -> () | Some f -> f addr (v land 0xFF)
+    end
+    else begin
+      ignore (own_page t p : bytes);
+      write_byte t addr v
+    end
   end
 
 (* The bulk fast path.  A range of [len] bytes at [addr] moves with one
-   [Bytes] operation when it lies wholly inside RAM, [len] is positive
-   and nothing interposes on its bytes; the result is its RAM offset, or
-   -1 when the per-byte path must run instead.  That path is the
-   reference: a write hook sees every byte written through it, in
-   address order, a read fault every byte read, and a range that leaves
-   RAM (or wraps) keeps the bytes that fall inside it. *)
+   [Bytes] operation per page it touches when it lies wholly inside RAM,
+   [len] is positive and nothing interposes on its bytes; the result is
+   its RAM offset, or -1 when the per-byte path must run instead.  That
+   path is the reference: a write hook sees every byte written through
+   it, in address order, a read fault every byte read, and a range that
+   leaves RAM (or wraps) keeps the bytes that fall inside it. *)
 let ram_offset t addr len =
-  if len > 0 && addr >= 0L && addr <= Int64.of_int (Bytes.length t.mem - len) then
-    Int64.to_int addr
+  if len > 0 && addr >= 0L && addr <= Int64.of_int (t.size - len) then Int64.to_int addr
   else -1
 
 let fast_read t addr len =
@@ -70,20 +104,37 @@ let fast_read t addr len =
 let fast_write t addr len =
   match t.write_hook with None -> ram_offset t addr len | Some _ -> -1
 
+(* A range of [len > 0] bytes at RAM offset [off] covers pages
+   [first_page off] to [last_page off len]; of page [p] it covers the
+   bytes from [piece_lo off p] up to [piece_hi off len p], as RAM
+   offsets. *)
+let first_page off = off lsr page_bits
+let last_page off len = (off + len - 1) lsr page_bits
+let piece_lo off p = if p lsl page_bits > off then p lsl page_bits else off
+
+let piece_hi off len p =
+  if (p + 1) lsl page_bits < off + len then (p + 1) lsl page_bits else off + len
+
 (* Mark dirty every page that [len > 0] bytes at RAM offset [off] touch. *)
 let mark_dirty t off len =
-  let first = off lsr page_bits in
-  Bytes.fill t.dirty first (((off + len - 1) lsr page_bits) - first + 1) '\001'
+  let first = first_page off in
+  Bytes.fill t.dirty first (last_page off len - first + 1) '\001'
+
+(* A scalar moves with one little-endian load or store on its page when
+   it lies inside one page; one that straddles a page boundary takes the
+   per-byte path. *)
+let in_one_page off n = off >= 0 && (off land page_mask) + n <= page_size
 
 let read t addr w =
   let n = Devir.Width.bytes w in
   let off = fast_read t addr n in
-  if off >= 0 then
+  if in_one_page off n then
+    let page = t.pages.(off lsr page_bits) and at = off land page_mask in
     match w with
-    | Devir.Width.W8 -> Int64.of_int (Bytes.get_uint8 t.mem off)
-    | W16 -> Int64.of_int (Bytes.get_uint16_le t.mem off)
-    | W32 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le t.mem off)) 0xFFFF_FFFFL
-    | W64 -> Bytes.get_int64_le t.mem off
+    | Devir.Width.W8 -> Int64.of_int (Bytes.get_uint8 page at)
+    | W16 -> Int64.of_int (Bytes.get_uint16_le page at)
+    | W32 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le page at)) 0xFFFF_FFFFL
+    | W64 -> Bytes.get_int64_le page at
   else
     let rec go i acc =
       if i < 0 then acc
@@ -97,12 +148,13 @@ let read t addr w =
 let write t addr w v =
   let n = Devir.Width.bytes w in
   let off = fast_write t addr n in
-  if off >= 0 then begin
+  if in_one_page off n then begin
+    let page = writable t (off lsr page_bits) and at = off land page_mask in
     (match w with
-    | Devir.Width.W8 -> Bytes.set_uint8 t.mem off (Int64.to_int v)
-    | W16 -> Bytes.set_uint16_le t.mem off (Int64.to_int v)
-    | W32 -> Bytes.set_int32_le t.mem off (Int64.to_int32 v)
-    | W64 -> Bytes.set_int64_le t.mem off v);
+    | Devir.Width.W8 -> Bytes.set_uint8 page at (Int64.to_int v)
+    | W16 -> Bytes.set_uint16_le page at (Int64.to_int v)
+    | W32 -> Bytes.set_int32_le page at (Int64.to_int32 v)
+    | W64 -> Bytes.set_int64_le page at v);
     mark_dirty t off n
   end
   else
@@ -116,7 +168,10 @@ let blit_in t addr src =
   let len = Bytes.length src in
   let off = fast_write t addr len in
   if off >= 0 then begin
-    Bytes.blit src 0 t.mem off len;
+    for p = first_page off to last_page off len do
+      let lo = piece_lo off p in
+      Bytes.blit src (lo - off) (writable t p) (lo land page_mask) (piece_hi off len p - lo)
+    done;
     mark_dirty t off len
   end
   else
@@ -126,7 +181,14 @@ let blit_in t addr src =
 
 let blit_out t addr len =
   let off = fast_read t addr len in
-  if off >= 0 then Bytes.sub t.mem off len
+  if off >= 0 then begin
+    let out = Bytes.create len in
+    for p = first_page off to last_page off len do
+      let lo = piece_lo off p in
+      Bytes.blit t.pages.(p) (lo land page_mask) out (lo - off) (piece_hi off len p - lo)
+    done;
+    out
+  end
   else begin
     let out = Bytes.create len in
     for i = 0 to len - 1 do
@@ -138,7 +200,11 @@ let blit_out t addr len =
 let fill t addr len byte =
   let off = fast_write t addr len in
   if off >= 0 then begin
-    Bytes.fill t.mem off len (Char.unsafe_chr (byte land 0xFF));
+    let c = Char.unsafe_chr (byte land 0xFF) in
+    for p = first_page off to last_page off len do
+      let lo = piece_lo off p in
+      Bytes.fill (writable t p) (lo land page_mask) (piece_hi off len p - lo) c
+    done;
     mark_dirty t off len
   end
   else
@@ -148,20 +214,28 @@ let fill t addr len byte =
 
 (* Host-side reset: does not fire the write hook. *)
 let clear t =
-  Bytes.fill t.mem 0 (Bytes.length t.mem) '\000';
+  Array.fill t.pages 0 (Array.length t.pages) zero_page;
   Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\001'
 
-let snapshot t = Bytes.copy t.mem
+let snapshot t =
+  let out = Bytes.create t.size in
+  for p = 0 to Array.length t.pages - 1 do
+    let lo = p lsl page_bits in
+    Bytes.blit t.pages.(p) 0 out lo (piece_hi 0 t.size p - lo)
+  done;
+  out
 
 (* Copy every dirty page from [src] to [dst], then mark it clean: after
-   this the two agree on every page. *)
+   this the two agree on every page.  A zero page copies as a pointer;
+   a page of its own moves into [dst]'s own page, or into a new one. *)
 let copy_dirty t ~src ~dst =
-  let size = Bytes.length t.mem in
   for p = 0 to Bytes.length t.dirty - 1 do
-    if Bytes.get t.dirty p <> '\000' then begin
-      let off = p lsl page_bits in
-      Bytes.blit src off dst off (min page_size (size - off));
-      Bytes.set t.dirty p '\000'
+    if Bytes.unsafe_get t.dirty p <> '\000' then begin
+      let s = src.(p) in
+      if s == zero_page then dst.(p) <- zero_page
+      else if dst.(p) == zero_page then dst.(p) <- Bytes.copy s
+      else Bytes.blit s 0 dst.(p) 0 page_size;
+      Bytes.unsafe_set t.dirty p '\000'
     end
   done
 
@@ -170,15 +244,15 @@ let checkpoint t =
     match t.image with
     | Some image -> image
     | None ->
-      let image = Bytes.create (Bytes.length t.mem) in
+      let image = Array.make (Array.length t.pages) zero_page in
       t.image <- Some image;
       image
   in
-  copy_dirty t ~src:t.mem ~dst:image
+  copy_dirty t ~src:t.pages ~dst:image
 
 let rollback t =
   match t.image with
-  | Some image -> copy_dirty t ~src:image ~dst:t.mem
+  | Some image -> copy_dirty t ~src:image ~dst:t.pages
   | None -> invalid_arg "Guest_mem.rollback: no checkpoint"
 
 let access t =

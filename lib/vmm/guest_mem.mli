@@ -1,14 +1,19 @@
 (** Guest physical memory.
 
-    A flat RAM image the emulated devices DMA into and out of, and that the
+    The RAM the emulated devices DMA into and out of, and that the
     guest-side drivers in the workload library use to stage descriptors,
     ring buffers and data pages — the same role guest RAM plays between a
-    real driver and QEMU. *)
+    real driver and QEMU.  RAM is an array of 4 KiB pages that a
+    hypervisor would back lazily: a page nobody wrote reads as zero and
+    costs no memory, and its first write allocates it. *)
 
 type t
 
 val create : int -> t
-(** [create size] allocates [size] bytes of zeroed RAM. *)
+(** [create size] makes [size] bytes of RAM that read as zero.  It
+    allocates the page table (one word per 4 KiB page) and the dirty map
+    (one byte per page), no page.  Raises [Invalid_argument] if [size] is
+    negative. *)
 
 val size : t -> int
 
@@ -26,10 +31,10 @@ val write_byte : t -> int64 -> int -> unit
 (** {2 Interposition}
 
     {!read}, {!write}, {!blit_in}, {!blit_out} and {!fill} move a range
-    that lies wholly inside RAM with one [Bytes] operation, unless
-    something interposes on it: an installed hook forces the per-byte
-    path ({!read_byte} and {!write_byte} for each byte), so the hook sees
-    every byte. *)
+    that lies wholly inside RAM with one [Bytes] operation per page it
+    touches, unless something interposes on it: an installed hook forces
+    the per-byte path ({!read_byte} and {!write_byte} for each byte), so
+    the hook sees every byte. *)
 
 val set_write_hook : t -> (int64 -> int -> unit) option -> unit
 (** Observe every in-range byte written, in address order within one
@@ -62,30 +67,38 @@ val fill : t -> int64 -> int -> int -> unit
 (** [fill t addr len byte]; nothing if [len <= 0]. *)
 
 val clear : t -> unit
-(** Zero the whole image (host-side reset; the write hook does not fire).
-    Marks every page dirty. *)
+(** Zero all of RAM (host-side reset; the write hook does not fire) by
+    dropping every page: it costs one store per page, and RAM then holds
+    no page.  Marks every page dirty. *)
 
 val snapshot : t -> bytes
-(** A fresh copy of the whole RAM image. *)
+(** A fresh flat copy of all of RAM, [size t] bytes. *)
 
 (** {2 Checkpoint and rollback}
 
-    RAM has one checkpoint image.  Every in-range write marks the 4 KiB
-    pages it touches dirty; {!checkpoint} and {!rollback} copy only the
+    RAM has one checkpoint image, a page array like RAM's own: it holds
+    a copy of each page that was written when it was saved, and shares
+    the zero page for the rest.  Every in-range write marks the 4 KiB
+    pages it touches dirty; {!checkpoint} and {!rollback} move only the
     dirty pages, then mark every page clean.  Both are exact for any
     write sequence: a clean page still equals its saved copy.  The image
     is allocated at the first {!checkpoint}, so RAM nobody checkpoints
     costs nothing extra. *)
 
 val checkpoint : t -> unit
-(** Make the checkpoint image equal to RAM.  Costs one page copy per page
-    dirtied since the last {!checkpoint} or {!rollback} (all of them the
-    first time, and after {!clear}). *)
+(** Make the checkpoint image equal to RAM.  Scans the dirty map, then
+    costs one page copy per written page dirtied since the last
+    {!checkpoint} or {!rollback}; a dirty page that reads as zero (never
+    written, or cleared) costs one store.  Every page is dirty the first
+    time and after {!clear}, so the first checkpoint allocates the page
+    table and copies only the pages written so far. *)
 
 val rollback : t -> unit
 (** Make RAM equal to the checkpoint image (host-side restore; the write
-    hook does not fire).  Costs one page copy per dirty page.  Raises
-    [Invalid_argument] if no checkpoint was ever taken. *)
+    hook does not fire).  Costs one page copy per dirty page the image
+    holds, and one store per dirty page it shares as zero, which drops
+    RAM's page.  Raises [Invalid_argument] if no checkpoint was ever
+    taken. *)
 
 val access : t -> Interp.guest
 (** The interpreter-facing access record. *)

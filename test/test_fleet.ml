@@ -252,6 +252,10 @@ let test_vm_spec_retry_and_fallback () =
   Alcotest.(check bool) "interactions served" true (r.Vm.r_interactions > 0);
   Alcotest.(check int) "stream has one line per tick" 3
     (List.length r.Vm.r_stream);
+  Alcotest.(check int) "stream line count" 3 r.Vm.r_stream_lines;
+  Alcotest.(check int32) "stream digest covers every line"
+    (Sedspec_util.Crc.crc32 (String.concat "" (List.map (fun l -> l ^ "\n") r.Vm.r_stream)))
+    r.Vm.r_stream_crc;
   (* A good persisted spec loads on the first attempt, no fallback. *)
   let w = Workload.Samples.find "fdc" in
   let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
@@ -362,6 +366,63 @@ let retrain_fetch device =
   fun () ->
     Metrics.Spec_cache.built_retrained w D.paper_version
       ~cases:!Metrics.Spec_cache.training_cases
+
+(* A run longer than the stream ring keeps the newest 64 lines, and its
+   JSON gives the stream's length and digest, so a reader can tell lines
+   were dropped; a run within the ring prints neither. *)
+let test_fleet_long_stream_json () =
+  let run ticks =
+    Supervisor.run { (small_fleet 1) with Supervisor.vms = 1; ticks; devices = [ "fdc" ] }
+  in
+  let long = run 70 in
+  let r = List.hd long.Supervisor.f_vms in
+  Alcotest.(check int) "lines kept" 64 (List.length r.Vm.r_stream);
+  Alcotest.(check int) "lines counted" 70 r.Vm.r_stream_lines;
+  let json = Supervisor.report_to_json long in
+  Alcotest.(check bool) "length in the JSON" true (contains ~sub:"\"stream_lines\": 70" json);
+  Alcotest.(check bool) "digest in the JSON" true
+    (contains
+       ~sub:(Printf.sprintf "\"stream_crc\": \"%s\"" (Sedspec_util.Crc.to_hex r.Vm.r_stream_crc))
+       json);
+  Alcotest.(check bool) "a whole stream prints neither" false
+    (contains ~sub:"stream_lines" (Supervisor.report_to_json (run 4)))
+
+(* What a VM keeps per tick is bounded: the stream's newest lines in a
+   ring of 64, a line count and a running digest, and looser counts only
+   for ticks that have one.  So a shadowing VM ticked 4N times ends with
+   the live words of one ticked N times (N above the ring), within a
+   fixed slack.  When the VM kept every stream line and every tick's
+   looser count, live data grew 17 words per tick: 5,100 words over the
+   300 extra ticks here. *)
+let test_vm_records_bounded () =
+  let opts =
+    {
+      (Vm.default_options ~device:"scsi") with
+      Vm.shadow = Some (retrain_fetch "scsi");
+      rare_prob = 0.0;
+    }
+  in
+  let live_after ticks =
+    let vm = Vm.create ~index:0 ~seed:23L opts in
+    for _ = 1 to ticks do
+      Vm.tick vm
+    done;
+    Gc.full_major ();
+    let words = (Gc.stat ()).Gc.live_words in
+    let r = Vm.report (Sys.opaque_identity vm) in
+    Alcotest.(check int) "line count" ticks r.Vm.r_stream_lines;
+    Alcotest.(check int) "lines kept" (min ticks 64) (List.length r.Vm.r_stream);
+    Alcotest.(check bool) "the newest line is last" true
+      (contains ~sub:(Printf.sprintf "t%04d " ticks) (List.nth r.Vm.r_stream (min ticks 64 - 1)));
+    words
+  in
+  (* Train and cache the base and candidate specs first. *)
+  ignore (live_after 2 : int);
+  let n = 100 in
+  let w1 = live_after n in
+  let w4 = live_after (4 * n) in
+  if w4 - w1 > 1024 then
+    Alcotest.failf "live words grew from %d to %d between %d and %d ticks" w1 w4 n (4 * n)
 
 let test_shadow_full_agreement () =
   (* A candidate retrained on the exact same corpus is behaviourally
@@ -726,6 +787,90 @@ let test_rollout_equivalent_retrained_promoted () =
   | None -> Alcotest.fail "diff must be present");
   Fleet.Rollout.reset_latches ()
 
+(* A candidate trained on a corpus that also issues rare commands
+   admits what the base flags, so it is looser on the ticks where the
+   soak issues one.  The test records each VM's dense per-tick looser
+   counts itself (the change in [sh_looser] across each tick).  The
+   sparse record must hold exactly the nonzero ones, and the phase must
+   give the window maximum and first looser tick of the dense stream. *)
+let test_rollout_sparse_looser_record () =
+  let w = Workload.Samples.find "fdc" in
+  let module D = (val w : Workload.Samples.DEVICE_WORKLOAD) in
+  let candidate =
+    lazy
+      (let benign = D.trainer ~cases:!Metrics.Spec_cache.training_cases in
+       let cases = benign.Sedspec.Pipeline.cases in
+       Sedspec.Pipeline.build
+         (D.make_machine D.paper_version)
+         ~device:D.device_name
+         {
+           Sedspec.Pipeline.cases = cases + 4;
+           run_case =
+             (fun m i ->
+               if i < cases then benign.Sedspec.Pipeline.run_case m i
+               else
+                 D.soak_case ~mode:Workload.Samples.Sequential
+                   ~rng:(Sedspec_util.Prng.create (Int64.of_int i))
+                   ~rare_prob:1.0 ~ops:24 m);
+         })
+  in
+  let opts =
+    {
+      (Vm.default_options ~device:"fdc") with
+      Vm.shadow = Some (fun () -> Lazy.force candidate);
+      rare_prob = 0.1;
+    }
+  in
+  let ticks = 40 in
+  let vms = List.init 2 (fun i -> Vm.create ~index:i ~seed:(Int64.of_int (41 + i)) opts) in
+  let looser vm =
+    match (Vm.report vm).Vm.r_shadow with
+    | Some sh -> sh.Vm.sh_looser
+    | None -> Alcotest.fail "the VM must shadow the candidate"
+  in
+  let dense = List.map (fun _ -> Array.make ticks 0) vms in
+  for k = 0 to ticks - 1 do
+    List.iter2
+      (fun vm row ->
+        let before = looser vm in
+        Vm.tick vm;
+        row.(k) <- looser vm - before)
+      vms dense
+  done;
+  let reports = List.map Vm.report vms in
+  List.iter2
+    (fun (r : Vm.report) row ->
+      let nonzero =
+        List.filter (fun (_, l) -> l > 0) (List.init ticks (fun k -> (k + 1, row.(k))))
+      in
+      match r.Vm.r_shadow with
+      | Some sh ->
+        Alcotest.(check (list (pair int int))) "sparse record = nonzero ticks" nonzero
+          sh.Vm.sh_looser_ticks
+      | None -> Alcotest.fail "the VM must shadow the candidate")
+    reports dense;
+  (* The reference: the governor's window over the dense fleet stream. *)
+  let merged = Array.init ticks (fun k -> List.fold_left (fun acc row -> acc + row.(k)) 0 dense) in
+  let budget = Governor.Budget.create ~window:8 in
+  let peak = ref 0 and first = ref None in
+  Array.iteri
+    (fun k l ->
+      Governor.Budget.observe budget l;
+      peak := max !peak (Governor.Budget.sum budget);
+      if l > 0 && !first = None then first := Some (k + 1))
+    merged;
+  let looser_ticks = Array.fold_left (fun n l -> if l > 0 then n + 1 else n) 0 merged in
+  Alcotest.(check bool)
+    (Printf.sprintf "looser on some ticks, not all (%d of %d)" looser_ticks ticks)
+    true
+    (looser_ticks >= 2 && looser_ticks < ticks);
+  let ph =
+    Fleet.Rollout.phase_of_reports ~rung:Fleet.Rollout.Shadow
+      (List.map (fun r -> (r, None)) reports)
+  in
+  Alcotest.(check int) "window maximum" !peak ph.Fleet.Rollout.ph_max_window_looser;
+  Alcotest.(check (option int)) "first looser tick" !first ph.Fleet.Rollout.ph_first_looser_tick
+
 let test_budget_window () =
   let b = Governor.Budget.create ~window:3 in
   Alcotest.(check int) "empty" 0 (Governor.Budget.sum b);
@@ -797,6 +942,8 @@ let () =
         [
           Alcotest.test_case "spec retry with fallback" `Slow
             test_vm_spec_retry_and_fallback;
+          Alcotest.test_case "per-tick records stay bounded" `Slow test_vm_records_bounded;
+          Alcotest.test_case "long stream reports its length" `Slow test_fleet_long_stream_json;
         ] );
       ( "arena",
         [
@@ -834,5 +981,7 @@ let () =
             `Slow test_rollout_poisoned_rolled_back_and_latched;
           Alcotest.test_case "equivalent retrained candidate promoted" `Slow
             test_rollout_equivalent_retrained_promoted;
+          Alcotest.test_case "sparse looser record = dense stream" `Slow
+            test_rollout_sparse_looser_record;
         ] );
     ]

@@ -353,6 +353,19 @@ let test_atomic_write_failure_leaves_no_temp () =
   Sys.remove target;
   Sys.rmdir dir
 
+(* The standard CRC-32 check value, and [update] continuing a digest
+   across a split at every position. *)
+let test_crc_check_value_and_update () =
+  let module Crc = Sedspec_util.Crc in
+  Alcotest.(check string) "check value" "cbf43926" (Crc.to_hex (Crc.crc32 "123456789"));
+  Alcotest.(check string) "empty" "00000000" (Crc.to_hex (Crc.crc32 ""));
+  let s = "t0001 protection burn=0 halted=false\nt0002 \255\000" in
+  for i = 0 to String.length s do
+    let a = String.sub s 0 i and b = String.sub s i (String.length s - i) in
+    Alcotest.(check int32) "update continues the digest" (Crc.crc32 s)
+      (Crc.update (Crc.crc32 a) b)
+  done
+
 let () =
   Alcotest.run "util"
     [
@@ -407,6 +420,7 @@ let () =
           Alcotest.test_case "fmt_pct" `Quick test_fmt_pct;
           Alcotest.test_case "fmt_float" `Quick test_fmt_float;
         ] );
+      ("crc", [ Alcotest.test_case "check value and update" `Quick test_crc_check_value_and_update ]);
       ( "atomic",
         [
           Alcotest.test_case "failed write leaves no temp file" `Quick

@@ -73,6 +73,31 @@ let test_guest_mem_alloc_budget () =
   (* The result: one boxed int64. *)
   check "W32 read" 3 (fun () -> keep (Vmm.Guest_mem.read g 0x3000L Width.W32))
 
+(* Untouched pages cost nothing: a 16 MiB RAM that takes one byte,
+   a checkpoint, a second byte on another page and a rollback allocates
+   its two page tables (4,097 words each), its dirty map and three 4 KiB
+   pages (514 words each, headers included): the first written page, its
+   copy in the image and the second written page.  That is 10,250 words;
+   a flat RAM and image allocated about 4.2 M.  [Gc.counters] counts the
+   calling domain's direct major allocations at once, where
+   [Gc.quick_stat] sees them only after the next collection. *)
+let test_guest_mem_footprint () =
+  let major () =
+    let _, _, w = Gc.counters () in
+    w
+  in
+  let w0 = major () in
+  let g = Vmm.Guest_mem.create (16 * 1024 * 1024) in
+  Vmm.Guest_mem.write_byte g 0x1000L 0xAB;
+  Vmm.Guest_mem.checkpoint g;
+  Vmm.Guest_mem.write_byte g 0x80_0000L 0xCD;
+  Vmm.Guest_mem.rollback g;
+  let words = int_of_float (major () -. w0) in
+  Alcotest.(check int) "first byte kept" 0xAB (Vmm.Guest_mem.read_byte g 0x1000L);
+  Alcotest.(check int) "second byte rolled back" 0 (Vmm.Guest_mem.read_byte g 0x80_0000L);
+  (* A little slack for words a minor collection might promote. *)
+  if words > (2 * 4097) + (4 * 514) + 64 then Alcotest.failf "allocated %d major words" words
+
 let test_irq_controller () =
   let irq = Vmm.Irq.create () in
   Vmm.Irq.register irq "dev";
@@ -500,14 +525,19 @@ let test_ram_checkpoint_rollback () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "rollback without a checkpoint accepted"
 
-(* Incremental checkpoints and the bulk fast paths against a full-copy
-   reference: random write, read, checkpoint and rollback sequences on a
-   RAM whose size is not a whole number of 4 KiB pages, with addresses
-   clustered on page boundaries and the end of RAM so multi-byte accesses
-   straddle both.  Some addresses have bit 63 set, some ranges wrap past
+(* Paged RAM, incremental checkpoints and the bulk fast paths against a
+   full-copy reference: random write, read, clear, checkpoint and
+   rollback sequences, with addresses clustered on page boundaries and
+   the end of RAM so multi-byte accesses straddle both.  RAM is 20 pages
+   plus a partial one, three whole pages, or less than one page.  Clears
+   fall between other ops, and a rollback often lands on pages the
+   checkpoint saw untouched (or cleared) and the guest wrote since, or
+   the reverse.  Some addresses have bit 63 set, some ranges wrap past
    [Int64.max_int], and lengths can be zero or negative.  Every sequence
    runs three ways: with nothing interposed (the fast paths), under a
-   write hook and under a read fault (the per-byte path). *)
+   write hook and under a read fault (the per-byte path).  Untouched
+   pages share one zero page, so after every sequence a fresh RAM must
+   still read zero everywhere. *)
 type ram_op =
   | Write_byte of int64 * int
   | Write of int64 * Width.t * int64
@@ -519,7 +549,7 @@ type ram_op =
   | Checkpoint
   | Rollback
 
-let ram_size = (20 * 4096) + 1234
+let ram_sizes = [ (20 * 4096) + 1234; 3 * 4096; 1000 ]
 
 let print_ram_op = function
   | Write_byte (a, v) -> Printf.sprintf "write_byte 0x%Lx 0x%x" a v
@@ -533,13 +563,14 @@ let print_ram_op = function
   | Checkpoint -> "checkpoint"
   | Rollback -> "rollback"
 
-let gen_ram_ops =
+let gen_ram_ops ram_size =
   let open QCheck.Gen in
+  let pages = (ram_size + 4095) / 4096 in
   let offset =
     oneof
       [
         int_range (-8) (ram_size + 8);
-        map2 (fun p d -> (p * 4096) + d) (int_range 0 21) (int_range (-8) 8);
+        map2 (fun p d -> (p * 4096) + d) (int_range 0 (pages + 1)) (int_range (-8) 8);
         map (fun d -> ram_size + d) (int_range (-8) 8);
       ]
   in
@@ -562,19 +593,22 @@ let gen_ram_ops =
         (2, map3 (fun a n b -> Fill (a, n, b)) addr len (int_bound 255));
         (2, map2 (fun a n -> Blit_out (a, n)) addr len);
         (3, map2 (fun a w -> Read (a, w)) addr width);
-        (1, return Clear);
+        (2, return Clear);
         (3, return Checkpoint);
         (3, return Rollback);
       ]
   in
   list_size (int_range 1 40) op
 
+let gen_ram_case =
+  QCheck.Gen.(oneofl ram_sizes >>= fun size -> map (fun ops -> (size, ops)) (gen_ram_ops size))
+
 type interposer = Plain | Write_hook | Read_fault
 
 (* A pure fault, as [set_read_fault] requires. *)
 let fault addr b = (b lxor (Int64.to_int addr * 7) lxor 0x5A) land 0xFF
 
-let run_ram_ops interposer ops =
+let run_ram_ops interposer (ram_size, ops) =
   let g = Vmm.Guest_mem.create ram_size in
   let model = Bytes.make ram_size '\000' and saved = ref None in
   (* What the hook or fault saw during the current op, newest first, and
@@ -675,10 +709,15 @@ let run_ram_ops interposer ops =
 let prop_checkpoint_matches_full_copy =
   QCheck.Test.make ~name:"checkpoint/rollback match a full copy" ~count:300
     (QCheck.make
-       ~print:(fun ops -> String.concat "; " (List.map print_ram_op ops))
-       ~shrink:QCheck.Shrink.list gen_ram_ops)
-    (fun ops ->
-      List.iter (fun i -> run_ram_ops i ops) [ Plain; Write_hook; Read_fault ];
+       ~print:(fun (size, ops) ->
+         Printf.sprintf "RAM %d: %s" size (String.concat "; " (List.map print_ram_op ops)))
+       ~shrink:QCheck.Shrink.(pair nil list)
+       gen_ram_case)
+    (fun ((size, _) as case) ->
+      List.iter (fun i -> run_ram_ops i case) [ Plain; Write_hook; Read_fault ];
+      let fresh = Vmm.Guest_mem.create size in
+      if Bytes.exists (fun c -> c <> '\000') (Vmm.Guest_mem.snapshot fresh) then
+        QCheck.Test.fail_report "a fresh RAM reads a nonzero byte: the zero page was written";
       true)
 
 let () =
@@ -691,6 +730,7 @@ let () =
           Alcotest.test_case "fill" `Quick test_guest_mem_fill;
           Alcotest.test_case "bit-63 addresses" `Quick test_guest_mem_bit63;
           Alcotest.test_case "allocation budget" `Quick test_guest_mem_alloc_budget;
+          Alcotest.test_case "footprint of untouched pages" `Quick test_guest_mem_footprint;
           QCheck_alcotest.to_alcotest prop_checkpoint_matches_full_copy;
         ] );
       ("irq", [ Alcotest.test_case "controller" `Quick test_irq_controller ]);
