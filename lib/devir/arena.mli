@@ -56,10 +56,9 @@ val copy_into : src:t -> dst:t -> unit
     size required). *)
 
 val copy_spans : spans:(int * int) list -> src:t -> dst:t -> unit
-(** Copy only the given (offset, length) spans. *)
-
-val save_spans : spans:(int * int) list -> t -> bytes -> unit
-val restore_spans : spans:(int * int) list -> t -> bytes -> unit
+(** Copy only the given (offset, length) spans, a word at a time and
+    without allocating.  Raises [Invalid_argument] for a span outside
+    either arena. *)
 
 val scalar_fields : t -> (string * int64) list
 (** Current values of all non-buffer fields, in layout order. *)

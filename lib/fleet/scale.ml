@@ -42,7 +42,7 @@ type device_ctx = {
 }
 
 (* A scale cell: the per-VM unit of this harness — one checker (and
-   therefore one cursor and one shadow/work/staged triple) against its
+   therefore one cursor and one shadow/work pair) against its
    device's shared arena.  [bytes/VM] measures exactly this marginal
    footprint. *)
 type cell = {

@@ -87,6 +87,8 @@ type t = {
       (* In the order they were added, each in its own cell for its
          remover to find. *)
   mutable hooks : hooks;  (* [hook_layers] composed: what a run reads *)
+  mutable tracing : bool;  (* some layer listens to [on_trace] *)
+  mutable entering : bool;  (* some layer listens to [on_block] *)
   program : Program.t;
   arena : Arena.t;
   asize : int;
@@ -173,10 +175,6 @@ let rec read_le read addr i acc =
       (Int64.logor (Int64.shift_left acc 8)
          (Int64.of_int (read (Int64.add addr (Int64.of_int i)))))
 
-let set_local (env : Lower.env) s v =
-  env.locals.(s) <- v;
-  env.ldef.(s) <- true
-
 (* Evaluation order within a statement is observable (the order of
    overflow and oob events, and which trap fires first) and fixed by the
    pinned digests in test_interp: [Set_buf] evaluates its value before
@@ -202,7 +200,7 @@ let lower_stmt lc ~at (stmt : Stmt.t) : (t -> unit) option =
         Arena.set_byte_at t.arena (byte_at t at buf i ~write:true) byte)
   | Stmt.Set_local (n, e) ->
     let s = Lower.local_slot lc n and fe = int64 e in
-    Some (fun t -> set_local t.env s (fe t.env))
+    Some (fun t -> Lower.define t.env s (fe t.env))
   | Stmt.Buf_fill (b, off, len, v) ->
     let buf = Lower.buffer lc ~at b in
     let foff = int off and flen = int len and fv = int v in
@@ -274,7 +272,7 @@ let lower_stmt lc ~at (stmt : Stmt.t) : (t -> unit) option =
     Some
       (fun t ->
         let addr = faddr t.env in
-        set_local t.env s (read_le t.guest.read_byte addr (n - 1) 0L))
+        Lower.define t.env s (read_le t.guest.read_byte addr (n - 1) 0L))
   | Stmt.Write_guest { addr; value; width } ->
     let faddr = int64 addr and fv = int64 value in
     let n = Width.bytes width in
@@ -309,7 +307,7 @@ let lower_stmt lc ~at (stmt : Stmt.t) : (t -> unit) option =
   | Stmt.Note _ -> None
   | Stmt.Host_value { local; key } ->
     let s = Lower.local_slot lc local in
-    Some (fun t -> set_local t.env s (t.host_value key))
+    Some (fun t -> Lower.define t.env s (t.host_value key))
 
 (* --- Lowering -------------------------------------------------------- *)
 
@@ -398,6 +396,8 @@ let create ~program ~arena ~guest () =
     {
       hook_layers = [];
       hooks = silent_hooks;
+      tracing = false;
+      entering = false;
       program;
       arena;
       asize = Arena.size arena;
@@ -427,9 +427,13 @@ let create ~program ~arena ~guest () =
         { Event.oob_block = at; oob_buf = buf; oob_index = i; oob_write = false });
   t
 
+(* A run calls [on_trace] and [on_block], the two hooks of every block,
+   only when some layer listens. *)
 let set_hook_layers t layers =
   t.hook_layers <- layers;
-  t.hooks <- List.fold_left (fun acc l -> merge_hooks acc !l) silent_hooks layers
+  t.hooks <- List.fold_left (fun acc l -> merge_hooks acc !l) silent_hooks layers;
+  t.tracing <- t.hooks.on_trace != silent_hooks.on_trace;
+  t.entering <- t.hooks.on_block != silent_hooks.on_block
 
 let add_hooks t hooks =
   let cell = ref hooks in
@@ -491,7 +495,7 @@ let observe t (b : block) outcome =
 let rec synced (env : Lower.env) = function
   | [] -> []
   | (name, s) :: rest ->
-    if s >= 0 && env.ldef.(s) then (name, env.locals.(s)) :: synced env rest
+    if s >= 0 && Lower.defined env s then (name, env.locals.(s)) :: synced env rest
     else synced env rest
 
 (* A plain loop, so handing one value to several layers allocates
@@ -543,14 +547,14 @@ let rec run_handler t depth name entry =
   if entry = -2 then invalid_arg (Printf.sprintf "Interp.run: no handler %s" name);
   if entry = -1 then invalid_arg (Printf.sprintf "Interp.run: handler %s is empty" name);
   let b = t.code.blocks.(entry) in
-  if depth = 0 then t.hooks.on_trace b.pge;
+  if depth = 0 && t.tracing then t.hooks.on_trace b.pge;
   step t depth b
 
 and step t depth (b : block) =
   t.steps <- t.steps + 1;
   if t.steps > step_limit then raise (Trap Event.Step_limit);
-  t.hooks.on_block b.bref b.kind;
-  exec_stmts t b;
+  if t.entering then t.hooks.on_block b.bref b.kind;
+  if Array.length b.stmts > 0 then exec_stmts t b;
   (match t.sync.(b.id) with
   | Some locals -> deliver b.bref (synced t.env locals) t.on_sync
   | None -> ());
@@ -561,13 +565,14 @@ and step t depth (b : block) =
     step t depth t.code.blocks.(next)
   | L_branch (cond, if_taken, if_not) ->
     let taken = eval_at t b cond in
-    t.hooks.on_trace (if taken then tnt_taken else tnt_not_taken);
+    if t.tracing then t.hooks.on_trace (if taken then tnt_taken else tnt_not_taken);
     if observed then
       observe t b (if taken then Event.O_taken else Event.O_not_taken);
     step t depth t.code.blocks.(if taken then if_taken else if_not)
   | L_switch sw ->
     let i = eval_at t b sw.scrutinee.index in
-    t.hooks.on_trace (if i < 0 then sw.default_tip else sw.case_tips.(i));
+    if t.tracing then
+      t.hooks.on_trace (if i < 0 then sw.default_tip else sw.case_tips.(i));
     if observed then
       observe t b
         (Event.O_case
@@ -575,7 +580,7 @@ and step t depth (b : block) =
     step t depth t.code.blocks.(if i < 0 then sw.default else sw.case_dests.(i))
   | L_icall (fnptr, next) ->
     let v = eval_at t b fnptr in
-    t.hooks.on_trace (Event.Tip v);
+    if t.tracing then t.hooks.on_trace (Event.Tip v);
     if observed then observe t b (Event.O_icall v);
     (match t.icall_guard with
     | Some guard when not (guard b.bref v) ->
@@ -607,11 +612,11 @@ and step t depth (b : block) =
     step t depth t.code.blocks.(next)
   | L_halt ->
     if observed then observe t b Event.O_halt;
-    if depth = 0 then t.hooks.on_trace Event.Pgd
+    if depth = 0 && t.tracing then t.hooks.on_trace Event.Pgd
 
 let run t ~handler ~params =
   Lower.reset t.env;
-  Lower.bind_params t.lctx t.env params;
+  Lower.bind_params t.lctx t.env ~handler params;
   t.steps <- 0;
   t.responded <- false;
   let entry =

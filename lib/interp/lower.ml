@@ -1,17 +1,32 @@
 open Devir
 
+(* A few names looked up recently, found again by physical identity
+   before any hashing: first the slot found last, then the others. *)
+type 'a memo = {
+  names : string array;
+  vals : 'a array;
+  mutable filled : int;
+  mutable next : int;
+  mutable last : int;
+}
+
+(* A request's parameter list as one handler receives it: the name at
+   each position and its slot, [-1] for a name no lowered code reads or
+   one an earlier position already binds. *)
+type plan = { pnames : string array; pslots : int array }
+
 type env = {
   work : Arena.t;
   locals : int64 array;
-  ldef : bool array;
+  ldef : int array;
   params : int64 array;
-  pdef : bool array;
+  pdef : int array;
+  mutable epoch : int;
   mutable record_overflow : Eval.overflow -> unit;
   mutable oob_read : Program.bref -> string -> int -> unit;
-  mutable pnames : string array;
-  mutable pslots : int array;
+  plans : plan memo;
   mutable scrut : int;
-  mutable scrut_wide : int64;
+  scrut_wide : Bytes.t;
 }
 
 type slots = { tbl : (string, int) Hashtbl.t; mutable next : int }
@@ -239,10 +254,16 @@ let rec lower c ~at (e : Expr.t) : lowered =
   | Expr.Buf_len b -> K (Int64.of_int (buffer c ~at b).size)
   | Expr.Param n ->
     let s = param_slot c n in
-    W (fun env -> if env.pdef.(s) then env.params.(s) else raise (Eval.Undefined_param n))
+    W
+      (fun env ->
+        if env.pdef.(s) = env.epoch then env.params.(s)
+        else raise (Eval.Undefined_param n))
   | Expr.Local n ->
     let s = local_slot c n in
-    W (fun env -> if env.ldef.(s) then env.locals.(s) else raise (Eval.Undefined_local n))
+    W
+      (fun env ->
+        if env.ldef.(s) = env.epoch then env.locals.(s)
+        else raise (Eval.Undefined_local n))
   | Expr.Binop (op, Width.W64, a, b) ->
     let fa = as_int64 (lower c ~at a) and fb = as_int64 (lower c ~at b) in
     W
@@ -272,83 +293,128 @@ let int_expr c ~at e = as_int (lower c ~at e)
 let int64_expr c ~at e = as_int64 (lower c ~at e)
 let bool_expr c ~at e = as_bool (lower c ~at e)
 
+(* --- Handler names ----------------------------------------------------- *)
+
+(* A name no request can be physically equal to. *)
+let no_name = Bytes.unsafe_to_string (Bytes.create 0)
+
+let memo n dummy =
+  { names = Array.make n no_name; vals = Array.make n dummy; filled = 0; next = 0; last = 0 }
+
+let rec memo_slot (m : _ memo) name i =
+  if i = m.filled then -1 else if m.names.(i) == name then i else memo_slot m name (i + 1)
+
+(* The slot that holds [name], or [-1]. *)
+let memo_index (m : _ memo) name =
+  if m.names.(m.last) == name then m.last
+  else begin
+    let i = memo_slot m name 0 in
+    if i >= 0 then m.last <- i;
+    i
+  end
+
+let memo_add (m : _ memo) name v =
+  let i = m.next in
+  m.names.(i) <- name;
+  m.vals.(i) <- v;
+  m.last <- i;
+  m.next <- (if i + 1 = Array.length m.names then 0 else i + 1);
+  if m.filled < Array.length m.names then m.filled <- m.filled + 1
+
+let memo_find (m : _ memo) tbl name =
+  match memo_index m name with
+  | -1 ->
+    let v = Hashtbl.find tbl name in
+    memo_add m name v;
+    v
+  | i -> m.vals.(i)
+
+(* --- Environments -------------------------------------------------------- *)
+
+let no_plan = { pnames = [||]; pslots = [||] }
+
 let make_env c ~work =
   let nl = max c.locals.next 1 and np = max c.params.next 1 in
   {
     work;
     locals = Array.make nl 0L;
-    ldef = Array.make nl false;
+    ldef = Array.make nl 0;
     params = Array.make np 0L;
-    pdef = Array.make np false;
+    pdef = Array.make np 0;
+    epoch = 1;
     record_overflow = ignore;
     oob_read = (fun _ _ _ -> ());
-    pnames = Array.make 4 "";
-    pslots = Array.make 4 (-1);
+    plans = memo 4 no_plan;
     scrut = 0;
-    scrut_wide = 0L;
+    scrut_wide = Bytes.make 8 '\000';
   }
 
-let reset env =
-  Array.fill env.ldef 0 (Array.length env.ldef) false;
-  Array.fill env.pdef 0 (Array.length env.pdef) false
+(* A slot is defined in this run when its stamp is the run's epoch, so
+   forgetting every slot is one increment. *)
+let reset (env : env) = env.epoch <- env.epoch + 1
+let defined (env : env) s = env.ldef.(s) = env.epoch
 
-(* Requests name their parameters with the same string constants every
-   time, so a name physically equal to the one last seen at its position
-   reuses that slot without hashing. *)
-let param_at c env k name =
-  if k < Array.length env.pnames && env.pnames.(k) == name then env.pslots.(k)
-  else begin
-    let s =
-      match Hashtbl.find c.params.tbl name with s -> s | exception Not_found -> -1
-    in
-    if k >= Array.length env.pnames then begin
-      let grow a fill = Array.append a (Array.make (k + 1) fill) in
-      env.pnames <- grow env.pnames "";
-      env.pslots <- grow env.pslots (-1)
-    end;
-    env.pnames.(k) <- name;
-    env.pslots.(k) <- s;
-    s
-  end
+let define (env : env) s v =
+  env.locals.(s) <- v;
+  env.ldef.(s) <- env.epoch
 
-let rec bind_from c env k = function
+let make_plan c params =
+  let names = Array.of_list (List.map fst params) in
+  let slots =
+    Array.mapi
+      (fun k name ->
+        let first = ref true in
+        for j = 0 to k - 1 do
+          if String.equal names.(j) name then first := false
+        done;
+        match Hashtbl.find_opt c.params.tbl name with
+        | Some s when !first -> s
+        | _ -> -1)
+      names
+  in
+  { pnames = names; pslots = slots }
+
+(* A list that leaves its handler's plan binds the rest name by name; the
+   stamps keep the first binding of a name, as the plan does. *)
+let rec bind_by_name c (env : env) = function
   | [] -> ()
   | (name, v) :: rest ->
-    let s = param_at c env k name in
-    if s >= 0 && not env.pdef.(s) then begin
-      env.params.(s) <- v;
-      env.pdef.(s) <- true
-    end;
-    bind_from c env (k + 1) rest
+    (match Hashtbl.find c.params.tbl name with
+    | s ->
+      if env.pdef.(s) <> env.epoch then begin
+        env.params.(s) <- v;
+        env.pdef.(s) <- env.epoch
+      end
+    | exception Not_found -> ());
+    bind_by_name c env rest
 
-let bind_params c env params = bind_from c env 0 params
+let rec bind_plan c (env : env) p k = function
+  | [] -> ()
+  | (name, v) :: rest as l ->
+    if k < Array.length p.pnames && p.pnames.(k) == name then begin
+      let s = p.pslots.(k) in
+      if s >= 0 then begin
+        env.params.(s) <- v;
+        env.pdef.(s) <- env.epoch
+      end;
+      bind_plan c env p (k + 1) rest
+    end
+    else bind_by_name c env l
 
-(* --- Handler names ----------------------------------------------------- *)
-
-type 'a memo = {
-  names : string array;
-  vals : 'a array;
-  mutable filled : int;
-  mutable next : int;
-}
-
-let memo n dummy =
-  { names = Array.make n ""; vals = Array.make n dummy; filled = 0; next = 0 }
-
-let rec memo_slot m name i =
-  if i = m.filled then -1 else if m.names.(i) == name then i else memo_slot m name (i + 1)
-
-let memo_find m tbl name =
-  match memo_slot m name 0 with
-  | -1 ->
-    let v = Hashtbl.find tbl name in
-    let i = m.next in
-    m.names.(i) <- name;
-    m.vals.(i) <- v;
-    m.next <- (if i + 1 = Array.length m.names then 0 else i + 1);
-    if m.filled < Array.length m.names then m.filled <- m.filled + 1;
-    v
-  | i -> m.vals.(i)
+(* Requests name their handler and parameters with the same string
+   constants every time: the handler's plan, made from its first request,
+   binds each later one by physical identity, without hashing. *)
+let bind_params c (env : env) ~handler params =
+  let m = env.plans in
+  let p =
+    match memo_index m handler with
+    | -1 ->
+      let p = make_plan c params in
+      memo_add m handler p;
+      p
+    | i -> m.vals.(i)
+  in
+  bind_plan c env p 0 params
 
 (* --- Switches ---------------------------------------------------------- *)
 
@@ -400,9 +466,9 @@ let switch c ~at e vals =
       index =
         (fun env ->
           let v = f env in
-          env.scrut_wide <- v;
+          Bytes.set_int64_ne env.scrut_wide 0 v;
           case_index vals v 0 last);
-      value = (fun env -> env.scrut_wide);
+      value = (fun env -> Bytes.get_int64_ne env.scrut_wide 0);
     }
   | (N _ | B _) as l ->
     let f = as_int l in

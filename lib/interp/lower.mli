@@ -24,24 +24,37 @@
 
 open Devir
 
+type 'a memo
+(** A few names looked up recently, found again by physical identity
+    before any hashing: the slot found last first, then the others.
+    Requests name their handler with the same string constant every
+    time, as they do their parameters ({!bind_params}). *)
+
+type plan
+(** How one handler's requests list their parameters: the name at each
+    position and its slot, resolved from the handler's first request. *)
+
 type env = {
   work : Arena.t;  (** The control structure expressions read. *)
   locals : int64 array;
-  ldef : bool array;  (** Local slot is defined in this run. *)
+  ldef : int array;
+      (** The [epoch] at which each local slot was last defined: a local
+          is defined in this run when its stamp equals [epoch]. *)
   params : int64 array;
-  pdef : bool array;  (** Parameter slot is bound in this run. *)
+  pdef : int array;  (** As [ldef], for parameter slots bound this run. *)
+  mutable epoch : int;
+      (** The run's stamp.  {!reset} increments it, which forgets every
+          local and parameter at once. *)
   mutable record_overflow : Eval.overflow -> unit;
       (** Called on every arithmetic wrap. *)
   mutable oob_read : Program.bref -> string -> int -> unit;
       (** [oob_read at buf index]: a [Buf_byte] read at block [at] left
           [buf]'s declared extent (it may still land inside the arena). *)
-  mutable pnames : string array;
-  mutable pslots : int array;
-      (** {!bind_params}' memo: the parameter name last seen at each
-          position of a request and its slot. *)
+  plans : plan memo;  (** {!bind_params}' plan per handler name. *)
   mutable scrut : int;
-  mutable scrut_wide : int64;
-      (** The last switch scrutinee, narrow or wide ({!switch}). *)
+  scrut_wide : Bytes.t;
+      (** The last switch scrutinee, narrow or wide (eight bytes,
+          native-endian; {!switch}): storing it needs no write barrier. *)
 }
 
 type ctx
@@ -102,18 +115,24 @@ val make_env : ctx -> work:Arena.t -> env
     first); hooks start as no-ops. *)
 
 val reset : env -> unit
-(** Forget all locals and parameters (no allocation). *)
+(** Forget all locals and parameters: one increment of [epoch], whatever
+    the number of slots. *)
 
-val bind_params : ctx -> env -> (string * int64) list -> unit
-(** Bind request parameters; the first binding of a name wins and names
-    no lowered code reads are ignored. *)
+val defined : env -> int -> bool
+(** [defined env s]: local slot [s] was defined in this run. *)
+
+val define : env -> int -> int64 -> unit
+(** Store a local and stamp it defined in this run. *)
+
+val bind_params : ctx -> env -> handler:string -> (string * int64) list -> unit
+(** Bind a request's parameters for [handler]; the first binding of a
+    name wins and names no lowered code reads are ignored.  The first
+    request a handler gets resolves a plan of slots by position; a later
+    request whose names are physically the plan's binds without hashing,
+    and one that is not binds by name from the first position that
+    differs. *)
 
 (** {1 Handler names} *)
-
-type 'a memo
-(** A few names looked up recently, found again by physical identity
-    before any hashing.  Requests name their handler with the same string
-    constant every time, as they do their parameters ({!bind_params}). *)
 
 val memo : int -> 'a -> 'a memo
 (** [memo n dummy]: room for [n] names; [dummy] fills the empty slots. *)

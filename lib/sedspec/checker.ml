@@ -92,8 +92,9 @@ type t = {
   stats : stats;
   sync_values : (Program.bref * string, int64 Queue.t) Hashtbl.t;
   mutable pending : pending option;
-  staged_buf : bytes;
-  mutable staged : bool;  (** [staged_buf]/[staged_ctx] are valid. *)
+  mutable staged : bool;
+      (** The pre-run walk succeeded: [work] holds its shadow spans and
+          [staged_ctx] its command context until [after] commits them. *)
   mutable staged_ctx : int;
   mutable dirty : bool;
   walk_locals : (string, int64 * bool) Hashtbl.t;
@@ -242,7 +243,6 @@ let create ?(config = default_config) ?compiled ~spec ~device_arena ~guest () =
       stats =
         { interactions = 0; walks_ok = 0; bails = 0; deferred = 0; nodes_walked = 0 };
       sync_values = Hashtbl.create 8;
-      staged_buf = Bytes.create (Layout.size layout);
       pending = None;
       staged = false;
       staged_ctx = cctx_none;
@@ -412,31 +412,33 @@ let set_coverage t cov =
     t.cov_seen <- Bytes.make (((n + (n * n)) / 8) + 1) '\000'
   | _ -> Bytes.fill t.cov_seen 0 (Bytes.length t.cov_seen) '\000'
 
+(* Recording the ES-CFG node at block index [i] into coverage [c].  A node
+   or edge this checker already recorded costs a bit probe; only a new one
+   touches the bref-keyed tables.  Coverage only grows, so a set bit stays
+   true of the tables. *)
+let cov_record t c i bref =
+  let seen = t.cov_seen in
+  if not (Compile.bit seen i) then begin
+    Compile.set_bit seen i;
+    Hashtbl.replace c.cov_nodes bref ()
+  end;
+  let p = t.cov_prev in
+  if p >= 0 then begin
+    let program = Es_cfg.program t.spec in
+    let n = Program.block_count program in
+    let e = n + (p * n) + i in
+    if not (Compile.bit seen e) then begin
+      Compile.set_bit seen e;
+      Hashtbl.replace c.cov_edges (Program.bref_of_index program p, bref) ()
+    end
+  end;
+  t.cov_prev <- i
+
 (* Entering the ES-CFG node at block index [i] during a walk (either
-   engine).  With coverage off (the steady state) this is one immediate
-   match.  With it on, a node or edge this checker already recorded costs
-   a bit probe; only a new one touches the bref-keyed tables.  Coverage
-   only grows, so a set bit stays true of the tables. *)
-let cov_enter t i bref =
-  match t.cov with
-  | None -> ()
-  | Some c ->
-    let seen = t.cov_seen in
-    if not (Compile.bit seen i) then begin
-      Compile.set_bit seen i;
-      Hashtbl.replace c.cov_nodes bref ()
-    end;
-    let p = t.cov_prev in
-    if p >= 0 then begin
-      let program = Es_cfg.program t.spec in
-      let n = Program.block_count program in
-      let e = n + (p * n) + i in
-      if not (Compile.bit seen e) then begin
-        Compile.set_bit seen e;
-        Hashtbl.replace c.cov_edges (Program.bref_of_index program p, bref) ()
-      end
-    end;
-    t.cov_prev <- i
+   engine).  Inlined, so with coverage off (the steady state) a node pays
+   one immediate match and no call. *)
+let[@inline] cov_enter t i bref =
+  match t.cov with None -> () | Some c -> cov_record t c i bref
 
 let enabled t = function
   | Parameter_check -> t.en_param
@@ -849,7 +851,6 @@ and center t (c : Compile.t) (cur : Compile.cursor) (n : Compile.cnode) =
     if n.Compile.is_cmd_end then cur.Compile.cctx <- cctx_none;
     cpop t c cur
   | Compile.C_branch { cond; taken0; not_taken0; if_taken; if_not } ->
-    cur.Compile.overflow <- None;
     let taken = cond cur.Compile.env in
     if t.en_cond then
       if (taken && taken0) || ((not taken) && not_taken0) then
@@ -859,7 +860,6 @@ and center t (c : Compile.t) (cur : Compile.cursor) (n : Compile.cnode) =
     if n.Compile.is_cmd_end then cur.Compile.cctx <- cctx_none;
     cgoto t c cur (if taken then if_taken else if_not)
   | Compile.C_switch sw ->
-    cur.Compile.overflow <- None;
     let idx = sw.Compile.scrutinee.index cur.Compile.env in
     if idx >= 0 then begin
       (match sw.Compile.cmd_of with
@@ -882,7 +882,6 @@ and center t (c : Compile.t) (cur : Compile.cursor) (n : Compile.cnode) =
     cgoto t c cur
       (if idx < 0 then sw.Compile.default else sw.Compile.case_dests.(idx))
   | Compile.C_icall ic -> (
-    cur.Compile.overflow <- None;
     let v = ic.Compile.fnptr cur.Compile.env in
     if t.en_indirect && not (ic.Compile.legit v) then
       anomaly Indirect_jump_check (Some n.Compile.bref)
@@ -915,7 +914,7 @@ let walk_compiled t ~sync ~handler ~params =
     ~dst:t.work;
   Compile.cursor_start cur ~sync ~en_param:t.en_param
     ~limit:t.config.walk_limit ~deadline:t.deadline;
-  Compile.bind_params c cur params;
+  Compile.bind_params c cur ~handler params;
   cur.Compile.cctx <- t.ctx;
   let res =
     match
@@ -991,20 +990,22 @@ let verdict t (a : anomaly) : Vmm.Machine.verdict =
 let taken_anomaly t =
   match t.w_anomaly with Some a -> a | None -> assert false
 
+(* An option field is reset only when set: storing even [None] into a
+   pointer field goes through the write barrier, and they are set only on
+   rare paths. *)
 let before t (request : Vmm.Machine.request) : Vmm.Machine.verdict =
   t.stats.interactions <- t.stats.interactions + 1;
-  t.pending <- None;
+  if Option.is_some t.pending then t.pending <- None;
   t.staged <- false;
   t.dirty <- false;
-  t.inline_halt <- None;
-  t.inline_warn <- None;
+  if Option.is_some t.inline_halt then t.inline_halt <- None;
+  if Option.is_some t.inline_warn then t.inline_warn <- None;
   (* [clear], not [reset]: [reset] reallocates the bucket array on every
      interaction. *)
   Hashtbl.clear t.sync_values;
   let r = walk t ~sync:false ~handler:request.handler ~params:request.params in
   if r = res_ok then begin
     t.stats.walks_ok <- t.stats.walks_ok + 1;
-    Arena.save_spans ~spans:t.spans t.work t.staged_buf;
     t.staged <- true;
     t.staged_ctx <- t.w_ctx;
     Vmm.Machine.Allow
@@ -1060,7 +1061,9 @@ let after t (_request : Vmm.Machine.request) (outcome : Interp.Event.outcome) :
       end
     | None ->
       if t.staged then begin
-        Arena.restore_spans ~spans:t.spans t.shadow t.staged_buf;
+        (* The one shadow copy of a committed interaction: nothing walks
+           between [before] and here, so [work] still holds the walk. *)
+        Arena.copy_spans ~spans:t.spans ~src:t.work ~dst:t.shadow;
         t.ctx <- t.staged_ctx;
         t.staged <- false;
         Vmm.Machine.Allow

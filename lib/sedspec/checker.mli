@@ -25,6 +25,18 @@
     instrumentation, and completes the checks with the synchronised
     values.
 
+    The shadow device state moves with each interaction.  A walk runs
+    over a scratch copy of the shadow's tracked spans, with function
+    pointers refreshed from the live control structure.  When the
+    pre-execution walk succeeds and the device then completes, [after]
+    commits the scratch copy into the shadow: one copy per committed
+    interaction, since nothing walks between [before] and [after].  A
+    later interposer layer that halts the request skips [after]; the
+    next [before] drops that uncommitted walk.  A deferred walk commits
+    the same way once the device has run.  After a device trap, a bail
+    or an anomaly, the shadow is resynchronised from the live control
+    structure instead.
+
     Working modes: in [Protection] any anomaly halts the VM; in
     [Enhancement] only parameter-check anomalies halt, the others warn.
 
@@ -212,7 +224,9 @@ val shadow_matches_device : t -> (string * int64 * int64) list
 val bench_walk : t -> handler:string -> params:(string * int64) list -> unit
 (** Run one pre-execution walk (under the configured engine) and discard
     the result: no anomaly recording, no shadow commit, no interaction
-    bookkeeping beyond [stats.nodes_walked].  For micro-benchmarks. *)
+    bookkeeping beyond [stats.nodes_walked].  For micro-benchmarks.  It
+    overwrites the scratch copy, so it must not run between an
+    interposer's [before] and [after]. *)
 
 val shadow_snapshot : t -> bytes
 (** Raw bytes of the shadow control structure (for differential tests). *)

@@ -33,7 +33,8 @@ type dest = { chain : Program.bref array; target : target }
 type cursor = {
   env : L.env;
   llink : bool array;
-  mutable overflow : Interp.Eval.overflow option;
+  mutable overflowed : bool;
+  mutable overflow : Interp.Eval.overflow;
   mutable guest_read : int64 -> int;
   mutable sync : bool;
   mutable en_param : bool;
@@ -172,11 +173,11 @@ let compile_buf_check ~at ~buf ~bsize l : cursor -> int -> int -> unit =
         raise (Fault (Buf_bounds { at; buf; off; len; size = bsize }))
 
 (* A field store faults, before it writes, on an overflow while its value
-   was computed. *)
+   was computed.  Only a store reads the overflow flag, so only a store
+   clears it, before it evaluates its value. *)
 let check_store cur at field =
-  match cur.overflow with
-  | Some ov when cur.en_param -> raise (Fault (Overflow { at; field; ov }))
-  | _ -> ()
+  if cur.overflowed && cur.en_param then
+    raise (Fault (Overflow { at; field; ov = cur.overflow }))
 
 let compile_stmt c ~(at : Program.bref) (stmt : Stmt.t) : cursor -> unit =
   let int = L.int_expr c.slots ~at and int64 = L.int64_expr c.slots ~at in
@@ -187,14 +188,14 @@ let compile_stmt c ~(at : Program.bref) (stmt : Stmt.t) : cursor -> unit =
     | off, Width.W64 ->
       let fe = int64 e in
       fun cur ->
-        cur.overflow <- None;
+        cur.overflowed <- false;
         let v = fe cur.env in
         check_store cur at f;
         Arena.write_u64 cur.env.work off v
     | off, w ->
       let fe = int e and write = L.int_writer w in
       fun cur ->
-        cur.overflow <- None;
+        cur.overflowed <- false;
         let v = fe cur.env in
         check_store cur at f;
         write cur.env.work off v)
@@ -204,18 +205,15 @@ let compile_stmt c ~(at : Program.bref) (stmt : Stmt.t) : cursor -> unit =
     match compile_linked c e with
     | Lconst l ->
       fun cur ->
-        cur.overflow <- None;
-        let v = fe cur.env in
-        cur.env.locals.(s) <- v;
-        cur.env.ldef.(s) <- true;
+        L.define cur.env s (fe cur.env);
         cur.llink.(s) <- l
     | Ldyn fl ->
+      (* The value first: an undefined local it reads raises before its
+         stale link bit could be read. *)
       fun cur ->
-        cur.overflow <- None;
         let v = fe cur.env in
         let l = fl cur in
-        cur.env.locals.(s) <- v;
-        cur.env.ldef.(s) <- true;
+        L.define cur.env s v;
         cur.llink.(s) <- l)
   | Stmt.Set_buf (b, idx, v) ->
     let { L.base; size = bsize; _ } = L.buffer c.slots ~at b in
@@ -224,10 +222,8 @@ let compile_stmt c ~(at : Program.bref) (stmt : Stmt.t) : cursor -> unit =
     let fv = int v in
     if Hashtbl.mem c.tracked b then
       fun cur ->
-        cur.overflow <- None;
         let iv = fidx cur.env in
         check cur iv 1;
-        cur.overflow <- None;
         let vv = fv cur.env land 0xFF in
         let abs = base + iv in
         if abs < 0 || abs >= asize then
@@ -235,7 +231,6 @@ let compile_stmt c ~(at : Program.bref) (stmt : Stmt.t) : cursor -> unit =
         Arena.set_byte_at cur.env.work abs vv
     else
       fun cur ->
-        cur.overflow <- None;
         let iv = fidx cur.env in
         check cur iv 1
   | Stmt.Buf_fill (b, off, len, v) ->
@@ -248,12 +243,9 @@ let compile_stmt c ~(at : Program.bref) (stmt : Stmt.t) : cursor -> unit =
     let fv = int v in
     if Hashtbl.mem c.tracked b then
       fun cur ->
-        cur.overflow <- None;
         let offv = foff cur.env in
-        cur.overflow <- None;
         let lenv = flen cur.env in
         check cur offv lenv;
-        cur.overflow <- None;
         let vv = fv cur.env land 0xFF in
         for i = offv to offv + lenv - 1 do
           let abs = base + i in
@@ -263,9 +255,7 @@ let compile_stmt c ~(at : Program.bref) (stmt : Stmt.t) : cursor -> unit =
         done
     else
       fun cur ->
-        cur.overflow <- None;
         let offv = foff cur.env in
-        cur.overflow <- None;
         let lenv = flen cur.env in
         check cur offv lenv
   | Stmt.Copy_from_guest { buf; buf_off; addr; len } ->
@@ -278,12 +268,9 @@ let compile_stmt c ~(at : Program.bref) (stmt : Stmt.t) : cursor -> unit =
     let faddr = int64 addr in
     if Hashtbl.mem c.tracked buf then
       fun cur ->
-        cur.overflow <- None;
         let offv = foff cur.env in
-        cur.overflow <- None;
         let lenv = flen cur.env in
         check cur offv lenv;
-        cur.overflow <- None;
         let addrv = faddr cur.env in
         for i = 0 to lenv - 1 do
           let byte = cur.guest_read (Int64.add addrv (Int64.of_int i)) in
@@ -295,9 +282,7 @@ let compile_stmt c ~(at : Program.bref) (stmt : Stmt.t) : cursor -> unit =
         done
     else
       fun cur ->
-        cur.overflow <- None;
         let offv = foff cur.env in
-        cur.overflow <- None;
         let lenv = flen cur.env in
         check cur offv lenv
   | Stmt.Copy_to_guest { buf; buf_off; len; _ } ->
@@ -310,9 +295,7 @@ let compile_stmt c ~(at : Program.bref) (stmt : Stmt.t) : cursor -> unit =
         (lnk_or (compile_linked c buf_off) (compile_linked c len))
     in
     fun cur ->
-      cur.overflow <- None;
       let offv = foff cur.env in
-      cur.overflow <- None;
       let lenv = flen cur.env in
       check cur offv lenv
   | Stmt.Read_guest { local; addr; width } ->
@@ -320,18 +303,16 @@ let compile_stmt c ~(at : Program.bref) (stmt : Stmt.t) : cursor -> unit =
     let s = L.local_slot c.slots local in
     let n = Width.bytes width in
     fun cur ->
-      cur.overflow <- None;
       let addrv = faddr cur.env in
-      let rec go i acc =
-        if i < 0 then acc
-        else
-          go (i - 1)
-            (Int64.logor (Int64.shift_left acc 8)
-               (Int64.of_int (cur.guest_read (Int64.add addrv (Int64.of_int i)))))
-      in
-      let v = go (n - 1) 0L in
-      cur.env.locals.(s) <- v;
-      cur.env.ldef.(s) <- true;
+      (* Little-endian, highest byte read first, into an unboxed
+         accumulator. *)
+      let v = ref 0L in
+      for i = n - 1 downto 0 do
+        v :=
+          Int64.logor (Int64.shift_left !v 8)
+            (Int64.of_int (cur.guest_read (Int64.add addrv (Int64.of_int i))))
+      done;
+      L.define cur.env s !v;
       cur.llink.(s) <- false
   | Stmt.Host_value { local; key = _ } ->
     let s = L.local_slot c.slots local in
@@ -340,8 +321,7 @@ let compile_stmt c ~(at : Program.bref) (stmt : Stmt.t) : cursor -> unit =
       else begin
         match cur.sync_pop at local with
         | Some v ->
-          cur.env.locals.(s) <- v;
-          cur.env.ldef.(s) <- true;
+          L.define cur.env s v;
           cur.llink.(s) <- false
         | None -> raise (Bail "missing sync value")
       end
@@ -571,13 +551,23 @@ let lower spec : t =
 
 let dummy_dest = { chain = [||]; target = T_pop }
 
+let no_overflow =
+  {
+    Interp.Eval.ov_op = Expr.Add;
+    ov_width = Width.W8;
+    ov_lhs = 0L;
+    ov_rhs = 0L;
+    ov_result = 0L;
+  }
+
 let make_cursor ?work (t : t) =
   let work = match work with Some w -> w | None -> Arena.create t.layout in
   let cur =
     {
       env = L.make_env t.slots ~work;
       llink = Array.make (max (L.n_locals t.slots) 1) false;
-      overflow = None;
+      overflowed = false;
+      overflow = no_overflow;
       guest_read = (fun _ -> 0);
       sync = false;
       en_param = true;
@@ -593,20 +583,22 @@ let make_cursor ?work (t : t) =
     }
   in
   cur.env.record_overflow <-
-    (fun o -> if cur.overflow = None then cur.overflow <- Some o);
+    (fun o ->
+      if not cur.overflowed then begin
+        cur.overflowed <- true;
+        cur.overflow <- o
+      end);
   cur
 
-(* Reset the per-walk portions of a cursor.  Everything here is a field
-   write or a store into preallocated storage: no allocation.  The taint
-   flags are cleared by a plain loop, which the compiler turns into
-   immediate stores; [Array.fill] is a C call. *)
+(* Reset the per-walk portions of a cursor: immediate stores only, so no
+   allocation and no write barrier, whatever the number of slots.  The
+   epoch bump forgets every local and parameter.  The link bits are not
+   cleared: every store that defines a local writes its link bit, and a
+   link bit is read only through an expression that reads its local,
+   which raises first if the local is not defined in this walk. *)
 let cursor_start cur ~sync ~en_param ~limit ~deadline =
   L.reset cur.env;
-  let llink = cur.llink in
-  for i = 0 to Array.length llink - 1 do
-    llink.(i) <- false
-  done;
-  cur.overflow <- None;
+  cur.overflowed <- false;
   cur.sync <- sync;
   cur.en_param <- en_param;
   cur.steps <- 0;
@@ -625,6 +617,7 @@ let push_dest cur d =
   cur.stack.(cur.depth) <- d;
   cur.depth <- cur.depth + 1
 
-let bind_params (t : t) cur params = L.bind_params t.slots cur.env params
+let bind_params (t : t) cur ~handler params =
+  L.bind_params t.slots cur.env ~handler params
 
 let entry (t : t) cur handler = L.memo_find cur.entry_memo t.entries handler

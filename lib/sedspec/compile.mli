@@ -97,9 +97,16 @@ type cursor = {
           stays a no-op: the checker has no out-of-buffer hook. *)
   llink : bool array;
       (** Local slot is linked to device/request state (the parameter
-          check's taint bit). *)
-  mutable overflow : Interp.Eval.overflow option;
-      (** First overflow recorded since the last top-level reset. *)
+          check's taint bit).  Meaningful only for a local defined in
+          this walk: every store that defines a local writes its bit, and
+          nothing clears them between walks. *)
+  mutable overflowed : bool;
+      (** An overflow was recorded since the current field store began
+          evaluating its value (a flag, so clearing it is an immediate
+          store). *)
+  mutable overflow : Interp.Eval.overflow;
+      (** The first overflow recorded since then; stale unless
+          [overflowed]. *)
   mutable guest_read : int64 -> int;
   mutable sync : bool;  (** Sync values available (post-run walk). *)
   mutable en_param : bool;  (** Parameter check enabled. *)
@@ -211,7 +218,9 @@ val make_cursor : ?work:Arena.t -> t -> cursor
 
 val cursor_start :
   cursor -> sync:bool -> en_param:bool -> limit:int -> deadline:int -> unit
-(** Reset per-walk cursor state in place (no allocation); [bound] becomes
+(** Reset per-walk cursor state in place, in constant time and with
+    immediate stores only: one epoch bump forgets every local and
+    parameter ({!Interp.Lower.reset}); [bound] becomes
     [min limit deadline]. *)
 
 val push_dest : cursor -> dest -> unit
@@ -219,10 +228,10 @@ val push_dest : cursor -> dest -> unit
     allocation-free: the stack array doubles on overflow and is reused
     across walks). *)
 
-val bind_params : t -> cursor -> (string * int64) list -> unit
-(** Bind request parameters into cursor slots; first binding per name
-    wins, names without a slot are ignored (never referenced by any
-    handler). *)
+val bind_params : t -> cursor -> handler:string -> (string * int64) list -> unit
+(** Bind a request for [handler] into cursor slots
+    ({!Interp.Lower.bind_params}); first binding per name wins, names
+    without a slot are ignored (never referenced by any handler). *)
 
 val entry : t -> cursor -> string -> dest
 (** The entry edge of a handler, through the cursor's memo of handler

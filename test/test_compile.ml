@@ -374,6 +374,368 @@ let test_coverage_allocation () =
   let off = walks 10_000 in
   Alcotest.(check (float 0.0)) "minor words, coverage on = off" off on
 
+(* --- Definedness across walks ------------------------------------------- *)
+
+(* A walk starts with no local and no parameter defined (DESIGN.md §4c,
+   "Set-up cost model"): what one walk defines must read as undefined in
+   the next, however the earlier walk ended.  [h] defines [x] from [a]
+   only when [a] > 0 and reads it when [b] = 1; [b] = 2 takes a host
+   value (a sync point).  [g] defines [i] through [j] from [a] (linked:
+   the parameter check bounds a buffer index computed from it) or loads
+   it from guest memory (not linked: the check's documented blind spot),
+   then indexes [b] with it.  An index past [b] lands in [z], inside the
+   arena. *)
+let defs_layout =
+  Devir.Layout.make
+    Devir.
+      [
+        Layout.reg "y" Width.W32;
+        Layout.reg "n" Width.W8;
+        Layout.buf "b" 4;
+        Layout.reg "z" Width.W32;
+      ]
+
+let defs =
+  Devir.Dsl.(
+    Devir.Program.make ~name:"defs" ~layout:defs_layout
+      [
+        handler "h" ~params:[ "a"; "b" ]
+          [
+            entry "e" [] (br (prm "a" >% c 0) "setx" "join");
+            blk "setx" [ local "x" (prm "a") ] (goto "join");
+            blk "join" [] (switch (prm "b") [ (1, "usex"); (2, "hv") ] "out");
+            blk "usex"
+              [ set "y" (lcl "x"); set "n" (add Devir.Width.W8 (lcl "x") (c 1)) ]
+              (br (lcl "x" >% c 100) "big" "out");
+            blk "big" [] (goto "out");
+            blk "hv" [ hostv "hval" "defs_host" ] (br (lcl "hval" >% c 0) "hpos" "out");
+            blk "hpos" [] (goto "out");
+            exit_ "out" [];
+          ];
+        handler "g" ~params:[ "a"; "addr" ]
+          [
+            entry "ge" [] (br (prm "a" >% c 0) "gset" "gload");
+            blk "gset" [ local "j" (prm "a"); local "i" (lcl "j") ] (goto "guse");
+            blk "gload" [ load "i" (prm "addr") ] (goto "guse");
+            blk "guse" [ setb "b" (lcl "i") (c 1) ] (goto "gout");
+            exit_ "gout" [];
+          ];
+      ])
+
+(* A machine with one device and no port or MMIO ranges: requests reach
+   it through [Machine.inject] only. *)
+let bare_machine program layout =
+  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  Vmm.Machine.attach m
+    {
+      Vmm.Machine.program;
+      arena = Devir.Arena.create layout;
+      pmio = [];
+      pmio_read = None;
+      pmio_write = None;
+      mmio = [];
+      mmio_read = None;
+      mmio_write = None;
+    };
+  m
+
+let guest_index_addr = 0x1000L
+
+let inject m handler params =
+  Vmm.Machine.inject m ~device:"defs" ~handler ~params
+
+let defs_training =
+  [
+    ("h", [ ("a", 1L); ("b", 1L) ]);
+    ("h", [ ("a", 2L); ("b", 1L) ]);
+    ("h", [ ("a", 3L); ("b", 0L) ]);
+    ("h", [ ("a", 0L); ("b", 0L) ]);
+    ("h", [ ("a", 4L); ("b", 2L) ]);
+    ("g", [ ("a", 1L); ("addr", 0L) ]);
+    ("g", [ ("a", 2L); ("addr", 0L) ]);
+    ("g", [ ("a", 0L); ("addr", guest_index_addr) ]);
+  ]
+
+let defs_spec =
+  lazy
+    (let trainer =
+       {
+         Sedspec.Pipeline.cases = List.length defs_training;
+         run_case =
+           (fun m case ->
+             Vmm.Guest_mem.write (Vmm.Machine.ram m) guest_index_addr Devir.Width.W32 3L;
+             let handler, params = List.nth defs_training case in
+             ignore (inject m handler params : Vmm.Machine.io_result));
+       }
+     in
+     (Sedspec.Pipeline.build (bare_machine defs defs_layout) ~device:"defs" trainer).Sedspec.Pipeline.spec)
+
+let io_repr = function
+  | Vmm.Machine.Io_ok _ -> "ok"
+  | Vmm.Machine.Io_blocked _ -> "blocked"
+  | Vmm.Machine.Io_fault trap -> "trap " ^ Interp.Event.trap_to_string trap
+  | Vmm.Machine.Io_no_device -> "no device"
+  | Vmm.Machine.Io_vm_halted -> "vm halted"
+
+(* Run N defines [x] (or [i]) and ends each way a walk can end; run N+1
+   must find it undefined.  Every step prints the device outcome, the
+   walk's tally and its anomalies. *)
+let defs_steps =
+  let x_undefined = ("x undefined", "h", [ ("a", 0L); ("b", 1L) ]) in
+  [
+    ("x defined", "h", [ ("a", 7L); ("b", 1L) ]);
+    x_undefined;
+    ("a unbound", "h", [ ("b", 1L) ]);
+    ("anomaly", "h", [ ("a", 150L); ("b", 1L) ]);
+    x_undefined;
+    ("fault", "h", [ ("a", 255L); ("b", 1L) ]);
+    x_undefined;
+    ("bail", "h", [ ("a", 9L) ]);
+    x_undefined;
+    ("defer", "h", [ ("a", 9L); ("b", 2L) ]);
+    x_undefined;
+    ("i linked", "g", [ ("a", 2L); ("addr", 0L) ]);
+    ("i from guest", "g", [ ("a", 0L); ("addr", guest_index_addr) ]);
+    ("i linked past b", "g", [ ("a", 6L); ("addr", 0L) ]);
+    ("i from guest", "g", [ ("a", 0L); ("addr", guest_index_addr) ]);
+  ]
+
+let defs_transcript engine =
+  let spec = Lazy.force defs_spec in
+  let m = bare_machine defs defs_layout in
+  (* Training loaded index 3; this one lands past [b], which only the
+     parameter check's blind spot lets through. *)
+  Vmm.Guest_mem.write (Vmm.Machine.ram m) guest_index_addr Devir.Width.W32 6L;
+  let config = { C.default_config with C.engine } in
+  let checker = C.attach ~config m ~spec "defs" in
+  List.map
+    (fun (what, handler, params) ->
+      let s = C.stats checker in
+      let ok0 = s.walks_ok and bails0 = s.bails and deferred0 = s.deferred in
+      let io = io_repr (inject m handler params) in
+      Vmm.Machine.resume m;
+      let s = C.stats checker in
+      Printf.sprintf "%s: %s; ok+%d bails+%d deferred+%d%s" what io (s.walks_ok - ok0)
+        (s.bails - bails0) (s.deferred - deferred0)
+        (String.concat "" (List.map (fun a -> "; " ^ anomaly_repr a) (C.drain_anomalies checker))))
+    defs_steps
+
+(* Recorded, under either engine, while walks still cleared every slot
+   flag and link bit at their start.  The two [i from guest] lines pin
+   the link bits: a stale bit from the linked [i] before them would flag
+   the guest-derived index. *)
+let defs_expected =
+  [
+    "x defined: ok; ok+1 bails+0 deferred+0";
+    "x undefined: trap undefined local x at h/usex; ok+0 bails+1 deferred+0";
+    "a unbound: trap undefined request parameter a at h/e; ok+0 bails+1 deferred+0";
+    "anomaly: blocked; ok+0 bails+0 deferred+0; \
+     conditional-jump-check|h/usex|true|untraversed branch direction (taken)";
+    "x undefined: trap undefined local x at h/usex; ok+0 bails+1 deferred+0";
+    "fault: blocked; ok+0 bails+0 deferred+0; parameter-check|h/usex|true|\
+     integer overflow computing n: 255 + 1 wrapped to 0 at width u8";
+    "x undefined: trap undefined local x at h/usex; ok+0 bails+1 deferred+0";
+    "bail: trap undefined request parameter b at h/join; ok+0 bails+1 deferred+0";
+    "x undefined: trap undefined local x at h/usex; ok+0 bails+1 deferred+0";
+    "defer: ok; ok+1 bails+0 deferred+1";
+    "x undefined: trap undefined local x at h/usex; ok+0 bails+1 deferred+0";
+    "i linked: ok; ok+1 bails+0 deferred+0";
+    "i from guest: ok; ok+1 bails+0 deferred+0";
+    "i linked past b: blocked; ok+0 bails+0 deferred+0; \
+     parameter-check|g/guse|true|buffer overflow: b[6..7) exceeds size 4";
+    "i from guest: ok; ok+1 bails+0 deferred+0";
+  ]
+
+let test_definedness_resets engine () =
+  Alcotest.(check (list string)) "transcript" defs_expected (defs_transcript engine)
+
+(* --- Commit ------------------------------------------------------------- *)
+
+(* A walk that succeeds before the device runs is committed after it, from
+   the checker's scratch shadow straight into its shadow (DESIGN.md §4c).
+   A pcnet session interleaves ordinary accesses with sync-deferred link
+   checks, an access whose device run traps (its RX DMA length mangled
+   past the arena), an enhancement-mode warning (a CSR read training never
+   made) and a bail (a register write training never made, with the
+   conditional check off).  A layer around the checker's prints, after
+   every [before] and every [after], the verdict, the device outcome, the
+   statistics, the anomalies and a digest of the shadow. *)
+let verdict_repr = function
+  | Vmm.Machine.Allow -> "allow"
+  | Vmm.Machine.Warn _ -> "warn"
+  | Vmm.Machine.Halt _ -> "halt"
+
+let commit_transcript engine =
+  let w = Workload.Samples.find "pcnet" in
+  let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
+  let config = { C.default_config with C.mode = C.Enhancement; engine } in
+  let m, checker = Metrics.Spec_cache.fresh_protected_machine ~config w W.paper_version in
+  let lines = ref [] in
+  let line what v =
+    let anomalies = List.map anomaly_repr (C.drain_anomalies checker) in
+    lines :=
+      String.concat "; "
+        ([ what; verdict_repr v; stats_repr (C.stats checker);
+           Digest.to_hex (Digest.bytes (C.shadow_snapshot checker)) ]
+        @ anomalies)
+      :: !lines
+  in
+  let ip = Option.get (Vmm.Machine.interposer_of m "pcnet") in
+  Vmm.Machine.set_interposer m "pcnet"
+    {
+      before =
+        (fun r ->
+          let v = ip.before r in
+          line (r.handler ^ " before") v;
+          v);
+      after =
+        (fun r o ->
+          let v = ip.after r o in
+          line (Format.asprintf "%s after %a" r.handler Interp.Event.pp_outcome o) v;
+          v);
+    };
+  let module D = Workload.Pcnet_driver in
+  let rng = Sedspec_util.Prng.create 0x5EEDL in
+  let frame len = Sedspec_util.Prng.bytes rng len in
+  let interp = Vmm.Machine.interp_of m "pcnet" in
+  let d = D.create ~rcvrl:8 ~xmtrl:8 m in
+  ignore (D.reset d : Workload.Io.result);
+  ignore (D.init d ~mode:0 () : bool);
+  ignore (D.start d : Workload.Io.result);
+  ignore (D.link_up d : bool);
+  ignore (D.transmit d [ frame 300 ] : bool);
+  ignore (D.receive d (frame 200) : Workload.Io.result);
+  ignore (D.rx_frame d : (int * bytes) option);
+  ignore (D.link_up d : bool);
+  Interp.set_response_fault interp
+    (Some { Interp.no_response_fault with rf_dma_len = Some (fun _ -> 1 lsl 20) });
+  ignore (D.receive d (frame 100) : Workload.Io.result);
+  Interp.set_response_fault interp None;
+  ignore (D.transmit d [ frame 64 ] : bool);
+  ignore (D.read_csr d 88 : int);
+  ignore (D.link_up d : bool);
+  (* BCR20 written through the BDP: a path training never took. *)
+  let bcr20 () =
+    let port off = Int64.add Devices.Pcnet.io_base (Int64.of_int off) in
+    ignore (Vmm.Machine.io_write m ~port:(port 0x12) ~size:2 ~data:20L : Vmm.Machine.io_result);
+    ignore (Vmm.Machine.io_write m ~port:(port 0x16) ~size:2 ~data:0x1234L : Vmm.Machine.io_result)
+  in
+  C.set_config checker
+    { config with C.strategies = [ C.Parameter_check; C.Indirect_jump_check ] };
+  bcr20 ();
+  C.set_config checker config;
+  ignore (D.transmit d [ frame 500; frame 500 ] : bool);
+  ignore (D.link_up d : bool);
+  ignore (D.receive d (frame 700) : Workload.Io.result);
+  ignore (D.rx_frame d : (int * bytes) option);
+  ignore (D.csr0 d : int);
+  D.ack_interrupts d;
+  List.rev !lines
+
+(* The transcript's MD5, recorded while [before] still saved the walked
+   spans aside and [after] restored them from there. *)
+let commit_digest = "c1bc0b15abbf997167957e897d1f502e"
+
+let test_commit_engines_agree () =
+  let reference = commit_transcript C.Interpreted in
+  let compiled = commit_transcript C.Compiled in
+  Alcotest.(check (list string)) "compiled = interpreted" reference compiled;
+  Alcotest.(check string) "transcript digest" commit_digest
+    (Digest.to_hex (Digest.string (String.concat "\n" compiled)))
+
+(* A later interposer layer that halts a request skips the checker's
+   [after]: the machine merges every layer's [before] verdict, and a halt
+   keeps the device from running.  The checker's walk of that request
+   succeeded and stays staged, so the next [before] must drop it; a walk
+   that then bails has left half-written scratch state, and committing it
+   would put the shadow behind the device.  [w] sets [mode] on one of two
+   paths, of which training takes only [lo]; [r] branches on [mode],
+   which makes it decision-relevant. *)
+let flip_layout = Devir.Layout.make Devir.[ Layout.reg "mode" Width.W8 ]
+
+let flip =
+  Devir.Dsl.(
+    Devir.Program.make ~name:"flip" ~layout:flip_layout
+      [
+        handler "w" ~params:[ "v" ]
+          [
+            entry "we" [] (br (prm "v" >% c 10) "hi" "lo");
+            blk "lo" [ set "mode" (prm "v") ] (goto "wout");
+            blk "hi" [ set "mode" (prm "v") ] (goto "wout");
+            exit_ "wout" [];
+          ];
+        handler "r" ~params:[]
+          [
+            entry "re" [] (br (fld "mode" >% c 5) "rbig" "rsmall");
+            blk "rbig" [] (goto "rout");
+            blk "rsmall" [] (goto "rout");
+            exit_ "rout" [];
+          ];
+      ])
+
+let flip_training =
+  [ ("w", [ ("v", 3L) ]); ("r", []); ("w", [ ("v", 7L) ]); ("r", []) ]
+
+let flip_spec =
+  lazy
+    (let trainer =
+       {
+         Sedspec.Pipeline.cases = List.length flip_training;
+         run_case =
+           (fun m case ->
+             let handler, params = List.nth flip_training case in
+             ignore
+               (Vmm.Machine.inject m ~device:"flip" ~handler ~params : Vmm.Machine.io_result));
+       }
+     in
+     (Sedspec.Pipeline.build (bare_machine flip flip_layout) ~device:"flip" trainer)
+       .Sedspec.Pipeline.spec)
+
+let test_commit_after_later_halt engine () =
+  let spec = Lazy.force flip_spec in
+  let m = bare_machine flip flip_layout in
+  let config = { C.default_config with C.engine } in
+  let checker = C.attach ~config m ~spec "flip" in
+  let held = ref false in
+  let (_ : unit -> unit) =
+    Vmm.Machine.add_interposer m "flip"
+      {
+        before = (fun _ -> if !held then Vmm.Machine.Halt "held" else Vmm.Machine.Allow);
+        after = (fun _ _ -> Vmm.Machine.Allow);
+      }
+  in
+  let step what handler params =
+    let io = io_repr (Vmm.Machine.inject m ~device:"flip" ~handler ~params) in
+    Vmm.Machine.resume m;
+    let diverged =
+      List.map
+        (fun (f, s, d) -> Printf.sprintf "; %s: shadow %Ld, device %Ld" f s d)
+        (C.shadow_matches_device checker)
+    in
+    Printf.sprintf "%s: %s; %s%s" what io (stats_repr (C.stats checker))
+      (String.concat "" diverged)
+  in
+  let set = step "mode 7" "w" [ ("v", 7L) ] in
+  held := true;
+  let held_line = step "mode 3, held by the next layer" "w" [ ("v", 3L) ] in
+  held := false;
+  (* Off the trained path with the conditional check off: a bail. *)
+  C.set_config checker
+    { config with C.strategies = [ C.Parameter_check; C.Indirect_jump_check ] };
+  let bail = step "mode 20, untrained" "w" [ ("v", 20L) ] in
+  C.set_config checker config;
+  let read = step "read" "r" [] in
+  Alcotest.(check (list string))
+    "transcript"
+    [
+      "mode 7: ok; interactions=1 walks_ok=1 bails=0 deferred=0 nodes_walked=3";
+      "mode 3, held by the next layer: blocked; \
+       interactions=2 walks_ok=2 bails=0 deferred=0 nodes_walked=6";
+      "mode 20, untrained: ok; interactions=3 walks_ok=2 bails=1 deferred=0 nodes_walked=7";
+      "read: ok; interactions=4 walks_ok=3 bails=1 deferred=0 nodes_walked=9";
+    ]
+    [ set; held_line; bail; read ]
+
 let () =
   Alcotest.run "compile"
     [
@@ -406,5 +768,21 @@ let () =
             test_coverage_shared;
           Alcotest.test_case "no allocation with coverage on" `Quick
             test_coverage_allocation;
+        ] );
+      ( "commit",
+        [
+          Alcotest.test_case "engines agree after every interaction" `Quick
+            test_commit_engines_agree;
+          Alcotest.test_case "walk held by a later layer (compiled)" `Quick
+            (test_commit_after_later_halt C.Compiled);
+          Alcotest.test_case "walk held by a later layer (interpreted)" `Quick
+            (test_commit_after_later_halt C.Interpreted);
+        ] );
+      ( "definedness",
+        [
+          Alcotest.test_case "compiled walk starts undefined" `Quick
+            (test_definedness_resets C.Compiled);
+          Alcotest.test_case "interpreted walk starts undefined" `Quick
+            (test_definedness_resets C.Interpreted);
         ] );
     ]

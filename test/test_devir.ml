@@ -155,7 +155,31 @@ let test_arena_copy_and_spans () =
   Arena.copy_spans ~spans:[ (1, 4) ] ~src:a ~dst:c';
   Alcotest.(check int64) "span copied" 55L (Arena.get c' "r32");
   Alcotest.(check string) "buf untouched by span copy" "\000\000\000\000\000"
-    (Bytes.to_string (Arena.read_buf c' "buf" 0 5))
+    (Bytes.to_string (Arena.read_buf c' "buf" 0 5));
+  (* Spans copy a word at a time, then byte by byte: every extent, at
+     every offset, moves exactly its own bytes, and one outside the arena
+     is refused. *)
+  let n = Arena.size a in
+  let pattern = Bytes.init n (fun i -> Char.chr (1 + i)) in
+  Arena.restore a pattern;
+  for off = 0 to n do
+    for len = 0 to n - off do
+      let d = Arena.create sample_layout in
+      Arena.restore d (Bytes.make n '\000');
+      Arena.copy_spans ~spans:[ (off, len) ] ~src:a ~dst:d;
+      let expected =
+        Bytes.init n (fun i -> if i >= off && i < off + len then Bytes.get pattern i else '\000')
+      in
+      Alcotest.(check string) (Printf.sprintf "span (%d, %d)" off len)
+        (Bytes.to_string expected) (Bytes.to_string (Arena.snapshot d))
+    done
+  done;
+  List.iter
+    (fun span ->
+      Alcotest.check_raises "span outside the arena"
+        (Invalid_argument "Arena.copy_spans: span outside the arena") (fun () ->
+          Arena.copy_spans ~spans:[ span ] ~src:a ~dst:c'))
+    [ (-1, 2); (n - 3, 4); (0, n + 1); (2, -1) ]
 
 let prop_arena_scalar_roundtrip =
   QCheck.Test.make ~name:"arena scalar write/read roundtrip" ~count:300

@@ -176,13 +176,11 @@ let lowered_runs arena ~params ~locals e =
   let lc = Interp.Lower.create lq_layout in
   let v64, vint, vbool = lowered_views lc e in
   let env = Interp.Lower.make_env lc ~work:arena in
-  Interp.Lower.bind_params lc env params;
+  Interp.Lower.bind_params lc env ~handler:"h" params;
   List.iter
     (fun (n, v) ->
       match Interp.Lower.find_local lc n with
-      | Some s ->
-        env.locals.(s) <- v;
-        env.ldef.(s) <- true
+      | Some s -> Interp.Lower.define env s v
       | None -> ())
     locals;
   let run : 'a. (Interp.Lower.env -> 'a) -> 'a lq_run =
@@ -567,6 +565,64 @@ let test_interp_sync_points () =
   in
   ignore (Interp.run interp ~handler:"h" ~params:[]);
   Alcotest.(check (list (pair string int64))) "synced" [ ("t", 42L) ] !synced
+
+(* A run starts with no local and no parameter defined: what run N
+   defines reads as undefined in run N+1, whether run N returned or
+   trapped, and a sync point reports only what its own run set. *)
+let test_interp_definedness_resets () =
+  let p =
+    tiny_program
+      [
+        handler "h" ~params:[ "a"; "b" ]
+          [
+            entry "e" [] (br (prm "a" >% c 0) "setx" "join");
+            blk "setx" [ local "t" (prm "a") ] (goto "join");
+            blk "join" [] (br (prm "b" >% c 0) "use" "out");
+            blk "use" [ set "x" (lcl "t") ] (goto "out");
+            exit_ "out" [];
+          ];
+        handler "boom" ~params:[ "a" ]
+          [
+            entry "be" [ local "t" (prm "a"); set "y" (div Width.W32 (c 1) (c 0)) ] (goto "bo");
+            exit_ "bo" [];
+          ];
+      ]
+  in
+  let arena = Arena.create tiny_layout in
+  let interp = Interp.create ~program:p ~arena ~guest:Interp.null_guest () in
+  let synced = ref [] in
+  let (_ : unit -> unit) =
+    Interp.add_sync_points interp
+      [ ({ Program.handler = "h"; label = "join" }, [ "t" ]) ]
+      ~on_sync:(fun _ values -> synced := values)
+  in
+  let run handler params =
+    synced := [];
+    let o = Interp.run interp ~handler ~params in
+    (Format.asprintf "%a" Interp.Event.pp_outcome o, !synced)
+  in
+  let check what expected_outcome expected_synced (got, got_synced) =
+    Alcotest.(check string) what expected_outcome got;
+    Alcotest.(check (list (pair string int64))) (what ^ ": synced") expected_synced
+      got_synced
+  in
+  let done_ = Format.asprintf "%a" Interp.Event.pp_outcome (Interp.Event.Done { response = None }) in
+  let trapped trap = Format.asprintf "%a" Interp.Event.pp_outcome (Interp.Event.Trapped trap) in
+  let at label = { Program.handler = "h"; label } in
+  let t_undefined = trapped (Interp.Event.Undefined_local { block = at "use"; local = "t" }) in
+  check "t defined" done_ [ ("t", 7L) ] (run "h" [ ("a", 7L); ("b", 1L) ]);
+  check "t undefined" t_undefined [] (run "h" [ ("a", 0L); ("b", 1L) ]);
+  check "a unbound"
+    (trapped (Interp.Event.Undefined_param { block = at "e"; param = "a" }))
+    [] (run "h" [ ("b", 1L) ]);
+  check "trap after t"
+    (trapped (Interp.Event.Div_by_zero { Program.handler = "boom"; label = "be" }))
+    [] (run "boom" [ ("a", 9L) ]);
+  check "t undefined after a trap" t_undefined [] (run "h" [ ("a", 0L); ("b", 1L) ]);
+  check "b unbound after t"
+    (trapped (Interp.Event.Undefined_param { block = at "join"; param = "b" }))
+    [ ("t", 5L) ] (run "h" [ ("a", 5L) ]);
+  check "t undefined after b unbound" t_undefined [] (run "h" [ ("a", 0L); ("b", 1L) ])
 
 let test_interp_observation () =
   let p =
@@ -1156,6 +1212,8 @@ let () =
           Alcotest.test_case "oob hook and trap" `Quick test_interp_oob_hook_and_trap;
           Alcotest.test_case "host values" `Quick test_interp_host_values;
           Alcotest.test_case "sync points" `Quick test_interp_sync_points;
+          Alcotest.test_case "definedness resets every run" `Quick
+            test_interp_definedness_resets;
           Alcotest.test_case "observation points" `Quick test_interp_observation;
           Alcotest.test_case "guest memory dma" `Quick test_guest_memory_dma;
           Alcotest.test_case "bit-63 guest addresses" `Quick test_bytes_guest_bit63;
