@@ -326,28 +326,35 @@ let reset t =
   t.deadline <- max_int;
   t.deadline_overruns <- 0
 
+(* Whether bytes [off, stop) of two arenas differ. *)
+let rec bytes_differ a b off stop =
+  off < stop
+  && (Arena.get_byte_at a off <> Arena.get_byte_at b off || bytes_differ a b (off + 1) stop)
+
+(* Whether a scalar of [ds] from entry [i] on differs between two arenas.
+   A name the layout does not resolve counts as differing, so the by-name
+   pass below raises on it as [Arena.get] does. *)
+let rec scalars_differ a b (ds : (string * int * int) array) i =
+  if i >= Array.length ds then false
+  else
+    let _, off, size = ds.(i) in
+    off < 0 || bytes_differ a b off (off + size) || scalars_differ a b ds (i + 1)
+
 (* Only decision-relevant parameters are guaranteed to match: fields pulled
    in purely as dependencies may be computed from untracked buffer content
-   (which never reaches a decision, by the relevance closure). *)
+   (which never reaches a decision, by the relevance closure).  The remedy
+   runs this on every clean tick, so the common answer (no divergence)
+   compares bytes at offsets the spec resolved once and allocates
+   nothing; the triples are built by name only when a scalar differs. *)
 let shadow_matches_device t =
-  let sel = Es_cfg.selection t.spec in
-  let decision_relevant name =
-    match List.assoc_opt name sel.Selection.rationale with
-    | Some rules ->
-      List.exists
-        (fun r ->
-          r = Selection.Branch_influencer || r = Selection.Rule2_index
-          || r = Selection.Rule2_fn_ptr)
-        rules
-    | None -> false
-  in
-  List.filter_map
-    (fun name ->
-      if not (decision_relevant name) then None
-      else
+  let ds = Es_cfg.decision_scalars t.spec in
+  if not (scalars_differ t.shadow t.device_arena ds 0) then []
+  else
+    List.filter_map
+      (fun (name, _, _) ->
         let s = Arena.get t.shadow name and d = Arena.get t.device_arena name in
         if s <> d then Some (name, s, d) else None)
-    sel.Selection.scalars
+      (Array.to_list ds)
 
 let record_sync t bref values =
   List.iter

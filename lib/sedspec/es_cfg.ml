@@ -27,6 +27,7 @@ module Int_tbl = Hashtbl.Make (Int)
 type t = {
   program : Program.t;
   selection : Selection.t;
+  decision_scalars : (string * int * int) array;
   mutable revision : int;
   mutable provenance : provenance;
   nodes : node option array;
@@ -51,11 +52,39 @@ type t = {
 
 exception Restore_failed of string
 
+(* Branch influencers, index parameters and called function pointers. *)
+let decision_relevant (sel : Selection.t) name =
+  match List.assoc_opt name sel.rationale with
+  | Some rules ->
+    List.exists
+      (fun r ->
+        r = Selection.Branch_influencer || r = Selection.Rule2_index
+        || r = Selection.Rule2_fn_ptr)
+      rules
+  | None -> false
+
+(* Resolved once per spec, so every checker of a cached spec shares one
+   table.  A name that is not a scalar field of the layout gets offset
+   -1. *)
+let resolve_decision_scalars program (sel : Selection.t) =
+  let layout = Program.layout program in
+  let resolve name =
+    match (Layout.find layout name).kind with
+    | Layout.Reg w -> (name, Layout.offset layout name, Width.bytes w)
+    | Layout.Fn_ptr -> (name, Layout.offset layout name, 8)
+    | Layout.Buf _ | (exception Not_found) -> (name, -1, 0)
+  in
+  Array.of_list
+    (List.filter_map
+       (fun name -> if decision_relevant sel name then Some (resolve name) else None)
+       sel.scalars)
+
 let create ~program ~selection =
   let n = Program.block_count program in
   {
     program;
     selection;
+    decision_scalars = resolve_decision_scalars program selection;
     revision = 0;
     provenance = Trained;
     nodes = Array.make n None;
@@ -267,6 +296,7 @@ let case_start = Ctx_none
 
 let program t = t.program
 let selection t = t.selection
+let decision_scalars t = t.decision_scalars
 let revision t = t.revision
 let provenance t = t.provenance
 

@@ -81,6 +81,14 @@ val add_interaction : t -> ctx -> Ds_log.interaction -> ctx
 val program : t -> Devir.Program.t
 val selection : t -> Selection.t
 
+val decision_scalars : t -> (string * int * int) array
+(** The selection's decision-relevant scalars (branch influencers, index
+    parameters and called function pointers), in selection order, each
+    with its layout offset and size in bytes; offset -1 for a name that
+    is not a scalar field of the layout.  Resolved once, at {!create}:
+    every checker's {!Checker.heal} compares these bytes.  Do not mutate
+    the array. *)
+
 val revision : t -> int
 (** Monotonically increasing spec revision.  Freshly trained specs (and
     legacy persisted files with no [revision] line) are revision 0; every

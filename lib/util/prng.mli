@@ -3,11 +3,13 @@
     All randomized workloads in this repository draw from this splitmix64
     generator so that every experiment is reproducible from its seed.  The
     generator is the public-domain splitmix64 of Steele, Lea and Flood, which
-    has a 64-bit state, passes BigCrush, and is cheap enough to sit inside
-    the I/O request generators without showing up in benchmarks. *)
+    has a 64-bit state and passes BigCrush.  A draw allocates nothing
+    inside this module: {!int}, {!int_in}, {!bool}, {!chance} and {!pick}
+    allocate no minor word, and {!bytes} only its result.  {!next} and
+    {!float} box the value they return. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the 64-bit state in 8 bytes. *)
 
 val create : int64 -> t
 (** [create seed] returns a fresh generator.  Distinct seeds give
@@ -48,7 +50,8 @@ val shuffle : t -> 'a array -> unit
 (** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)
 
 val bytes : t -> int -> bytes
-(** [bytes t n] returns [n] uniform random bytes. *)
+(** [bytes t n] returns [n] uniform random bytes: byte [i] is what the
+    [i]th [int t 256] would return. *)
 
 val split : t -> t
 (** [split t] derives an independent child generator, advancing [t]. *)

@@ -225,19 +225,41 @@ let snapshot t =
   done;
   out
 
+(* If page [p] is dirty, copy it from [src] to [dst] and mark it clean.
+   A zero page copies as a pointer; a page of its own moves into [dst]'s
+   own page, or into a new one. *)
+let copy_page t ~src ~dst p =
+  if Bytes.unsafe_get t.dirty p <> '\000' then begin
+    let s = src.(p) in
+    if s == zero_page then dst.(p) <- zero_page
+    else if dst.(p) == zero_page then dst.(p) <- Bytes.copy s
+    else Bytes.blit s 0 dst.(p) 0 page_size;
+    Bytes.unsafe_set t.dirty p '\000'
+  end
+
 (* Copy every dirty page from [src] to [dst], then mark it clean: after
-   this the two agree on every page.  A zero page copies as a pointer;
-   a page of its own moves into [dst]'s own page, or into a new one. *)
+   this the two agree on every page.  Remedy checkpoints on every clean
+   tick, when few pages are dirty, so the map is scanned eight pages at a
+   time: one [get_int64_ne] tests a word of it, and a clean word costs
+   nothing more.  A per-byte tail covers a page count that is not a
+   multiple of 8. *)
 let copy_dirty t ~src ~dst =
-  for p = 0 to Bytes.length t.dirty - 1 do
-    if Bytes.unsafe_get t.dirty p <> '\000' then begin
-      let s = src.(p) in
-      if s == zero_page then dst.(p) <- zero_page
-      else if dst.(p) == zero_page then dst.(p) <- Bytes.copy s
-      else Bytes.blit s 0 dst.(p) 0 page_size;
-      Bytes.unsafe_set t.dirty p '\000'
-    end
+  let n = Bytes.length t.dirty in
+  let words = n lsr 3 in
+  for w = 0 to words - 1 do
+    if Bytes.get_int64_ne t.dirty (w lsl 3) <> 0L then
+      for p = w lsl 3 to (w lsl 3) + 7 do
+        copy_page t ~src ~dst p
+      done
+  done;
+  for p = words lsl 3 to n - 1 do
+    copy_page t ~src ~dst p
   done
+
+let dirty_pages t =
+  let n = ref 0 in
+  Bytes.iter (fun c -> if c <> '\000' then incr n) t.dirty;
+  !n
 
 let checkpoint t =
   let image =

@@ -86,12 +86,12 @@ val snapshot : t -> bytes
     costs nothing extra. *)
 
 val checkpoint : t -> unit
-(** Make the checkpoint image equal to RAM.  Scans the dirty map, then
-    costs one page copy per written page dirtied since the last
-    {!checkpoint} or {!rollback}; a dirty page that reads as zero (never
-    written, or cleared) costs one store.  Every page is dirty the first
-    time and after {!clear}, so the first checkpoint allocates the page
-    table and copies only the pages written so far. *)
+(** Make the checkpoint image equal to RAM.  Scans the dirty map eight
+    pages to a word, then costs one page copy per written page dirtied
+    since the last {!checkpoint} or {!rollback}; a dirty page that reads
+    as zero (never written, or cleared) costs one store.  Every page is
+    dirty the first time and after {!clear}, so the first checkpoint
+    allocates the page table and copies only the pages written so far. *)
 
 val rollback : t -> unit
 (** Make RAM equal to the checkpoint image (host-side restore; the write
@@ -99,6 +99,10 @@ val rollback : t -> unit
     holds, and one store per dirty page it shares as zero, which drops
     RAM's page.  Raises [Invalid_argument] if no checkpoint was ever
     taken. *)
+
+val dirty_pages : t -> int
+(** The pages marked dirty: what the next {!checkpoint} or {!rollback}
+    moves.  0 right after either. *)
 
 val access : t -> Interp.guest
 (** The interpreter-facing access record. *)

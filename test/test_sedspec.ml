@@ -1413,6 +1413,113 @@ let test_checker_heal_budget () =
   Alcotest.(check int) "heals capped at the budget" 8
     (Sedspec.Checker.heals checker)
 
+(* [shadow_matches_device] as it read when it looked every scalar up by
+   name: the reference the offset-based comparison must reproduce. *)
+let divergence_by_name spec ~shadow ~device =
+  let sel = Sedspec.Es_cfg.selection spec in
+  let decision_relevant name =
+    match List.assoc_opt name sel.Sedspec.Selection.rationale with
+    | Some rules ->
+      List.exists
+        (fun r ->
+          r = Sedspec.Selection.Branch_influencer
+          || r = Sedspec.Selection.Rule2_index || r = Sedspec.Selection.Rule2_fn_ptr)
+        rules
+    | None -> false
+  in
+  List.filter_map
+    (fun name ->
+      if not (decision_relevant name) then None
+      else
+        let s = Arena.get shadow name and d = Arena.get device name in
+        if s <> d then Some (name, s, d) else None)
+    sel.Sedspec.Selection.scalars
+
+(* On all six devices, after one benign training case, divergences are
+   seeded into the checker's shadow: set the live field, resync (the
+   shadow copies it), put the live field back.  Each decision-relevant
+   scalar alone, flipped in its lowest and then its highest byte; each
+   called function pointer; all of them at once, seeded in reverse
+   order; and each tracked scalar that is not decision-relevant, which
+   must not be reported.  Every report must equal the by-name reference:
+   same names, order and values.  A clean [heal] allocates nothing. *)
+let test_heal_by_offset () =
+  Metrics.Spec_cache.training_cases := training_cases;
+  List.iter
+    (fun w ->
+      let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
+      let m, checker =
+        Metrics.Spec_cache.fresh_protected_machine ~vmexit_cost:0 w W.paper_version
+      in
+      (W.trainer ~cases:training_cases).Sedspec.Pipeline.run_case m 0;
+      Alcotest.(check int) (W.device_name ^ ": benign case") 0
+        (List.length (Sedspec.Checker.drain_anomalies checker));
+      let spec = (Metrics.Spec_cache.built w W.paper_version).spec in
+      let sel = Sedspec.Es_cfg.selection spec in
+      let device = Interp.arena (Vmm.Machine.interp_of m W.device_name) in
+      let layout = Arena.layout device in
+      let relevant =
+        List.map (fun (n, _, _) -> n) (Array.to_list (Sedspec.Es_cfg.decision_scalars spec))
+      in
+      let reference () =
+        let shadow = Arena.create layout in
+        Arena.restore shadow (Sedspec.Checker.shadow_snapshot checker);
+        divergence_by_name spec ~shadow ~device
+      in
+      let report = Alcotest.(list (triple string int64 int64)) in
+      (* Seed [names] into the shadow, each with [flip] applied; check the
+         report against [expected] names and the reference; heal back. *)
+      let seed what ~flip names ~expected =
+        let saved = List.map (fun n -> (n, Arena.get device n)) names in
+        List.iter (fun (n, v) -> Arena.set device n (flip n v)) saved;
+        Sedspec.Checker.resync checker;
+        List.iter (fun (n, v) -> Arena.set device n v) saved;
+        let got = Sedspec.Checker.shadow_matches_device checker in
+        let name = Printf.sprintf "%s, %s" W.device_name what in
+        Alcotest.check report (name ^ " = by-name reference") (reference ()) got;
+        Alcotest.(check (list string)) (name ^ " reports") expected
+          (List.map (fun (n, _, _) -> n) got);
+        List.iter
+          (fun (n, s, d) ->
+            Alcotest.(check int64) (name ^ " shadow value " ^ n)
+              (Arena.get device n |> flip n) s;
+            Alcotest.(check int64) (name ^ " device value " ^ n) (Arena.get device n) d)
+          got;
+        Sedspec.Checker.resync checker
+      in
+      let size n = Layout.field_size (Layout.find layout n) in
+      let low _ v = Int64.logxor v 0xA5L in
+      let high n v = Int64.logxor v (Int64.shift_left 0xA5L (8 * (size n - 1))) in
+      Alcotest.check report (W.device_name ^ " clean") []
+        (Sedspec.Checker.shadow_matches_device checker);
+      Alcotest.(check bool) (W.device_name ^ " has decision-relevant scalars") true
+        (relevant <> []);
+      List.iter
+        (fun n ->
+          seed (n ^ " low byte") ~flip:low [ n ] ~expected:[ n ];
+          seed (n ^ " high byte") ~flip:high [ n ] ~expected:[ n ])
+        relevant;
+      let fn_ptrs = List.filter (fun n -> List.mem n relevant) sel.fn_ptrs in
+      Alcotest.(check bool) (W.device_name ^ " has a called function pointer") true
+        (fn_ptrs <> []);
+      List.iter (fun n -> seed (n ^ " pointer") ~flip:high [ n ] ~expected:[ n ]) fn_ptrs;
+      seed "all at once" ~flip:high (List.rev relevant) ~expected:relevant;
+      let quiet = List.filter (fun n -> not (List.mem n relevant)) sel.scalars in
+      Alcotest.(check bool) (W.device_name ^ " tracks a scalar no decision reads") true
+        (quiet <> []);
+      List.iter (fun n -> seed (n ^ " (not decision-relevant)") ~flip:low [ n ] ~expected:[]) quiet;
+      seed "mixed" ~flip:high (quiet @ relevant) ~expected:relevant;
+      let words () =
+        let w0 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Sedspec.Checker.heal checker));
+        int_of_float (Gc.minor_words () -. w0)
+      in
+      ignore (words ());
+      Alcotest.(check int) (W.device_name ^ " clean heal minor words") 0 (words ());
+      Alcotest.(check int) (W.device_name ^ " no resync spent") 0
+        (Sedspec.Checker.heals checker))
+    Workload.Samples.all
+
 let test_remedy_checkpoint_while_halted () =
   let m, checker, d = fresh_fdc () in
   let sup = Sedspec.Remedy.create m ~device:"fdc" checker in
@@ -1705,6 +1812,7 @@ let () =
             test_checker_reset_equals_fresh;
           Alcotest.test_case "heal respects its budget" `Quick
             test_checker_heal_budget;
+          Alcotest.test_case "heal compares by offset" `Quick test_heal_by_offset;
         ] );
       ( "invariants",
         [ QCheck_alcotest.to_alcotest prop_shadow_tracks_device ] );

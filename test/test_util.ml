@@ -145,6 +145,110 @@ let test_prng_preconditions_raise () =
   expect_assert "int_in lo > hi" (fun () -> Prng.int_in rng 5 4);
   expect_assert "pick empty" (fun () -> Prng.pick rng [||])
 
+(* Every seeded test and every pinned CI artifact depends on the exact
+   stream, whatever the generator's representation.  A fixed mixed
+   sequence over every entry point folds into one digest, recorded with
+   the record-based generator this module used to have.  Above 2^61 about
+   half of the raw draws fall in the rejected tail. *)
+let prng_transcript () =
+  let buf = Buffer.create 4096 in
+  let add fmt = Printf.bprintf buf fmt in
+  let rng = Prng.create 0x5EED_0029L in
+  for _ = 1 to 8 do
+    add "n%Lx;" (Prng.next rng)
+  done;
+  List.iter
+    (fun bound ->
+      for _ = 1 to 8 do
+        add "i%d;" (Prng.int rng bound)
+      done)
+    [ 1; 2; 3; 6; 7; 100; 255; 256; 257; 1000; 65536; 1 lsl 40 ];
+  let before_huge = Prng.copy rng in
+  let huge = [ (1 lsl 61) + 1; (1 lsl 61) + 12345; 3 lsl 60; max_int - 2 ] in
+  List.iter
+    (fun bound ->
+      for _ = 1 to 16 do
+        add "h%d;" (Prng.int rng bound)
+      done)
+    huge;
+  (* How many raw outputs the 64 huge-bound draws consumed. *)
+  let consumed =
+    let probe = Prng.copy before_huge and k = ref 0 in
+    while Prng.next (Prng.copy probe) <> Prng.next (Prng.copy rng) do
+      ignore (Prng.next probe);
+      incr k
+    done;
+    !k
+  in
+  for _ = 1 to 8 do
+    add "r%d;" (Prng.int_in rng (-5) 5)
+  done;
+  for _ = 1 to 16 do
+    add "b%b;" (Prng.bool rng)
+  done;
+  for _ = 1 to 16 do
+    add "c%b;" (Prng.chance rng 0.3)
+  done;
+  for _ = 1 to 8 do
+    add "f%Lx;" (Int64.bits_of_float (Prng.float rng 2.5))
+  done;
+  let names = [| "a"; "b"; "c"; "d"; "e" |] in
+  for _ = 1 to 8 do
+    add "p%s;" (Prng.pick rng names)
+  done;
+  for _ = 1 to 4 do
+    add "l%d;" (Prng.pick_list rng [ 1; 2; 3; 4; 5; 6; 7 ])
+  done;
+  let perm = Array.init 20 Fun.id in
+  Prng.shuffle rng perm;
+  Array.iter (add "s%d;") perm;
+  List.iter
+    (fun n ->
+      add "y%d:" n;
+      Buffer.add_bytes buf (Prng.bytes rng n))
+    [ 0; 1; 7; 1460 ];
+  let child = Prng.split rng in
+  let twin = Prng.copy child in
+  for _ = 1 to 4 do
+    let c = Prng.next child in
+    let w = Prng.next twin in
+    add "x%Lx/%Lx/%Lx;" c w (Prng.next rng)
+  done;
+  (Digest.to_hex (Digest.string (Buffer.contents buf)), consumed)
+
+let test_prng_stream_pinned () =
+  let digest, consumed = prng_transcript () in
+  Alcotest.(check bool)
+    (Printf.sprintf "huge bounds rejected some draws (%d outputs for 64)" consumed)
+    true (consumed > 64);
+  Alcotest.(check string) "mixed stream digest" "3deb13584dd7af7a2c60cbb22ce4a4fd" digest
+
+(* A draw allocates nothing and [bytes] only its result.  Exact minor
+   words; the first call warms up, the second is measured. *)
+let test_prng_alloc_budget () =
+  let rng = Prng.create 9L and names = [| "a"; "b"; "c" |] in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    int_of_float (Gc.minor_words () -. w0)
+  in
+  let keep x = ignore (Sys.opaque_identity x) in
+  let check name expected f =
+    ignore (words f);
+    Alcotest.(check int) name expected (words f)
+  in
+  (* A header and 183 words of bytes. *)
+  check "bytes 1460" 184 (fun () -> keep (Prng.bytes rng 1460));
+  check "int 256" 0 (fun () -> keep (Prng.int rng 256));
+  check "int, 64 huge bounds" 0 (fun () ->
+      for _ = 1 to 64 do
+        keep (Prng.int rng ((1 lsl 61) + 1))
+      done);
+  check "int_in" 0 (fun () -> keep (Prng.int_in rng (-5) 5));
+  check "bool" 0 (fun () -> keep (Prng.bool rng));
+  check "chance" 0 (fun () -> keep (Prng.chance rng 0.3));
+  check "pick" 0 (fun () -> keep (Prng.pick rng names))
+
 (* --- Runner ------------------------------------------------------------- *)
 
 let test_runner_order_preserved () =
@@ -387,6 +491,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_copy_identical_stream;
           Alcotest.test_case "preconditions raise" `Quick
             test_prng_preconditions_raise;
+          Alcotest.test_case "stream pinned" `Quick test_prng_stream_pinned;
+          Alcotest.test_case "allocation budget" `Quick test_prng_alloc_budget;
         ] );
       ( "runner",
         [

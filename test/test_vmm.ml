@@ -71,7 +71,14 @@ let test_guest_mem_alloc_budget () =
   (* The result: a header and 183 words of bytes. *)
   check "1460-byte blit_out" 184 (fun () -> keep (Vmm.Guest_mem.blit_out g 0x1FF0L 1460));
   (* The result: one boxed int64. *)
-  check "W32 read" 3 (fun () -> keep (Vmm.Guest_mem.read g 0x3000L Width.W32))
+  check "W32 read" 3 (fun () -> keep (Vmm.Guest_mem.read g 0x3000L Width.W32));
+  (* The dirty map is scanned by the word; a checkpoint that finds one
+     dirty page blits it into the image's own copy. *)
+  Vmm.Guest_mem.checkpoint g;
+  check "checkpoint, nothing dirty" 0 (fun () -> Vmm.Guest_mem.checkpoint g);
+  check "checkpoint, one dirty page" 0 (fun () ->
+      Vmm.Guest_mem.write_byte g 0x3000L 0x5A;
+      Vmm.Guest_mem.checkpoint g)
 
 (* Untouched pages cost nothing: a 16 MiB RAM that takes one byte,
    a checkpoint, a second byte on another page and a rollback allocates
@@ -549,7 +556,22 @@ type ram_op =
   | Checkpoint
   | Rollback
 
-let ram_sizes = [ (20 * 4096) + 1234; 3 * 4096; 1000 ]
+(* The dirty map is scanned eight pages to a word, then byte by byte
+   over the tail: page counts of 1, 3, 7, 9, 17 and 21 leave a tail, 8
+   and 16 none. *)
+let ram_sizes =
+  [
+    (20 * 4096) + 1234;
+    3 * 4096;
+    1000;
+    4096;
+    7 * 4096;
+    8 * 4096;
+    9 * 4096;
+    (16 * 4096) + 1;
+    16 * 4096;
+    17 * 4096;
+  ]
 
 let print_ram_op = function
   | Write_byte (a, v) -> Printf.sprintf "write_byte 0x%Lx 0x%x" a v
@@ -707,7 +729,7 @@ let run_ram_ops interposer (ram_size, ops) =
     ops
 
 let prop_checkpoint_matches_full_copy =
-  QCheck.Test.make ~name:"checkpoint/rollback match a full copy" ~count:300
+  QCheck.Test.make ~name:"checkpoint/rollback match a full copy" ~count:600
     (QCheck.make
        ~print:(fun (size, ops) ->
          Printf.sprintf "RAM %d: %s" size (String.concat "; " (List.map print_ram_op ops)))
@@ -720,6 +742,52 @@ let prop_checkpoint_matches_full_copy =
         QCheck.Test.fail_report "a fresh RAM reads a nonzero byte: the zero page was written";
       true)
 
+(* Dirty pages on the edges of the map's words (pages 0, 7 and 8 and the
+   last page, alone and together) on RAMs whose page count leaves a tail
+   or none: a checkpoint saves exactly what was written, a rollback
+   restores it, and a checkpoint right after another finds no page to
+   copy. *)
+let test_dirty_word_edges () =
+  List.iter
+    (fun size ->
+      let pages = (size + 4095) / 4096 in
+      let last = pages - 1 in
+      List.iter
+        (fun set ->
+          let set = List.sort_uniq compare (List.filter (fun p -> p < pages) set) in
+          let g = Vmm.Guest_mem.create size in
+          let name fmt =
+            Printf.ksprintf
+              (fun s ->
+                Printf.sprintf "%d pages, pages %s: %s" pages
+                  (String.concat "," (List.map string_of_int set))
+                  s)
+              fmt
+          in
+          let byte_of p = min ((p * 4096) + (p mod 7)) (size - 1) in
+          Vmm.Guest_mem.checkpoint g;
+          Alcotest.(check int) (name "clean after the first checkpoint") 0
+            (Vmm.Guest_mem.dirty_pages g);
+          List.iter (fun p -> Vmm.Guest_mem.write_byte g (Int64.of_int (byte_of p)) (p + 1)) set;
+          Alcotest.(check int) (name "dirty after the writes") (List.length set)
+            (Vmm.Guest_mem.dirty_pages g);
+          Vmm.Guest_mem.checkpoint g;
+          Alcotest.(check int) (name "a second checkpoint finds nothing to copy") 0
+            (Vmm.Guest_mem.dirty_pages g);
+          Vmm.Guest_mem.checkpoint g;
+          let saved = Vmm.Guest_mem.snapshot g in
+          List.iter (fun p -> Vmm.Guest_mem.fill g (Int64.of_int (p * 4096)) 4096 0xEE) set;
+          Vmm.Guest_mem.rollback g;
+          Alcotest.(check bool) (name "rollback restores the saved bytes") true
+            (Bytes.equal saved (Vmm.Guest_mem.snapshot g));
+          List.iter
+            (fun p ->
+              Alcotest.(check int) (name "page %d kept its byte" p) (p + 1)
+                (Vmm.Guest_mem.read_byte g (Int64.of_int (byte_of p))))
+            set)
+        [ [ 0 ]; [ 7 ]; [ 8 ]; [ last ]; [ 0; 7; 8; last ] ])
+    [ 4096; 7 * 4096; 8 * 4096; 9 * 4096; 16 * 4096; (16 * 4096) + 1; 17 * 4096 ]
+
 let () =
   Alcotest.run "vmm"
     [
@@ -731,6 +799,7 @@ let () =
           Alcotest.test_case "bit-63 addresses" `Quick test_guest_mem_bit63;
           Alcotest.test_case "allocation budget" `Quick test_guest_mem_alloc_budget;
           Alcotest.test_case "footprint of untouched pages" `Quick test_guest_mem_footprint;
+          Alcotest.test_case "dirty pages at word edges" `Quick test_dirty_word_edges;
           QCheck_alcotest.to_alcotest prop_checkpoint_matches_full_copy;
         ] );
       ("irq", [ Alcotest.test_case "controller" `Quick test_irq_controller ]);
