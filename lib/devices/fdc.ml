@@ -5,7 +5,6 @@ let name = "fdc"
 let io_base = 0x3F0L
 let irq_cb = 0x0050_0000L
 let fifo_size = 512
-let disk_capacity = 2_880 * 1024
 let venom_fixed_in = Qemu_version.v 2 3 1
 
 (* Main status register bits. *)

@@ -25,10 +25,6 @@ val irq_cb : int64
 val fifo_size : int
 (** 512. *)
 
-val disk_capacity : int
-(** 2.88 MB — bounds the block sizes the paper's Figure 3/4 sweep may use
-    for this device. *)
-
 val venom_fixed_in : Qemu_version.t
 (** 2.3.1. *)
 

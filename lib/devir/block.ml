@@ -16,10 +16,6 @@ let kind_to_string = function
 
 let v ?(kind = Normal) label stmts term = { label; kind; stmts; term }
 
-let is_conditional b = match b.term with Term.Branch _ -> true | _ -> false
-
-let is_indirect b = match b.term with Term.Icall _ -> true | _ -> false
-
 let pp ppf b =
   Format.fprintf ppf "@[<v 2>%s (%s):@,%a%a@]" b.label (kind_to_string b.kind)
     (fun ppf stmts ->

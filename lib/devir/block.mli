@@ -28,10 +28,4 @@ val kind_to_string : kind -> string
 val v : ?kind:kind -> string -> Stmt.t list -> Term.t -> t
 (** [v label stmts term] builds a block ([kind] defaults to [Normal]). *)
 
-val is_conditional : t -> bool
-(** A block terminated by a conditional branch. *)
-
-val is_indirect : t -> bool
-(** A block terminated by an indirect call. *)
-
 val pp : Format.formatter -> t -> unit

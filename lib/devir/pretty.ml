@@ -82,5 +82,3 @@ let program_to_string program =
       Buffer.add_char buf '\n')
     (Program.handlers program);
   Buffer.contents buf
-
-let pp_program ppf p = Format.pp_print_string ppf (program_to_string p)

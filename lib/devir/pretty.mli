@@ -9,5 +9,3 @@ val handler_to_string : Program.t -> Program.handler -> string
 
 val program_to_string : Program.t -> string
 (** Layout (as a struct definition), callbacks, then every handler. *)
-
-val pp_program : Format.formatter -> Program.t -> unit

@@ -69,7 +69,7 @@ let run_combo ~seed opts (device, mode, engine) =
   in
   let config = { C.default_config with mode; engine } in
   let machine, checker =
-    Metrics.Spec_cache.fresh_protected_machine ~config ~vmexit_cost:0 w version
+    Metrics.Spec_cache.fresh_protected_machine ~config w version
   in
   let program = Interp.program (Vmm.Machine.interp_of machine device) in
   (* The hostile campaign adds the guest-side validator as a layer after

@@ -70,14 +70,16 @@ let device_model ~device ~version =
   | Some (module W) -> W.device version
   | None -> invalid_arg ("Fuzz.Exec: unknown device " ^ device)
 
-(* Replay contexts (machine + attached checker) are pooled and recycled:
-   checker creation re-derives copy spans and the pass-through map, and
-   the compiled engine lowers the spec lazily per checker instance — at
-   fuzzing throughput, minting all of that per replay dominated the run
-   (and the allocation churn kept the major GC walking the multi-MB spec
-   cache).  A recycled context goes back to boot state through
-   [Vmm.Machine.reboot] and [Checker.reset]; it keeps its configuration,
-   so the pool is keyed by the whole configuration. *)
+(* Replay contexts (machine + attached checker) are pooled and recycled.
+   The checker shares its cached spec's lowered arena, but a fresh fdc
+   context still costs about 80 us on a 2-vCPU host, about 60 us of it in
+   [Vmm.Machine.attach], where [Interp.create] lowers the device program.
+   At fuzzing throughput that adds up: the fdc fuzz smoke (10,000
+   mutants, --jobs 1) took 8.4-10.7 s with the pool and 15.1-16.5 s
+   without it, and wrote the same report.  A recycled context goes back
+   to boot state through [Vmm.Machine.reboot] and [Checker.reset]; it
+   keeps its configuration, so the pool is keyed by the whole
+   configuration. *)
 
 type rctx = { rx_machine : Vmm.Machine.t; rx_checker : C.t }
 
@@ -93,7 +95,7 @@ let make_rctx ~config ~version (input : Input.t) =
   let b = Metrics.Spec_cache.built w version in
   (* 1 MiB of RAM, not the 16 MiB default: every guest address the
      workloads, attacks and mutator touch sits below 0xA0000. *)
-  let m = Vmm.Machine.create ~ram_size:0x100000 ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create ~ram_size:0x100000 () in
   Vmm.Machine.attach m ((W.device version).Devices.Device.make_binding ());
   let checker = Sedspec.Pipeline.protect ~config m ~device:input.device b in
   { rx_machine = m; rx_checker = checker }
@@ -298,7 +300,7 @@ let run ~config ?version (input : Input.t) =
 let trace ?version (input : Input.t) =
   let version = Option.value version ~default:input.version in
   let dev = device_model ~device:input.device ~version in
-  let m = Vmm.Machine.create ~ram_size:0x100000 ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create ~ram_size:0x100000 () in
   Vmm.Machine.attach m (dev.Devices.Device.make_binding ());
   let interp = Vmm.Machine.interp_of m input.device in
   let nodes : (Devir.Program.bref, int) Hashtbl.t = Hashtbl.create 64 in

@@ -118,7 +118,7 @@ let record m ~device f =
 (* --- Seed corpus ------------------------------------------------------- *)
 
 let record_benign (module W : Workload.Samples.DEVICE_WORKLOAD) f =
-  let m = W.make_machine ~vmexit_cost:0 W.paper_version in
+  let m = W.make_machine W.paper_version in
   let steps = record m ~device:W.device_name (fun () -> f m) in
   { device = W.device_name; version = W.paper_version; origin = Benign; steps }
 
@@ -152,7 +152,7 @@ let seed_corpus ~device =
       (fun (a : Attacks.Attack.t) ->
         if a.device <> device then None
         else begin
-          let m = W.make_machine ~vmexit_cost:0 a.qemu_version in
+          let m = W.make_machine a.qemu_version in
           let steps =
             record m ~device (fun () ->
                 (* Exploits may bail out mid-stream (e.g. [Exit] once the

@@ -74,7 +74,7 @@ let exploit_seed_cap = 1024
 let exploit_seed (a : Attacks.Attack.t) =
   let w = Workload.Samples.find a.Attacks.Attack.device in
   let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-  let m = W.make_machine ~vmexit_cost:0 a.Attacks.Attack.qemu_version in
+  let m = W.make_machine a.Attacks.Attack.qemu_version in
   let steps =
     Input.record m ~device:a.Attacks.Attack.device (fun () ->
         try

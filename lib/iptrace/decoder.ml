@@ -145,15 +145,3 @@ let decode program packets =
       traces := List.rev !steps :: !traces;
       steps := []);
   List.rev !traces
-
-let pp_step ppf s =
-  let transfer =
-    match s.transfer with
-    | Fall -> "fall"
-    | Taken -> "T"
-    | Not_taken -> "N"
-    | Sw d -> Printf.sprintf "sw->%s" (Program.bref_to_string d)
-    | Call v -> Printf.sprintf "call %Lx" v
-    | End -> "end"
-  in
-  Format.fprintf ppf "%a:%s" Program.pp_bref s.block transfer

@@ -45,5 +45,3 @@ val walk :
 
 val decode : Devir.Program.t -> Packet.t list -> trace list
 (** {!walk}'s steps as lists, one trace per window. *)
-
-val pp_step : Format.formatter -> step -> unit

@@ -15,8 +15,10 @@ let nioh_cves =
   ]
 
 let nioh_detects (attack : Attacks.Attack.t) =
-  let w = Workload.Samples.find attack.device in
-  let m = Spec_cache.fresh_machine w attack.qemu_version in
+  let (module W : Workload.Samples.DEVICE_WORKLOAD) =
+    Workload.Samples.find attack.device
+  in
+  let m = W.make_machine attack.qemu_version in
   let spec =
     match Nioh.spec_for attack.device with
     | Some s -> s
@@ -66,7 +68,3 @@ let benign_nioh_fp device =
     end
   done;
   !flagged
-
-let pp_verdict ppf v =
-  Format.fprintf ppf "%-16s %-6s nioh=%-5b sedspec=%b" v.cve v.device
-    v.nioh_detected v.sedspec_detected

@@ -29,5 +29,3 @@ val benign_nioh_fp : string -> int
     monitor and count flagged cases — the manual model covers rare
     commands, so this should be zero, at the cost of having been written
     by hand. *)
-
-val pp_verdict : Format.formatter -> verdict -> unit

@@ -21,8 +21,10 @@ let strategies =
   ]
 
 let ground_truth (attack : Attacks.Attack.t) =
-  let w = Workload.Samples.find attack.device in
-  let m = Spec_cache.fresh_machine w attack.qemu_version in
+  let (module W : Workload.Samples.DEVICE_WORKLOAD) =
+    Workload.Samples.find attack.device
+  in
+  let m = W.make_machine attack.qemu_version in
   attack.setup m;
   Attacks.Attack.observe_effects m ~device:attack.device
     (fun () -> Attacks.Attack.run_stream m attack)

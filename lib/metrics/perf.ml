@@ -17,6 +17,26 @@ let storage_blocks = function
 
 let now () = Unix.gettimeofday ()
 
+let exit_us = 40.0
+
+type side = { wall_s : float; exits : int }
+
+let seconds ~exit_us s = s.wall_s +. (float_of_int s.exits *. exit_us *. 1e-6)
+
+(* Wall-clock time, not CPU time: the bench fans sweeps out over --jobs
+   domains, and process CPU time would sum them. *)
+let timed m f =
+  let exits0 = Vmm.Machine.exits m and t0 = now () in
+  f ();
+  { wall_s = now () -. t0; exits = Vmm.Machine.exits m - exits0 }
+
+(* [measure] on a fresh machine, then on a fresh protected one. *)
+let sides device measure =
+  let (module W : Workload.Samples.DEVICE_WORKLOAD) = Workload.Samples.find device in
+  let base = measure (W.make_machine W.paper_version) in
+  let m_prot, _checker = Spec_cache.fresh_protected_machine (module W) W.paper_version in
+  (base, measure m_prot)
+
 (* One "record" transfer of [block] bytes on each device's natural bulk
    path.  Sector/LBA addresses advance so caching effects cannot differ
    between runs. *)
@@ -95,32 +115,25 @@ let time_volume m device ~write ~block ~total =
     storage_op m device ~write ~block:512 ~cursor
   done;
   let ops = max 1 (total / max block 1) in
-  let t0 = now () in
-  for _ = 1 to ops do
-    storage_op m device ~write ~block ~cursor
-  done;
-  (now () -. t0, ops)
+  timed m (fun () ->
+      for _ = 1 to ops do
+        storage_op m device ~write ~block ~cursor
+      done)
 
-let storage_sweep ?(total_bytes = 524288) ?(vmexit_cost = 60000) ~device
-    ~write () =
-  let w = Workload.Samples.find device in
-  let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-  let total_bytes =
+let storage_sides ~total_bytes ~device ~write ~block =
+  let total =
     (* FDC is pure PIO (two orders of magnitude more exits per byte), and
        its medium caps at 2.88 MB; keep its volume small. *)
     if device = "fdc" then min total_bytes 65536 else total_bytes
   in
+  sides device (fun m -> time_volume m device ~write ~block ~total)
+
+let storage_sweep ?(total_bytes = 524288) ~device ~write () =
   List.map
     (fun block ->
-      let m_base = W.make_machine ~vmexit_cost W.paper_version in
-      let base_s, _ = time_volume m_base device ~write ~block ~total:total_bytes in
-      let m_prot, _checker =
-        Spec_cache.fresh_protected_machine ~vmexit_cost (module W)
-          W.paper_version
-      in
-      let protected_s, _ =
-        time_volume m_prot device ~write ~block ~total:total_bytes
-      in
+      let base, prot = storage_sides ~total_bytes ~device ~write ~block in
+      let base_s = seconds ~exit_us base
+      and protected_s = seconds ~exit_us prot in
       {
         block_bytes = block;
         base_s;
@@ -161,44 +174,40 @@ let net_run m kind ~total_bytes =
     ignore (Workload.Pcnet_driver.receive d ack);
     ignore (Workload.Pcnet_driver.rx_frame d)
   done;
-  let t0 = now () in
-  (match kind with
-  | Tcp_up ->
-    for i = 1 to frames do
-      ignore (Workload.Pcnet_driver.transmit d [ payload ]);
-      if i mod 8 = 0 then begin
-        ignore (Workload.Pcnet_driver.receive d ack);
-        ignore (Workload.Pcnet_driver.rx_frame d)
-      end
-    done
-  | Tcp_down ->
-    for i = 1 to frames do
-      ignore (Workload.Pcnet_driver.receive d payload);
-      ignore (Workload.Pcnet_driver.rx_frame d);
-      if i mod 8 = 0 then ignore (Workload.Pcnet_driver.transmit d [ ack ])
-    done
-  | Udp_up ->
-    for _ = 1 to frames do
-      ignore (Workload.Pcnet_driver.transmit d [ payload ])
-    done
-  | Udp_down ->
-    for _ = 1 to frames do
-      ignore (Workload.Pcnet_driver.receive d payload);
-      ignore (Workload.Pcnet_driver.rx_frame d)
-    done);
-  let dt = now () -. t0 in
-  float_of_int (frames * mtu_payload) /. dt /. 1.0e6
+  timed m (fun () ->
+      match kind with
+      | Tcp_up ->
+        for i = 1 to frames do
+          ignore (Workload.Pcnet_driver.transmit d [ payload ]);
+          if i mod 8 = 0 then begin
+            ignore (Workload.Pcnet_driver.receive d ack);
+            ignore (Workload.Pcnet_driver.rx_frame d)
+          end
+        done
+      | Tcp_down ->
+        for i = 1 to frames do
+          ignore (Workload.Pcnet_driver.receive d payload);
+          ignore (Workload.Pcnet_driver.rx_frame d);
+          if i mod 8 = 0 then ignore (Workload.Pcnet_driver.transmit d [ ack ])
+        done
+      | Udp_up ->
+        for _ = 1 to frames do
+          ignore (Workload.Pcnet_driver.transmit d [ payload ])
+        done
+      | Udp_down ->
+        for _ = 1 to frames do
+          ignore (Workload.Pcnet_driver.receive d payload);
+          ignore (Workload.Pcnet_driver.rx_frame d)
+        done)
 
-let pcnet_bandwidth ?(total_bytes = 2 * 1024 * 1024) ?(vmexit_cost = 60000)
-    kind =
-  let w = Workload.Samples.find "pcnet" in
-  let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-  let m_base = W.make_machine ~vmexit_cost W.paper_version in
-  let base_mbps = net_run m_base kind ~total_bytes in
-  let m_prot, _ =
-    Spec_cache.fresh_protected_machine ~vmexit_cost (module W) W.paper_version
-  in
-  let protected_mbps = net_run m_prot kind ~total_bytes in
+let net_sides ~total_bytes kind =
+  sides "pcnet" (fun m -> net_run m kind ~total_bytes)
+
+let pcnet_bandwidth ?(total_bytes = 2 * 1024 * 1024) kind =
+  let base, prot = net_sides ~total_bytes kind in
+  let bytes = float_of_int (max 1 (total_bytes / mtu_payload) * mtu_payload) in
+  let mbps side = bytes /. seconds ~exit_us side /. 1.0e6 in
+  let base_mbps = mbps base and protected_mbps = mbps prot in
   {
     kind;
     base_mbps;
@@ -219,19 +228,13 @@ let ping_run m ~count =
   for _ = 1 to 32 do
     ping_once d
   done;
-  let t0 = now () in
-  for _ = 1 to count do
-    ping_once d
-  done;
-  (now () -. t0) /. float_of_int count *. 1000.0
+  timed m (fun () ->
+      for _ = 1 to count do
+        ping_once d
+      done)
 
-let pcnet_ping ?(count = 400) ?(vmexit_cost = 60000) () =
-  let w = Workload.Samples.find "pcnet" in
-  let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
-  let m_base = W.make_machine ~vmexit_cost W.paper_version in
-  let base = ping_run m_base ~count in
-  let m_prot, _ =
-    Spec_cache.fresh_protected_machine ~vmexit_cost (module W) W.paper_version
-  in
-  let prot = ping_run m_prot ~count in
+let pcnet_ping ?(count = 400) () =
+  let base, prot = sides "pcnet" (fun m -> ping_run m ~count) in
+  let ms side = seconds ~exit_us side /. float_of_int count *. 1000.0 in
+  let base = ms base and prot = ms prot in
   (base, prot, (prot -. base) /. base)

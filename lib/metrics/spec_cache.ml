@@ -113,14 +113,10 @@ let built_retrained (module W : Workload.Samples.DEVICE_WORKLOAD) version
            ~provenance:(Sedspec.Es_cfg.Retrained cases);
          b))
 
-let fresh_machine ?vmexit_cost (module W : Workload.Samples.DEVICE_WORKLOAD)
-    version =
-  W.make_machine ?vmexit_cost version
-
-let fresh_protected_machine ?config ?vmexit_cost
+let fresh_protected_machine ?config
     (module W : Workload.Samples.DEVICE_WORKLOAD) version =
   let b = built (module W) version in
-  let m = W.make_machine ?vmexit_cost version in
+  let m = W.make_machine version in
   let checker = Sedspec.Pipeline.protect ?config m ~device:W.device_name b in
   (m, checker)
 

@@ -52,18 +52,11 @@ val set_build_fault : (string -> unit) option -> unit
 
 val fresh_protected_machine :
   ?config:Sedspec.Checker.config ->
-  ?vmexit_cost:int ->
   (module Workload.Samples.DEVICE_WORKLOAD) ->
   Devices.Qemu_version.t ->
   Vmm.Machine.t * Sedspec.Checker.t
 (** A fresh machine with the device attached and a checker built from the
     cached specification. *)
-
-val fresh_machine :
-  ?vmexit_cost:int ->
-  (module Workload.Samples.DEVICE_WORKLOAD) ->
-  Devices.Qemu_version.t ->
-  Vmm.Machine.t
 
 val guard_profile :
   (module Workload.Samples.DEVICE_WORKLOAD) ->

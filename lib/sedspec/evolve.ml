@@ -1,6 +1,5 @@
 open Devir
 module Json = Sedspec_util.Json
-module Table = Sedspec_util.Table
 
 (* Structural diff of two ES-CFGs.  The diff is keyed by bref
    (handler/label strings), so it works across device versions and
@@ -224,30 +223,3 @@ let diff_to_json d =
       ("added_sync_points", strs sync_str d.added_syncs);
       ("removed_sync_points", strs sync_str d.removed_syncs);
     ]
-
-let diff_rows d =
-  let row kind what = [ kind; what ] in
-  List.map (fun b -> row "+node" (bref_str b)) d.added_nodes
-  @ List.map (fun b -> row "-node" (bref_str b)) d.removed_nodes
-  @ List.map
-      (fun ch -> row "~envelope" (bref_str ch.e_bref ^ ": " ^ envelope_str ch))
-      d.reenveloped
-  @ List.map (fun c -> row "+cmd" (cmd_str c)) d.added_cmds
-  @ List.map (fun c -> row "-cmd" (cmd_str c)) d.removed_cmds
-  @ List.map (fun a -> row "+access" (access_str a)) d.added_access
-  @ List.map (fun a -> row "-access" (access_str a)) d.removed_access
-  @ List.map (fun s -> row "+sync" (sync_str s)) d.added_syncs
-  @ List.map (fun s -> row "-sync" (sync_str s)) d.removed_syncs
-
-let pp_diff ppf d =
-  Format.fprintf ppf
-    "spec diff: base rev %d (%s, %d nodes) -> candidate rev %d (%s, %d \
-     nodes): %d changes@."
-    d.base_revision
-    (Es_cfg.provenance_to_string d.base_provenance)
-    d.base_nodes d.cand_revision
-    (Es_cfg.provenance_to_string d.cand_provenance)
-    d.cand_nodes (change_count d);
-  if not (is_empty d) then
-    Format.fprintf ppf "%s"
-      (Table.render ~header:[ "delta"; "site" ] (diff_rows d))

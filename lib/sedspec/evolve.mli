@@ -11,7 +11,7 @@
       added/removed nodes, re-enveloped transition data (new branch
       directions, switch cases, indirect targets, successor edges),
       command-set, access-table and sync-point deltas, rendered as
-      deterministic JSON ({!diff_to_json}) and a table ({!pp_diff}). *)
+      deterministic JSON ({!diff_to_json}). *)
 
 type envelope_change = {
   e_bref : Devir.Program.bref;
@@ -55,7 +55,3 @@ val change_count : diff -> int
 
 val diff_to_json : diff -> Sedspec_util.Json.t
 (** Deterministic (sorted, jobs-independent) JSON rendering. *)
-
-val pp_diff : Format.formatter -> diff -> unit
-(** Summary line plus a delta/site table (like the locator's
-    behaviour-delta reports). *)

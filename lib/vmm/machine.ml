@@ -81,22 +81,10 @@ type t = {
   mutable halt_reason : string option;
   mutable warnings_rev : string list;
   mutable traps_rev : (string * Interp.Event.trap) list;
-  vmexit_cost : int;
+  mutable exits : int;
 }
 
-(* Burn a calibrated amount of CPU per dispatched I/O, standing in for the
-   KVM exit + userspace dispatch that dominates per-access cost on a real
-   host.  Volatile-ish accumulator so the loop is not optimised away. *)
-let spin_sink = ref 0
-
-let spin n =
-  let acc = ref !spin_sink in
-  for i = 1 to n do
-    acc := (!acc + i) land 0xFFFFFF
-  done;
-  spin_sink := !acc
-
-let create ?(ram_size = 16 * 1024 * 1024) ?(vmexit_cost = 2000) () =
+let create ?(ram_size = 16 * 1024 * 1024) () =
   {
     ram = Guest_mem.create ram_size;
     irq = Irq.create ();
@@ -106,11 +94,12 @@ let create ?(ram_size = 16 * 1024 * 1024) ?(vmexit_cost = 2000) () =
     halt_reason = None;
     warnings_rev = [];
     traps_rev = [];
-    vmexit_cost;
+    exits = 0;
   }
 
 let ram t = t.ram
 let irq t = t.irq
+let exits t = t.exits
 
 (* Address arithmetic is unsigned.  [addr - base] is the offset into the
    range whatever the two addresses are, so the test holds for a range
@@ -230,7 +219,7 @@ let apply_verdict t v =
 let dispatch t (a : attached) request =
   if t.halted then Io_vm_halted
   else begin
-    if t.vmexit_cost > 0 then spin t.vmexit_cost;
+    t.exits <- t.exits + 1;
     let blocked =
       match a.interposer with
       | None -> None

@@ -55,15 +55,17 @@ type device_binding = {
 
 type t
 
-val create : ?ram_size:int -> ?vmexit_cost:int -> unit -> t
-(** Default RAM: 16 MiB.  [vmexit_cost] is the number of iterations of a
-    calibrated busy loop burned per dispatched I/O access, standing in for
-    the KVM exit + userspace dispatch cost that dominates per-access
-    latency on a real host (default 2000, roughly a microsecond; 0
-    disables it — the perf benches ablate this). *)
+val create : ?ram_size:int -> unit -> t
+(** Default RAM: 16 MiB. *)
 
 val ram : t -> Guest_mem.t
 val irq : t -> Irq.t
+
+val exits : t -> int
+(** VM exits since {!create}: one per access or {!inject} that reaches a
+    device of a running VM, even one an interposer halts; none for
+    [Io_vm_halted] or [Io_no_device].  The perf experiments price each
+    ([Metrics.Perf.exit_us]) as the KVM exit plus QEMU dispatch. *)
 
 val attach : t -> device_binding -> unit
 (** Registers the device, creates its interpreter (wired to machine RAM and

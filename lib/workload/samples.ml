@@ -11,7 +11,7 @@ module type DEVICE_WORKLOAD = sig
   val device_name : string
   val paper_version : Devices.Qemu_version.t
   val device : Devices.Qemu_version.t -> Devices.Device.t
-  val make_machine : ?vmexit_cost:int -> Devices.Qemu_version.t -> Vmm.Machine.t
+  val make_machine : Devices.Qemu_version.t -> Vmm.Machine.t
   val trainer : cases:int -> Sedspec.Pipeline.trainer
 
   val soak_case :
@@ -26,8 +26,8 @@ module type DEVICE_WORKLOAD = sig
 end
 
 let make_machine_for (device : Devices.Qemu_version.t -> Devices.Device.t)
-    ?(vmexit_cost = 0) version =
-  let m = Vmm.Machine.create ~vmexit_cost () in
+    version =
+  let m = Vmm.Machine.create () in
   let dev = device version in
   Vmm.Machine.attach m (dev.Devices.Device.make_binding ());
   m
@@ -44,8 +44,7 @@ module Fdc_w = struct
 
   let device version = Devices.Fdc.device ~version
 
-  let make_machine ?vmexit_cost version =
-    make_machine_for device ?vmexit_cost version
+  let make_machine = make_machine_for device
 
   let seek_read_write d ~track ~head ~sect =
     ignore (Fdc_driver.seek d ~drive:0 ~head ~track);
@@ -128,8 +127,7 @@ module Ehci_w = struct
 
   let device version = Devices.Ehci.device ~version
 
-  let make_machine ?vmexit_cost version =
-    make_machine_for device ?vmexit_cost version
+  let make_machine = make_machine_for device
 
   let trainer ~cases =
     {
@@ -190,8 +188,7 @@ module Pcnet_w = struct
 
   let device version = Devices.Pcnet.device ~version
 
-  let make_machine ?vmexit_cost version =
-    make_machine_for device ?vmexit_cost version
+  let make_machine = make_machine_for device
 
   let frame rng len = Prng.bytes rng len
 
@@ -274,8 +271,7 @@ module Sdhci_w = struct
 
   let device version = Devices.Sdhci.device ~version
 
-  let make_machine ?vmexit_cost version =
-    make_machine_for device ?vmexit_cost version
+  let make_machine = make_machine_for device
 
   let dma_area = 0xA0000L
 
@@ -349,8 +345,7 @@ module Scsi_w = struct
 
   let device version = Devices.Scsi.device ~version
 
-  let make_machine ?vmexit_cost version =
-    make_machine_for device ?vmexit_cost version
+  let make_machine = make_machine_for device
 
   let trainer ~cases =
     {
@@ -410,8 +405,7 @@ module Virtio_w = struct
 
   let device version = Devices.Virtio_ring.device ~version
 
-  let make_machine ?vmexit_cost version =
-    make_machine_for device ?vmexit_cost version
+  let make_machine = make_machine_for device
 
   let payload rng len = Prng.bytes rng len
 

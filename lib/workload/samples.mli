@@ -25,7 +25,7 @@ module type DEVICE_WORKLOAD = sig
   val device : Devices.Qemu_version.t -> Devices.Device.t
   (** The device model at the given version. *)
 
-  val make_machine : ?vmexit_cost:int -> Devices.Qemu_version.t -> Vmm.Machine.t
+  val make_machine : Devices.Qemu_version.t -> Vmm.Machine.t
   (** Fresh machine with this device attached at the given version. *)
 
   val trainer : cases:int -> Sedspec.Pipeline.trainer

@@ -425,7 +425,7 @@ let defs =
 (* A machine with one device and no port or MMIO ranges: requests reach
    it through [Machine.inject] only. *)
 let bare_machine program layout =
-  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create () in
   Vmm.Machine.attach m
     {
       Vmm.Machine.program;

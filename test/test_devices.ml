@@ -8,7 +8,7 @@ open Devir
 module QV = Devices.Qemu_version
 
 let machine_with (dev : Devices.Device.t) =
-  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create () in
   Vmm.Machine.attach m (dev.make_binding ());
   m
 

@@ -152,8 +152,7 @@ let test_deadline_overrun_contained () =
   let w = Workload.Samples.find "fdc" in
   let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
   let m, checker =
-    Metrics.Spec_cache.fresh_protected_machine ~vmexit_cost:0 w
-      (Devices.Qemu_version.v 2 3 0)
+    Metrics.Spec_cache.fresh_protected_machine w (Devices.Qemu_version.v 2 3 0)
   in
   Checker.set_deadline checker (Some 1);
   Alcotest.(check (option int)) "deadline armed" (Some 1)
@@ -187,7 +186,7 @@ let test_deadline_engines_agree () =
     let w = Workload.Samples.find "fdc" in
     let config = { Checker.default_config with Checker.engine } in
     let m, checker =
-      Metrics.Spec_cache.fresh_protected_machine ~config ~vmexit_cost:0 w
+      Metrics.Spec_cache.fresh_protected_machine ~config w
         (Devices.Qemu_version.v 2 3 0)
     in
     Checker.set_deadline checker (Some 3);
@@ -209,7 +208,7 @@ let test_deadline_above_walk_limit_never_fires () =
     let w = Workload.Samples.find "fdc" in
     let config = { Checker.default_config with Checker.walk_limit = 3 } in
     let m, checker =
-      Metrics.Spec_cache.fresh_protected_machine ~config ~vmexit_cost:0 w
+      Metrics.Spec_cache.fresh_protected_machine ~config w
         (Devices.Qemu_version.v 2 3 0)
     in
     Checker.set_deadline checker (Some deadline);

@@ -19,7 +19,7 @@ let dev = "sdhci"
 module W = (val Workload.Samples.find dev : Workload.Samples.DEVICE_WORKLOAD)
 
 let train_profile () =
-  let m = W.make_machine ~vmexit_cost:0 W.paper_version in
+  let m = W.make_machine W.paper_version in
   Resp.train m ~device:dev (W.trainer ~cases:8)
 
 let test_training_deterministic () =
@@ -41,7 +41,7 @@ let test_benign_transparent () =
   (* Profiles generalise by construction: re-running the corpus that
      trained them must not trip a single verdict. *)
   let profile = train_profile () in
-  let m = W.make_machine ~vmexit_cost:0 W.paper_version in
+  let m = W.make_machine W.paper_version in
   let v = Validator.attach m ~device:dev ~profile in
   let trainer = W.trainer ~cases:8 in
   for i = 0 to 7 do
@@ -59,7 +59,7 @@ let test_benign_transparent () =
    machine mid-soak; that is containment working, not a test failure. *)
 let violations_under fault =
   let profile = train_profile () in
-  let m = W.make_machine ~vmexit_cost:0 W.paper_version in
+  let m = W.make_machine W.paper_version in
   let v = Validator.attach m ~device:dev ~profile in
   Interp.set_response_fault (Vmm.Machine.interp_of m dev) (Some fault);
   let rng = Prng.create 0xD1CEL in
@@ -96,7 +96,7 @@ let test_fail_closed_containment () =
      is contained, surfaces as V_internal, and the checker-anomaly
      adapter renders it on the Internal_error diagnostic channel. *)
   let profile = train_profile () in
-  let m = W.make_machine ~vmexit_cost:0 W.paper_version in
+  let m = W.make_machine W.paper_version in
   let v = Validator.attach m ~device:dev ~profile in
   Validator.set_fault_hook v (Some (fun () -> failwith "injected"));
   let rng = Prng.create 0xFA117L in
@@ -118,7 +118,7 @@ let test_fail_closed_containment () =
 
 let test_reset_clears_state () =
   let profile = train_profile () in
-  let m = W.make_machine ~vmexit_cost:0 W.paper_version in
+  let m = W.make_machine W.paper_version in
   let v = Validator.attach m ~device:dev ~profile in
   Validator.set_fault_hook v (Some (fun () -> failwith "injected"));
   let rng = Prng.create 3L in
@@ -141,7 +141,7 @@ let test_reset_clears_state () =
    they saw: the budget is for buffers an exception left open. *)
 let test_heal_ignores_benign () =
   let profile = train_profile () in
-  let m = W.make_machine ~vmexit_cost:0 W.paper_version in
+  let m = W.make_machine W.paper_version in
   let v = Validator.attach m ~device:dev ~profile in
   let trainer = W.trainer ~cases:10 in
   let healed =
@@ -160,7 +160,7 @@ let test_heal_ignores_benign () =
    runs and every [after] is skipped, but the validator gathered nothing. *)
 let test_heal_ignores_blocked_request () =
   let profile = train_profile () in
-  let m = W.make_machine ~vmexit_cost:0 W.paper_version in
+  let m = W.make_machine W.paper_version in
   let remove_blocker =
     Vmm.Machine.add_interposer m dev
       {
@@ -181,7 +181,7 @@ let test_heal_ignores_blocked_request () =
    interaction open: [before] ran, [after] never did. *)
 let test_heal_clears_stale_buffer () =
   let profile = train_profile () in
-  let m = W.make_machine ~vmexit_cost:0 W.paper_version in
+  let m = W.make_machine W.paper_version in
   let v = Validator.attach m ~device:dev ~profile in
   let remove =
     Interp.add_hooks (Vmm.Machine.interp_of m dev)

@@ -306,10 +306,10 @@ let test_collect_matches_whole_stream () =
       let trainer = W.trainer ~cases:8 in
       let p1 =
         Sedspec.Pipeline.collect
-          (W.make_machine ~vmexit_cost:0 W.paper_version)
+          (W.make_machine W.paper_version)
           ~device:W.device_name trainer
       in
-      let m = W.make_machine ~vmexit_cost:0 W.paper_version in
+      let m = W.make_machine W.paper_version in
       let program = Interp.program (Vmm.Machine.interp_of m W.device_name) in
       let windows, bytes = training_windows m ~device:W.device_name trainer in
       let itc = Iptrace.Itc_cfg.create program in
@@ -340,7 +340,7 @@ let test_collect_matches_whole_stream () =
    they allocated 391 and 1,521.  The counts repeat exactly. *)
 let test_collect_major_budget () =
   let module W = (val Workload.Samples.find "fdc") in
-  let m = W.make_machine ~vmexit_cost:0 W.paper_version in
+  let m = W.make_machine W.paper_version in
   let trainer = W.trainer ~cases:24 in
   let before = (Gc.quick_stat ()).Gc.major_words in
   let minor = Gc.minor_words () in
@@ -368,7 +368,7 @@ let test_collect_major_budget () =
 
 (* [tiny] on a machine of its own, driven by injection. *)
 let tiny_machine () =
-  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create () in
   Vmm.Machine.attach m
     {
       Vmm.Machine.program = tiny;

@@ -56,8 +56,7 @@ let test_perf_sanity () =
      the measurement plumbing, not a performance assertion (the bench does
      those with proper repetition). *)
   let run () =
-    Metrics.Perf.storage_sweep ~total_bytes:65536 ~vmexit_cost:5000
-      ~device:"scsi" ~write:false ()
+    Metrics.Perf.storage_sweep ~total_bytes:65536 ~device:"scsi" ~write:false ()
   in
   let a = run () and b = run () in
   List.iter2
@@ -70,13 +69,32 @@ let test_perf_sanity () =
     a b
 
 let test_net_harness_sanity () =
-  let p = Metrics.Perf.pcnet_bandwidth ~total_bytes:(256 * 1024) ~vmexit_cost:5000
-      Metrics.Perf.Udp_up
-  in
+  let p = Metrics.Perf.pcnet_bandwidth ~total_bytes:(256 * 1024) Metrics.Perf.Udp_up in
   Alcotest.(check bool) "bandwidth positive" true
     (p.base_mbps > 0.0 && p.protected_mbps > 0.0);
-  let base, prot, _ = Metrics.Perf.pcnet_ping ~count:30 ~vmexit_cost:5000 () in
+  let base, prot, _ = Metrics.Perf.pcnet_ping ~count:30 () in
   Alcotest.(check bool) "ping positive" true (base > 0.0 && prot > 0.0)
+
+(* The checker adds no access, so both sides of a point make the same VM
+   exits and the priced part of their times is equal. *)
+let test_sides_count_same_exits () =
+  let same what ((base : Metrics.Perf.side), (prot : Metrics.Perf.side)) =
+    Alcotest.(check bool) (what ^ ": exits counted") true (base.exits > 0);
+    Alcotest.(check int) (what ^ ": protected = base") base.exits prot.exits
+  in
+  List.iter
+    (fun write ->
+      same
+        (if write then "fdc write" else "fdc read")
+        (Metrics.Perf.storage_sides ~total_bytes:8192 ~device:"fdc" ~write
+           ~block:4096))
+    [ false; true ];
+  List.iter
+    (fun kind ->
+      same
+        (Metrics.Perf.net_kind_to_string kind)
+        (Metrics.Perf.net_sides ~total_bytes:(20 * 1460) kind))
+    Metrics.Perf.[ Tcp_up; Tcp_down; Udp_up; Udp_down ]
 
 let test_baseline_verdict_list () =
   Alcotest.(check int) "five nioh CVEs" 5 (List.length Metrics.Baseline.nioh_cves);
@@ -233,6 +251,8 @@ let () =
         [
           Alcotest.test_case "storage harness sanity" `Slow test_perf_sanity;
           Alcotest.test_case "network harness sanity" `Slow test_net_harness_sanity;
+          Alcotest.test_case "both sides count the same exits" `Quick
+            test_sides_count_same_exits;
         ] );
       ( "infrastructure",
         [

@@ -179,7 +179,7 @@ let test_collector_keeps_checker () =
   Metrics.Spec_cache.training_cases := training_cases;
   let attack = Attacks.Attack.find "CVE-2015-3456" in
   let w = Workload.Samples.find "fdc" in
-  let m, _ = Metrics.Spec_cache.fresh_protected_machine ~vmexit_cost:0 w attack.qemu_version in
+  let m, _ = Metrics.Spec_cache.fresh_protected_machine w attack.qemu_version in
   let program = Interp.program (Vmm.Machine.interp_of m "fdc") in
   let seen = ref 0 in
   let collector =
@@ -1282,8 +1282,7 @@ let fresh_fdc ?config () =
   let w = Workload.Samples.find "fdc" in
   Metrics.Spec_cache.training_cases := training_cases;
   let m, checker =
-    Metrics.Spec_cache.fresh_protected_machine ?config ~vmexit_cost:0 w
-      (QV.v 2 3 0)
+    Metrics.Spec_cache.fresh_protected_machine ?config w (QV.v 2 3 0)
   in
   (m, checker, Workload.Fdc_driver.create m)
 
@@ -1449,7 +1448,7 @@ let test_heal_by_offset () =
     (fun w ->
       let module W = (val w : Workload.Samples.DEVICE_WORKLOAD) in
       let m, checker =
-        Metrics.Spec_cache.fresh_protected_machine ~vmexit_cost:0 w W.paper_version
+        Metrics.Spec_cache.fresh_protected_machine w W.paper_version
       in
       (W.trainer ~cases:training_cases).Sedspec.Pipeline.run_case m 0;
       Alcotest.(check int) (W.device_name ^ ": benign case") 0

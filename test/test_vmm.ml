@@ -139,7 +139,7 @@ let echo_binding ?(pmio_base = 0x100L) name =
     ~pmio_read:"read" ~pmio_write:"write" ()
 
 let test_machine_routing () =
-  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create () in
   Vmm.Machine.attach m (echo_binding "echo");
   (match Vmm.Machine.io_write m ~port:0x104L ~size:4 ~data:42L with
   | Vmm.Machine.Io_ok _ -> ()
@@ -151,7 +151,7 @@ let test_machine_routing () =
     (Vmm.Machine.io_read m ~port:0x900L ~size:1 = Vmm.Machine.Io_no_device)
 
 let test_machine_overlap_rejected () =
-  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create () in
   Vmm.Machine.attach m (echo_binding "a");
   Alcotest.(check bool) "overlap raises" true
     (try
@@ -166,7 +166,7 @@ let mmio_echo name ranges =
     ~mmio_read:"read" ~mmio_write:"write" ()
 
 let test_machine_top_of_address_space () =
-  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create () in
   Vmm.Machine.attach m (mmio_echo "top" [ (0xFFFF_FFFF_FFFF_FF00L, 0x100) ]);
   Vmm.Machine.attach m (mmio_echo "mid" [ (0x7FFF_FFFF_FFFF_FFF0L, 0x20) ]);
   let routed addr =
@@ -182,7 +182,7 @@ let test_machine_top_of_address_space () =
   Alcotest.(check bool) "across bit 63" true (routed 0x8000_0000_0000_0005L);
   Alcotest.(check bool) "past the middle range" false (routed 0x8000_0000_0000_0010L);
   let rejects what first second =
-    let m = Vmm.Machine.create ~vmexit_cost:0 () in
+    let m = Vmm.Machine.create () in
     Vmm.Machine.attach m (mmio_echo "a" [ first ]);
     Alcotest.(check bool) what true
       (try
@@ -196,18 +196,18 @@ let test_machine_top_of_address_space () =
   rejects "overlap at the top" (0xFFFF_FFFF_FFFF_FF00L, 0x100) (0xFFFF_FFFF_FFFF_FFF0L, 0x10);
   Alcotest.(check bool) "a range past the top raises" true
     (try
-       Vmm.Machine.attach (Vmm.Machine.create ~vmexit_cost:0 ())
+       Vmm.Machine.attach (Vmm.Machine.create ())
          (mmio_echo "wrap" [ (0xFFFF_FFFF_FFFF_FF00L, 0x200) ]);
        false
      with Invalid_argument _ -> true);
-  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create () in
   Vmm.Machine.attach m (mmio_echo "a" [ (0x7FFF_FFFF_FFFF_FF00L, 0x100) ]);
   Vmm.Machine.attach m (mmio_echo "b" [ above ]);
   Alcotest.(check (list string)) "adjacent across bit 63" [ "a"; "b" ]
     (Vmm.Machine.device_names m)
 
 let test_machine_duplicate_rejected () =
-  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create () in
   Vmm.Machine.attach m (echo_binding "a");
   Alcotest.(check bool) "duplicate raises" true
     (try
@@ -216,7 +216,7 @@ let test_machine_duplicate_rejected () =
      with Invalid_argument _ -> true)
 
 let test_interposer_halt_blocks_before_execution () =
-  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create () in
   Vmm.Machine.attach m (echo_binding "echo");
   Vmm.Machine.set_interposer m "echo"
     {
@@ -242,7 +242,7 @@ let test_interposer_halt_blocks_before_execution () =
     | _ -> false)
 
 let test_interposer_warn_allows () =
-  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create () in
   Vmm.Machine.attach m (echo_binding "echo");
   Vmm.Machine.set_interposer m "echo"
     {
@@ -258,7 +258,7 @@ let test_interposer_warn_allows () =
   Alcotest.(check (list string)) "cleared" [] (Vmm.Machine.warnings m)
 
 let test_interposer_sees_request () =
-  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create () in
   Vmm.Machine.attach m (echo_binding "echo");
   let seen = ref [] in
   Vmm.Machine.set_interposer m "echo"
@@ -312,7 +312,7 @@ let expected side vs =
   first 0 vs
 
 let check_stack specs =
-  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create () in
   Vmm.Machine.attach m (echo_binding "echo");
   let calls = ref [] in
   List.iteri
@@ -361,7 +361,7 @@ let test_interposer_layers_merge () =
 (* Removing a middle layer keeps the others in order; removing a layer
    twice is harmless. *)
 let test_interposer_layer_removal () =
-  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create () in
   Vmm.Machine.attach m (echo_binding "echo");
   let calls = ref [] in
   let add i = Vmm.Machine.add_interposer m "echo" (recording_layer calls i (A, A)) in
@@ -386,7 +386,7 @@ let test_interposer_layer_removal () =
    after the swap are identical.  One layer is returned as installed. *)
 let test_interposer_swap () =
   let swap specs =
-    let m = Vmm.Machine.create ~vmexit_cost:0 () in
+    let m = Vmm.Machine.create () in
     Vmm.Machine.attach m (echo_binding "echo");
     let calls = ref [] in
     List.iteri
@@ -416,7 +416,7 @@ let test_interposer_swap () =
   in
   swap [ (W, A); (H, W) ];
   swap [ (A, W); (W, H); (A, A) ];
-  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create () in
   Vmm.Machine.attach m (echo_binding "echo");
   let ip = recording_layer (ref []) 0 (A, A) in
   let (_ : unit -> unit) = Vmm.Machine.add_interposer m "echo" ip in
@@ -439,7 +439,7 @@ let test_trap_reporting () =
   let binding =
     Devices.Device.binding_of ~program ~pmio:[ (0x100L, 8) ] ~pmio_write:"write" ()
   in
-  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create () in
   Vmm.Machine.attach m binding;
   (match Vmm.Machine.io_write m ~port:0x100L ~size:1 ~data:0L with
   | Vmm.Machine.Io_fault Interp.Event.Step_limit -> ()
@@ -449,7 +449,7 @@ let test_trap_reporting () =
   Alcotest.(check int) "traps cleared" 0 (List.length (Vmm.Machine.last_traps m))
 
 let test_inject () =
-  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create () in
   Vmm.Machine.attach m (echo_binding "echo");
   match
     Vmm.Machine.inject m ~device:"echo" ~handler:"write"
@@ -461,7 +461,7 @@ let test_inject () =
   | _ -> Alcotest.fail "inject failed"
 
 let test_device_irq_wiring () =
-  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create () in
   let dev = Devices.Fdc.device ~version:(Devices.Qemu_version.v 2 3 0) in
   Vmm.Machine.attach m (dev.make_binding ());
   let d = Workload.Fdc_driver.create m in
@@ -470,7 +470,7 @@ let test_device_irq_wiring () =
     (Vmm.Irq.raise_count (Vmm.Machine.irq m) "fdc" > 0)
 
 let test_machine_reboot () =
-  let m = Vmm.Machine.create ~vmexit_cost:0 () in
+  let m = Vmm.Machine.create () in
   let dev = Devices.Fdc.device ~version:(Devices.Qemu_version.v 2 3 0) in
   Vmm.Machine.attach m (dev.make_binding ());
   let interp = Vmm.Machine.interp_of m "fdc" in
@@ -506,20 +506,41 @@ let test_machine_reboot () =
   Alcotest.(check bool) "interposer kept" true
     (Option.is_some (Vmm.Machine.interposer_of m "fdc"))
 
-let test_vmexit_spin_costs_time () =
-  (* The VM-exit model must actually burn time, monotonically in the
-     spin count (coarse check: 200k spins cost measurably more than 0). *)
-  let time_accesses vmexit_cost =
-    let m = Vmm.Machine.create ~vmexit_cost () in
-    Vmm.Machine.attach m (echo_binding "echo");
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to 2000 do
-      ignore (Vmm.Machine.io_read m ~port:0x100L ~size:4)
-    done;
-    Unix.gettimeofday () -. t0
+(* Every access that reaches a running VM's device is one VM exit,
+   whatever its layers then decide; an access on a halted VM or one no
+   device claims is none. *)
+let test_machine_exit_count () =
+  let m = Vmm.Machine.create () in
+  Vmm.Machine.attach m (echo_binding "echo");
+  Vmm.Machine.attach m (mmio_echo "mmio" [ (0x1000L, 0x10) ]);
+  let exits what n f =
+    let before = Vmm.Machine.exits m in
+    ignore (f ());
+    Alcotest.(check int) what n (Vmm.Machine.exits m - before)
   in
-  let free = time_accesses 0 and costly = time_accesses 200_000 in
-  Alcotest.(check bool) "spin burns time" true (costly > free *. 2.0)
+  let accesses =
+    Vmm.Machine.
+      [
+        ("io_read", fun () -> io_read m ~port:0x100L ~size:4);
+        ("io_write", fun () -> io_write m ~port:0x100L ~size:4 ~data:1L);
+        ("mmio_read", fun () -> mmio_read m ~addr:0x1000L ~size:4);
+        ("mmio_write", fun () -> mmio_write m ~addr:0x1004L ~size:4 ~data:1L);
+        ( "inject",
+          fun () ->
+            inject m ~device:"echo" ~handler:"write"
+              ~params:[ ("addr", 0L); ("offset", 0L); ("size", 1L); ("data", 1L) ] );
+      ]
+  in
+  List.iter (fun (what, f) -> exits what 1 f) accesses;
+  exits "unclaimed port" 0 (fun () -> Vmm.Machine.io_read m ~port:0x900L ~size:1);
+  exits "unclaimed mmio" 0 (fun () -> Vmm.Machine.mmio_read m ~addr:0x5000L ~size:4);
+  let (_ : unit -> unit) =
+    Vmm.Machine.add_interposer m "echo"
+      { before = (fun _ -> Vmm.Machine.Halt "stop"); after = (fun _ _ -> Vmm.Machine.Allow) }
+  in
+  exits "halted in before" 1 (List.assoc "io_write" accesses);
+  Alcotest.(check bool) "vm halted" true (Vmm.Machine.halted m);
+  List.iter (fun (what, f) -> exits (what ^ " on a halted vm") 0 f) accesses
 
 let test_ram_checkpoint_rollback () =
   let g = Vmm.Guest_mem.create 64 in
@@ -822,7 +843,7 @@ let () =
           Alcotest.test_case "device irq wiring" `Quick test_device_irq_wiring;
           Alcotest.test_case "reboot restores boot state" `Quick
             test_machine_reboot;
-          Alcotest.test_case "vm-exit spin costs time" `Slow test_vmexit_spin_costs_time;
+          Alcotest.test_case "vm exits counted" `Quick test_machine_exit_count;
           Alcotest.test_case "ram checkpoint/rollback" `Quick
             test_ram_checkpoint_rollback;
         ] );
